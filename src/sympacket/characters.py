@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .membership import (
     ROUTE_II_A3,
+    MembershipVerdict,
     decide_pi,
     decide_sigma,
 )
@@ -324,7 +325,14 @@ def rho_pi_general(
     """
     if delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
-    verdict = decide_pi(psi, n, m)
+    return _rho_pi_core(psi, n, m, delta, decide_pi(psi, n, m))
+
+
+def _rho_pi_core(
+    psi: ArthurParameter, n: int, m: int, delta: int, verdict: MembershipVerdict
+) -> PacketCharacter:
+    """``rho_pi_general`` given ``verdict = decide_pi(psi, n, m)`` and a token
+    delta in {+1, -1}; psi is not validated or decided again."""
     if not verdict.member:
         raise ValueError("packet does not contain the scalar module")
     disc_signs, delta_prime = _discrete_signs(psi, delta)
@@ -367,7 +375,14 @@ def rho_sigma_general(
         return rho_pi_general(psi, n, k + 1, delta)
     if delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
-    verdict = decide_sigma(psi, n, k)
+    return _rho_sigma_core(psi, n, k, delta, decide_sigma(psi, n, k))
+
+
+def _rho_sigma_core(
+    psi: ArthurParameter, n: int, k: int, delta: int, verdict: MembershipVerdict
+) -> PacketCharacter:
+    """``rho_sigma_general`` for n > 2k given ``verdict = decide_sigma(psi, n, k)``
+    and a token delta in {+1, -1}; psi is not validated or decided again."""
     if not verdict.member:
         raise ValueError("packet does not contain the near-scalar module")
     disc_signs, delta_prime = _discrete_signs(psi, delta)

@@ -27,6 +27,11 @@ from .weights import HighestWeight, inf_char_of_weight, pi_nm, sigma_nk
 
 SCHEMA_VERSION = 1
 
+# Largest rank accepted by ``tableau`` and ``cohind``: their reports and
+# cohomology.rho_vectors grow with n (the latter quadratically), and no
+# computation here uses a rank anywhere near it.
+MAX_REPORT_RANK = 64
+
 
 class UsageError(Exception):
     pass
@@ -63,23 +68,35 @@ def _strict_keys(obj: dict, allowed: set[str], where: str) -> None:
         )
 
 
+def _wire_int(obj: dict, key: str) -> int:
+    """A JSON integer field, taken as it is: no bool, float or string."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValidationError(
+            f"malformed parameter: {key} must be an integer, got {value!r}",
+            ["BLOCK_SHAPE"],
+        )
+    return value
+
+
 def param_from_json(obj: Any) -> ArthurParameter:
     if not isinstance(obj, dict):
         raise ValidationError("parameter must be a JSON object", ["BLOCK_SHAPE"])
     _strict_keys(obj, {"n", "unipotent", "discrete"}, "parameter")
     try:
         unip = tuple(
-            UnipotentBlock(char_from_name(b["char"]), int(b["dim"]))
+            UnipotentBlock(char_from_name(b["char"]), _wire_int(b, "dim"))
             for b in obj.get("unipotent", ())
         )
         disc = tuple(
-            DiscreteBlock(int(b["t"]), int(b["a"])) for b in obj.get("discrete", ())
+            DiscreteBlock(_wire_int(b, "t"), _wire_int(b, "a"))
+            for b in obj.get("discrete", ())
         )
         for b in obj.get("unipotent", ()):
             _strict_keys(b, {"char", "dim"}, "unipotent block")
         for b in obj.get("discrete", ()):
             _strict_keys(b, {"t", "a"}, "discrete block")
-        psi = ArthurParameter(int(obj["n"]), unip, disc)
+        psi = ArthurParameter(_wire_int(obj, "n"), unip, disc)
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -92,7 +109,7 @@ def param_from_json(obj: Any) -> ArthurParameter:
 
 def _load_param(spec: str) -> ArthurParameter:
     text = spec
-    if not spec.lstrip().startswith("{"):
+    if not spec.lstrip().startswith(("{", "[")):
         try:
             with open(spec, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -128,16 +145,15 @@ def _halfvec_to_json(vec: cohomology.HalfIntVector) -> dict[str, Any]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    n = args.n
+    n, value = args.n, args.value
     if args.family == "pi":
-        label, value = "m", args.value
+        label = "m"
         chi = inf_char_of_weight(pi_nm(n, value))
-        packets = membership.enumerate_packets_pi(n, value)
     else:
-        label, value = "k", args.value
+        label = "k"
         chi = inf_char_of_weight(sigma_nk(n, value))
-        packets = membership.enumerate_packets_sigma(n, value)
     considered = enumerate_params(chi, n)
+    packets = membership._packets_among(considered, args.family, n, value)
     results = {
         "inf_char": list(chi.entries),
         "parameters_with_inf_char": len(considered),
@@ -205,26 +221,29 @@ def _cmd_rho(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         if args.m is None:
             raise UsageError("--m is required with --module pi")
         inputs["m"] = args.m
-        char = characters.rho_pi_general(psi, psi.n, args.m, delta)
-        route = membership.decide_pi(psi, psi.n, args.m).route
+        verdict = membership.decide_pi(psi, psi.n, args.m)
+        char = characters._rho_pi_core(psi, psi.n, args.m, delta, verdict)
         which, m_table = (
             ("sigma_star", args.m - 1)
-            if route == membership.ROUTE_II_A3
+            if verdict.route == membership.ROUTE_II_A3
             else ("pi_star", args.m)
         )
     else:
         if args.k is None:
             raise UsageError("--k is required with --module sigma")
         inputs["k"] = args.k
-        char = characters.rho_sigma_general(psi, psi.n, args.k, delta)
         if 2 * args.k == psi.n:
-            route = membership.decide_pi(psi, psi.n, args.k + 1).route
+            # sigma_{2k,k} is pi_{2k}(k+1), as in rho_sigma_general
+            verdict = membership.decide_pi(psi, psi.n, args.k + 1)
+            char = characters._rho_pi_core(psi, psi.n, args.k + 1, delta, verdict)
             which, m_table = (
                 ("sigma_star", args.k)
-                if route == membership.ROUTE_II_A3
+                if verdict.route == membership.ROUTE_II_A3
                 else ("pi_star", args.k + 1)
             )
         else:
+            verdict = membership.decide_sigma(psi, psi.n, args.k)
+            char = characters._rho_sigma_core(psi, psi.n, args.k, delta, verdict)
             which, m_table = "sigma_star", args.k
     results: dict[str, Any] = {"character": _character_to_json(char)}
     code = 0
@@ -323,7 +342,15 @@ def _cmd_standard(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return _report("standard", inputs, results), 0
 
 
+def _check_report_rank(n: int) -> None:
+    if n > MAX_REPORT_RANK:
+        raise ValidationError(
+            f"rank {n} exceeds the bound {MAX_REPORT_RANK}", ["RANK_BOUND"]
+        )
+
+
 def _cmd_tableau(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    _check_report_rank(args.n)
     tab = tableaux.av_scalar(args.n, args.m)
     results = {
         "rows": tableaux.render_tableau(tab),
@@ -336,6 +363,7 @@ def _cmd_tableau(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 def _cmd_cohind(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     n, p, q = args.n, args.p, args.q
+    _check_report_rank(n)
     data = cohomology.rho_vectors(n, p, q)
     results: dict[str, Any] = {
         "delta_l": _halfvec_to_json(data.delta_l),

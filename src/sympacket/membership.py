@@ -132,7 +132,13 @@ def decide_pi(psi: ArthurParameter, n: int, m: int) -> MembershipVerdict:
         raise ValueError(f"need 0 <= m <= n, got m={m}")
     if not _scalar_inf_char_matches(psi, n, m):
         return _NOT_MEMBER
+    return _decide_pi_core(psi, n, m)
 
+
+def _decide_pi_core(psi: ArthurParameter, n: int, m: int) -> MembershipVerdict:
+    """The routes of ``decide_pi`` for a valid rank-n parameter whose
+    infinitesimal character is that of pi_n(m), 0 <= m <= n; nothing is
+    checked again."""
     if m == 0:
         trivial = psi.unipotent == (UnipotentBlock(CHAR_TRIV, 2 * n + 1),) and not psi.discrete
         return MembershipVerdict(True, ROUTE_TRIVIAL, 1) if trivial else _NOT_MEMBER
@@ -172,6 +178,15 @@ def decide_sigma(psi: ArthurParameter, n: int, k: int) -> MembershipVerdict:
         raise ValueError("parameter rank does not match n")
     if inf_char_of_param(psi) != inf_char_of_weight(sigma_nk(n, k)):
         return _NOT_MEMBER
+    return _decide_sigma_core(psi, n, k)
+
+
+def _decide_sigma_core(psi: ArthurParameter, n: int, k: int) -> MembershipVerdict:
+    """The routes of ``decide_sigma`` for a valid rank-n parameter whose
+    infinitesimal character is that of sigma_{n,k}, 2 <= 2k <= n; nothing is
+    checked again."""
+    if n == 2 * k:
+        return _decide_pi_core(psi, n, k + 1)
     big = 2 * (n - k) + 1
     if a_psi_u(psi) == big and contains_block(psi, UnipotentBlock(k % 2, big)):
         return MembershipVerdict(True, ROUTE_SIGMA, 1)
@@ -321,17 +336,34 @@ def exponent_bound_necessary(psi: ArthurParameter, n: int, m: int) -> bool:
     return a_psi(psi) > bound if strict else a_psi(psi) >= bound
 
 
+_CORES = {"pi": _decide_pi_core, "sigma": _decide_sigma_core}
+
+
+def _packets_among(
+    params: list[ArthurParameter], family: str, n: int, value: int
+) -> list[tuple[ArthurParameter, MembershipVerdict]]:
+    """The members, with verdicts, among parameters from ``enumerate_params``.
+
+    Trusted: every parameter must be valid, of rank n and carry the
+    infinitesimal character of pi_n(value) (family "pi") or sigma_{n,value}
+    (family "sigma"), as ``enumerate_params`` guarantees for that character,
+    so the route logic runs without re-validation.
+    """
+    core = _CORES[family]
+    out = []
+    for psi in params:
+        verdict = core(psi, n, value)
+        if verdict.member:
+            out.append((psi, verdict))
+    return out
+
+
 def enumerate_packets_pi(
     n: int, m: int, max_rank: int = 12
 ) -> list[tuple[ArthurParameter, MembershipVerdict]]:
     """All packets containing pi_n(m), with the verdict that admitted them."""
     chi = inf_char_of_weight(pi_nm(n, m))
-    out = []
-    for psi in enumerate_params(chi, n, max_rank=max_rank):
-        verdict = decide_pi(psi, n, m)
-        if verdict.member:
-            out.append((psi, verdict))
-    return out
+    return _packets_among(enumerate_params(chi, n, max_rank=max_rank), "pi", n, m)
 
 
 def enumerate_packets_sigma(
@@ -339,12 +371,7 @@ def enumerate_packets_sigma(
 ) -> list[tuple[ArthurParameter, MembershipVerdict]]:
     """All packets containing sigma_{n,k}, with verdicts."""
     chi = inf_char_of_weight(sigma_nk(n, k))
-    out = []
-    for psi in enumerate_params(chi, n, max_rank=max_rank):
-        verdict = decide_sigma(psi, n, k)
-        if verdict.member:
-            out.append((psi, verdict))
-    return out
+    return _packets_among(enumerate_params(chi, n, max_rank=max_rank), "sigma", n, k)
 
 
 def distinguished_parameter_sigma(n: int, k: int) -> ArthurParameter:

@@ -328,7 +328,11 @@ def _all_segment_covers(entries: tuple[int, ...]) -> frozenset[_Cover]:
 
 
 def _char_assignments(dims: tuple[int, ...], parity: int):
-    """Character multisets on unipotent blocks with prescribed sign parity."""
+    """Character multisets on unipotent blocks with prescribed sign parity.
+
+    Blocks come out in canonical order: dimensions decreasing, and within a
+    dimension trivial before sign.
+    """
     groups = sorted(Counter(dims).items(), reverse=True)
     for picks in itertools.product(*(range(c + 1) for _, c in groups)):
         if sum(picks) % 2 != parity:
@@ -337,7 +341,7 @@ def _char_assignments(dims: tuple[int, ...], parity: int):
         for (dim, count), k in zip(groups, picks):
             blocks.extend([UnipotentBlock(CHAR_TRIV, dim)] * (count - k))
             blocks.extend([UnipotentBlock(CHAR_SGN, dim)] * k)
-        yield tuple(sorted(blocks, key=_unip_key))
+        yield tuple(blocks)
 
 
 def enumerate_params(
@@ -354,12 +358,25 @@ def enumerate_params(
         raise ValueError(f"rank {n} exceeds the enumeration cap {max_rank}")
     if chi.rank != n:
         raise ValueError("character length must be 2n+1")
-    out: set[ArthurParameter] = set()
+    # Trusted construction: each cover is canonical ((t, a) by (-t, -a), and
+    # _char_assignments yields unipotent blocks in _unip_key order), covers
+    # the 2n+1 entries with well-shaped blocks, and gets only characters of
+    # the parity the determinant condition needs; distinct covers and
+    # assignments give distinct parameters.  So nothing is canonicalized,
+    # validated or deduplicated again here.
+    out: list[ArthurParameter] = []
     for unip_dims, disc_data in _all_segment_covers(chi.entries):
         discrete = tuple(DiscreteBlock(t, a) for t, a in disc_data)
         parity = sum(1 for b in discrete if b.a % 2 == 1) % 2
         for unip in _char_assignments(unip_dims, parity):
-            psi = ArthurParameter(n, unip, discrete).canonical()
-            if not validate(psi):
-                out.add(psi)
-    return sorted(out)
+            out.append(ArthurParameter(n, unip, discrete))
+    out.sort(key=_order_key)
+    return out
+
+
+def _order_key(psi: ArthurParameter) -> tuple:
+    """The dataclass ``order=True`` order of parameters of one rank, as tuples."""
+    return (
+        tuple((b.char, b.dim) for b in psi.unipotent),
+        tuple((b.t, b.a) for b in psi.discrete),
+    )

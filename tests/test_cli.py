@@ -1,4 +1,7 @@
+import copy
 import json
+
+import pytest
 
 from sympacket import cli
 from sympacket.params import ArthurParameter, DiscreteBlock, UnipotentBlock
@@ -211,3 +214,102 @@ def test_text_format(capsys):
     assert code == 0
     assert "# enumerate-pi" in out
     assert "[results]" in out
+
+
+# a member of the pi_2(2) packet with a discrete block
+DISCRETE = {
+    "n": 2,
+    "unipotent": [{"char": "triv", "dim": 1}],
+    "discrete": [{"t": 1, "a": 2}],
+}
+
+
+@pytest.mark.parametrize(
+    "base, path, value",
+    [
+        (json.loads(WORKED_JSON), ("unipotent", 0, "dim"), 3.9),
+        (json.loads(WORKED_JSON), ("unipotent", 0, "dim"), "3"),
+        (json.loads(WORKED_JSON), ("n",), 2.0),
+        (DISCRETE, ("discrete", 0, "t"), "1"),
+        (json.loads(WORKED_JSON), ("unipotent", 1, "dim"), True),
+        (DISCRETE, ("discrete", 0, "a"), 2.0),
+    ],
+    ids=["dim-3.9", "dim-string-3", "n-2.0", "t-string-1", "dim-true", "a-2.0"],
+)
+def test_non_integer_numbers_exit_2(capsys, base, path, value):
+    # the wire format takes JSON integers as they are: no bool, float or
+    # numeric string is coerced, even when it names an integer
+    assert cli.main(["decide", "--param", json.dumps(base), "--pi", "2"]) == 0
+    capsys.readouterr()
+    bad = copy.deepcopy(base)
+    *where, key = path
+    target = bad
+    for step in where:
+        target = target[step]
+    target[key] = value
+    code, out, err = run(capsys, ["decide", "--param", json.dumps(bad), "--pi", "2"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["violations"] == ["BLOCK_SHAPE"]
+
+
+def test_inline_json_array_is_not_a_file_name(capsys):
+    code, _, err = run(capsys, ["decide", "--param", '[{"n": 2}]', "--pi", "1"])
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["violations"] == ["BLOCK_SHAPE"]
+    assert "JSON object" in payload["error"]
+
+
+def test_report_rank_is_bounded(capsys):
+    for argv in (["tableau", "100000", "3"], ["cohind", "100000", "1", "2"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert json.loads(err)["violations"] == ["RANK_BOUND"]
+    bound = str(cli.MAX_REPORT_RANK)
+    assert cli.main(["tableau", bound, "3"]) == 0
+    assert cli.main(["cohind", bound, "1", "2"]) == 0
+    capsys.readouterr()
+
+
+def test_enumerate_and_rho_reports_match_the_library(capsys):
+    from sympacket import characters, membership
+    from sympacket.params import enumerate_params
+    from sympacket.weights import inf_char_of_weight, pi_nm, sigma_nk
+
+    for n in range(1, 6):
+        for family, values in (("pi", range(0, n + 1)), ("sigma", range(1, n // 2 + 1))):
+            for value in values:
+                code, out, _ = run(capsys, [f"enumerate-{family}", str(n), str(value)])
+                assert code == 0
+                results = json.loads(out)["results"]
+                weight = pi_nm(n, value) if family == "pi" else sigma_nk(n, value)
+                chi = inf_char_of_weight(weight)
+                assert results["parameters_with_inf_char"] == len(enumerate_params(chi, n))
+                if family == "pi":
+                    packets = membership.enumerate_packets_pi(n, value)
+                    rho, label = characters.rho_pi_general, "--m"
+                else:
+                    packets = membership.enumerate_packets_sigma(n, value)
+                    rho, label = characters.rho_sigma_general, "--k"
+                assert [p["parameter"] for p in results["packets"]] == [
+                    cli.param_to_json(psi) for psi, _ in packets
+                ]
+                assert [p["route"] for p in results["packets"]] == [
+                    v.route for _, v in packets
+                ]
+                # the command decides once and reuses the verdict; its
+                # character is the one the public recipe gives
+                for psi, _ in packets:
+                    for delta in (1, -1):
+                        code, out, _ = run(
+                            capsys,
+                            ["rho", "--param", json.dumps(cli.param_to_json(psi)),
+                             "--module", family, label, str(value),
+                             "--whittaker", str(delta)],
+                        )
+                        assert code in (0, 3)
+                        assert json.loads(out)["results"]["character"] == (
+                            cli._character_to_json(rho(psi, n, value, delta))
+                        )

@@ -198,6 +198,23 @@ def test_enumerate_packets_worked():
     )
 
 
+def test_enumerate_packets_equal_public_filter():
+    # the enumerators decide without re-validating; they must keep exactly
+    # the parameters, in order and with the routes, that the public
+    # deciders keep
+    for n in range(1, 10):
+        for m in range(0, n + 1):
+            chi = inf_char_of_weight(pi_nm(n, m))
+            public = [(psi, decide_pi(psi, n, m)) for psi in enumerate_params(chi, n)]
+            assert enumerate_packets_pi(n, m) == [(p, v) for p, v in public if v.member]
+        for k in range(1, n // 2 + 1):
+            chi = inf_char_of_weight(sigma_nk(n, k))
+            public = [(psi, decide_sigma(psi, n, k)) for psi in enumerate_params(chi, n)]
+            assert enumerate_packets_sigma(n, k) == [
+                (p, v) for p, v in public if v.member
+            ]
+
+
 def test_decide_regular():
     pos = (5, 2, 1)
     chi = InfinitesimalCharacter(pos + tuple(-x for x in pos) + (0,))

@@ -148,14 +148,26 @@ def test_enumeration_worked_case():
     assert found == brute_force_params(chi, 2)
 
 
-def test_enumeration_roundtrip_and_validity():
-    for n in range(1, 6):
+def module_characters(max_n):
+    """The infinitesimal characters of every pi_n(m) and sigma_{n,k}."""
+    for n in range(1, max_n + 1):
         for m in range(0, n + 1):
-            chi = inf_char_of_weight(pi_nm(n, m))
-            for psi in enumerate_params(chi, n):
-                assert validate(psi) == []
-                assert inf_char_of_param(psi) == chi
-                assert psi == psi.canonical()
+            yield n, inf_char_of_weight(pi_nm(n, m))
+        for k in range(1, n // 2 + 1):
+            yield n, inf_char_of_weight(sigma_nk(n, k))
+
+
+def test_enumeration_roundtrip_and_validity():
+    # enumerate_params builds parameters straight from the covers without
+    # re-validating or re-sorting them: pin that they come out valid,
+    # canonical, distinct and in the dataclass order
+    for n, chi in module_characters(9):
+        found = enumerate_params(chi, n)
+        for psi in found:
+            assert validate(psi) == []
+            assert inf_char_of_param(psi) == chi
+            assert psi == psi.canonical()
+        assert all(a < b for a, b in zip(found, found[1:]))
 
 
 def test_enumeration_guard_rails():
