@@ -28,6 +28,7 @@ from .params import (
     DiscreteBlock,
     UnipotentBlock,
 )
+from .quadforms import _sign_pow
 
 __all__ = [
     "Block",
@@ -49,11 +50,6 @@ VANISHING = "VANISHING"
 
 TABLE_FORMS = ("first", "second")
 TABLE_COLUMNS = ("pi", "sigma", "pi_star", "sigma_star")
-
-
-def _sign_pow(k: int) -> int:
-    """(-1)**k for possibly negative k."""
-    return -1 if k % 2 else 1
 
 
 def _floor_half_sign(x: int) -> int:

@@ -4,11 +4,20 @@ Every subcommand prints a self-describing report (JSON by default, plain
 text with --format text).  Exit codes: 0 success, 1 usage error, 2 invalid
 input (violation codes listed in the report), 3 a computation touched the
 documented internal discrepancy between the two printed character recipes.
+
+Besides the parameter codes of ``params.validate`` and ``UNKNOWN_FIELD:*``,
+an exit 2 names one of: ``PARAM_UNREADABLE`` (a ``--param`` file that cannot
+be read), ``PARAM_JSON`` (a ``--param`` that is not JSON), ``RANK_BOUND`` (a
+rank above the enumeration cap or ``MAX_REPORT_RANK``), ``NOT_MEMBER`` (a
+character asked of a packet without the module), ``WEIGHT_SHAPE`` (a
+``--weight`` that is not a list of integers) and ``RANGE`` (any other
+argument outside the domain of the computation, such as m > n).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -17,13 +26,13 @@ from . import characters, cohomology, langlands, membership, quadforms, tableaux
 from .params import (
     ArthurParameter,
     DiscreteBlock,
+    RankBoundError,
     UnipotentBlock,
     char_from_name,
     char_name,
-    enumerate_params,
     validate,
 )
-from .weights import HighestWeight, inf_char_of_weight, pi_nm, sigma_nk
+from .weights import HighestWeight
 
 SCHEMA_VERSION = 1
 
@@ -38,9 +47,9 @@ class UsageError(Exception):
 
 
 class ValidationError(Exception):
-    def __init__(self, message: str, violations: list[str] | None = None):
+    def __init__(self, message: str, violations: list[str]):
         super().__init__(message)
-        self.violations = violations or []
+        self.violations = violations
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,11 +123,15 @@ def _load_param(spec: str) -> ArthurParameter:
             with open(spec, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise ValidationError(f"cannot read parameter file: {exc}") from exc
+            raise ValidationError(
+                f"cannot read parameter file: {exc}", ["PARAM_UNREADABLE"]
+            ) from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"parameter is not valid JSON: {exc}") from exc
+        raise ValidationError(
+            f"parameter is not valid JSON: {exc}", ["PARAM_JSON"]
+        ) from exc
     return param_from_json(obj)
 
 
@@ -146,17 +159,11 @@ def _halfvec_to_json(vec: cohomology.HalfIntVector) -> dict[str, Any]:
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     n, value = args.n, args.value
-    if args.family == "pi":
-        label = "m"
-        chi = inf_char_of_weight(pi_nm(n, value))
-    else:
-        label = "k"
-        chi = inf_char_of_weight(sigma_nk(n, value))
-    considered = enumerate_params(chi, n)
-    packets = membership._packets_among(considered, args.family, n, value)
+    label = "m" if args.family == "pi" else "k"
+    chi, count, packets = membership._enumerate_packets(args.family, n, value)
     results = {
         "inf_char": list(chi.entries),
-        "parameters_with_inf_char": len(considered),
+        "parameters_with_inf_char": count,
         "packets": [
             {
                 "parameter": param_to_json(psi),
@@ -221,30 +228,29 @@ def _cmd_rho(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         if args.m is None:
             raise UsageError("--m is required with --module pi")
         inputs["m"] = args.m
-        verdict = membership.decide_pi(psi, psi.n, args.m)
-        char = characters._rho_pi_core(psi, psi.n, args.m, delta, verdict)
-        which, m_table = (
-            ("sigma_star", args.m - 1)
-            if verdict.route == membership.ROUTE_II_A3
-            else ("pi_star", args.m)
-        )
+        scalar_m = args.m
     else:
         if args.k is None:
             raise UsageError("--k is required with --module sigma")
         inputs["k"] = args.k
-        if 2 * args.k == psi.n:
-            # sigma_{2k,k} is pi_{2k}(k+1), as in rho_sigma_general
-            verdict = membership.decide_pi(psi, psi.n, args.k + 1)
-            char = characters._rho_pi_core(psi, psi.n, args.k + 1, delta, verdict)
-            which, m_table = (
-                ("sigma_star", args.k)
-                if verdict.route == membership.ROUTE_II_A3
-                else ("pi_star", args.k + 1)
-            )
-        else:
-            verdict = membership.decide_sigma(psi, psi.n, args.k)
-            char = characters._rho_sigma_core(psi, psi.n, args.k, delta, verdict)
-            which, m_table = "sigma_star", args.k
+        # sigma_{2k,k} is pi_{2k}(k+1), as in rho_sigma_general
+        scalar_m = args.k + 1 if 2 * args.k == psi.n else None
+    if scalar_m is not None:
+        verdict = membership.decide_pi(psi, psi.n, scalar_m)
+        rho_core, value = characters._rho_pi_core, scalar_m
+        which, m_table = (
+            ("sigma_star", scalar_m - 1)
+            if verdict.route == membership.ROUTE_II_A3
+            else ("pi_star", scalar_m)
+        )
+    else:
+        verdict = membership.decide_sigma(psi, psi.n, args.k)
+        rho_core, value = characters._rho_sigma_core, args.k
+        which, m_table = "sigma_star", args.k
+    try:
+        char = rho_core(psi, psi.n, value, delta, verdict)
+    except ValueError as exc:  # the cores refuse only non-members
+        raise ValidationError(str(exc), ["NOT_MEMBER"]) from exc
     results: dict[str, Any] = {"character": _character_to_json(char)}
     code = 0
     if not psi.discrete and len(psi.unipotent) == 3 and m_table >= 1:
@@ -294,7 +300,7 @@ _HOWE_CHAR = {"triv": (0, 0), "det": (0, 1), "sgn": (1, 0), "sgn-det": (1, 1)}
 def _cmd_howe(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     p, q, n, delta = args.p, args.q, args.rank, args.delta or 1
     if (p + q) % 2 != 0:
-        raise ValidationError("p + q must be even")
+        raise ValidationError("p + q must be even", ["RANGE"])
     if args.char is not None:
         eta, tau = _HOWE_CHAR[args.char]
     else:
@@ -307,7 +313,7 @@ def _cmd_howe(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         if c.eta == eta and c.tau == tau
     ]
     if not match:
-        raise ValidationError("no such character on this group")
+        raise ValidationError("no such character on this group", ["RANGE"])
     c = match[0]
     ktype = quadforms.howe_ktype(c, p, q, n)
     results: dict[str, Any] = {
@@ -384,7 +390,10 @@ def _cmd_cohind(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
                 args.scalar_m, p, q, args.t
             )
         if args.weight:
-            mu = HighestWeight(tuple(int(x) for x in args.weight.split(",")))
+            try:
+                mu = HighestWeight(tuple(int(x) for x in args.weight.split(",")))
+            except ValueError as exc:
+                raise ValidationError(str(exc), ["WEIGHT_SHAPE"]) from exc
             inputs["weight"] = list(mu.entries)
             results["ktype_inequality"] = cohomology.ktype_inequality_general(
                 mu, n, p, q, args.t
@@ -491,10 +500,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+# The parser holds no state between parses, so each process builds it once.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         report, code = args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -507,8 +519,13 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
         return 2
-    except ValueError as exc:
-        payload = {"schema_version": SCHEMA_VERSION, "error": str(exc), "violations": []}
+    except ValueError as exc:  # the library refused an argument
+        violation = "RANK_BOUND" if isinstance(exc, RankBoundError) else "RANGE"
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "error": str(exc),
+            "violations": [violation],
+        }
         print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
         return 2
     _print_report(report, args.format)

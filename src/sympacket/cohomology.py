@@ -29,7 +29,6 @@ from .weights import HighestWeight, InfinitesimalCharacter, regular_a_max
 
 __all__ = [
     "HalfIntVector",
-    "ParabolicPair",
     "RhoVectors",
     "rho_vectors",
     "lambda_of",
@@ -66,34 +65,6 @@ class HalfIntVector:
     @property
     def is_integral(self) -> bool:
         return all(x % 2 == 0 for x in self.doubled)
-
-
-@dataclass(frozen=True)
-class ParabolicPair:
-    """Maximal theta-stable parabolic pair of Sp(2n,R), indexed by (p, q).
-
-    The defining direction is ``(1^p, 0^(n-p-q), (-1)^q)``; the Levi factor
-    is Sp(2(n-p-q),R) x U(p,q).
-    """
-
-    n: int
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.p < 0 or self.q < 0 or self.p + self.q > self.n:
-            raise ValueError("need p, q >= 0 and p + q <= n")
-
-    @property
-    def direction(self) -> tuple[int, ...]:
-        mid = self.n - self.p - self.q
-        return (1,) * self.p + (0,) * mid + (-1,) * self.q
-
-    def rho_vectors(self) -> "RhoVectors":
-        return rho_vectors(self.n, self.p, self.q)
-
-    def character_weight(self, t: int) -> "HalfIntVector":
-        return lambda_of(self.n, self.p, self.q, t)
 
 
 def _zero(n: int) -> list[int]:

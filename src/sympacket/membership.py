@@ -40,13 +40,17 @@ from .params import (
     UnipotentBlock,
     a_psi,
     a_psi_u,
+    _assignment_count,
+    _checked_covers,
+    _cover_params,
+    _order_key,
     contains_block,
-    enumerate_params,
     inf_char_of_param,
     remove_discrete_block,
     validate,
 )
 from .weights import (
+    InfinitesimalCharacter,
     inf_char_of_weight,
     pi_nm,
     regular_a_max,
@@ -336,42 +340,75 @@ def exponent_bound_necessary(psi: ArthurParameter, n: int, m: int) -> bool:
     return a_psi(psi) > bound if strict else a_psi(psi) >= bound
 
 
+def _member_tops(family: str, n: int, value: int) -> frozenset[int]:
+    """The largest unipotent dimensions a member of the family's packets can have.
+
+    Mirrors the ``a_psi_u`` tests of ``_decide_pi_core`` (m = value) and
+    ``_decide_sigma_core`` (k = value), route by route, so the two change
+    together: TRIVIAL needs 2n+1, THM71_I a one dimensional unipotent part,
+    THM71_II_A1 2(n-m)+1, THM71_II_A3 2(n-m)+3, SIGMA 2(n-k)+1, and
+    sigma_{2k,k} is pi_{2k}(k+1).
+    """
+    if family == "sigma":
+        if n > 2 * value:
+            return frozenset({2 * (n - value) + 1})
+        return _member_tops("pi", n, value + 1)
+    m = value
+    if m == 0:
+        return frozenset({2 * n + 1})
+    tops = {2 * (n - m) + 1}
+    if 2 * m > n + 1:
+        tops.add(1)
+    if 2 * m >= n + 2:
+        tops.add(2 * (n - m) + 3)
+    return frozenset(tops)
+
+
 _CORES = {"pi": _decide_pi_core, "sigma": _decide_sigma_core}
 
 
-def _packets_among(
-    params: list[ArthurParameter], family: str, n: int, value: int
-) -> list[tuple[ArthurParameter, MembershipVerdict]]:
-    """The members, with verdicts, among parameters from ``enumerate_params``.
+def _enumerate_packets(
+    family: str, n: int, value: int, max_rank: int = 12
+) -> tuple[InfinitesimalCharacter, int, list[tuple[ArthurParameter, MembershipVerdict]]]:
+    """The infinitesimal character of pi_n(value) (family "pi") or
+    sigma_{n,value} (family "sigma"), the number of parameters with it, and
+    the packets containing the module, in ``enumerate_params`` order.
 
-    Trusted: every parameter must be valid, of rank n and carry the
-    infinitesimal character of pi_n(value) (family "pi") or sigma_{n,value}
-    (family "sigma"), as ``enumerate_params`` guarantees for that character,
-    so the route logic runs without re-validation.
+    Output-sensitive: every cover is counted, but parameters are built and
+    decided only on covers whose largest unipotent dimension is a member top.
+    The built parameters are valid, of rank n and carry the character, so the
+    decider core judges them without re-validation.
     """
+    weight = pi_nm(n, value) if family == "pi" else sigma_nk(n, value)
+    chi = inf_char_of_weight(weight)
     core = _CORES[family]
-    out = []
-    for psi in params:
-        verdict = core(psi, n, value)
-        if verdict.member:
-            out.append((psi, verdict))
-    return out
+    tops = _member_tops(family, n, value)
+    count = 0
+    packets = []
+    for unip_dims, disc_data, parity in _checked_covers(chi, n, max_rank):
+        count += _assignment_count(unip_dims)
+        if unip_dims[0] not in tops:
+            continue
+        for psi in _cover_params(n, unip_dims, disc_data, parity):
+            verdict = core(psi, n, value)
+            if verdict.member:
+                packets.append((psi, verdict))
+    packets.sort(key=lambda packet: _order_key(packet[0]))
+    return chi, count, packets
 
 
 def enumerate_packets_pi(
     n: int, m: int, max_rank: int = 12
 ) -> list[tuple[ArthurParameter, MembershipVerdict]]:
     """All packets containing pi_n(m), with the verdict that admitted them."""
-    chi = inf_char_of_weight(pi_nm(n, m))
-    return _packets_among(enumerate_params(chi, n, max_rank=max_rank), "pi", n, m)
+    return _enumerate_packets("pi", n, m, max_rank)[2]
 
 
 def enumerate_packets_sigma(
     n: int, k: int, max_rank: int = 12
 ) -> list[tuple[ArthurParameter, MembershipVerdict]]:
     """All packets containing sigma_{n,k}, with verdicts."""
-    chi = inf_char_of_weight(sigma_nk(n, k))
-    return _packets_among(enumerate_params(chi, n, max_rank=max_rank), "sigma", n, k)
+    return _enumerate_packets("sigma", n, k, max_rank)[2]
 
 
 def distinguished_parameter_sigma(n: int, k: int) -> ArthurParameter:

@@ -43,6 +43,7 @@ __all__ = [
     "contains_block",
     "remove_discrete_block",
     "enumerate_params",
+    "RankBoundError",
     "char_name",
     "char_from_name",
 ]
@@ -55,6 +56,10 @@ DIM_SUM = "DIM_SUM"
 PARITY_PRODUCT = "PARITY_PRODUCT"
 BLOCK_SHAPE = "BLOCK_SHAPE"
 ORDER = "ORDER"
+
+
+class RankBoundError(ValueError):
+    """A rank above the enumeration cap."""
 
 
 def char_name(char: int) -> str:
@@ -319,7 +324,8 @@ def _all_segment_covers(entries: tuple[int, ...]) -> frozenset[_Cover]:
                 continue
             block = (top + low, top - low + 1)  # (t, a)
             for unip, disc in rec(rest):
-                merged = tuple(sorted(disc + (block,), key=lambda x: (-x[0], -x[1])))
+                # (t, a) pairs decreasing, which is increasing (-t, -a)
+                merged = tuple(sorted(disc + (block,), reverse=True))
                 found.add((unip, merged))
         memo[key] = frozenset(found)
         return memo[key]
@@ -344,6 +350,53 @@ def _char_assignments(dims: tuple[int, ...], parity: int):
         yield tuple(blocks)
 
 
+def _assignment_count(dims: tuple[int, ...]) -> int:
+    """How many character multisets ``_char_assignments`` yields on a cover,
+    of either parity, without building them.
+
+    The dimensions sum to an odd number, so some dimension occurs an odd
+    number c of times; exchanging k and c - k sign blocks there pairs the
+    two parities, so half of the prod(c + 1) choices have each.
+    """
+    total = 1
+    for dim in set(dims):
+        total *= dims.count(dim) + 1
+    return total // 2
+
+
+def _checked_covers(chi: InfinitesimalCharacter, n: int, max_rank: int) -> list[tuple]:
+    """The covers of chi as (unipotent dims, discrete (t, a) data, parity).
+
+    Checks the rank against 1, ``max_rank`` and chi first.  The parity is
+    the one the determinant condition asks of the unipotent characters.
+    """
+    if n < 1:
+        raise ValueError("rank must be positive")
+    if n > max_rank:
+        raise RankBoundError(f"rank {n} exceeds the enumeration cap {max_rank}")
+    if chi.rank != n:
+        raise ValueError("character length must be 2n+1")
+    return [
+        (unip_dims, disc_data, sum(a % 2 for _, a in disc_data) % 2)
+        for unip_dims, disc_data in _all_segment_covers(chi.entries)
+    ]
+
+
+def _cover_params(n: int, unip_dims: tuple[int, ...], disc_data: tuple, parity: int):
+    """The parameters of rank n on one cover from ``_checked_covers``.
+
+    Trusted construction: each cover is canonical ((t, a) by (-t, -a), and
+    _char_assignments yields unipotent blocks in _unip_key order), covers
+    the 2n+1 entries with well-shaped blocks, and gets only characters of
+    the parity the determinant condition needs; distinct covers and
+    assignments give distinct parameters.  So nothing is canonicalized,
+    validated or deduplicated again.
+    """
+    discrete = tuple(DiscreteBlock(t, a) for t, a in disc_data)
+    for unip in _char_assignments(unip_dims, parity):
+        yield ArthurParameter(n, unip, discrete)
+
+
 def enumerate_params(
     chi: InfinitesimalCharacter, n: int, max_rank: int = 12
 ) -> list[ArthurParameter]:
@@ -352,24 +405,11 @@ def enumerate_params(
     The rank is capped by ``max_rank`` (default 12) since the cover search is
     combinatorial; raise the cap explicitly for larger experiments.
     """
-    if n < 1:
-        raise ValueError("rank must be positive")
-    if n > max_rank:
-        raise ValueError(f"rank {n} exceeds the enumeration cap {max_rank}")
-    if chi.rank != n:
-        raise ValueError("character length must be 2n+1")
-    # Trusted construction: each cover is canonical ((t, a) by (-t, -a), and
-    # _char_assignments yields unipotent blocks in _unip_key order), covers
-    # the 2n+1 entries with well-shaped blocks, and gets only characters of
-    # the parity the determinant condition needs; distinct covers and
-    # assignments give distinct parameters.  So nothing is canonicalized,
-    # validated or deduplicated again here.
-    out: list[ArthurParameter] = []
-    for unip_dims, disc_data in _all_segment_covers(chi.entries):
-        discrete = tuple(DiscreteBlock(t, a) for t, a in disc_data)
-        parity = sum(1 for b in discrete if b.a % 2 == 1) % 2
-        for unip in _char_assignments(unip_dims, parity):
-            out.append(ArthurParameter(n, unip, discrete))
+    out = [
+        psi
+        for cover in _checked_covers(chi, n, max_rank)
+        for psi in _cover_params(n, *cover)
+    ]
     out.sort(key=_order_key)
     return out
 

@@ -37,6 +37,7 @@ __all__ = [
 
 
 def _sign_pow(k: int) -> int:
+    """(-1)**k for possibly negative k."""
     return -1 if k % 2 else 1
 
 

@@ -109,7 +109,7 @@ def test_02_enumeration_soundness():
 
 def test_03_decider_equivalence():
     disagreements = []
-    for n in range(1, 7):
+    for n in range(1, 9):
         for m in range(0, n + 1):
             chi = inf_char_of_weight(pi_nm(n, m))
             for psi in enumerate_params(chi, n):

@@ -313,3 +313,95 @@ def test_enumerate_and_rho_reports_match_the_library(capsys):
                         assert json.loads(out)["results"]["character"] == (
                             cli._character_to_json(rho(psi, n, value, delta))
                         )
+
+
+def test_enumerate_counts_every_parameter_with_the_character(capsys):
+    # the count covers every parameter, also those on covers whose
+    # parameters the command never builds
+    from sympacket.params import enumerate_params
+    from sympacket.weights import inf_char_of_weight, pi_nm, sigma_nk
+
+    for n in range(1, 10):
+        for family, weight, values in (
+            ("pi", pi_nm, range(0, n + 1)),
+            ("sigma", sigma_nk, range(1, n // 2 + 1)),
+        ):
+            for value in values:
+                code, out, _ = run(capsys, [f"enumerate-{family}", str(n), str(value)])
+                assert code == 0
+                chi = inf_char_of_weight(weight(n, value))
+                assert json.loads(out)["results"]["parameters_with_inf_char"] == len(
+                    enumerate_params(chi, n)
+                ), (family, n, value)
+
+
+def test_repeated_calls_match_a_fresh_parser(capsys):
+    # main builds its parser once per process; a sequence of calls, usage
+    # errors among them, must print what a newly built parser prints
+    member = json.dumps(DISCRETE)
+    sequence = [
+        ["enumerate-pi", "4", "3"],
+        ["decide", "--param", WORKED_JSON],
+        ["--format", "text", "enumerate-sigma", "5", "2"],
+        ["decide", "--param", WORKED_JSON, "--pi", "1"],
+        ["nonsense"],
+        ["rho", "--param", member, "--module", "pi", "--m", "2", "--whittaker", "-1"],
+        ["--format", "text", "decide", "--param", member, "--pi", "2"],
+        ["rho", "--param", WORKED_JSON, "--module", "pi"],
+        ["--format", "text", "rho", "--param", WORKED_JSON, "--module", "pi", "--m", "1"],
+        ["enumerate-pi", "3", "5"],
+        ["enumerate-pi", "4", "3"],
+    ]
+    cached = [run(capsys, argv) for argv in sequence]
+    assert cli._parser() is cli._parser()
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 1, 0, 0, 1, 0, 0, 1, 0, 2, 0]
+
+
+@pytest.mark.parametrize(
+    "argv, violation, error",
+    [
+        (["enumerate-pi", "13", "3"], "RANK_BOUND", "rank 13 exceeds the enumeration cap 12"),
+        (["enumerate-pi", "3", "5"], "RANGE", "need 0 <= m <= n, got m=5, n=3"),
+        (["enumerate-sigma", "5", "3"], "RANGE", "need 2 <= 2k <= n, got k=3, n=5"),
+        (
+            ["rho", "--param", WORKED_JSON, "--module", "pi", "--m", "5"],
+            "RANGE",
+            "need 0 <= m <= n, got m=5",
+        ),
+        (
+            ["rho", "--param", json.dumps(DISCRETE), "--module", "pi", "--m", "1"],
+            "NOT_MEMBER",
+            "packet does not contain the scalar module",
+        ),
+        (["decide", "--param", "{not json", "--pi", "1"], "PARAM_JSON", "parameter is not valid JSON"),
+        (
+            ["cohind", "4", "1", "2", "--t", "3", "--weight", "1,x"],
+            "WEIGHT_SHAPE",
+            "invalid literal for int()",
+        ),
+    ],
+    ids=["enumeration-cap", "pi-range", "sigma-range", "rho-range", "rho-non-member",
+         "invalid-json", "weight-not-integers"],
+)
+def test_every_exit_2_names_a_violation(capsys, argv, violation, error):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["violations"] == [violation]
+    assert payload["error"].startswith(error)
+
+
+def test_unreadable_parameter_file_names_a_violation(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, ["decide", "--param", str(missing), "--pi", "1"])
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["violations"] == ["PARAM_UNREADABLE"]
+    assert payload["error"].startswith("cannot read parameter file")

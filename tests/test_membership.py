@@ -213,6 +213,18 @@ def test_enumerate_packets_equal_public_filter():
             assert enumerate_packets_sigma(n, k) == [
                 (p, v) for p, v in public if v.member
             ]
+    # spot checks at ranks 11 and 12, where most covers cannot hold a member
+    spots = [
+        (enumerate_packets_pi, decide_pi, pi_nm, 12, 9),
+        (enumerate_packets_pi, decide_pi, pi_nm, 12, 6),
+        (enumerate_packets_pi, decide_pi, pi_nm, 11, 11),
+        (enumerate_packets_sigma, decide_sigma, sigma_nk, 12, 6),
+        (enumerate_packets_sigma, decide_sigma, sigma_nk, 11, 3),
+    ]
+    for enumerate_packets, decide, weight, n, value in spots:
+        chi = inf_char_of_weight(weight(n, value))
+        public = [(psi, decide(psi, n, value)) for psi in enumerate_params(chi, n)]
+        assert enumerate_packets(n, value) == [(p, v) for p, v in public if v.member]
 
 
 def test_decide_regular():
