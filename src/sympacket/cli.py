@@ -36,9 +36,9 @@ from .weights import HighestWeight
 
 SCHEMA_VERSION = 1
 
-# Largest rank accepted by ``tableau`` and ``cohind``: their reports and
-# cohomology.rho_vectors grow with n (the latter quadratically), and no
-# computation here uses a rank anywhere near it.
+# Largest rank accepted by ``standard``, ``howe``, ``tableau`` and ``cohind``:
+# their reports grow with n (and cohomology.rho_vectors quadratically), and
+# no computation here uses a rank anywhere near it.
 MAX_REPORT_RANK = 64
 
 
@@ -160,7 +160,7 @@ def _halfvec_to_json(vec: cohomology.HalfIntVector) -> dict[str, Any]:
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     n, value = args.n, args.value
     label = "m" if args.family == "pi" else "k"
-    chi, count, packets = membership._enumerate_packets(args.family, n, value)
+    chi, count, packets = membership._enumerate_counted(args.family, n, value)
     results = {
         "inf_char": list(chi.entries),
         "parameters_with_inf_char": count,
@@ -299,6 +299,7 @@ _HOWE_CHAR = {"triv": (0, 0), "det": (0, 1), "sgn": (1, 0), "sgn-det": (1, 1)}
 
 def _cmd_howe(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     p, q, n, delta = args.p, args.q, args.rank, args.delta or 1
+    _check_report_rank(n)
     if (p + q) % 2 != 0:
         raise ValidationError("p + q must be even", ["RANGE"])
     if args.char is not None:
@@ -335,6 +336,7 @@ def _cmd_howe(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 
 def _cmd_standard(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    _check_report_rank(args.n)
     if args.family == "pi":
         sm = langlands.standard_pi(args.n, args.value)
     else:

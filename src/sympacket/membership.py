@@ -51,6 +51,7 @@ from .params import (
 )
 from .weights import (
     InfinitesimalCharacter,
+    _inf_char_entries,
     inf_char_of_weight,
     pi_nm,
     regular_a_max,
@@ -117,9 +118,9 @@ def _segments_pairwise_disjoint(psi: ArthurParameter) -> bool:
 
 
 def _scalar_inf_char_matches(psi: ArthurParameter, n: int, m: int) -> bool:
-    if n == 0:
-        return m == 0 and inf_char_of_param(psi).entries == (0,)
-    return inf_char_of_param(psi) == inf_char_of_weight(pi_nm(n, m))
+    """Does psi have the infinitesimal character of pi_n(m)?  Needs
+    0 <= m <= n; at n = 0 the character is (0,)."""
+    return inf_char_of_param(psi).entries == _inf_char_entries((m,) * n)
 
 
 def decide_pi(psi: ArthurParameter, n: int, m: int) -> MembershipVerdict:
@@ -180,7 +181,8 @@ def decide_sigma(psi: ArthurParameter, n: int, k: int) -> MembershipVerdict:
     _require_valid(psi)
     if psi.n != n:
         raise ValueError("parameter rank does not match n")
-    if inf_char_of_param(psi) != inf_char_of_weight(sigma_nk(n, k)):
+    near_scalar = (k + 1,) * (2 * k) + (k,) * (n - 2 * k)  # sigma_nk(n, k)
+    if inf_char_of_param(psi).entries != _inf_char_entries(near_scalar):
         return _NOT_MEMBER
     return _decide_sigma_core(psi, n, k)
 
@@ -296,6 +298,8 @@ def decide_pi_recursive(psi: ArthurParameter, n: int, m: int) -> bool:
     n = 2(m-1) with the block sgn^{n/2} ⊠ R[n+1] present.
     """
     _require_valid(psi)
+    if n != 0:
+        pi_nm(n, m)  # refuses a negative rank and m outside 0..n
     while True:
         if not _scalar_inf_char_matches(psi, n, m):
             return False
@@ -340,75 +344,104 @@ def exponent_bound_necessary(psi: ArthurParameter, n: int, m: int) -> bool:
     return a_psi(psi) > bound if strict else a_psi(psi) >= bound
 
 
-def _member_tops(family: str, n: int, value: int) -> frozenset[int]:
-    """The largest unipotent dimensions a member of the family's packets can have.
+def _member_tops(family: str, n: int, value: int) -> dict[int, int | None]:
+    """Each largest unipotent dimension a member of the family's packets can
+    have, mapped to the character its block must carry (None: any).
 
-    Mirrors the ``a_psi_u`` tests of ``_decide_pi_core`` (m = value) and
-    ``_decide_sigma_core`` (k = value), route by route, so the two change
-    together: TRIVIAL needs 2n+1, THM71_I a one dimensional unipotent part,
-    THM71_II_A1 2(n-m)+1, THM71_II_A3 2(n-m)+3, SIGMA 2(n-k)+1, and
-    sigma_{2k,k} is pi_{2k}(k+1).
+    Mirrors the ``a_psi_u`` and ``contains_block`` tests of
+    ``_decide_pi_core`` (m = value) and ``_decide_sigma_core`` (k = value),
+    route by route, so the two change together: TRIVIAL needs triv ⊠ R[2n+1],
+    THM71_I a one dimensional unipotent part of any character, THM71_II_A1
+    sgn^m ⊠ R[2(n-m)+1], THM71_II_A3 sgn^(m-1) ⊠ R[2(n-m)+3], SIGMA
+    sgn^k ⊠ R[2(n-k)+1], and sigma_{2k,k} is pi_{2k}(k+1).  At m = n the
+    THM71_II_A1 top is 1, which THM71_I admits with either character.
     """
     if family == "sigma":
         if n > 2 * value:
-            return frozenset({2 * (n - value) + 1})
+            return {2 * (n - value) + 1: value % 2}
         return _member_tops("pi", n, value + 1)
     m = value
     if m == 0:
-        return frozenset({2 * n + 1})
-    tops = {2 * (n - m) + 1}
-    if 2 * m > n + 1:
-        tops.add(1)
-    if 2 * m >= n + 2:
-        tops.add(2 * (n - m) + 3)
-    return frozenset(tops)
+        return {2 * n + 1: CHAR_TRIV}
+    tops: dict[int, int | None] = {2 * (n - m) + 1: m % 2}
+    if 2 * m > n + 1:  # the same as 2m >= n+2
+        tops[2 * (n - m) + 3] = (m - 1) % 2
+        tops[1] = None
+    return tops
 
 
 _CORES = {"pi": _decide_pi_core, "sigma": _decide_sigma_core}
 
 
-def _enumerate_packets(
-    family: str, n: int, value: int, max_rank: int = 12
-) -> tuple[InfinitesimalCharacter, int, list[tuple[ArthurParameter, MembershipVerdict]]]:
+def _module_inf_char(family: str, n: int, value: int) -> InfinitesimalCharacter:
     """The infinitesimal character of pi_n(value) (family "pi") or
-    sigma_{n,value} (family "sigma"), the number of parameters with it, and
-    the packets containing the module, in ``enumerate_params`` order.
-
-    Output-sensitive: every cover is counted, but parameters are built and
-    decided only on covers whose largest unipotent dimension is a member top.
-    The built parameters are valid, of rank n and carry the character, so the
-    decider core judges them without re-validation.
-    """
+    sigma_{n,value} (family "sigma"); refuses what pi_nm / sigma_nk refuse."""
     weight = pi_nm(n, value) if family == "pi" else sigma_nk(n, value)
-    chi = inf_char_of_weight(weight)
+    return inf_char_of_weight(weight)
+
+
+def _packets_among(
+    family: str, n: int, value: int, covers: list[tuple]
+) -> list[tuple[ArthurParameter, MembershipVerdict]]:
+    """The packets containing the module among the parameters of ``covers``
+    (from ``params._checked_covers`` for its character), in
+    ``enumerate_params`` order.
+
+    Parameters are built only on covers whose largest unipotent dimension is
+    a member top, and only with a block of that dimension and the character
+    the top asks for.  The built parameters are valid, of rank n and carry
+    the character, so the decider core judges them without re-validation.
+    """
     core = _CORES[family]
     tops = _member_tops(family, n, value)
-    count = 0
     packets = []
-    for unip_dims, disc_data, parity in _checked_covers(chi, n, max_rank):
-        count += _assignment_count(unip_dims)
-        if unip_dims[0] not in tops:
+    for unip_dims, disc_data, parity in covers:
+        top = unip_dims[0]
+        if top not in tops:
             continue
-        for psi in _cover_params(n, unip_dims, disc_data, parity):
+        for psi in _cover_params(n, unip_dims, disc_data, parity, tops[top]):
             verdict = core(psi, n, value)
             if verdict.member:
                 packets.append((psi, verdict))
     packets.sort(key=lambda packet: _order_key(packet[0]))
-    return chi, count, packets
+    return packets
+
+
+def _enumerate_packets(
+    family: str, n: int, value: int, max_rank: int = 12
+) -> list[tuple[ArthurParameter, MembershipVerdict]]:
+    """The packets containing pi_n(value) or sigma_{n,value}, top first:
+    the cover search runs once per member top, on the character less the
+    top's centered segment, so no other cover is searched or counted."""
+    chi = _module_inf_char(family, n, value)
+    covers = _checked_covers(chi, n, max_rank, _member_tops(family, n, value))
+    return _packets_among(family, n, value, covers)
+
+
+def _enumerate_counted(
+    family: str, n: int, value: int, max_rank: int = 12
+) -> tuple[InfinitesimalCharacter, int, list[tuple[ArthurParameter, MembershipVerdict]]]:
+    """The module's infinitesimal character, the number of parameters with
+    it and the packets containing the module.  The count needs every cover,
+    so this runs the full cover search once."""
+    chi = _module_inf_char(family, n, value)
+    covers = _checked_covers(chi, n, max_rank)
+    count = sum(_assignment_count(unip_dims) for unip_dims, _, _ in covers)
+    return chi, count, _packets_among(family, n, value, covers)
 
 
 def enumerate_packets_pi(
     n: int, m: int, max_rank: int = 12
 ) -> list[tuple[ArthurParameter, MembershipVerdict]]:
     """All packets containing pi_n(m), with the verdict that admitted them."""
-    return _enumerate_packets("pi", n, m, max_rank)[2]
+    return _enumerate_packets("pi", n, m, max_rank)
 
 
 def enumerate_packets_sigma(
     n: int, k: int, max_rank: int = 12
 ) -> list[tuple[ArthurParameter, MembershipVerdict]]:
     """All packets containing sigma_{n,k}, with verdicts."""
-    return _enumerate_packets("sigma", n, k, max_rank)[2]
+    return _enumerate_packets("sigma", n, k, max_rank)
 
 
 def distinguished_parameter_sigma(n: int, k: int) -> ArthurParameter:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .weights import InfinitesimalCharacter
@@ -288,14 +289,17 @@ def _sub_multiset(cnt: dict[int, int], seg: list[int]) -> dict[int, int] | None:
     return out
 
 
-def _all_segment_covers(entries: tuple[int, ...]) -> frozenset[_Cover]:
+def _all_segment_covers(
+    entries: tuple[int, ...], cap: int | None = None
+) -> frozenset[_Cover]:
     """All ways of writing the multiset as segments of the two block kinds.
 
     A cover is a pair (multiset of unipotent dimensions, multiset of (t, a)
     discrete data).  The search always covers the current maximum element,
     either by the centered segment topped there or by a mirrored segment
     pair [l, M] ∪ [-M, -l] with l > -M; results are canonicalized, so each
-    cover is reported once.
+    cover is reported once.  With ``cap``, only covers whose unipotent
+    dimensions are all at most ``cap``.
     """
     memo: dict[tuple[tuple[int, int], ...], frozenset[_Cover]] = {}
 
@@ -307,10 +311,10 @@ def _all_segment_covers(entries: tuple[int, ...]) -> frozenset[_Cover]:
             return memo[key]
         top = max(cnt)
         found: set[_Cover] = set()
-        if top >= 0:
+        dim = 2 * top + 1
+        if top >= 0 and (cap is None or dim <= cap):
             rest = _sub_multiset(cnt, list(range(-top, top + 1)))
             if rest is not None:
-                dim = 2 * top + 1
                 for unip, disc in rec(rest):
                     found.add(
                         (tuple(sorted(unip + (dim,), reverse=True)), disc)
@@ -333,14 +337,37 @@ def _all_segment_covers(entries: tuple[int, ...]) -> frozenset[_Cover]:
     return rec(dict(Counter(entries)))
 
 
-def _char_assignments(dims: tuple[int, ...], parity: int):
+def _topped_covers(entries: tuple[int, ...], top: int) -> list[_Cover]:
+    """The covers of the multiset whose largest unipotent dimension is ``top``.
+
+    Each such cover is the centered segment of ``top`` plus a cover of the
+    rest with unipotent dimensions at most ``top``, and back; so the rest is
+    searched with that cap and nothing else.
+    """
+    half = (top - 1) // 2
+    rest = _sub_multiset(Counter(entries), list(range(-half, half + 1)))
+    if rest is None:
+        return []
+    return [
+        ((top,) + unip, disc)
+        for unip, disc in _all_segment_covers(tuple(Counter(rest).elements()), top)
+    ]
+
+
+def _char_assignments(dims: tuple[int, ...], parity: int, top_char: int | None = None):
     """Character multisets on unipotent blocks with prescribed sign parity.
 
     Blocks come out in canonical order: dimensions decreasing, and within a
-    dimension trivial before sign.
+    dimension trivial before sign.  With ``top_char``, only the multisets in
+    which some block of the largest dimension carries that character.
     """
     groups = sorted(Counter(dims).items(), reverse=True)
-    for picks in itertools.product(*(range(c + 1) for _, c in groups)):
+    choices = [range(c + 1) for _, c in groups]
+    if top_char is not None:
+        c = groups[0][1]
+        # a pick is the number k of sign blocks: sgn needs k >= 1, triv c - k >= 1
+        choices[0] = range(1, c + 1) if top_char == CHAR_SGN else range(c)
+    for picks in itertools.product(*choices):
         if sum(picks) % 2 != parity:
             continue
         blocks: list[UnipotentBlock] = []
@@ -364,11 +391,18 @@ def _assignment_count(dims: tuple[int, ...]) -> int:
     return total // 2
 
 
-def _checked_covers(chi: InfinitesimalCharacter, n: int, max_rank: int) -> list[tuple]:
+def _checked_covers(
+    chi: InfinitesimalCharacter,
+    n: int,
+    max_rank: int,
+    tops: Iterable[int] | None = None,
+) -> list[tuple]:
     """The covers of chi as (unipotent dims, discrete (t, a) data, parity).
 
     Checks the rank against 1, ``max_rank`` and chi first.  The parity is
     the one the determinant condition asks of the unipotent characters.
+    With ``tops``, only the covers whose largest unipotent dimension is one
+    of them, each top searched on its own (``_topped_covers``).
     """
     if n < 1:
         raise ValueError("rank must be positive")
@@ -376,14 +410,26 @@ def _checked_covers(chi: InfinitesimalCharacter, n: int, max_rank: int) -> list[
         raise RankBoundError(f"rank {n} exceeds the enumeration cap {max_rank}")
     if chi.rank != n:
         raise ValueError("character length must be 2n+1")
+    if tops is None:
+        covers = _all_segment_covers(chi.entries)
+    else:
+        covers = [cover for top in tops for cover in _topped_covers(chi.entries, top)]
     return [
         (unip_dims, disc_data, sum(a % 2 for _, a in disc_data) % 2)
-        for unip_dims, disc_data in _all_segment_covers(chi.entries)
+        for unip_dims, disc_data in covers
     ]
 
 
-def _cover_params(n: int, unip_dims: tuple[int, ...], disc_data: tuple, parity: int):
-    """The parameters of rank n on one cover from ``_checked_covers``.
+def _cover_params(
+    n: int,
+    unip_dims: tuple[int, ...],
+    disc_data: tuple,
+    parity: int,
+    top_char: int | None = None,
+):
+    """The parameters of rank n on one cover from ``_checked_covers``; with
+    ``top_char``, only those with a block of the largest unipotent dimension
+    and that character.
 
     Trusted construction: each cover is canonical ((t, a) by (-t, -a), and
     _char_assignments yields unipotent blocks in _unip_key order), covers
@@ -393,7 +439,7 @@ def _cover_params(n: int, unip_dims: tuple[int, ...], disc_data: tuple, parity: 
     validated or deduplicated again.
     """
     discrete = tuple(DiscreteBlock(t, a) for t, a in disc_data)
-    for unip in _char_assignments(unip_dims, parity):
+    for unip in _char_assignments(unip_dims, parity, top_char):
         yield ArthurParameter(n, unip, discrete)
 
 

@@ -125,8 +125,14 @@ def inf_char_of_weight(mu: HighestWeight) -> InfinitesimalCharacter:
     It is the multiset ``{m_i - i} ∪ {-(m_i - i)} ∪ {0}`` arranged in
     decreasing order.
     """
-    shifts = [m - i for i, m in enumerate(mu.entries, start=1)]
-    return InfinitesimalCharacter(tuple(shifts) + tuple(-s for s in shifts) + (0,))
+    return InfinitesimalCharacter(_inf_char_entries(mu.entries))
+
+
+def _inf_char_entries(weight: tuple[int, ...]) -> tuple[int, ...]:
+    """The entries of ``inf_char_of_weight`` for the weight tuple, without
+    building either object; the tuple is not checked."""
+    shifts = [m - i for i, m in enumerate(weight, start=1)]
+    return tuple(sorted(shifts + [-s for s in shifts] + [0], reverse=True))
 
 
 def pi_nm(n: int, m: int) -> HighestWeight:

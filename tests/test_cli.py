@@ -262,7 +262,15 @@ def test_inline_json_array_is_not_a_file_name(capsys):
 
 
 def test_report_rank_is_bounded(capsys):
-    for argv in (["tableau", "100000", "3"], ["cohind", "100000", "1", "2"]):
+    howe = ["howe", "--p", "2", "--q", "2", "--char", "triv", "--rank"]
+    for argv in (
+        ["tableau", "100000", "3"],
+        ["cohind", "100000", "1", "2"],
+        ["standard", "pi", "400000", "3"],
+        ["standard", "sigma", "400000", "3"],
+        howe + ["400000"],
+        ["--format", "text"] + howe + [str(cli.MAX_REPORT_RANK + 1)],
+    ):
         code, out, err = run(capsys, argv)
         assert code == 2, argv
         assert out == ""
@@ -270,6 +278,9 @@ def test_report_rank_is_bounded(capsys):
     bound = str(cli.MAX_REPORT_RANK)
     assert cli.main(["tableau", bound, "3"]) == 0
     assert cli.main(["cohind", bound, "1", "2"]) == 0
+    assert cli.main(["standard", "pi", bound, "3"]) == 0
+    assert cli.main(["standard", "sigma", bound, "3"]) == 0
+    assert cli.main(howe + [bound]) == 0
     capsys.readouterr()
 
 

@@ -16,13 +16,16 @@ from sympacket.membership import (
     distinguished_parameter_sigma,
     exponent_bound_necessary,
     peel_step,
+    _member_tops,
 )
 from sympacket.params import (
     CHAR_SGN,
     CHAR_TRIV,
     ArthurParameter,
     DiscreteBlock,
+    RankBoundError,
     UnipotentBlock,
+    a_psi_u,
     enumerate_params,
 )
 from sympacket.weights import InfinitesimalCharacter, inf_char_of_weight, pi_nm, sigma_nk
@@ -220,11 +223,50 @@ def test_enumerate_packets_equal_public_filter():
         (enumerate_packets_pi, decide_pi, pi_nm, 11, 11),
         (enumerate_packets_sigma, decide_sigma, sigma_nk, 12, 6),
         (enumerate_packets_sigma, decide_sigma, sigma_nk, 11, 3),
+        # where the top-first search special-cases: top 1 shared by THM71_I
+        # and THM71_II_A1, TRIVIAL, the THM71_II_A3 top, sigma_{2k,k}
+        (enumerate_packets_pi, decide_pi, pi_nm, 10, 10),
+        (enumerate_packets_pi, decide_pi, pi_nm, 12, 12),
+        (enumerate_packets_pi, decide_pi, pi_nm, 12, 0),
+        (enumerate_packets_pi, decide_pi, pi_nm, 11, 7),
+        (enumerate_packets_sigma, decide_sigma, sigma_nk, 10, 5),
     ]
     for enumerate_packets, decide, weight, n, value in spots:
         chi = inf_char_of_weight(weight(n, value))
         public = [(psi, decide(psi, n, value)) for psi in enumerate_params(chi, n)]
         assert enumerate_packets(n, value) == [(p, v) for p, v in public if v.member]
+
+
+def test_member_tops_pin_the_deciders():
+    # the enumerators build parameters only on the tops of _member_tops and
+    # only with the block each top names; the deciders must agree with it
+    for n in range(1, 10):
+        cases = [("pi", m, decide_pi, pi_nm) for m in range(0, n + 1)]
+        cases += [("sigma", k, decide_sigma, sigma_nk) for k in range(1, n // 2 + 1)]
+        for family, value, decide, weight in cases:
+            tops = _member_tops(family, n, value)
+            for psi in enumerate_params(inf_char_of_weight(weight(n, value)), n):
+                if not decide(psi, n, value).member:
+                    continue
+                top = a_psi_u(psi)
+                # every member's largest unipotent block is allowed by the map
+                assert top in tops, (family, n, value, str(psi))
+                # an entry naming a character admits only its block
+                if tops[top] is not None:
+                    assert UnipotentBlock(tops[top], top) in psi.unipotent, (
+                        family, n, value, str(psi)
+                    )
+
+
+def test_enumeration_cap():
+    # the top-first search keeps the rank checks of the full one
+    with pytest.raises(RankBoundError):
+        enumerate_packets_pi(13, 3)
+    with pytest.raises(RankBoundError):
+        enumerate_packets_sigma(13, 2)
+    packets = enumerate_packets_pi(13, 3, max_rank=13)
+    assert packets
+    assert all(decide_pi(psi, 13, 3) == verdict for psi, verdict in packets)
 
 
 def test_decide_regular():

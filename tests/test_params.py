@@ -17,6 +17,8 @@ from sympacket.params import (
     remove_discrete_block,
     twist_sgn,
     validate,
+    _checked_covers,
+    _cover_params,
 )
 from sympacket.weights import InfinitesimalCharacter, inf_char_of_weight, pi_nm, sigma_nk
 
@@ -168,6 +170,31 @@ def test_enumeration_roundtrip_and_validity():
             assert inf_char_of_param(psi) == chi
             assert psi == psi.canonical()
         assert all(a < b for a, b in zip(found, found[1:]))
+
+
+def test_topped_search_finds_the_covers_with_that_top():
+    # the enumerators search each member top on its own: its centered
+    # segment removed, the rest covered with unipotent dimensions at most
+    # the top; that must give exactly the full search's covers with that top
+    for n, chi in module_characters(8):
+        full = _checked_covers(chi, n, 12)
+        for top in range(1, 2 * n + 2, 2):
+            topped = _checked_covers(chi, n, 12, [top])
+            assert len(set(topped)) == len(topped)
+            assert set(topped) == {c for c in full if c[0][0] == top}, (n, chi, top)
+
+
+def test_top_character_filter():
+    # with a top character, a cover yields exactly its parameters holding a
+    # block of the largest unipotent dimension with that character
+    for n, chi in module_characters(7):
+        for cover in _checked_covers(chi, n, 12):
+            every = list(_cover_params(n, *cover))
+            top = cover[0][0]
+            for char in (CHAR_TRIV, CHAR_SGN):
+                assert list(_cover_params(n, *cover, char)) == [
+                    psi for psi in every if UnipotentBlock(char, top) in psi.unipotent
+                ]
 
 
 def test_enumeration_guard_rails():
