@@ -18,8 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .membership import (
-    ROUTE_II_A3,
     MembershipVerdict,
+    _routes,
     decide_pi,
     decide_sigma,
 )
@@ -27,6 +27,7 @@ from .params import (
     ArthurParameter,
     DiscreteBlock,
     UnipotentBlock,
+    _unipotent_block,
 )
 from .quadforms import _sign_pow
 
@@ -321,37 +322,7 @@ def rho_pi_general(
     """
     if delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
-    return _rho_pi_core(psi, n, m, delta, decide_pi(psi, n, m))
-
-
-def _rho_pi_core(
-    psi: ArthurParameter, n: int, m: int, delta: int, verdict: MembershipVerdict
-) -> PacketCharacter:
-    """``rho_pi_general`` given ``verdict = decide_pi(psi, n, m)`` and a token
-    delta in {+1, -1}; psi is not validated or decided again."""
-    if not verdict.member:
-        raise ValueError("packet does not contain the scalar module")
-    disc_signs, delta_prime = _discrete_signs(psi, delta)
-    if len(psi.unipotent) == 1:
-        return _assemble(psi, delta, disc_signs, psi.unipotent, (1,))
-
-    if verdict.route == ROUTE_II_A3:
-        big = UnipotentBlock((m - 1) % 2, 2 * (n - m) + 3)
-        shifted_case = True
-    else:
-        big = UnipotentBlock(m % 2, 2 * (n - m) + 1)
-        shifted_case = False
-    eta1, eta2 = _split_unipotent(psi, big)
-    a = (eta2.dim + 1) // 2
-    e1e2 = _floor_half_sign(delta_prime * a)
-    if not shifted_case:
-        e2e3 = 1 if eta2.char == m % 2 else delta_prime * _sign_pow(a + 1)
-    else:
-        e2e3 = -1 if eta2.char == (m - 1) % 2 else delta_prime * _sign_pow(a)
-    e3 = 1
-    e2 = e2e3 * e3
-    e1 = e1e2 * e2
-    return _assemble(psi, delta, disc_signs, (eta1, eta2, big), (e1, e2, e3))
+    return _rho_core(psi, delta, decide_pi(psi, n, m), "pi", m)
 
 
 def rho_sigma_general(
@@ -371,24 +342,34 @@ def rho_sigma_general(
         return rho_pi_general(psi, n, k + 1, delta)
     if delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
-    return _rho_sigma_core(psi, n, k, delta, decide_sigma(psi, n, k))
+    return _rho_core(psi, delta, decide_sigma(psi, n, k), "sigma", k)
 
 
-def _rho_sigma_core(
-    psi: ArthurParameter, n: int, k: int, delta: int, verdict: MembershipVerdict
+def _rho_core(
+    psi: ArthurParameter, delta: int, verdict: MembershipVerdict, family: str, value: int
 ) -> PacketCharacter:
-    """``rho_sigma_general`` for n > 2k given ``verdict = decide_sigma(psi, n, k)``
-    and a token delta in {+1, -1}; psi is not validated or decided again."""
+    """The character recipe of ``rho_pi_general`` (family "pi", m = value)
+    and ``rho_sigma_general`` (family "sigma", k = value, n > 2k), given the
+    module's verdict on psi and a token delta in {+1, -1}; psi is not
+    validated or decided again.
+
+    The route of the verdict (``membership._routes``) gives the big block
+    and the e2 e3 rule.
+    """
     if not verdict.member:
-        raise ValueError("packet does not contain the near-scalar module")
+        module = "scalar" if family == "pi" else "near-scalar"
+        raise ValueError(f"packet does not contain the {module} module")
     disc_signs, delta_prime = _discrete_signs(psi, delta)
     if len(psi.unipotent) == 1:
         return _assemble(psi, delta, disc_signs, psi.unipotent, (1,))
-    big = UnipotentBlock(k % 2, 2 * (n - k) + 1)
+    for route in _routes(family, psi.n, value):
+        if route.verdict.route == verdict.route:
+            break
+    big = _unipotent_block(route.char, route.top)
     eta1, eta2 = _split_unipotent(psi, big)
     a = (eta2.dim + 1) // 2
     e1e2 = _floor_half_sign(delta_prime * a)
-    e2e3 = -1 if eta2.char == k % 2 else delta * _sign_pow(k)
+    e2e3 = route.e2e3(eta2.char == big.char, a, delta, delta_prime)
     e3 = 1
     e2 = e2e3 * e3
     e1 = e1e2 * e2

@@ -36,9 +36,10 @@ from .weights import HighestWeight
 
 SCHEMA_VERSION = 1
 
-# Largest rank accepted by ``standard``, ``howe``, ``tableau`` and ``cohind``:
-# their reports grow with n (and cohomology.rho_vectors quadratically), and
-# no computation here uses a rank anywhere near it.
+# Largest rank accepted by ``standard``, ``howe``, ``tableau`` and ``cohind``,
+# and of a ``--param``: their reports and the infinitesimal characters of
+# ``decide`` and ``rho`` grow with n (cohomology.rho_vectors quadratically),
+# and no computation here uses a rank anywhere near it.
 MAX_REPORT_RANK = 64
 
 
@@ -132,7 +133,9 @@ def _load_param(spec: str) -> ArthurParameter:
         raise ValidationError(
             f"parameter is not valid JSON: {exc}", ["PARAM_JSON"]
         ) from exc
-    return param_from_json(obj)
+    psi = param_from_json(obj)
+    _check_report_rank(psi.n)
+    return psi
 
 
 def _character_to_json(char: characters.PacketCharacter) -> dict[str, Any]:
@@ -237,7 +240,7 @@ def _cmd_rho(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         scalar_m = args.k + 1 if 2 * args.k == psi.n else None
     if scalar_m is not None:
         verdict = membership.decide_pi(psi, psi.n, scalar_m)
-        rho_core, value = characters._rho_pi_core, scalar_m
+        family, value = "pi", scalar_m
         which, m_table = (
             ("sigma_star", scalar_m - 1)
             if verdict.route == membership.ROUTE_II_A3
@@ -245,11 +248,11 @@ def _cmd_rho(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         )
     else:
         verdict = membership.decide_sigma(psi, psi.n, args.k)
-        rho_core, value = characters._rho_sigma_core, args.k
+        family, value = "sigma", args.k
         which, m_table = "sigma_star", args.k
     try:
-        char = rho_core(psi, psi.n, value, delta, verdict)
-    except ValueError as exc:  # the cores refuse only non-members
+        char = characters._rho_core(psi, delta, verdict, family, value)
+    except ValueError as exc:  # the recipe refuses only non-members
         raise ValidationError(str(exc), ["NOT_MEMBER"]) from exc
     results: dict[str, Any] = {"character": _character_to_json(char)}
     code = 0

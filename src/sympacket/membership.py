@@ -23,14 +23,26 @@ The central decision procedures:
   discrete part, plus the necessary filter coming from the maximal Langlands
   exponent.
 
+* ``enumerate_packets_pi`` / ``enumerate_packets_sigma`` -- every packet
+  containing the module, built from the route table (``_routes``).  Each
+  route states the largest unipotent dimension of its members, the character
+  of that block, the shape of their covers and the verdict it implies.
+  THM71_I members are built directly as interval compositions; every other
+  route searches only the covers with its top and builds only the character
+  choices holding its block.  So every parameter built is a member and gets
+  its route's verdict without a decider call; the tests keep the deciders as
+  the judge of the table.
+
 Route tags on verdicts are stable wire strings.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .params import (
     CHAR_SGN,
@@ -44,11 +56,13 @@ from .params import (
     _checked_covers,
     _cover_params,
     _order_key,
+    _parity,
     contains_block,
     inf_char_of_param,
     remove_discrete_block,
     validate,
 )
+from .quadforms import _sign_pow
 from .weights import (
     InfinitesimalCharacter,
     _inf_char_entries,
@@ -344,65 +358,143 @@ def exponent_bound_necessary(psi: ArthurParameter, n: int, m: int) -> bool:
     return a_psi(psi) > bound if strict else a_psi(psi) >= bound
 
 
-def _member_tops(family: str, n: int, value: int) -> dict[int, int | None]:
-    """Each largest unipotent dimension a member of the family's packets can
-    have, mapped to the character its block must carry (None: any).
+_MEMBER = {
+    route: MembershipVerdict(True, route, 1)
+    for route in (ROUTE_TRIVIAL, ROUTE_I, ROUTE_II_A1, ROUTE_II_A3, ROUTE_SIGMA)
+}
 
-    Mirrors the ``a_psi_u`` and ``contains_block`` tests of
-    ``_decide_pi_core`` (m = value) and ``_decide_sigma_core`` (k = value),
-    route by route, so the two change together: TRIVIAL needs triv ⊠ R[2n+1],
-    THM71_I a one dimensional unipotent part of any character, THM71_II_A1
-    sgn^m ⊠ R[2(n-m)+1], THM71_II_A3 sgn^(m-1) ⊠ R[2(n-m)+3], SIGMA
-    sgn^k ⊠ R[2(n-k)+1], and sigma_{2k,k} is pi_{2k}(k+1).  At m = n the
-    THM71_II_A1 top is 1, which THM71_I admits with either character.
+
+# The e2 e3 rules of the character recipe (``characters.rho_pi_general`` and
+# ``rho_sigma_general``): from whether eta_2 carries the character of the big
+# block, a = (dim eta_2 + 1)/2, delta and delta' to the product e2 e3.
+def _e2e3_exact(same: bool, a: int, delta: int, delta_prime: int) -> int:
+    return 1 if same else delta_prime * _sign_pow(a + 1)
+
+
+def _e2e3_shifted(same: bool, a: int, delta: int, delta_prime: int) -> int:
+    return -1 if same else delta_prime * _sign_pow(a)
+
+
+def _e2e3_sigma(k: int, same: bool, a: int, delta: int, delta_prime: int) -> int:
+    return -1 if same else delta * _sign_pow(k)
+
+
+class _Route(NamedTuple):
+    """One route to membership: the shape of its members, and the verdict
+    and character data that shape implies.
+
+    Every member has largest unipotent dimension ``top`` and a block of that
+    dimension with character ``char``.  ``char`` is None only on THM71_I,
+    whose members have one unipotent block, R[1], with the character the
+    determinant condition forces, and pairwise disjoint discrete segments.
+    ``e2e3`` is the rule of the character recipe on a three-block unipotent
+    part, whose big block is char ⊠ R[top]; None where members have one
+    unipotent block.
+    """
+
+    verdict: MembershipVerdict
+    top: int
+    char: int | None
+    e2e3: Callable[..., int] | None
+
+
+@functools.lru_cache(maxsize=256)
+def _routes(family: str, n: int, value: int) -> tuple[_Route, ...]:
+    """The routes to pi_n(value) (family "pi", 0 <= m <= n) or sigma_{n,value}
+    (family "sigma", 2 <= 2k < n; sigma_{2k,k} is pi_{2k}(k+1)), in the order
+    the deciders try them.
+
+    Mirrors the tests of ``_decide_pi_core`` and ``_decide_sigma_core`` route
+    by route, so the two change together: TRIVIAL is triv ⊠ R[2n+1] alone,
+    THM71_I needs 2m > n+1, THM71_II_A1 the block sgn^m ⊠ R[2(n-m)+1] on top,
+    THM71_II_A3 2m >= n+2 and sgn^(m-1) ⊠ R[2(n-m)+3] on top, SIGMA
+    sgn^k ⊠ R[2(n-k)+1] on top.  At m = n the THM71_II_A1 top is 1, whose
+    single-R[1] covers with disjoint segments THM71_I takes first.
     """
     if family == "sigma":
-        if n > 2 * value:
-            return {2 * (n - value) + 1: value % 2}
-        return _member_tops("pi", n, value + 1)
+        k = value
+        rule = functools.partial(_e2e3_sigma, k)
+        return (_Route(_MEMBER[ROUTE_SIGMA], 2 * (n - k) + 1, k % 2, rule),)
     m = value
     if m == 0:
-        return {2 * n + 1: CHAR_TRIV}
-    tops: dict[int, int | None] = {2 * (n - m) + 1: m % 2}
-    if 2 * m > n + 1:  # the same as 2m >= n+2
-        tops[2 * (n - m) + 3] = (m - 1) % 2
-        tops[1] = None
-    return tops
+        return (_Route(_MEMBER[ROUTE_TRIVIAL], 2 * n + 1, CHAR_TRIV, None),)
+    exact = _Route(_MEMBER[ROUTE_II_A1], 2 * (n - m) + 1, m % 2, _e2e3_exact)
+    if 2 * m <= n + 1:
+        return (exact,)
+    return (
+        _Route(_MEMBER[ROUTE_I], 1, None, None),
+        exact,
+        _Route(_MEMBER[ROUTE_II_A3], 2 * (n - m) + 3, (m - 1) % 2, _e2e3_shifted),
+    )
 
 
-_CORES = {"pi": _decide_pi_core, "sigma": _decide_sigma_core}
+def _compositions(low: int, high: int) -> list[tuple[tuple[int, int], ...]]:
+    """The ways to cut the integers low..high into consecutive segments, each
+    as discrete data (t, a) = (l + h, h - l + 1), highest segment first."""
+    if low > high:
+        return [()]
+    return [
+        ((cut + high, high - cut + 1),) + rest
+        for cut in range(high, low - 1, -1)
+        for rest in _compositions(low, cut - 1)
+    ]
 
 
-def _module_inf_char(family: str, n: int, value: int) -> InfinitesimalCharacter:
+def _disjoint_covers(n: int, m: int) -> list[tuple]:
+    """The covers of the THM71_I members of pi_n(m), 2m > n+1, as
+    ``params._checked_covers`` gives them.
+
+    A member has one unipotent block, R[1], and pairwise disjoint segments.
+    The character holds 0 three times and the positive entries 1..m-1 and
+    1..n-m, so one discrete block holds 0, on [-(n-m), tau] for some tau in
+    n-m+1..m-1, and consecutive segments compose tau+1..m-1: 2^(2m-n-2)
+    covers.
+    """
+    covers = []
+    for tau in range(n - m + 1, m):
+        crossing = (tau - (n - m), tau + (n - m) + 1)
+        for upper in _compositions(tau + 1, m - 1):
+            disc_data = upper + (crossing,)
+            covers.append(((1,), disc_data, _parity(disc_data)))
+    return covers
+
+
+def _module(family: str, n: int, value: int) -> tuple[InfinitesimalCharacter, str, int]:
     """The infinitesimal character of pi_n(value) (family "pi") or
-    sigma_{n,value} (family "sigma"); refuses what pi_nm / sigma_nk refuse."""
+    sigma_{n,value} (family "sigma"), refusing what pi_nm / sigma_nk refuse,
+    and the family and value of ``_routes`` for the module."""
     weight = pi_nm(n, value) if family == "pi" else sigma_nk(n, value)
-    return inf_char_of_weight(weight)
+    if family == "sigma" and n == 2 * value:
+        family, value = "pi", value + 1
+    return inf_char_of_weight(weight), family, value
 
 
-def _packets_among(
+def _route_packets(
     family: str, n: int, value: int, covers: list[tuple]
 ) -> list[tuple[ArthurParameter, MembershipVerdict]]:
-    """The packets containing the module among the parameters of ``covers``
-    (from ``params._checked_covers`` for its character), in
-    ``enumerate_params`` order.
+    """The packets containing the module of ``_routes(family, n, value)``,
+    in ``enumerate_params`` order, each with the verdict of its route.
 
-    Parameters are built only on covers whose largest unipotent dimension is
-    a member top, and only with a block of that dimension and the character
-    the top asks for.  The built parameters are valid, of rank n and carry
-    the character, so the decider core judges them without re-validation.
+    THM71_I builds its members from ``_disjoint_covers``.  Every other route
+    builds, on the ``covers`` (from ``params._checked_covers`` for the
+    module's character) whose largest unipotent dimension is its top, the
+    character choices that hold its block.  Each parameter built is a
+    member, by the route that built it, so no decider runs.
     """
-    core = _CORES[family]
-    tops = _member_tops(family, n, value)
+    routes = _routes(family, n, value)
+    searched = {route.top: route for route in routes if route.char is not None}
     packets = []
-    for unip_dims, disc_data, parity in covers:
-        top = unip_dims[0]
-        if top not in tops:
+    # THM71_I comes first where it applies, and takes its covers from the others
+    disjoint = _disjoint_covers(n, value) if routes[0].char is None else []
+    for cover in disjoint:
+        packets.extend((psi, routes[0].verdict) for psi in _cover_params(n, *cover))
+    taken = set(disjoint)
+    for cover in covers:
+        route = searched.get(cover[0][0])
+        if route is None or cover in taken:
             continue
-        for psi in _cover_params(n, unip_dims, disc_data, parity, tops[top]):
-            verdict = core(psi, n, value)
-            if verdict.member:
-                packets.append((psi, verdict))
+        verdict = route.verdict
+        packets.extend((psi, verdict) for psi in _cover_params(n, *cover, route.char))
     packets.sort(key=lambda packet: _order_key(packet[0]))
     return packets
 
@@ -410,12 +502,12 @@ def _packets_among(
 def _enumerate_packets(
     family: str, n: int, value: int, max_rank: int = 12
 ) -> list[tuple[ArthurParameter, MembershipVerdict]]:
-    """The packets containing pi_n(value) or sigma_{n,value}, top first:
-    the cover search runs once per member top, on the character less the
+    """The packets containing pi_n(value) or sigma_{n,value}, top first: the
+    cover search runs once per searched top, on the character less the
     top's centered segment, so no other cover is searched or counted."""
-    chi = _module_inf_char(family, n, value)
-    covers = _checked_covers(chi, n, max_rank, _member_tops(family, n, value))
-    return _packets_among(family, n, value, covers)
+    chi, family, value = _module(family, n, value)
+    tops = [route.top for route in _routes(family, n, value) if route.char is not None]
+    return _route_packets(family, n, value, _checked_covers(chi, n, max_rank, tops))
 
 
 def _enumerate_counted(
@@ -424,10 +516,10 @@ def _enumerate_counted(
     """The module's infinitesimal character, the number of parameters with
     it and the packets containing the module.  The count needs every cover,
     so this runs the full cover search once."""
-    chi = _module_inf_char(family, n, value)
+    chi, family, value = _module(family, n, value)
     covers = _checked_covers(chi, n, max_rank)
     count = sum(_assignment_count(unip_dims) for unip_dims, _, _ in covers)
-    return chi, count, _packets_among(family, n, value, covers)
+    return chi, count, _route_packets(family, n, value, covers)
 
 
 def enumerate_packets_pi(

@@ -22,6 +22,7 @@ segments (unipotent) and mirrored off-center segments (discrete).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from collections.abc import Iterable
@@ -276,17 +277,25 @@ def remove_discrete_block(psi: ArthurParameter, index: int) -> ArthurParameter:
 _Cover = tuple[tuple[int, ...], tuple[tuple[int, int], ...]]
 
 
-def _sub_multiset(cnt: dict[int, int], seg: list[int]) -> dict[int, int] | None:
-    need = Counter(seg)
-    for v, k in need.items():
-        if cnt.get(v, 0) < k:
-            return None
+def _sub_multiset(cnt: dict[int, int], seg: Iterable[int]) -> dict[int, int] | None:
+    """The multiset less the entries of ``seg``, or None if it lacks one."""
     out = dict(cnt)
-    for v, k in need.items():
-        out[v] -= k
-        if out[v] == 0:
-            del out[v]
+    for v in seg:
+        if not _take(out, v):
+            return None
     return out
+
+
+def _take(cnt: dict[int, int], v: int) -> bool:
+    """Remove one entry v from the multiset in place; False if there is none."""
+    k = cnt.get(v, 0)
+    if k == 0:
+        return False
+    if k == 1:
+        del cnt[v]
+    else:
+        cnt[v] = k - 1
+    return True
 
 
 def _all_segment_covers(
@@ -313,19 +322,19 @@ def _all_segment_covers(
         found: set[_Cover] = set()
         dim = 2 * top + 1
         if top >= 0 and (cap is None or dim <= cap):
-            rest = _sub_multiset(cnt, list(range(-top, top + 1)))
+            rest = _sub_multiset(cnt, range(-top, top + 1))
             if rest is not None:
                 for unip, disc in rec(rest):
                     found.add(
                         (tuple(sorted(unip + (dim,), reverse=True)), disc)
                     )
+        # the pair [low, top] ∪ [-top, -low] grows by low and -low as low
+        # falls, so one copy of the multiset loses them step by step, and
+        # the first entry it lacks ends the search
+        rest = dict(cnt)
         for low in range(top, -top, -1):
-            if top + low < 1:
+            if top + low < 1 or not (_take(rest, low) and _take(rest, -low)):
                 break
-            seg = list(range(low, top + 1)) + list(range(-top, -low + 1))
-            rest = _sub_multiset(cnt, seg)
-            if rest is None:
-                continue
             block = (top + low, top - low + 1)  # (t, a)
             for unip, disc in rec(rest):
                 # (t, a) pairs decreasing, which is increasing (-t, -a)
@@ -354,12 +363,38 @@ def _topped_covers(entries: tuple[int, ...], top: int) -> list[_Cover]:
     ]
 
 
-def _char_assignments(dims: tuple[int, ...], parity: int, top_char: int | None = None):
+# Shared block instances for trusted construction.  Blocks are immutable, and
+# the enumeration cap keeps the (char, dim) and (t, a) pairs few; sharing only
+# saves time, so the caches are bounded.
+_unipotent_block = functools.lru_cache(maxsize=1024)(UnipotentBlock)
+_discrete_block = functools.lru_cache(maxsize=1024)(DiscreteBlock)
+
+
+def _trusted_param(
+    n: int,
+    unipotent: tuple[UnipotentBlock, ...],
+    discrete: tuple[DiscreteBlock, ...],
+) -> ArthurParameter:
+    """An ``ArthurParameter`` from block tuples already in canonical order,
+    without the tuple coercion of ``__post_init__``."""
+    psi = object.__new__(ArthurParameter)
+    object.__setattr__(psi, "n", n)
+    object.__setattr__(psi, "unipotent", unipotent)
+    object.__setattr__(psi, "discrete", discrete)
+    return psi
+
+
+@functools.lru_cache(maxsize=1024)
+def _char_assignments(
+    dims: tuple[int, ...], parity: int, top_char: int | None = None
+) -> tuple[tuple[UnipotentBlock, ...], ...]:
     """Character multisets on unipotent blocks with prescribed sign parity.
 
     Blocks come out in canonical order: dimensions decreasing, and within a
-    dimension trivial before sign.  With ``top_char``, only the multisets in
-    which some block of the largest dimension carries that character.
+    dimension trivial before sign, as shared instances.  With ``top_char``,
+    only the multisets in which some block of the largest dimension carries
+    that character.  Covers share few dimension multisets (a sweep of ranks
+    4-9 meets 62), so the answers are kept.
     """
     groups = sorted(Counter(dims).items(), reverse=True)
     choices = [range(c + 1) for _, c in groups]
@@ -367,18 +402,20 @@ def _char_assignments(dims: tuple[int, ...], parity: int, top_char: int | None =
         c = groups[0][1]
         # a pick is the number k of sign blocks: sgn needs k >= 1, triv c - k >= 1
         choices[0] = range(1, c + 1) if top_char == CHAR_SGN else range(c)
+    out = []
     for picks in itertools.product(*choices):
         if sum(picks) % 2 != parity:
             continue
         blocks: list[UnipotentBlock] = []
         for (dim, count), k in zip(groups, picks):
-            blocks.extend([UnipotentBlock(CHAR_TRIV, dim)] * (count - k))
-            blocks.extend([UnipotentBlock(CHAR_SGN, dim)] * k)
-        yield tuple(blocks)
+            blocks.extend([_unipotent_block(CHAR_TRIV, dim)] * (count - k))
+            blocks.extend([_unipotent_block(CHAR_SGN, dim)] * k)
+        out.append(tuple(blocks))
+    return tuple(out)
 
 
 def _assignment_count(dims: tuple[int, ...]) -> int:
-    """How many character multisets ``_char_assignments`` yields on a cover,
+    """How many character multisets ``_char_assignments`` gives on a cover,
     of either parity, without building them.
 
     The dimensions sum to an odd number, so some dimension occurs an odd
@@ -414,10 +451,13 @@ def _checked_covers(
         covers = _all_segment_covers(chi.entries)
     else:
         covers = [cover for top in tops for cover in _topped_covers(chi.entries, top)]
-    return [
-        (unip_dims, disc_data, sum(a % 2 for _, a in disc_data) % 2)
-        for unip_dims, disc_data in covers
-    ]
+    return [(unip_dims, disc_data, _parity(disc_data)) for unip_dims, disc_data in covers]
+
+
+def _parity(disc_data: tuple[tuple[int, int], ...]) -> int:
+    """The parity the determinant condition asks of the unipotent characters
+    on a cover with discrete data ``disc_data``."""
+    return sum(a % 2 for _, a in disc_data) % 2
 
 
 def _cover_params(
@@ -438,9 +478,9 @@ def _cover_params(
     assignments give distinct parameters.  So nothing is canonicalized,
     validated or deduplicated again.
     """
-    discrete = tuple(DiscreteBlock(t, a) for t, a in disc_data)
+    discrete = tuple(_discrete_block(t, a) for t, a in disc_data)
     for unip in _char_assignments(unip_dims, parity, top_char):
-        yield ArthurParameter(n, unip, discrete)
+        yield _trusted_param(n, unip, discrete)
 
 
 def enumerate_params(

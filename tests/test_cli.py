@@ -1,8 +1,12 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sympacket
 from sympacket import cli
 from sympacket.params import ArthurParameter, DiscreteBlock, UnipotentBlock
 
@@ -261,8 +265,16 @@ def test_inline_json_array_is_not_a_file_name(capsys):
     assert "JSON object" in payload["error"]
 
 
+def _trivial_param(n):
+    # triv ⊠ R[2n+1]: a ~100-byte parameter whose character has 2n+1 entries
+    return json.dumps({"n": n, "unipotent": [{"char": "triv", "dim": 2 * n + 1}],
+                       "discrete": []})
+
+
 def test_report_rank_is_bounded(capsys):
     howe = ["howe", "--p", "2", "--q", "2", "--char", "triv", "--rank"]
+    # no larger rank: a regression then fails in seconds, not out of memory
+    params = [_trivial_param(cli.MAX_REPORT_RANK + 1), _trivial_param(10**6)]
     for argv in (
         ["tableau", "100000", "3"],
         ["cohind", "100000", "1", "2"],
@@ -270,6 +282,8 @@ def test_report_rank_is_bounded(capsys):
         ["standard", "sigma", "400000", "3"],
         howe + ["400000"],
         ["--format", "text"] + howe + [str(cli.MAX_REPORT_RANK + 1)],
+        *(["decide", "--param", param, "--pi", "0"] for param in params),
+        *(["rho", "--param", param, "--module", "pi", "--m", "0"] for param in params),
     ):
         code, out, err = run(capsys, argv)
         assert code == 2, argv
@@ -281,6 +295,9 @@ def test_report_rank_is_bounded(capsys):
     assert cli.main(["standard", "pi", bound, "3"]) == 0
     assert cli.main(["standard", "sigma", bound, "3"]) == 0
     assert cli.main(howe + [bound]) == 0
+    param = _trivial_param(cli.MAX_REPORT_RANK)
+    assert cli.main(["decide", "--param", param, "--pi", "0"]) == 0
+    assert cli.main(["rho", "--param", param, "--module", "pi", "--m", "0"]) == 0
     capsys.readouterr()
 
 
@@ -416,3 +433,14 @@ def test_unreadable_parameter_file_names_a_violation(capsys, tmp_path):
     payload = json.loads(err)
     assert payload["violations"] == ["PARAM_UNREADABLE"]
     assert payload["error"].startswith("cannot read parameter file")
+
+
+def test_python_m_sympacket_runs_the_command_line(capsys):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sympacket.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["enumerate-pi", "2", "1"]
+    done = subprocess.run([sys.executable, "-m", "sympacket", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, argv)

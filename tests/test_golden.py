@@ -1,0 +1,126 @@
+"""Golden wire output: SHA-256 digests of the command line's reports.
+
+Each digest covers, for one command, family, rank and format, every argv
+with its exit code, stdout and stderr, in order.  So a changed byte in a
+report, an exit code (the exit 3 rows of ``rho`` included) or the list of
+members changes it.  Reports of schema_version 1 stay byte-identical: a
+digest may change only with an intended change of the wire format.
+"""
+
+import hashlib
+import json
+
+from sympacket import cli, membership
+
+FORMATS = (("json", []), ("text", ["--format", "text"]))
+
+
+def _values(family, n):
+    return range(0, n + 1) if family == "pi" else range(1, n // 2 + 1)
+
+
+def _digest(capsys, argvs):
+    h = hashlib.sha256()
+    for argv in argvs:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        h.update(json.dumps([argv, code, out, err]).encode())
+    return h.hexdigest()
+
+
+def _enumerate_argvs(family, n, prefix):
+    return [prefix + [f"enumerate-{family}", str(n), str(v)] for v in _values(family, n)]
+
+
+def _rho_argvs(family, n, prefix):
+    enumerate_packets = {
+        "pi": membership.enumerate_packets_pi,
+        "sigma": membership.enumerate_packets_sigma,
+    }[family]
+    label = "--m" if family == "pi" else "--k"
+    return [
+        prefix + ["rho", "--param", json.dumps(cli.param_to_json(psi)),
+                  "--module", family, label, str(v), "--whittaker", delta]
+        for v in _values(family, n)
+        for psi, _ in enumerate_packets(n, v)
+        for delta in ("1", "-1")
+    ]
+
+
+ENUMERATE_DIGESTS = {
+    ("pi", 1, "json"): "df9aa630faf903bbde966d9b16e734b561a5127313977b14694c322b9fe427e4",
+    ("pi", 1, "text"): "b7487f31df6e8eba9a8367a5543d243d7526587878ddd7d2bb8dbd01c34ad6ff",
+    ("pi", 2, "json"): "9850563456f12d394f105e502ac87955f2253baed3b74a2b68163d623c946002",
+    ("pi", 2, "text"): "2f5f5cafecc8481306a5858763b957d45d5f359118c060fb77bcca919fc3ba90",
+    ("pi", 3, "json"): "d4c61e28c59bed8484bf673e003128302f7c8edd5bcceb487478d40881503eea",
+    ("pi", 3, "text"): "9c12a0dda3e15cb76c378b43e2a13e9ad5709fa84a4cf23b443eac932bca0d18",
+    ("pi", 4, "json"): "1e463b6de89af94c06f66ecaff8a0f872e9ef9439c9078f52d5836bec0496142",
+    ("pi", 4, "text"): "8a2b2fda390ec933547caf1c34c6919b550f2c532d2e1f5af15f6ffaf9c4f526",
+    ("pi", 5, "json"): "3736b97b98f34462c5aadeb1ddece6183b522ac25c88d71f0e8297cfae1c88de",
+    ("pi", 5, "text"): "930610516fbce93e6b0e68b8ff259b66f38fa0207da4e090f66e2b63ba959449",
+    ("pi", 6, "json"): "a20c518dfc7be63c9051e78967501017b32965becccf7224b9cd42b57e6105d0",
+    ("pi", 6, "text"): "1652498d2deb3750bf35e9dead28c40ab562403988af8c4105d6aa712cdf8c2b",
+    ("pi", 7, "json"): "4bb64b6b6b5ebd36bbd4fa7f378c5166a58d6bd76783f208c6a4a0f544df4f9f",
+    ("pi", 7, "text"): "89a64f94b7518b10781998f3ec11beca5b7795f00c2e55723a25215b0bb24a5c",
+    ("pi", 8, "json"): "187abc4e1795e4fc23421fd74c825597418dd4b672fa57aaa9b8e1f7b66ce455",
+    ("pi", 8, "text"): "f908d99cd62da0271ca72e22102c07f55c5552120b1fa69d9ddc0b82c9d19cec",
+    ("sigma", 2, "json"): "fe87ab6019e529c6118fa57afba66bab0e9c2dc87637bb8df260dbc09367e79f",
+    ("sigma", 2, "text"): "2d5414af1f204eacffe888eeb99f68c4e160b2ce39a53f4855a91d53cf0dd3ff",
+    ("sigma", 3, "json"): "208670697f19dca83e783f372bbb870b006b738bd92f4d78dbb66e95756dd945",
+    ("sigma", 3, "text"): "9602399860aa247256725c3221905b12d6595fb41b90ae25784922272c264295",
+    ("sigma", 4, "json"): "ccfa8efdd6a9561bea0a0a642e1fa7d7ebc9447b730c01c0ca4f9136856c055b",
+    ("sigma", 4, "text"): "4ca006824b4c2f940c2fa6bcb74af08d902bde37a48d3031bfc52a2daf0fa3af",
+    ("sigma", 5, "json"): "455b920df0fe368a4859fd7926234b1c0f1a29e925dda2929975169ff3a144ce",
+    ("sigma", 5, "text"): "e5f938b37a7d2a99e994440210d54ec6e9e6aa476b8142bd4e4a54f1d01908bd",
+    ("sigma", 6, "json"): "e40fba07569556bac4197e8bb165db4e1b73c794d425dc628f38a68608524f8b",
+    ("sigma", 6, "text"): "5d48e045197e82838e2b284a4dbf77971a1ad738714329c3d0a8245ba7df9394",
+    ("sigma", 7, "json"): "23e697e243a12d0ddeff6f94bbd3b017012dd465421bcbe1ff063d598658350e",
+    ("sigma", 7, "text"): "7cd23c8688fac5d30f4e08de3144d682a75fe94aa120786bd8fa4d5f10c43986",
+    ("sigma", 8, "json"): "208fd1e5dd95f1792d9431e03d93abb6ca3a69c43eb1c2d6af404d121be72ab2",
+    ("sigma", 8, "text"): "c9014921c74096039e99ea299343732437345e669ce86d2b78cdf85e3e668f8d",
+}
+
+RHO_DIGESTS = {
+    ("pi", 1, "json"): "b214fae6e485866ef255d6bf1204f4fa1185f028585dabf7d0a7df571f57e710",
+    ("pi", 1, "text"): "8a66fcdf9440dc6571b3231042308579de78f08419526bb29caca15650c3c1b2",
+    ("pi", 2, "json"): "e3be8b846b241bcee5bc397ebcff14a50456702331e70c34896fb4439251e786",
+    ("pi", 2, "text"): "74d6bd6c7b0339b00035e8a37c51377991e0e550d68df39997aee056f278b01e",
+    ("pi", 3, "json"): "d7cb841d9fa31a2a4f35928e90527c8e7ea3c31b40a7029659c7eb1d7bf2a7e0",
+    ("pi", 3, "text"): "680eb8227cfcb00aa8d8482c5ca28e19c36581982fa54cdaae2b6daf1259aba5",
+    ("pi", 4, "json"): "66858732e095ee3f7b913204b9f18475e7b217fd24df325b8eb06a789e4ee60f",
+    ("pi", 4, "text"): "993a7ce7b8f58544b1252992fb732a20b90f8e6ef794054109ef7e2923dc7cc3",
+    ("pi", 5, "json"): "30d258979f37692a6b56b2dd1f2f417de094a6997da71e1383c290abcace372c",
+    ("pi", 5, "text"): "f76f89fd2fa05a104d11425fad6676f4c3e296ec74d1db8d7d77a1abd77c876b",
+    ("pi", 6, "json"): "29d3f5ea805e645c89f0bcf66c673bfab856cbf4397be03cc3330cf8c33f9143",
+    ("pi", 6, "text"): "ec44bf45e879b84871de099959dbdecaa6262d20b3b746e4da8bed187a4a038f",
+    ("sigma", 2, "json"): "8c6f4ccf0736dbd304cd638ed036cee25b22972914653051df96e398ce7d6c64",
+    ("sigma", 2, "text"): "8e958f4da0adb4006c2b5e78a942ad006510fc940a6d11a312dec362553931b4",
+    ("sigma", 3, "json"): "410e79a6d51b38a5e98fb9e2ccb4a472a34b7107fefdfaf6399f95df58234fd1",
+    ("sigma", 3, "text"): "4a7b941a4d2f7be5dec23e77ad3ec78c8183bd3dbddac2549407204d5e11bf4a",
+    ("sigma", 4, "json"): "9d5ba6d5f5d752392efdd4b5513d33755740851f5d867ce923c2c4cca2c83d2a",
+    ("sigma", 4, "text"): "e866ce8db5c97ca56fa6a855cbeea97c46dd0fea410a184be81d7701bea57677",
+    ("sigma", 5, "json"): "0e3ea2305b3459098bb2aaf3043b1fc9986e2974e431863729b63eafd80a2e6d",
+    ("sigma", 5, "text"): "a9213a9e778f83f61c543c7d936a2649a6bd769436ca49841de5faeaf357d13f",
+    ("sigma", 6, "json"): "a7e51fad90d1e4ec27c46067a6e6a99a587b53f0fea20248b3867ee93b903105",
+    ("sigma", 6, "text"): "0d851bbb50512581ceae90670f93b586a2662d6d93c2e225f5a5b730d9eb2c5a",
+}
+
+
+def _digests(capsys, argvs_of, ranks):
+    return {
+        (family, n, fmt): _digest(capsys, argvs_of(family, n, prefix))
+        for family in ("pi", "sigma")
+        for n in ranks
+        for fmt, prefix in FORMATS
+        if _values(family, n)
+    }
+
+
+def test_enumerate_reports_are_golden(capsys):
+    # enumerate-pi / enumerate-sigma for every m and k at ranks 1-8
+    assert _digests(capsys, _enumerate_argvs, range(1, 9)) == ENUMERATE_DIGESTS
+
+
+def test_rho_reports_are_golden(capsys):
+    # rho for both Whittaker tokens on every member at ranks 1-6
+    assert _digests(capsys, _rho_argvs, range(1, 7)) == RHO_DIGESTS

@@ -16,7 +16,10 @@ from sympacket.membership import (
     distinguished_parameter_sigma,
     exponent_bound_necessary,
     peel_step,
-    _member_tops,
+    _decide_pi_core,
+    _decide_sigma_core,
+    _module,
+    _routes,
 )
 from sympacket.params import (
     CHAR_SGN,
@@ -237,25 +240,69 @@ def test_enumerate_packets_equal_public_filter():
         assert enumerate_packets(n, value) == [(p, v) for p, v in public if v.member]
 
 
-def test_member_tops_pin_the_deciders():
-    # the enumerators build parameters only on the tops of _member_tops and
-    # only with the block each top names; the deciders must agree with it
+def _table_route(routes, psi):
+    """The first route of the table whose shape psi has, or None."""
+    for route in routes:
+        if route.char is None:  # one R[1] and pairwise disjoint segments
+            segments = sorted((b.bottom, b.top) for b in psi.discrete)
+            if [b.dim for b in psi.unipotent] == [1] and all(
+                high < low for (_, high), (low, _) in zip(segments, segments[1:])
+            ):
+                return route
+        elif a_psi_u(psi) == route.top and UnipotentBlock(route.char, route.top) in psi.unipotent:
+            return route
+    return None
+
+
+def test_route_table_pins_the_deciders():
+    # the enumerators build each route's shape and attach its verdict without
+    # deciding; on every parameter with the module's character the first
+    # route whose shape it has must be the decider core's verdict
     for n in range(1, 10):
-        cases = [("pi", m, decide_pi, pi_nm) for m in range(0, n + 1)]
-        cases += [("sigma", k, decide_sigma, sigma_nk) for k in range(1, n // 2 + 1)]
-        for family, value, decide, weight in cases:
-            tops = _member_tops(family, n, value)
-            for psi in enumerate_params(inf_char_of_weight(weight(n, value)), n):
-                if not decide(psi, n, value).member:
-                    continue
-                top = a_psi_u(psi)
-                # every member's largest unipotent block is allowed by the map
-                assert top in tops, (family, n, value, str(psi))
-                # an entry naming a character admits only its block
-                if tops[top] is not None:
-                    assert UnipotentBlock(tops[top], top) in psi.unipotent, (
-                        family, n, value, str(psi)
-                    )
+        cases = [("pi", m) for m in range(0, n + 1)]
+        cases += [("sigma", k) for k in range(1, n // 2 + 1)]
+        for family, value in cases:
+            chi, resolved, resolved_value = _module(family, n, value)
+            routes = _routes(resolved, n, resolved_value)
+            core = _decide_pi_core if resolved == "pi" else _decide_sigma_core
+            for psi in enumerate_params(chi, n):
+                route = _table_route(routes, psi)
+                verdict = core(psi, n, resolved_value)
+                if route is None:
+                    assert not verdict.member, (family, n, value, str(psi))
+                else:
+                    assert route.verdict == verdict, (family, n, value, str(psi))
+
+
+def test_thm71_i_members_are_interval_compositions():
+    # with 2m > n+1 the THM71_I members of pi_n(m) are one R[1] block, one
+    # discrete block on [-(n-m), tau] for tau in n-m+1..m-1, and a
+    # composition of tau+1..m-1 into consecutive segments
+    for n in range(1, 11):
+        for m in range(1, n + 1):
+            if 2 * m <= n + 1:
+                continue
+            expected = set()
+            for tau in range(n - m + 1, m):
+                gaps = m - 1 - tau - 1  # cut points inside tau+1..m-1
+                for mask in range(2 ** max(gaps, 0)):
+                    segments, low = [], tau + 1
+                    for high in range(tau + 1, m):
+                        if high == m - 1 or mask >> (high - tau - 1) & 1:
+                            segments.append((low + high, high - low + 1))
+                            low = high + 1
+                    disc = segments + [(tau - (n - m), tau + (n - m) + 1)]
+                    parity = sum(a % 2 for _, a in disc) % 2
+                    expected.add(P(n, [(parity, 1)], disc))
+            assert len(expected) == 2 ** (2 * m - n - 2), (n, m)
+            chi = inf_char_of_weight(pi_nm(n, m))
+            decided = {
+                psi for psi in enumerate_params(chi, n)
+                if _decide_pi_core(psi, n, m).route == ROUTE_I
+            }
+            assert decided == expected, (n, m)
+            enumerated = {psi for psi, v in enumerate_packets_pi(n, m) if v.route == ROUTE_I}
+            assert enumerated == expected, (n, m)
 
 
 def test_enumeration_cap():

@@ -173,7 +173,7 @@ def test_enumeration_roundtrip_and_validity():
 
 
 def test_topped_search_finds_the_covers_with_that_top():
-    # the enumerators search each member top on its own: its centered
+    # the enumerators search each route's top on its own: its centered
     # segment removed, the rest covered with unipotent dimensions at most
     # the top; that must give exactly the full search's covers with that top
     for n, chi in module_characters(8):
