@@ -393,8 +393,8 @@ def _char_assignments(
     Blocks come out in canonical order: dimensions decreasing, and within a
     dimension trivial before sign, as shared instances.  With ``top_char``,
     only the multisets in which some block of the largest dimension carries
-    that character.  Covers share few dimension multisets (a sweep of ranks
-    4-9 meets 62), so the answers are kept.
+    that character.  Covers share few dimension multisets (the packets of
+    every module at ranks 4-9 need 62 keys), so the answers are kept.
     """
     groups = sorted(Counter(dims).items(), reverse=True)
     choices = [range(c + 1) for _, c in groups]
