@@ -2,15 +2,18 @@
 throughout (tolerance zero).  Each test prints a PASS line when it
 completes; pytest reports any failure in the usual way."""
 
+import io
 import itertools
 import json
 from collections import Counter
+from contextlib import redirect_stdout
 
 from sympacket import cli
 from sympacket.characters import (
     VANISHING,
     char_equivalent,
     rho_pi_general,
+    rho_sigma_general,
     rho_theta,
     rho_theta_parameter,
     rho_unipotent_table,
@@ -162,11 +165,26 @@ def test_06_sigma_packets():
         for k in range(1, (n - 1) // 2 + 1):
             psi = distinguished_parameter_sigma(n, k)
             assert decide_sigma(psi, n, k).member, (n, k, str(psi))
-    for k in (1, 2):
+    # sigma_{2k,k} is pi_{2k}(k+1) at every public entry
+    for k in range(1, 5):
         n = 2 * k
         chi = inf_char_of_weight(sigma_nk(n, k))
         for psi in enumerate_params(chi, n):
-            assert decide_sigma(psi, n, k).member == decide_pi(psi, n, k + 1).member
+            assert decide_sigma(psi, n, k) == decide_pi(psi, n, k + 1), (k, str(psi))
+        packets = enumerate_packets_sigma(n, k)
+        assert packets == enumerate_packets_pi(n, k + 1)
+        for psi, _ in packets:
+            for delta in (1, -1):
+                assert rho_sigma_general(psi, n, k, delta) == rho_pi_general(
+                    psi, n, k + 1, delta
+                ), (k, str(psi), delta)
+        assert standard_sigma(n, k) == standard_pi(n, k + 1)
+        reports = []
+        for argv in (["enumerate-sigma", str(n), str(k)], ["enumerate-pi", str(n), str(k + 1)]):
+            with redirect_stdout(io.StringIO()) as out:
+                assert cli.main(argv) == 0
+            reports.append(json.loads(out.getvalue())["results"]["packets"])
+        assert reports[0] == reports[1]
     _ok("06 sigma-packets")
 
 
