@@ -42,7 +42,6 @@ from .membership import (
     enumerate_packets_pi,
     enumerate_packets_sigma,
     distinguished_parameter_sigma,
-    exponent_bound_necessary,
     peel_step,
 )
 from .characters import (

@@ -17,12 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .membership import (
-    MembershipVerdict,
-    _routes,
-    decide_pi,
-    decide_sigma,
-)
+from .membership import MembershipVerdict, _decide, _route
 from .params import (
     ArthurParameter,
     DiscreteBlock,
@@ -30,6 +25,7 @@ from .params import (
     _unipotent_block,
 )
 from .quadforms import _sign_pow
+from .weights import Module, module_of
 
 __all__ = [
     "Block",
@@ -40,6 +36,7 @@ __all__ = [
     "rho_theta",
     "rho_theta_parameter",
     "rho_unipotent_table",
+    "table_row",
     "rho_pi_general",
     "rho_sigma_general",
     "VANISHING",
@@ -51,6 +48,7 @@ VANISHING = "VANISHING"
 
 TABLE_FORMS = ("first", "second")
 TABLE_COLUMNS = ("pi", "sigma", "pi_star", "sigma_star")
+MODULE_NAMES = {"pi": "scalar", "sigma": "near-scalar"}
 
 
 def _floor_half_sign(x: int) -> int:
@@ -320,9 +318,7 @@ def rho_pi_general(
     Blocks are listed as: discrete (canonical order), then the unipotent
     slots by increasing dimension.
     """
-    if delta not in (1, -1):
-        raise ValueError("delta must be +1 or -1")
-    return _rho_core(psi, delta, decide_pi(psi, n, m), "pi", m)
+    return _rho(psi, module_of("pi", n, m), delta)
 
 
 def rho_sigma_general(
@@ -338,33 +334,33 @@ def rho_sigma_general(
 
     For n = 2k the module is the scalar pi_{2k}(k+1) and that recipe is used.
     """
-    if 2 * k == n:
-        return rho_pi_general(psi, n, k + 1, delta)
+    return _rho(psi, module_of("sigma", n, k), delta)
+
+
+def _rho(psi: ArthurParameter, module: Module, delta: int) -> PacketCharacter:
+    """The character of the module in the packet of psi, which is validated
+    and decided here."""
     if delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
-    return _rho_core(psi, delta, decide_sigma(psi, n, k), "sigma", k)
+    return _rho_core(psi, delta, _decide(psi, module), module)
 
 
 def _rho_core(
-    psi: ArthurParameter, delta: int, verdict: MembershipVerdict, family: str, value: int
+    psi: ArthurParameter, delta: int, verdict: MembershipVerdict, module: Module
 ) -> PacketCharacter:
-    """The character recipe of ``rho_pi_general`` (family "pi", m = value)
-    and ``rho_sigma_general`` (family "sigma", k = value, n > 2k), given the
-    module's verdict on psi and a token delta in {+1, -1}; psi is not
-    validated or decided again.
+    """The character recipe of ``rho_pi_general`` and ``rho_sigma_general``,
+    given the module's verdict on psi and a token delta in {+1, -1}; psi is
+    not validated or decided again.
 
-    The route of the verdict (``membership._routes``) gives the big block
+    The route of the verdict (``membership._route``) gives the big block
     and the e2 e3 rule.
     """
     if not verdict.member:
-        module = "scalar" if family == "pi" else "near-scalar"
-        raise ValueError(f"packet does not contain the {module} module")
+        raise ValueError(f"packet does not contain the {MODULE_NAMES[module.family]} module")
     disc_signs, delta_prime = _discrete_signs(psi, delta)
     if len(psi.unipotent) == 1:
         return _assemble(psi, delta, disc_signs, psi.unipotent, (1,))
-    for route in _routes(family, psi.n, value):
-        if route.verdict.route == verdict.route:
-            break
+    route = _route(module, verdict)
     big = _unipotent_block(route.char, route.top)
     eta1, eta2 = _split_unipotent(psi, big)
     a = (eta2.dim + 1) // 2
@@ -374,3 +370,16 @@ def _rho_core(
     e2 = e2e3 * e3
     e1 = e1e2 * e2
     return _assemble(psi, delta, disc_signs, (eta1, eta2, big), (e1, e2, e3))
+
+
+def table_row(
+    psi: ArthurParameter, which: str, m_table: int, delta: int
+) -> tuple[str, PacketCharacter] | None:
+    """The printed-table row housing a purely unipotent parameter, as its
+    form and character (``rho_unipotent_table``), or None when the
+    parameter's blocks are those of neither form."""
+    for form, tau_prime in (("first", 0), ("second", 1)):
+        expected = rho_theta_parameter(psi.n, m_table, tau_prime)
+        if Counter(psi.unipotent) == Counter(expected):
+            return form, rho_unipotent_table(form, psi.n, m_table, which, delta)
+    return None

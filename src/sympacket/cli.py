@@ -3,7 +3,8 @@
 Every subcommand prints a self-describing report (JSON by default, plain
 text with --format text).  Exit codes: 0 success, 1 usage error, 2 invalid
 input (violation codes listed in the report), 3 a computation touched the
-documented internal discrepancy between the two printed character recipes.
+documented internal discrepancy between the two printed character recipes,
+141 the reader closed stdout before the report was written (128 + SIGPIPE).
 
 Besides the parameter codes of ``params.validate`` and ``UNKNOWN_FIELD:*``,
 an exit 2 names one of: ``PARAM_UNREADABLE`` (a ``--param`` file that cannot
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Any
 
@@ -32,7 +34,7 @@ from .params import (
     char_name,
     validate,
 )
-from .weights import HighestWeight
+from .weights import HighestWeight, module_of
 
 SCHEMA_VERSION = 1
 
@@ -159,13 +161,17 @@ def _halfvec_to_json(vec: cohomology.HalfIntVector) -> dict[str, Any]:
 
 # --- subcommand handlers ------------------------------------------------------
 
+# the name of the value of each module family: pi_n(m), sigma_{n,k}
+_LABELS = {"pi": "m", "sigma": "k"}
+
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     n, value = args.n, args.value
-    label = "m" if args.family == "pi" else "k"
-    chi, count, packets = membership._enumerate_counted(args.family, n, value)
+    label = _LABELS[args.family]
+    module = module_of(args.family, n, value)
+    count, packets = membership._enumerate_counted(module)
     results = {
-        "inf_char": list(chi.entries),
+        "inf_char": list(module.inf_char()),
         "parameters_with_inf_char": count,
         "packets": [
             {
@@ -206,19 +212,6 @@ def _cmd_decide(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return _report("decide", inputs, results), 0
 
 
-def _match_table_row(
-    psi: ArthurParameter, which: str, m_table: int, delta: int
-) -> characters.PacketCharacter | None:
-    """Printed-table row housing this purely unipotent parameter, if any."""
-    from collections import Counter
-
-    for form, tau_prime in (("first", 0), ("second", 1)):
-        expected = characters.rho_theta_parameter(psi.n, m_table, tau_prime)
-        if Counter(psi.unipotent) == Counter(expected):
-            return characters.rho_unipotent_table(form, psi.n, m_table, which, delta)
-    return None
-
-
 def _cmd_rho(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     psi = _load_param(args.param)
     delta = args.whittaker
@@ -227,38 +220,28 @@ def _cmd_rho(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         "module": args.module,
         "whittaker": delta,
     }
-    if args.module == "pi":
-        if args.m is None:
-            raise UsageError("--m is required with --module pi")
-        inputs["m"] = args.m
-        scalar_m = args.m
-    else:
-        if args.k is None:
-            raise UsageError("--k is required with --module sigma")
-        inputs["k"] = args.k
-        # sigma_{2k,k} is pi_{2k}(k+1), as in rho_sigma_general
-        scalar_m = args.k + 1 if 2 * args.k == psi.n else None
-    if scalar_m is not None:
-        verdict = membership.decide_pi(psi, psi.n, scalar_m)
-        family, value = "pi", scalar_m
-        which, m_table = (
-            ("sigma_star", scalar_m - 1)
-            if verdict.route == membership.ROUTE_II_A3
-            else ("pi_star", scalar_m)
-        )
-    else:
-        verdict = membership.decide_sigma(psi, psi.n, args.k)
-        family, value = "sigma", args.k
-        which, m_table = "sigma_star", args.k
+    label = _LABELS[args.module]
+    value = getattr(args, label)
+    if value is None:
+        raise UsageError(f"--{label} is required with --module {args.module}")
+    inputs[label] = value
+    module = module_of(args.module, psi.n, value)
+    verdict = membership._decide(psi, module)
     try:
-        char = characters._rho_core(psi, delta, verdict, family, value)
+        char = characters._rho_core(psi, delta, verdict, module)
     except ValueError as exc:  # the recipe refuses only non-members
         raise ValidationError(str(exc), ["NOT_MEMBER"]) from exc
     results: dict[str, Any] = {"character": _character_to_json(char)}
     code = 0
-    if not psi.discrete and len(psi.unipotent) == 3 and m_table >= 1:
-        row = _match_table_row(psi, which, m_table, delta)
-        if row is not None and not row.flags and not char.flags:
+    if not psi.discrete and len(psi.unipotent) == 3:
+        # the printed column: THM71_II_A1 members house the pi_star lift, the
+        # others sigma_star; the big block R[2(n - m_table) + 1] gives the rank
+        route = membership._route(module, verdict)
+        which = "pi_star" if route.verdict.route == membership.ROUTE_II_A1 else "sigma_star"
+        m_table = (2 * psi.n + 1 - route.top) // 2
+        found = characters.table_row(psi, which, m_table, delta)
+        if found is not None and not found[1].flags and not char.flags:
+            row = found[1]
             agrees = characters.char_equivalent(char, row)
             results["table_row"] = _character_to_json(row)
             results["table_row_which"] = which
@@ -444,7 +427,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    for family, label in (("pi", "m"), ("sigma", "k")):
+    for family, label in _LABELS.items():
         sp = sub.add_parser(f"enumerate-{family}")
         sp.add_argument("n", type=int)
         sp.add_argument("value", metavar=label, type=int)
@@ -533,7 +516,14 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
         return 2
-    _print_report(report, args.format)
+    try:
+        _print_report(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``); point stdout at
+        # devnull so that the interpreter's flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports it
     return code
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .params import ArthurParameter, UnipotentBlock, a_psi, a_psi_u, contains_block
+from .weights import Module, module_of
 
 __all__ = [
     "StandardModule",
@@ -51,24 +52,22 @@ def standard_pi(n: int, m: int) -> StandardModule:
     exponent string is empty."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    return StandardModule(
-        tuple((m % 2, e) for e in range(n - m, 0, -1)), m
-    )
+    return _standard(module_of("pi", n, m))
 
 
 def standard_sigma(n: int, k: int) -> StandardModule:
     """Standard module of sigma_{n,k}: exponents n-k, ..., k+1, k-1, ..., 1
-    on sgn^k characters over the anchor pi_{k+1}(k+1).
+    on sgn^k characters over the anchor pi_{k+1}(k+1); at n = 2k, that of
+    pi_{2k}(k+1)."""
+    return _standard(module_of("sigma", n, k))
 
-    At n = 2k the module coincides with pi_{2k}(k+1) and the scalar form of
-    the standard module is returned.
-    """
-    if k < 1 or 2 * k > n:
-        raise ValueError(f"need 2 <= 2k <= n, got k={k}, n={n}")
-    if n == 2 * k:
-        return standard_pi(n, k + 1)
-    values = list(range(n - k, k, -1)) + list(range(k - 1, 0, -1))
-    return StandardModule(tuple((k % 2, e) for e in values), k + 1)
+
+def _standard(module: Module) -> StandardModule:
+    n, v = module.n, module.value
+    if module.family == "pi":
+        return StandardModule(tuple((v % 2, e) for e in range(n - v, 0, -1)), v)
+    values = list(range(n - v, v, -1)) + list(range(v - 1, 0, -1))
+    return StandardModule(tuple((v % 2, e) for e in values), v + 1)
 
 
 def max_exponent(sm: StandardModule) -> int:

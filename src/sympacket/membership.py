@@ -20,8 +20,8 @@ The central decision procedures:
 
 * ``decide_sigma`` for the near-scalar family, ``decide_regular`` for regular
   infinitesimal characters, ``decide_unipotent`` for parameters with no
-  discrete part, plus the necessary filter coming from the maximal Langlands
-  exponent.
+  discrete part.  (The necessary filter of the maximal Langlands exponent
+  is ``langlands.exponent_filter``.)
 
 * ``enumerate_packets_pi`` / ``enumerate_packets_sigma`` -- every packet
   containing the module, built from the route table (``_routes``).  Each
@@ -33,7 +33,11 @@ The central decision procedures:
   its route's verdict without a decider call; the tests keep the deciders as
   the judge of the table.
 
-Route tags on verdicts are stable wire strings.
+Both families reach one record, ``weights.Module`` from ``module_of``,
+which turns sigma_{2k,k} into pi_{2k}(k+1).  The module keys its
+infinitesimal character, its route table and the one decider core
+``_decide_core``; ``decide_pi`` / ``decide_sigma`` are wrappers over the
+validating ``_decide``.  Route tags on verdicts are stable wire strings.
 """
 
 from __future__ import annotations
@@ -50,11 +54,11 @@ from .params import (
     ArthurParameter,
     DiscreteBlock,
     UnipotentBlock,
-    a_psi,
     a_psi_u,
     _assignment_count,
-    _checked_covers,
+    _check_rank,
     _cover_params,
+    _covers,
     _order_key,
     _parity,
     contains_block,
@@ -64,12 +68,11 @@ from .params import (
 )
 from .quadforms import _sign_pow
 from .weights import (
-    InfinitesimalCharacter,
+    Module,
     _inf_char_entries,
-    inf_char_of_weight,
+    module_of,
     pi_nm,
     regular_a_max,
-    sigma_nk,
 )
 
 __all__ = [
@@ -81,7 +84,6 @@ __all__ = [
     "decide_unipotent",
     "peel_step",
     "decide_pi_recursive",
-    "exponent_bound_necessary",
     "enumerate_packets_pi",
     "enumerate_packets_sigma",
     "distinguished_parameter_sigma",
@@ -115,6 +117,10 @@ class MembershipVerdict:
 
 
 _NOT_MEMBER = MembershipVerdict(False, None, 0)
+_MEMBER = {
+    route: MembershipVerdict(True, route, 1)
+    for route in (ROUTE_TRIVIAL, ROUTE_I, ROUTE_II_A1, ROUTE_II_A3, ROUTE_SIGMA)
+}
 
 
 def _require_valid(psi: ArthurParameter) -> None:
@@ -131,12 +137,6 @@ def _segments_pairwise_disjoint(psi: ArthurParameter) -> bool:
     return True
 
 
-def _scalar_inf_char_matches(psi: ArthurParameter, n: int, m: int) -> bool:
-    """Does psi have the infinitesimal character of pi_n(m)?  Needs
-    0 <= m <= n; at n = 0 the character is (0,)."""
-    return inf_char_of_param(psi).entries == _inf_char_entries((m,) * n)
-
-
 def decide_pi(psi: ArthurParameter, n: int, m: int) -> MembershipVerdict:
     """Does the packet of psi contain the scalar module pi_n(m)?
 
@@ -144,30 +144,49 @@ def decide_pi(psi: ArthurParameter, n: int, m: int) -> MembershipVerdict:
     so the verdict is deterministic when several clauses hold.  Membership is
     always with multiplicity one.
     """
+    return _decide(psi, module_of("pi", n, m))
+
+
+def decide_sigma(psi: ArthurParameter, n: int, k: int) -> MembershipVerdict:
+    """Does the packet of psi contain the near-scalar module sigma_{n,k}?
+
+    Membership requires the matching infinitesimal character, largest
+    unipotent dimension 2(n-k)+1, and the presence of the block
+    sgn^k ⊠ R[2(n-k)+1]; sigma_{2k,k} is pi_{2k}(k+1) (``module_of``).
+    """
+    return _decide(psi, module_of("sigma", n, k))
+
+
+def _decide(psi: ArthurParameter, module: Module) -> MembershipVerdict:
+    """The verdict of the deciders on a parameter, which is validated here,
+    for a module from ``module_of``."""
     _require_valid(psi)
-    if psi.n != n:
+    if psi.n != module.n:
         raise ValueError("parameter rank does not match n")
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}")
-    if not _scalar_inf_char_matches(psi, n, m):
+    if inf_char_of_param(psi).entries != module.inf_char():
         return _NOT_MEMBER
-    return _decide_pi_core(psi, n, m)
+    return _decide_core(psi, module)
 
 
-def _decide_pi_core(psi: ArthurParameter, n: int, m: int) -> MembershipVerdict:
-    """The routes of ``decide_pi`` for a valid rank-n parameter whose
-    infinitesimal character is that of pi_n(m), 0 <= m <= n; nothing is
-    checked again."""
+def _decide_core(psi: ArthurParameter, module: Module) -> MembershipVerdict:
+    """The routes of the deciders, written from the criteria of the main
+    result, for a valid parameter of the module's rank and infinitesimal
+    character; nothing is checked again."""
+    family, n, m = module
+    if family == "sigma":  # m is k
+        big = 2 * (n - m) + 1
+        member = a_psi_u(psi) == big and contains_block(psi, UnipotentBlock(m % 2, big))
+        return _MEMBER[ROUTE_SIGMA] if member else _NOT_MEMBER
     if m == 0:
         trivial = psi.unipotent == (UnipotentBlock(CHAR_TRIV, 2 * n + 1),) and not psi.discrete
-        return MembershipVerdict(True, ROUTE_TRIVIAL, 1) if trivial else _NOT_MEMBER
+        return _MEMBER[ROUTE_TRIVIAL] if trivial else _NOT_MEMBER
 
     if psi.dim_unipotent == 1 and 2 * m > n + 1 and _segments_pairwise_disjoint(psi):
-        return MembershipVerdict(True, ROUTE_I, 1)
+        return _MEMBER[ROUTE_I]
 
     exact = 2 * (n - m) + 1
     if a_psi_u(psi) == exact and contains_block(psi, UnipotentBlock(m % 2, exact)):
-        return MembershipVerdict(True, ROUTE_II_A1, 1)
+        return _MEMBER[ROUTE_II_A1]
 
     shifted = 2 * (n - m) + 3
     if (
@@ -175,41 +194,8 @@ def _decide_pi_core(psi: ArthurParameter, n: int, m: int) -> MembershipVerdict:
         and a_psi_u(psi) == shifted
         and contains_block(psi, UnipotentBlock((m - 1) % 2, shifted))
     ):
-        return MembershipVerdict(True, ROUTE_II_A3, 1)
+        return _MEMBER[ROUTE_II_A3]
 
-    return _NOT_MEMBER
-
-
-def decide_sigma(psi: ArthurParameter, n: int, k: int) -> MembershipVerdict:
-    """Does the packet of psi contain the near-scalar module sigma_{n,k}?
-
-    For n = 2k the module coincides with pi_{2k}(k+1) and the scalar decider
-    is used.  Otherwise membership requires the matching infinitesimal
-    character, largest unipotent dimension 2(n-k)+1, and the presence of the
-    block sgn^k ⊠ R[2(n-k)+1].
-    """
-    if k < 1 or 2 * k > n:
-        raise ValueError(f"need 2 <= 2k <= n, got k={k}, n={n}")
-    if n == 2 * k:
-        return decide_pi(psi, n, k + 1)
-    _require_valid(psi)
-    if psi.n != n:
-        raise ValueError("parameter rank does not match n")
-    near_scalar = (k + 1,) * (2 * k) + (k,) * (n - 2 * k)  # sigma_nk(n, k)
-    if inf_char_of_param(psi).entries != _inf_char_entries(near_scalar):
-        return _NOT_MEMBER
-    return _decide_sigma_core(psi, n, k)
-
-
-def _decide_sigma_core(psi: ArthurParameter, n: int, k: int) -> MembershipVerdict:
-    """The routes of ``decide_sigma`` for a valid rank-n parameter whose
-    infinitesimal character is that of sigma_{n,k}, 2 <= 2k <= n; nothing is
-    checked again."""
-    if n == 2 * k:
-        return _decide_pi_core(psi, n, k + 1)
-    big = 2 * (n - k) + 1
-    if a_psi_u(psi) == big and contains_block(psi, UnipotentBlock(k % 2, big)):
-        return MembershipVerdict(True, ROUTE_SIGMA, 1)
     return _NOT_MEMBER
 
 
@@ -315,7 +301,7 @@ def decide_pi_recursive(psi: ArthurParameter, n: int, m: int) -> bool:
     if n != 0:
         pi_nm(n, m)  # refuses a negative rank and m outside 0..n
     while True:
-        if not _scalar_inf_char_matches(psi, n, m):
+        if inf_char_of_param(psi).entries != _inf_char_entries((m,) * n):
             return False
         if not psi.discrete:
             found = decide_unipotent(psi, n)
@@ -338,30 +324,6 @@ def decide_pi_recursive(psi: ArthurParameter, n: int, m: int) -> bool:
         psi, n, m = step.parameter, step.n, step.m
         if m < 0:
             return False
-
-
-def exponent_bound_necessary(psi: ArthurParameter, n: int, m: int) -> bool:
-    """Necessary bound from the maximal exponent of the standard module.
-
-    The largest exponent of pi_n(m) is n - m, so membership forces
-    ``a(psi) >= 2(n-m)+1``, strictly when the maximum is attained outside
-    the unipotent part or the block sgn^m ⊠ R[2(n-m)+1] is absent.  Vacuous
-    for m >= n.
-    """
-    _require_valid(psi)
-    if m >= n:
-        return True
-    bound = 2 * (n - m) + 1
-    strict = a_psi(psi) > a_psi_u(psi) or not contains_block(
-        psi, UnipotentBlock(m % 2, bound)
-    )
-    return a_psi(psi) > bound if strict else a_psi(psi) >= bound
-
-
-_MEMBER = {
-    route: MembershipVerdict(True, route, 1)
-    for route in (ROUTE_TRIVIAL, ROUTE_I, ROUTE_II_A1, ROUTE_II_A3, ROUTE_SIGMA)
-}
 
 
 # The e2 e3 rules of the character recipe (``characters.rho_pi_general`` and
@@ -399,23 +361,20 @@ class _Route(NamedTuple):
 
 
 @functools.lru_cache(maxsize=256)
-def _routes(family: str, n: int, value: int) -> tuple[_Route, ...]:
-    """The routes to pi_n(value) (family "pi", 0 <= m <= n) or sigma_{n,value}
-    (family "sigma", 2 <= 2k < n; sigma_{2k,k} is pi_{2k}(k+1)), in the order
-    the deciders try them.
+def _routes(module: Module) -> tuple[_Route, ...]:
+    """The routes to the module, in the order the deciders try them.
 
-    Mirrors the tests of ``_decide_pi_core`` and ``_decide_sigma_core`` route
-    by route, so the two change together: TRIVIAL is triv ⊠ R[2n+1] alone,
-    THM71_I needs 2m > n+1, THM71_II_A1 the block sgn^m ⊠ R[2(n-m)+1] on top,
-    THM71_II_A3 2m >= n+2 and sgn^(m-1) ⊠ R[2(n-m)+3] on top, SIGMA
-    sgn^k ⊠ R[2(n-k)+1] on top.  At m = n the THM71_II_A1 top is 1, whose
-    single-R[1] covers with disjoint segments THM71_I takes first.
+    Mirrors the tests of ``_decide_core`` route by route, so the two change
+    together: TRIVIAL is triv ⊠ R[2n+1] alone, THM71_I needs 2m > n+1,
+    THM71_II_A1 the block sgn^m ⊠ R[2(n-m)+1] on top, THM71_II_A3
+    2m >= n+2 and sgn^(m-1) ⊠ R[2(n-m)+3] on top, SIGMA sgn^k ⊠ R[2(n-k)+1]
+    on top.  At m = n the THM71_II_A1 top is 1, whose single-R[1] covers
+    with disjoint segments THM71_I takes first.
     """
-    if family == "sigma":
-        k = value
-        rule = functools.partial(_e2e3_sigma, k)
-        return (_Route(_MEMBER[ROUTE_SIGMA], 2 * (n - k) + 1, k % 2, rule),)
-    m = value
+    family, n, m = module
+    if family == "sigma":  # m is k
+        rule = functools.partial(_e2e3_sigma, m)
+        return (_Route(_MEMBER[ROUTE_SIGMA], 2 * (n - m) + 1, m % 2, rule),)
     if m == 0:
         return (_Route(_MEMBER[ROUTE_TRIVIAL], 2 * n + 1, CHAR_TRIV, None),)
     exact = _Route(_MEMBER[ROUTE_II_A1], 2 * (n - m) + 1, m % 2, _e2e3_exact)
@@ -426,6 +385,14 @@ def _routes(family: str, n: int, value: int) -> tuple[_Route, ...]:
         exact,
         _Route(_MEMBER[ROUTE_II_A3], 2 * (n - m) + 3, (m - 1) % 2, _e2e3_shifted),
     )
+
+
+def _route(module: Module, verdict: MembershipVerdict) -> _Route:
+    """The route of ``_routes(module)`` behind a member verdict."""
+    for route in _routes(module):
+        if route.verdict.route == verdict.route:
+            return route
+    raise LookupError(f"no route {verdict.route} to {module}")
 
 
 def _compositions(low: int, high: int) -> list[tuple[tuple[int, int], ...]]:
@@ -442,7 +409,7 @@ def _compositions(low: int, high: int) -> list[tuple[tuple[int, int], ...]]:
 
 def _disjoint_covers(n: int, m: int) -> list[tuple]:
     """The covers of the THM71_I members of pi_n(m), 2m > n+1, as
-    ``params._checked_covers`` gives them.
+    ``params._covers`` gives them.
 
     A member has one unipotent block, R[1], and pairwise disjoint segments.
     The character holds 0 three times and the positive entries 1..m-1 and
@@ -459,33 +426,24 @@ def _disjoint_covers(n: int, m: int) -> list[tuple]:
     return covers
 
 
-def _module(family: str, n: int, value: int) -> tuple[InfinitesimalCharacter, str, int]:
-    """The infinitesimal character of pi_n(value) (family "pi") or
-    sigma_{n,value} (family "sigma"), refusing what pi_nm / sigma_nk refuse,
-    and the family and value of ``_routes`` for the module."""
-    weight = pi_nm(n, value) if family == "pi" else sigma_nk(n, value)
-    if family == "sigma" and n == 2 * value:
-        family, value = "pi", value + 1
-    return inf_char_of_weight(weight), family, value
-
-
 def _route_packets(
-    family: str, n: int, value: int, covers: list[tuple]
+    module: Module, covers: list[tuple]
 ) -> list[tuple[ArthurParameter, MembershipVerdict]]:
-    """The packets containing the module of ``_routes(family, n, value)``,
-    in ``enumerate_params`` order, each with the verdict of its route.
+    """The packets containing the module, in ``enumerate_params`` order,
+    each with the verdict of its route.
 
     THM71_I builds its members from ``_disjoint_covers``.  Every other route
-    builds, on the ``covers`` (from ``params._checked_covers`` for the
-    module's character) whose largest unipotent dimension is its top, the
-    character choices that hold its block.  Each parameter built is a
-    member, by the route that built it, so no decider runs.
+    builds, on the ``covers`` (from ``params._covers`` for the module's
+    character) whose largest unipotent dimension is its top, the character
+    choices that hold its block.  Each parameter built is a member, by the
+    route that built it, so no decider runs.
     """
-    routes = _routes(family, n, value)
+    n = module.n
+    routes = _routes(module)
     searched = {route.top: route for route in routes if route.char is not None}
     packets = []
     # THM71_I comes first where it applies, and takes its covers from the others
-    disjoint = _disjoint_covers(n, value) if routes[0].char is None else []
+    disjoint = _disjoint_covers(n, module.value) if routes[0].char is None else []
     for cover in disjoint:
         packets.extend((psi, routes[0].verdict) for psi in _cover_params(n, *cover))
     taken = set(disjoint)
@@ -500,40 +458,40 @@ def _route_packets(
 
 
 def _enumerate_packets(
-    family: str, n: int, value: int, max_rank: int = 12
+    module: Module, max_rank: int
 ) -> list[tuple[ArthurParameter, MembershipVerdict]]:
-    """The packets containing pi_n(value) or sigma_{n,value}, top first: the
-    cover search runs once per searched top, on the character less the
-    top's centered segment, so no other cover is searched or counted."""
-    chi, family, value = _module(family, n, value)
-    tops = [route.top for route in _routes(family, n, value) if route.char is not None]
-    return _route_packets(family, n, value, _checked_covers(chi, n, max_rank, tops))
+    """The packets containing the module, top first: the cover search runs
+    once per searched top, on the character less the top's centered
+    segment, so no other cover is searched or counted."""
+    _check_rank(module.n, max_rank)
+    tops = [route.top for route in _routes(module) if route.char is not None]
+    return _route_packets(module, _covers(module.inf_char(), tops))
 
 
 def _enumerate_counted(
-    family: str, n: int, value: int, max_rank: int = 12
-) -> tuple[InfinitesimalCharacter, int, list[tuple[ArthurParameter, MembershipVerdict]]]:
-    """The module's infinitesimal character, the number of parameters with
-    it and the packets containing the module.  The count needs every cover,
-    so this runs the full cover search once."""
-    chi, family, value = _module(family, n, value)
-    covers = _checked_covers(chi, n, max_rank)
+    module: Module, max_rank: int = 12
+) -> tuple[int, list[tuple[ArthurParameter, MembershipVerdict]]]:
+    """The number of parameters with the module's infinitesimal character,
+    and the packets containing the module.  The count needs every cover, so
+    this runs the full cover search once."""
+    _check_rank(module.n, max_rank)
+    covers = _covers(module.inf_char())
     count = sum(_assignment_count(unip_dims) for unip_dims, _, _ in covers)
-    return chi, count, _route_packets(family, n, value, covers)
+    return count, _route_packets(module, covers)
 
 
 def enumerate_packets_pi(
     n: int, m: int, max_rank: int = 12
 ) -> list[tuple[ArthurParameter, MembershipVerdict]]:
     """All packets containing pi_n(m), with the verdict that admitted them."""
-    return _enumerate_packets("pi", n, m, max_rank)
+    return _enumerate_packets(module_of("pi", n, m), max_rank)
 
 
 def enumerate_packets_sigma(
     n: int, k: int, max_rank: int = 12
 ) -> list[tuple[ArthurParameter, MembershipVerdict]]:
     """All packets containing sigma_{n,k}, with verdicts."""
-    return _enumerate_packets("sigma", n, k, max_rank)
+    return _enumerate_packets(module_of("sigma", n, k), max_rank)
 
 
 def distinguished_parameter_sigma(n: int, k: int) -> ArthurParameter:
@@ -542,8 +500,7 @@ def distinguished_parameter_sigma(n: int, k: int) -> ArthurParameter:
     For k = 1 the discrete factor degenerates (t would be 0) into the sum of
     the two rank-one quadratic blocks, giving a purely unipotent parameter.
     """
-    if k < 1 or 2 * k > n:
-        raise ValueError(f"need 2 <= 2k <= n, got k={k}, n={n}")
+    module_of("sigma", n, k)  # refuses k outside 1..n/2
     big = UnipotentBlock(k % 2, 2 * (n - k) + 1)
     if k == 1:
         blocks = (big, UnipotentBlock(CHAR_TRIV, 1), UnipotentBlock(CHAR_SGN, 1))

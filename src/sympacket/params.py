@@ -428,29 +428,25 @@ def _assignment_count(dims: tuple[int, ...]) -> int:
     return total // 2
 
 
-def _checked_covers(
-    chi: InfinitesimalCharacter,
-    n: int,
-    max_rank: int,
-    tops: Iterable[int] | None = None,
-) -> list[tuple]:
-    """The covers of chi as (unipotent dims, discrete (t, a) data, parity).
-
-    Checks the rank against 1, ``max_rank`` and chi first.  The parity is
-    the one the determinant condition asks of the unipotent characters.
-    With ``tops``, only the covers whose largest unipotent dimension is one
-    of them, each top searched on its own (``_topped_covers``).
-    """
+def _check_rank(n: int, max_rank: int) -> None:
+    """Refuse a rank below 1 or above the enumeration cap ``max_rank``."""
     if n < 1:
         raise ValueError("rank must be positive")
     if n > max_rank:
         raise RankBoundError(f"rank {n} exceeds the enumeration cap {max_rank}")
-    if chi.rank != n:
-        raise ValueError("character length must be 2n+1")
+
+
+def _covers(entries: tuple[int, ...], tops: Iterable[int] | None = None) -> list[tuple]:
+    """The covers of a character's entries as (unipotent dims, discrete (t, a)
+    data, parity), the parity being the one the determinant condition asks
+    of the unipotent characters.  With ``tops``, only the covers whose
+    largest unipotent dimension is one of them, each top searched on its own
+    (``_topped_covers``).
+    """
     if tops is None:
-        covers = _all_segment_covers(chi.entries)
+        covers = _all_segment_covers(entries)
     else:
-        covers = [cover for top in tops for cover in _topped_covers(chi.entries, top)]
+        covers = [cover for top in tops for cover in _topped_covers(entries, top)]
     return [(unip_dims, disc_data, _parity(disc_data)) for unip_dims, disc_data in covers]
 
 
@@ -467,7 +463,7 @@ def _cover_params(
     parity: int,
     top_char: int | None = None,
 ):
-    """The parameters of rank n on one cover from ``_checked_covers``; with
+    """The parameters of rank n on one cover from ``_covers``; with
     ``top_char``, only those with a block of the largest unipotent dimension
     and that character.
 
@@ -491,11 +487,10 @@ def enumerate_params(
     The rank is capped by ``max_rank`` (default 12) since the cover search is
     combinatorial; raise the cap explicitly for larger experiments.
     """
-    out = [
-        psi
-        for cover in _checked_covers(chi, n, max_rank)
-        for psi in _cover_params(n, *cover)
-    ]
+    _check_rank(n, max_rank)
+    if chi.rank != n:
+        raise ValueError("character length must be 2n+1")
+    out = [psi for cover in _covers(chi.entries) for psi in _cover_params(n, *cover)]
     out.sort(key=_order_key)
     return out
 

@@ -9,7 +9,8 @@ highest weight ``(-m_n, ..., -m_1)``.  This module provides:
 * infinitesimal characters, stored as decreasing integer multisets of odd
   length that are symmetric under negation;
 * the scalar family ``pi_nm(n, m)`` and the near-scalar unipotent family
-  ``sigma_nk(n, k)``;
+  ``sigma_nk(n, k)``, and ``module_of``, their one resolved ``Module``
+  record (sigma_{2k,k} is pi_{2k}(k+1));
 * the compact dual pair datum (rank of the definite even orthogonal group
   and the finite dimensional representation on it) whose theta lift realizes
   a given unitary highest weight module;
@@ -21,8 +22,10 @@ Everything is integer arithmetic; half-integers are avoided by doubling.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "HighestWeight",
@@ -32,6 +35,8 @@ __all__ = [
     "HoweSource",
     "classify_unitary",
     "inf_char_of_weight",
+    "Module",
+    "module_of",
     "pi_nm",
     "sigma_nk",
     "howe_source",
@@ -135,6 +140,53 @@ def _inf_char_entries(weight: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(shifts + [-s for s in shifts] + [0], reverse=True))
 
 
+class Module(NamedTuple):
+    """pi_n(m) (family "pi", value m) or sigma_{n,k} with n > 2k (family
+    "sigma", value k), as ``module_of`` builds it, in O(1)."""
+
+    family: str
+    n: int
+    value: int
+
+    def weight(self) -> tuple[int, ...]:
+        """(m, ..., m), or 2k entries k+1 followed by n-2k entries k."""
+        if self.family == "pi":
+            return (self.value,) * self.n
+        k = self.value
+        return (k + 1,) * (2 * k) + (k,) * (self.n - 2 * k)
+
+    def inf_char(self) -> tuple[int, ...]:
+        """The entries of its infinitesimal character; cached up to rank 64
+        only, so that the cache holds no large tuples."""
+        return _cached_inf_char(self) if self.n <= 64 else _inf_char_entries(self.weight())
+
+
+@functools.lru_cache(maxsize=256)
+def module_of(family: str, n: int, value: int) -> Module:
+    """pi_n(value) (family "pi", 0 <= m <= n) or sigma_{n,value} (family
+    "sigma", 2 <= 2k <= n); any other value is refused.  The one place where
+    sigma_{2k,k} becomes pi_{2k}(k+1): their weights coincide.  Rank 0, the
+    trivial group's, is a scalar module here; ``pi_nm`` refuses it.
+    """
+    if family == "pi":
+        if n < 0:
+            raise ValueError("rank must be positive")
+        if not 0 <= value <= n:
+            raise ValueError(f"need 0 <= m <= n, got m={value}, n={n}")
+        return Module(family, n, value)
+    if value < 1 or 2 * value > n:
+        raise ValueError(f"need 2 <= 2k <= n, got k={value}, n={n}")
+    if 2 * value == n:
+        return Module("pi", n, value + 1)
+    return Module(family, n, value)
+
+
+# Module.inf_char up to rank 64, for the last 256 modules asked
+_cached_inf_char = functools.lru_cache(maxsize=256)(
+    lambda module: _inf_char_entries(module.weight())
+)
+
+
 def pi_nm(n: int, m: int) -> HighestWeight:
     """Scalar weight (m, ..., m) of rank n, restricted to 0 <= m <= n.
 
@@ -143,16 +195,12 @@ def pi_nm(n: int, m: int) -> HighestWeight:
     """
     if n < 1:
         raise ValueError("rank must be positive")
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    return HighestWeight((m,) * n)
+    return HighestWeight(module_of("pi", n, m).weight())
 
 
 def sigma_nk(n: int, k: int) -> HighestWeight:
     """Near-scalar weight with 2k entries k+1 followed by n-2k entries k."""
-    if k < 1 or 2 * k > n:
-        raise ValueError(f"need 2 <= 2k <= n, got k={k}, n={n}")
-    return HighestWeight((k + 1,) * (2 * k) + (k,) * (n - 2 * k))
+    return HighestWeight(module_of("sigma", n, k).weight())
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from sympacket.characters import (
     rho_theta,
     rho_theta_parameter,
     rho_unipotent_table,
+    table_row,
 )
 from sympacket.cohomology import (
     aq_lambda_regular,
@@ -35,7 +36,6 @@ from sympacket.membership import (
     enumerate_packets_pi,
     enumerate_packets_sigma,
     distinguished_parameter_sigma,
-    exponent_bound_necessary,
 )
 from sympacket.params import (
     CHAR_SGN,
@@ -140,7 +140,6 @@ def test_05_necessity_filters():
         for m in range(1, n + 1):
             sm = standard_pi(n, m)
             for psi, _ in enumerate_packets_pi(n, m):
-                assert exponent_bound_necessary(psi, n, m)
                 assert exponent_filter(psi, sm)
         for k in range(1, n // 2 + 1):
             sm = standard_sigma(n, k)
@@ -188,14 +187,6 @@ def test_06_sigma_packets():
     _ok("06 sigma-packets")
 
 
-def _matching_table_row(psi, which, m_table, delta):
-    for form, tau_prime in (("first", 0), ("second", 1)):
-        expected = rho_theta_parameter(psi.n, m_table, tau_prime)
-        if Counter(psi.unipotent) == Counter(expected):
-            return form, rho_unipotent_table(form, psi.n, m_table, which, delta)
-    raise AssertionError(f"no table row matches {psi}")
-
-
 def test_07_rho_consistency_with_documented_discrepancy():
     mismatches = []
     comparisons = 0
@@ -211,7 +202,9 @@ def test_07_rho_consistency_with_documented_discrepancy():
                 )
                 for delta in (1, -1):
                     general = rho_pi_general(psi, n, m, delta)
-                    form, row = _matching_table_row(psi, which, m_table, delta)
+                    found = table_row(psi, which, m_table, delta)
+                    assert found is not None, f"no table row matches {psi}"
+                    form, row = found
                     assert not general.flags
                     assert not row.flags, (n, m, str(psi))
                     comparisons += 1

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -444,3 +445,48 @@ def test_python_m_sympacket_runs_the_command_line(capsys):
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert (done.returncode, done.stdout, done.stderr) == run(capsys, argv)
+
+
+def test_enumeration_cap_is_checked_before_any_work(capsys):
+    # building the module is O(1), and the cap is checked before its weight
+    # or character is built: a huge rank is refused at once, in little memory
+    from sympacket.membership import enumerate_packets_pi
+    from sympacket.params import RankBoundError
+
+    cli._parser()  # built once per process; not part of the refusal
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["enumerate-pi", "3000000", "3"])
+        cli_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(RankBoundError, match="rank 3000000 exceeds the enumeration cap 12"):
+            enumerate_packets_pi(3_000_000, 3)
+        library_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["violations"] == ["RANK_BOUND"]
+    assert payload["error"] == "rank 3000000 exceeds the enumeration cap 12"
+    assert cli_peak < 2**20 and library_peak < 2**20, (cli_peak, library_peak)
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the report (~200 KB) outgrows a pipe buffer, so the reader's early
+    # close interrupts its write
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sympacket.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sympacket", "enumerate-pi", "10", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""

@@ -14,11 +14,8 @@ from sympacket.membership import (
     enumerate_packets_pi,
     enumerate_packets_sigma,
     distinguished_parameter_sigma,
-    exponent_bound_necessary,
     peel_step,
-    _decide_pi_core,
-    _decide_sigma_core,
-    _module,
+    _decide_core,
     _routes,
 )
 from sympacket.params import (
@@ -31,7 +28,14 @@ from sympacket.params import (
     a_psi_u,
     enumerate_params,
 )
-from sympacket.weights import InfinitesimalCharacter, inf_char_of_weight, pi_nm, sigma_nk
+from sympacket.langlands import exponent_filter, standard_pi
+from sympacket.weights import (
+    InfinitesimalCharacter,
+    inf_char_of_weight,
+    module_of,
+    pi_nm,
+    sigma_nk,
+)
 
 
 def P(n, unip, disc=()):
@@ -176,12 +180,13 @@ def test_recursive_oracle_near_scalar_shape():
 
 
 def test_exponent_bound_necessary():
-    assert exponent_bound_necessary(WORKED, 2, 1)
+    # the maximal exponent n - m of pi_n(m) bounds a(psi)
+    assert exponent_filter(WORKED, standard_pi(2, 1))
     n = 4
     psi = P(n, [(CHAR_TRIV, 1)], [(n + 1, n)])
     # 2(n-m)+1 > n for m = 1: bound cannot be met
-    assert not exponent_bound_necessary(psi, n, 1)
-    assert exponent_bound_necessary(psi, n, n)  # vacuous at m = n
+    assert not exponent_filter(psi, standard_pi(n, 1))
+    assert exponent_filter(psi, standard_pi(n, n))  # vacuous at m = n
 
 
 def test_enumerate_packets_worked():
@@ -262,12 +267,12 @@ def test_route_table_pins_the_deciders():
         cases = [("pi", m) for m in range(0, n + 1)]
         cases += [("sigma", k) for k in range(1, n // 2 + 1)]
         for family, value in cases:
-            chi, resolved, resolved_value = _module(family, n, value)
-            routes = _routes(resolved, n, resolved_value)
-            core = _decide_pi_core if resolved == "pi" else _decide_sigma_core
+            module = module_of(family, n, value)
+            routes = _routes(module)
+            chi = InfinitesimalCharacter(module.inf_char())
             for psi in enumerate_params(chi, n):
                 route = _table_route(routes, psi)
-                verdict = core(psi, n, resolved_value)
+                verdict = _decide_core(psi, module)
                 if route is None:
                     assert not verdict.member, (family, n, value, str(psi))
                 else:
@@ -298,7 +303,7 @@ def test_thm71_i_members_are_interval_compositions():
             chi = inf_char_of_weight(pi_nm(n, m))
             decided = {
                 psi for psi in enumerate_params(chi, n)
-                if _decide_pi_core(psi, n, m).route == ROUTE_I
+                if _decide_core(psi, module_of("pi", n, m)).route == ROUTE_I
             }
             assert decided == expected, (n, m)
             enumerated = {psi for psi, v in enumerate_packets_pi(n, m) if v.route == ROUTE_I}

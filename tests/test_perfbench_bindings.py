@@ -1,0 +1,38 @@
+"""The benchmark's tracer wraps library functions by name
+(``perfbench/tracing.py``).  A renamed or deleted function would make its
+traced run fail, or leave a layer silently unmeasured; so every name it
+binds must resolve in the library."""
+
+import importlib
+import importlib.util
+import os
+
+from sympacket import cli
+
+TRACING = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "tracing.py")
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _lib(name):
+    return importlib.import_module(f"sympacket.{name}")
+
+
+def test_traced_names_resolve_in_the_library():
+    tracing = _tracing()
+    bound = [(mod, name) for mod, names in tracing.SPAN_LAYERS.values() for name in names]
+    bound += [(mod, name) for _, mod, name in tracing.COUNTED]
+    assert bound
+    for mod, name in bound:
+        assert callable(getattr(_lib(mod), name, None)), f"{mod}.{name}"
+    for mod in tracing.MODULE_LAYERS:
+        module = _lib(mod)
+        assert module.__all__, mod
+        for name in module.__all__:
+            assert hasattr(module, name), f"{mod}.{name}"
+    assert callable(cli._Parser.parse_args)
