@@ -48,7 +48,6 @@ VANISHING = "VANISHING"
 
 TABLE_FORMS = ("first", "second")
 TABLE_COLUMNS = ("pi", "sigma", "pi_star", "sigma_star")
-MODULE_NAMES = {"pi": "scalar", "sigma": "near-scalar"}
 
 
 def _floor_half_sign(x: int) -> int:
@@ -356,7 +355,7 @@ def _rho_core(
     and the e2 e3 rule.
     """
     if not verdict.member:
-        raise ValueError(f"packet does not contain the {MODULE_NAMES[module.family]} module")
+        raise ValueError(f"packet does not contain the {module.name()} module")
     disc_signs, delta_prime = _discrete_signs(psi, delta)
     if len(psi.unipotent) == 1:
         return _assemble(psi, delta, disc_signs, psi.unipotent, (1,))

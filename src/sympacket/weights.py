@@ -22,7 +22,6 @@ Everything is integer arithmetic; half-integers are avoided by doubling.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -156,12 +155,14 @@ class Module(NamedTuple):
         return (k + 1,) * (2 * k) + (k,) * (self.n - 2 * k)
 
     def inf_char(self) -> tuple[int, ...]:
-        """The entries of its infinitesimal character; cached up to rank 64
-        only, so that the cache holds no large tuples."""
-        return _cached_inf_char(self) if self.n <= 64 else _inf_char_entries(self.weight())
+        """The entries of its infinitesimal character."""
+        return _inf_char_entries(self.weight())
+
+    def name(self) -> str:
+        """The family as messages name it: "scalar" or "near-scalar"."""
+        return "scalar" if self.family == "pi" else "near-scalar"
 
 
-@functools.lru_cache(maxsize=256)
 def module_of(family: str, n: int, value: int) -> Module:
     """pi_n(value) (family "pi", 0 <= m <= n) or sigma_{n,value} (family
     "sigma", 2 <= 2k <= n); any other value is refused.  The one place where
@@ -179,12 +180,6 @@ def module_of(family: str, n: int, value: int) -> Module:
     if 2 * value == n:
         return Module("pi", n, value + 1)
     return Module(family, n, value)
-
-
-# Module.inf_char up to rank 64, for the last 256 modules asked
-_cached_inf_char = functools.lru_cache(maxsize=256)(
-    lambda module: _inf_char_entries(module.weight())
-)
 
 
 def pi_nm(n: int, m: int) -> HighestWeight:
