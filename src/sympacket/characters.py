@@ -337,8 +337,9 @@ def rho_sigma_general(
 
 
 def _rho(psi: ArthurParameter, module: Module, delta: int) -> PacketCharacter:
-    """The character of the module in the packet of psi, which is validated
-    and decided here."""
+    """The character of the module in the packet of psi, which is decided
+    here by ``membership._decide`` (and validated there, unless it recorded
+    its infinitesimal character)."""
     if delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
     return _rho_core(psi, delta, _decide(psi, module), module)

@@ -8,11 +8,12 @@ documented internal discrepancy between the two printed character recipes,
 
 Besides the parameter codes of ``params.validate`` and ``UNKNOWN_FIELD:*``,
 an exit 2 names one of: ``PARAM_UNREADABLE`` (a ``--param`` file that cannot
-be read), ``PARAM_JSON`` (a ``--param`` that is not JSON), ``RANK_BOUND`` (a
-rank above the enumeration cap or ``MAX_REPORT_RANK``), ``NOT_MEMBER`` (a
-character asked of a packet without the module), ``WEIGHT_SHAPE`` (a
-``--weight`` that is not a list of integers) and ``RANGE`` (any other
-argument outside the domain of the computation, such as m > n).
+be read), ``PARAM_JSON`` (a ``--param`` that is not JSON, or nested deeper
+than the decoder's stack), ``RANK_BOUND`` (a rank above the enumeration cap
+or ``MAX_REPORT_RANK``), ``NOT_MEMBER`` (a character asked of a packet
+without the module), ``WEIGHT_SHAPE`` (a ``--weight`` that is not a list of
+integers) and ``RANGE`` (any other argument outside the domain of the
+computation, such as m > n).
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ from .params import (
     DiscreteBlock,
     RankBoundError,
     UnipotentBlock,
+    _trusted_param,
     char_from_name,
     char_name,
+    inf_char_of_param,
     validate,
 )
 from .weights import HighestWeight, module_of
@@ -92,6 +95,13 @@ def _wire_int(obj: dict, key: str) -> int:
 
 
 def param_from_json(obj: Any) -> ArthurParameter:
+    """The parameter of a wire object, refused (``ValidationError``) unless
+    it is well formed, valid and of rank at most ``MAX_REPORT_RANK``.
+
+    It is validated here, once: the parameter returned records its
+    infinitesimal character (``params._trusted_param``), so the deciders
+    and characters it is handed to do not validate it again.
+    """
     if not isinstance(obj, dict):
         raise ValidationError("parameter must be a JSON object", ["BLOCK_SHAPE"])
     _strict_keys(obj, {"n", "unipotent", "discrete"}, "parameter")
@@ -116,7 +126,9 @@ def param_from_json(obj: Any) -> ArthurParameter:
     violations = validate(psi)
     if violations:
         raise ValidationError(f"invalid parameter: {violations}", violations)
-    return psi
+    _check_report_rank(psi.n)
+    entries = inf_char_of_param(psi).entries
+    return _trusted_param(psi.n, psi.unipotent, psi.discrete, entries)
 
 
 def _load_param(spec: str) -> ArthurParameter:
@@ -135,9 +147,11 @@ def _load_param(spec: str) -> ArthurParameter:
         raise ValidationError(
             f"parameter is not valid JSON: {exc}", ["PARAM_JSON"]
         ) from exc
-    psi = param_from_json(obj)
-    _check_report_rank(psi.n)
-    return psi
+    except RecursionError as exc:  # nesting deeper than the decoder's stack
+        raise ValidationError(
+            f"parameter is nested too deeply: {exc}", ["PARAM_JSON"]
+        ) from exc
+    return param_from_json(obj)
 
 
 def _character_to_json(char: characters.PacketCharacter) -> dict[str, Any]:

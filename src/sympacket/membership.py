@@ -36,8 +36,10 @@ The central decision procedures:
 Both families reach one record, ``weights.Module`` from ``module_of``,
 which turns sigma_{2k,k} into pi_{2k}(k+1).  The module keys its
 infinitesimal character, its route table and the one decider core
-``_decide_core``; ``decide_pi`` / ``decide_sigma`` are wrappers over the
-validating ``_decide``.  Route tags on verdicts are stable wire strings.
+``_decide_core``; ``decide_pi`` / ``decide_sigma`` are wrappers over
+``_decide``, which validates a parameter unless it recorded its
+infinitesimal character when it was built (``params._trusted_param``).
+Route tags on verdicts are stable wire strings.
 """
 
 from __future__ import annotations
@@ -61,13 +63,15 @@ from .params import (
     _covers,
     _order_key,
     _parity,
+    _require_valid,
+    _valid_inf_char,
     contains_block,
     inf_char_of_param,
     remove_discrete_block,
-    validate,
 )
 from .quadforms import _sign_pow
 from .weights import (
+    InfinitesimalCharacter,
     Module,
     _inf_char_entries,
     module_of,
@@ -123,12 +127,6 @@ _MEMBER = {
 }
 
 
-def _require_valid(psi: ArthurParameter) -> None:
-    codes = validate(psi)
-    if codes:
-        raise ValueError(f"invalid parameter {psi}: {codes}")
-
-
 def _segments_pairwise_disjoint(psi: ArthurParameter) -> bool:
     intervals = [(b.bottom, b.top) for b in psi.discrete]
     for (l1, h1), (l2, h2) in itertools.combinations(intervals, 2):
@@ -158,12 +156,19 @@ def decide_sigma(psi: ArthurParameter, n: int, k: int) -> MembershipVerdict:
 
 
 def _decide(psi: ArthurParameter, module: Module) -> MembershipVerdict:
-    """The verdict of the deciders on a parameter, which is validated here,
-    for a module from ``module_of``."""
-    _require_valid(psi)
+    """The verdict of the deciders on a parameter for a module from
+    ``module_of``.
+
+    The parameter is checked in this order: valid, of the module's rank,
+    with the module's infinitesimal character.  ``params._valid_inf_char``
+    does the first check and gives the character; a parameter the
+    enumerators built (or ``cli.param_from_json`` read) recorded its
+    character then, so it is not validated again.
+    """
+    entries = _valid_inf_char(psi)
     if psi.n != module.n:
         raise ValueError("parameter rank does not match n")
-    if inf_char_of_param(psi).entries != module.inf_char():
+    if entries != module.inf_char():
         return _NOT_MEMBER
     return _decide_core(psi, module)
 
@@ -207,8 +212,7 @@ def decide_regular(psi: ArthurParameter, a: int) -> bool:
     exactly when the (necessarily unique) unipotent block has dimension
     2a + 1.
     """
-    _require_valid(psi)
-    chi = inf_char_of_param(psi)
+    chi = InfinitesimalCharacter(_valid_inf_char(psi))
     if not chi.is_regular():
         raise ValueError("infinitesimal character is not regular")
     amax = regular_a_max(chi)
@@ -427,16 +431,17 @@ def _disjoint_covers(n: int, m: int) -> list[tuple]:
 
 
 def _route_packets(
-    module: Module, covers: list[tuple]
+    module: Module, entries: tuple[int, ...], covers: list[tuple]
 ) -> list[tuple[ArthurParameter, MembershipVerdict]]:
     """The packets containing the module, in ``enumerate_params`` order,
     each with the verdict of its route.
 
     THM71_I builds its members from ``_disjoint_covers``.  Every other route
     builds, on the ``covers`` (from ``params._covers`` for the module's
-    character) whose largest unipotent dimension is its top, the character
-    choices that hold its block.  Each parameter built is a member, by the
-    route that built it, so no decider runs.
+    character ``entries``) whose largest unipotent dimension is its top, the
+    character choices that hold its block.  Each parameter built is a
+    member, by the route that built it, so no decider runs, and records
+    ``entries`` (``params._trusted_param``).
     """
     n = module.n
     routes = _routes(module)
@@ -445,14 +450,16 @@ def _route_packets(
     # THM71_I comes first where it applies, and takes its covers from the others
     disjoint = _disjoint_covers(n, module.value) if routes[0].char is None else []
     for cover in disjoint:
-        packets.extend((psi, routes[0].verdict) for psi in _cover_params(n, *cover))
+        members = _cover_params(n, entries, *cover)
+        packets.extend((psi, routes[0].verdict) for psi in members)
     taken = set(disjoint)
     for cover in covers:
         route = searched.get(cover[0][0])
         if route is None or cover in taken:
             continue
         verdict = route.verdict
-        packets.extend((psi, verdict) for psi in _cover_params(n, *cover, route.char))
+        members = _cover_params(n, entries, *cover, route.char)
+        packets.extend((psi, verdict) for psi in members)
     packets.sort(key=lambda packet: _order_key(packet[0]))
     return packets
 
@@ -465,7 +472,8 @@ def _enumerate_packets(
     segment, so no other cover is searched or counted."""
     _check_rank(module.n, max_rank)
     tops = [route.top for route in _routes(module) if route.char is not None]
-    return _route_packets(module, _covers(module.inf_char(), tops))
+    entries = module.inf_char()
+    return _route_packets(module, entries, _covers(entries, tops))
 
 
 def _enumerate_counted(
@@ -475,9 +483,10 @@ def _enumerate_counted(
     and the packets containing the module.  The count needs every cover, so
     this runs the full cover search once."""
     _check_rank(module.n, max_rank)
-    covers = _covers(module.inf_char())
+    entries = module.inf_char()
+    covers = _covers(entries)
     count = sum(_assignment_count(unip_dims) for unip_dims, _, _ in covers)
-    return count, _route_packets(module, covers)
+    return count, _route_packets(module, entries, covers)
 
 
 def enumerate_packets_pi(

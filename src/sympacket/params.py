@@ -128,6 +128,10 @@ class ArthurParameter:
     n: int
     unipotent: tuple[UnipotentBlock, ...]
     discrete: tuple[DiscreteBlock, ...] = ()
+    # Not a field (no annotation): the entries of the infinitesimal
+    # character, which ``_trusted_param`` records on the instance.  The
+    # class default None reads as "no record" without a dictionary lookup.
+    _inf_char = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "unipotent", tuple(self.unipotent))
@@ -374,14 +378,46 @@ def _trusted_param(
     n: int,
     unipotent: tuple[UnipotentBlock, ...],
     discrete: tuple[DiscreteBlock, ...],
+    entries: tuple[int, ...],
 ) -> ArthurParameter:
     """An ``ArthurParameter`` from block tuples already in canonical order,
-    without the tuple coercion of ``__post_init__``."""
+    without the tuple coercion of ``__post_init__``, that records the
+    entries of its infinitesimal character.
+
+    The caller vouches that the blocks form a valid parameter whose
+    infinitesimal character has exactly these (decreasing) ``entries``:
+    ``_valid_inf_char`` returns them without validating.  The record is a
+    plain instance attribute, not a dataclass field, so ``==``, ``hash``,
+    the order, ``repr`` and ``str`` ignore it, and ``dataclasses.replace``
+    or the constructor make parameters without it.
+    """
     psi = object.__new__(ArthurParameter)
     object.__setattr__(psi, "n", n)
     object.__setattr__(psi, "unipotent", unipotent)
     object.__setattr__(psi, "discrete", discrete)
+    object.__setattr__(psi, "_inf_char", entries)
     return psi
+
+
+def _require_valid(psi: ArthurParameter) -> None:
+    """Refuse a parameter with any ``validate`` violation."""
+    codes = validate(psi)
+    if codes:
+        raise ValueError(f"invalid parameter {psi}: {codes}")
+
+
+def _valid_inf_char(psi: ArthurParameter) -> tuple[int, ...]:
+    """The entries of the infinitesimal character of a valid parameter.
+
+    A parameter from ``_trusted_param`` returns the entries it recorded,
+    unchecked.  Any other is validated first (``ValueError`` naming the
+    violation codes) and its character computed (``inf_char_of_param``).
+    """
+    entries = psi._inf_char
+    if entries is None:
+        _require_valid(psi)
+        entries = inf_char_of_param(psi).entries
+    return entries
 
 
 @functools.lru_cache(maxsize=1024)
@@ -458,14 +494,16 @@ def _parity(disc_data: tuple[tuple[int, int], ...]) -> int:
 
 def _cover_params(
     n: int,
+    entries: tuple[int, ...],
     unip_dims: tuple[int, ...],
     disc_data: tuple,
     parity: int,
     top_char: int | None = None,
 ):
-    """The parameters of rank n on one cover from ``_covers``; with
-    ``top_char``, only those with a block of the largest unipotent dimension
-    and that character.
+    """The parameters of rank n on one cover from ``_covers`` of the
+    character ``entries``, each recording them; with ``top_char``, only
+    those with a block of the largest unipotent dimension and that
+    character.
 
     Trusted construction: each cover is canonical ((t, a) by (-t, -a), and
     _char_assignments yields unipotent blocks in _unip_key order), covers
@@ -476,13 +514,14 @@ def _cover_params(
     """
     discrete = tuple(_discrete_block(t, a) for t, a in disc_data)
     for unip in _char_assignments(unip_dims, parity, top_char):
-        yield _trusted_param(n, unip, discrete)
+        yield _trusted_param(n, unip, discrete, entries)
 
 
 def enumerate_params(
     chi: InfinitesimalCharacter, n: int, max_rank: int = 12
 ) -> list[ArthurParameter]:
-    """All valid parameters of rank n with inf. character chi, canonicalized.
+    """All valid parameters of rank n with inf. character chi, canonicalized,
+    each recording ``chi.entries`` (``_trusted_param``).
 
     The rank is capped by ``max_rank`` (default 12) since the cover search is
     combinatorial; raise the cap explicitly for larger experiments.
@@ -490,7 +529,8 @@ def enumerate_params(
     _check_rank(n, max_rank)
     if chi.rank != n:
         raise ValueError("character length must be 2n+1")
-    out = [psi for cover in _covers(chi.entries) for psi in _cover_params(n, *cover)]
+    entries = chi.entries
+    out = [psi for cover in _covers(entries) for psi in _cover_params(n, entries, *cover)]
     out.sort(key=_order_key)
     return out
 

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 import sympacket
-from sympacket import cli
+from sympacket import characters, cli, membership, params
 from sympacket.params import ArthurParameter, DiscreteBlock, UnipotentBlock
 
 
@@ -434,6 +434,49 @@ def test_unreadable_parameter_file_names_a_violation(capsys, tmp_path):
     payload = json.loads(err)
     assert payload["violations"] == ["PARAM_UNREADABLE"]
     assert payload["error"].startswith("cannot read parameter file")
+
+
+def test_deeply_nested_parameter_names_a_violation(capsys, tmp_path):
+    # nested deeper than the JSON decoder's stack, inline and in a file
+    deep = "[" * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(deep, encoding="utf-8")
+    for spec in (deep, str(path)):
+        code, out, err = run(capsys, ["decide", "--param", spec, "--pi", "1"])
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["violations"] == ["PARAM_JSON"]
+        assert payload["error"].startswith("parameter is nested too deeply")
+
+
+def test_parameter_is_validated_once(capsys, monkeypatch):
+    # param_from_json validates; the parameter it returns records its
+    # character, so the deciders and characters do not validate it again
+    # (decide --pi is left out: its oracle, decide_pi_recursive, validates)
+    calls = []
+    validate = params.validate
+
+    def counted(psi):
+        calls.append(psi)
+        return validate(psi)
+
+    for module in (params, membership, characters, cli):
+        if getattr(module, "validate", None) is validate:
+            monkeypatch.setattr(module, "validate", counted)
+    regular = json.dumps(
+        {"n": 3, "unipotent": [{"char": "sgn", "dim": 5}], "discrete": [{"t": 10, "a": 1}]}
+    )
+    for argv in (
+        ["decide", "--param", WORKED_JSON, "--sigma", "1"],
+        ["decide", "--param", regular, "--regular", "2"],
+        ["rho", "--param", WORKED_JSON, "--module", "pi", "--m", "1"],
+        ["rho", "--param", WORKED_JSON, "--module", "sigma", "--k", "1", "--whittaker", "-1"],
+    ):
+        calls.clear()
+        code, _, _ = run(capsys, argv)
+        assert code in (0, 3)  # 3: a report on the documented discrepancy
+        assert len(calls) == 1, argv
 
 
 def test_python_m_sympacket_runs_the_command_line(capsys):

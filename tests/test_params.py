@@ -189,10 +189,10 @@ def test_top_character_filter():
     # block of the largest unipotent dimension with that character
     for n, chi in module_characters(7):
         for cover in _covers(chi.entries):
-            every = list(_cover_params(n, *cover))
+            every = list(_cover_params(n, chi.entries, *cover))
             top = cover[0][0]
             for char in (CHAR_TRIV, CHAR_SGN):
-                assert list(_cover_params(n, *cover, char)) == [
+                assert list(_cover_params(n, chi.entries, *cover, char)) == [
                     psi for psi in every if UnipotentBlock(char, top) in psi.unipotent
                 ]
 
