@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .membership import MembershipVerdict, _decide, _route
+from .membership import MembershipVerdict, _decide, _Route, _route
 from .params import (
     ArthurParameter,
     DiscreteBlock,
@@ -337,30 +337,44 @@ def rho_sigma_general(
 
 
 def _rho(psi: ArthurParameter, module: Module, delta: int) -> PacketCharacter:
-    """The character of the module in the packet of psi, which is decided
-    here by ``membership._decide`` (and validated there, unless it recorded
-    its infinitesimal character)."""
+    """The character of the module in the packet of psi.
+
+    A member the enumerators built for this module hands the route that
+    admitted it (its ``_member_of`` record) to the recipe and is not
+    decided again.  Any other parameter is decided here by
+    ``membership._decide`` (and validated there, unless it recorded its
+    infinitesimal character)."""
     if delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
+    member_of = psi._member_of
+    if member_of is not None and member_of[0] == module:
+        route = member_of[1]
+        return _rho_core(psi, delta, route.verdict, module, route)
     return _rho_core(psi, delta, _decide(psi, module), module)
 
 
 def _rho_core(
-    psi: ArthurParameter, delta: int, verdict: MembershipVerdict, module: Module
+    psi: ArthurParameter,
+    delta: int,
+    verdict: MembershipVerdict,
+    module: Module,
+    route: _Route | None = None,
 ) -> PacketCharacter:
     """The character recipe of ``rho_pi_general`` and ``rho_sigma_general``,
     given the module's verdict on psi and a token delta in {+1, -1}; psi is
     not validated or decided again.
 
-    The route of the verdict (``membership._route``) gives the big block
-    and the e2 e3 rule.
+    The route of the verdict gives the big block and the e2 e3 rule: the
+    ``route`` of ``membership._routes(module)`` the caller has, else the one
+    ``membership._route`` finds.
     """
     if not verdict.member:
         raise ValueError(f"packet does not contain the {module.name()} module")
     disc_signs, delta_prime = _discrete_signs(psi, delta)
     if len(psi.unipotent) == 1:
         return _assemble(psi, delta, disc_signs, psi.unipotent, (1,))
-    route = _route(module, verdict)
+    if route is None:
+        route = _route(module, verdict)
     big = _unipotent_block(route.char, route.top)
     eta1, eta2 = _split_unipotent(psi, big)
     a = (eta2.dim + 1) // 2

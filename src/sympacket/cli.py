@@ -8,11 +8,12 @@ documented internal discrepancy between the two printed character recipes,
 
 Besides the parameter codes of ``params.validate`` and ``UNKNOWN_FIELD:*``,
 an exit 2 names one of: ``PARAM_UNREADABLE`` (a ``--param`` file that cannot
-be read), ``PARAM_JSON`` (a ``--param`` that is not JSON, or nested deeper
-than the decoder's stack), ``RANK_BOUND`` (a rank above the enumeration cap
-or ``MAX_REPORT_RANK``), ``NOT_MEMBER`` (a character asked of a packet
-without the module), ``WEIGHT_SHAPE`` (a ``--weight`` that is not a list of
-integers) and ``RANGE`` (any other argument outside the domain of the
+be read, or longer than ``MAX_PARAM_BYTES``, 1 MiB: only that many bytes and
+one more are read), ``PARAM_JSON`` (a ``--param`` that is not JSON, or nested
+deeper than the decoder's stack), ``RANK_BOUND`` (a rank above the
+enumeration cap or ``MAX_REPORT_RANK``), ``NOT_MEMBER`` (a character asked of
+a packet without the module), ``WEIGHT_SHAPE`` (a ``--weight`` that is not a
+list of integers) and ``RANGE`` (any other argument outside the domain of the
 computation, such as m > n).
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -46,6 +48,11 @@ SCHEMA_VERSION = 1
 # ``decide`` and ``rho`` grow with n (cohomology.rho_vectors quadratically),
 # and no computation here uses a rank anywhere near it.
 MAX_REPORT_RANK = 64
+
+# Largest ``--param`` file read, in bytes.  A rank-64 parameter of 129
+# one-dimensional blocks, indented, takes under 10 kB; only the file's first
+# MAX_PARAM_BYTES + 1 bytes are read, so ``/dev/zero`` is refused at once.
+MAX_PARAM_BYTES = 1 << 20
 
 
 class UsageError(Exception):
@@ -131,16 +138,28 @@ def param_from_json(obj: Any) -> ArthurParameter:
     return _trusted_param(psi.n, psi.unipotent, psi.discrete, entries)
 
 
+def _read_param_file(path: str) -> str:
+    """The text of a ``--param`` file of at most ``MAX_PARAM_BYTES`` bytes,
+    decoded as a text-mode read decodes it (UTF-8, universal newlines)."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_PARAM_BYTES + 1)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot read parameter file: {exc}", ["PARAM_UNREADABLE"]
+        ) from exc
+    if len(data) > MAX_PARAM_BYTES:
+        raise ValidationError(
+            f"parameter file is longer than {MAX_PARAM_BYTES} bytes",
+            ["PARAM_UNREADABLE"],
+        )
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+
+
 def _load_param(spec: str) -> ArthurParameter:
     text = spec
     if not spec.lstrip().startswith(("{", "[")):
-        try:
-            with open(spec, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ValidationError(
-                f"cannot read parameter file: {exc}", ["PARAM_UNREADABLE"]
-            ) from exc
+        text = _read_param_file(spec)
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

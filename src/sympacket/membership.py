@@ -37,8 +37,12 @@ Both families reach one record, ``weights.Module`` from ``module_of``,
 which turns sigma_{2k,k} into pi_{2k}(k+1).  The module keys its
 infinitesimal character, its route table and the one decider core
 ``_decide_core``; ``decide_pi`` / ``decide_sigma`` are wrappers over
-``_decide``, which validates a parameter unless it recorded its
-infinitesimal character when it was built (``params._trusted_param``).
+``_decide``.  Each member the enumerators build records the (module,
+route) that admitted it (``params._trusted_param``), one record object per
+route and enumeration; asked about that module, ``_decide`` returns the
+route's verdict and decides nothing.  Any other parameter is decided: it is
+validated unless it recorded its infinitesimal character when it was built,
+and its character compared with the module's before ``_decide_core`` runs.
 Route tags on verdicts are stable wire strings.
 """
 
@@ -159,12 +163,19 @@ def _decide(psi: ArthurParameter, module: Module) -> MembershipVerdict:
     """The verdict of the deciders on a parameter for a module from
     ``module_of``.
 
-    The parameter is checked in this order: valid, of the module's rank,
-    with the module's infinitesimal character.  ``params._valid_inf_char``
-    does the first check and gives the character; a parameter the
-    enumerators built (or ``cli.param_from_json`` read) recorded its
-    character then, so it is not validated again.
+    A member the enumerators built for this module gets the verdict of the
+    route that admitted it (its ``_member_of`` record), with nothing
+    checked or decided again.  Any other parameter, including a member
+    asked about another module, is checked in this order: valid, of the
+    module's rank, with the module's infinitesimal character.
+    ``params._valid_inf_char`` does the first check and gives the
+    character; a parameter the enumerators built (or
+    ``cli.param_from_json`` read) recorded its character then, so it is not
+    validated again.  Then ``_decide_core`` decides.
     """
+    member_of = psi._member_of
+    if member_of is not None and member_of[0] == module:
+        return member_of[1].verdict
     entries = _valid_inf_char(psi)
     if psi.n != module.n:
         raise ValueError("parameter rank does not match n")
@@ -440,25 +451,28 @@ def _route_packets(
     builds, on the ``covers`` (from ``params._covers`` for the module's
     character ``entries``) whose largest unipotent dimension is its top, the
     character choices that hold its block.  Each parameter built is a
-    member, by the route that built it, so no decider runs, and records
-    ``entries`` (``params._trusted_param``).
+    member, by the route that built it, so no decider runs; it records
+    ``entries`` and the (module, route) that admitted it
+    (``params._trusted_param``), one record object per route.
     """
     n = module.n
     routes = _routes(module)
-    searched = {route.top: route for route in routes if route.char is not None}
+    searched = {route.top: (module, route) for route in routes if route.char is not None}
     packets = []
     # THM71_I comes first where it applies, and takes its covers from the others
     disjoint = _disjoint_covers(n, module.value) if routes[0].char is None else []
+    record = (module, routes[0])
     for cover in disjoint:
-        members = _cover_params(n, entries, *cover)
+        members = _cover_params(n, entries, *cover, None, record)
         packets.extend((psi, routes[0].verdict) for psi in members)
     taken = set(disjoint)
     for cover in covers:
-        route = searched.get(cover[0][0])
-        if route is None or cover in taken:
+        record = searched.get(cover[0][0])
+        if record is None or cover in taken:
             continue
+        route = record[1]
         verdict = route.verdict
-        members = _cover_params(n, entries, *cover, route.char)
+        members = _cover_params(n, entries, *cover, route.char, record)
         packets.extend((psi, verdict) for psi in members)
     packets.sort(key=lambda packet: _order_key(packet[0]))
     return packets

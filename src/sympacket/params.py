@@ -128,10 +128,13 @@ class ArthurParameter:
     n: int
     unipotent: tuple[UnipotentBlock, ...]
     discrete: tuple[DiscreteBlock, ...] = ()
-    # Not a field (no annotation): the entries of the infinitesimal
-    # character, which ``_trusted_param`` records on the instance.  The
-    # class default None reads as "no record" without a dictionary lookup.
+    # Not fields (no annotation): the entries of the infinitesimal
+    # character, and the (module, route) of ``membership._routes`` that
+    # admitted an enumerated member, which ``_trusted_param`` records on the
+    # instance.  The class default None reads as "no record" without a
+    # dictionary lookup.
     _inf_char = None
+    _member_of = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "unipotent", tuple(self.unipotent))
@@ -379,23 +382,30 @@ def _trusted_param(
     unipotent: tuple[UnipotentBlock, ...],
     discrete: tuple[DiscreteBlock, ...],
     entries: tuple[int, ...],
+    member_of: tuple | None = None,
 ) -> ArthurParameter:
     """An ``ArthurParameter`` from block tuples already in canonical order,
     without the tuple coercion of ``__post_init__``, that records the
-    entries of its infinitesimal character.
+    entries of its infinitesimal character and, with ``member_of``, the
+    (module, route) that admits it to the module's packet.
 
     The caller vouches that the blocks form a valid parameter whose
     infinitesimal character has exactly these (decreasing) ``entries``:
-    ``_valid_inf_char`` returns them without validating.  The record is a
-    plain instance attribute, not a dataclass field, so ``==``, ``hash``,
-    the order, ``repr`` and ``str`` ignore it, and ``dataclasses.replace``
-    or the constructor make parameters without it.
+    ``_valid_inf_char`` returns them without validating.  With
+    ``member_of``, it vouches that the route's verdict is the deciders'
+    verdict on the module: ``membership._decide`` returns it without
+    deciding.  The records are plain instance attributes, not dataclass
+    fields, so ``==``, ``hash``, the order, ``repr`` and ``str`` ignore
+    them, and ``dataclasses.replace`` or the constructor make parameters
+    without them.
     """
     psi = object.__new__(ArthurParameter)
     object.__setattr__(psi, "n", n)
     object.__setattr__(psi, "unipotent", unipotent)
     object.__setattr__(psi, "discrete", discrete)
     object.__setattr__(psi, "_inf_char", entries)
+    if member_of is not None:
+        object.__setattr__(psi, "_member_of", member_of)
     return psi
 
 
@@ -499,11 +509,12 @@ def _cover_params(
     disc_data: tuple,
     parity: int,
     top_char: int | None = None,
+    member_of: tuple | None = None,
 ):
     """The parameters of rank n on one cover from ``_covers`` of the
-    character ``entries``, each recording them; with ``top_char``, only
-    those with a block of the largest unipotent dimension and that
-    character.
+    character ``entries``, each recording them (and ``member_of``, see
+    ``_trusted_param``); with ``top_char``, only those with a block of the
+    largest unipotent dimension and that character.
 
     Trusted construction: each cover is canonical ((t, a) by (-t, -a), and
     _char_assignments yields unipotent blocks in _unip_key order), covers
@@ -514,7 +525,7 @@ def _cover_params(
     """
     discrete = tuple(_discrete_block(t, a) for t, a in disc_data)
     for unip in _char_assignments(unip_dims, parity, top_char):
-        yield _trusted_param(n, unip, discrete, entries)
+        yield _trusted_param(n, unip, discrete, entries, member_of)
 
 
 def enumerate_params(

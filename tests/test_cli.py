@@ -436,6 +436,51 @@ def test_unreadable_parameter_file_names_a_violation(capsys, tmp_path):
     assert payload["error"].startswith("cannot read parameter file")
 
 
+def test_oversized_parameter_file_is_refused(capsys, tmp_path):
+    # only MAX_PARAM_BYTES + 1 bytes are read, so an endless file is refused
+    # at once and an oversized regular file without being read whole
+    limit = cli.MAX_PARAM_BYTES
+    fits = tmp_path / "fits.json"
+    fits.write_text(WORKED_JSON + " " * (limit - len(WORKED_JSON)), encoding="utf-8")
+    assert fits.stat().st_size == limit
+    assert run(capsys, ["decide", "--param", str(fits), "--pi", "1"])[0] == 0
+    oversized = tmp_path / "oversized.json"
+    oversized.write_text(WORKED_JSON + " " * (limit + 1 - len(WORKED_JSON)), encoding="utf-8")
+    code, out, err = run(capsys, ["decide", "--param", str(oversized), "--pi", "1"])
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["violations"] == ["PARAM_UNREADABLE"]
+    assert payload["error"] == f"parameter file is longer than {limit} bytes"
+
+    if not os.path.exists("/dev/zero"):
+        return
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sympacket.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "sympacket", "decide", "--param", "/dev/zero", "--pi", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == "" and "Traceback" not in done.stderr
+    assert json.loads(done.stderr) == payload
+
+
+def test_parameter_file_reads_as_text(capsys, tmp_path):
+    # a file is decoded as a text-mode read decodes it: CRLF line ends become
+    # LF before the JSON decoder counts positions
+    path = tmp_path / "crlf.json"
+    path.write_bytes(b'{\r\n  "n": 2,\r\n  oops\r\n}')
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(path.read_text(encoding="utf-8"))
+    code, _, err = run(capsys, ["decide", "--param", str(path), "--pi", "1"])
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["violations"] == ["PARAM_JSON"]
+    assert payload["error"] == f"parameter is not valid JSON: {expected.value}"
+
+
 def test_deeply_nested_parameter_names_a_violation(capsys, tmp_path):
     # nested deeper than the JSON decoder's stack, inline and in a file
     deep = "[" * 100000

@@ -1,15 +1,20 @@
 """The benchmark's tracer wraps library functions by name
 (``perfbench/tracing.py``).  A renamed or deleted function would make its
 traced run fail, or leave a layer silently unmeasured; so every name it
-binds must resolve in the library."""
+binds must resolve in the library.  And the benchmark's correctness checks
+must still accept the library's outputs and reject corrupted ones
+(``perfbench/selftest.py``)."""
 
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 from sympacket import cli
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "tracing.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
 
 
 def _tracing():
@@ -36,3 +41,12 @@ def test_traced_names_resolve_in_the_library():
         for name in module.__all__:
             assert hasattr(module, name), f"{mod}.{name}"
     assert callable(cli._Parser.parse_args)
+
+
+def test_benchmark_selftest_passes():
+    done = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "selftest: ok" in done.stdout

@@ -1,15 +1,16 @@
 """Parameters built by the enumerators record their infinitesimal character
-(``params._trusted_param``), and the public deciders and characters read the
-record instead of validating.  The record must never lie, must be invisible
-to equality, hashing, order, printing and the wire format, and must give the
-same answers and refusals as a user-built copy of the same parameter, which
-carries no record and is validated."""
+(``params._trusted_param``), and packet members also the (module, route)
+that admitted them; the public deciders and characters read the records
+instead of validating and deciding.  The records must never lie, must be
+invisible to equality, hashing, order, printing and the wire format, and
+must give the same answers and refusals as a user-built copy of the same
+parameter, which carries no record and is validated and decided."""
 
 import dataclasses
 
 import pytest
 
-from sympacket import cli
+from sympacket import cli, membership
 from sympacket.characters import rho_pi_general, rho_sigma_general
 from sympacket.membership import (
     decide_pi,
@@ -23,7 +24,7 @@ from sympacket.params import (
     inf_char_of_param,
     validate,
 )
-from sympacket.weights import inf_char_of_weight, pi_nm, sigma_nk
+from sympacket.weights import Module, inf_char_of_weight, module_of, pi_nm, sigma_nk
 
 FIELDS = {"n", "unipotent", "discrete"}
 DECIDE = {"pi": decide_pi, "sigma": decide_sigma}
@@ -32,6 +33,10 @@ RHO = {"pi": rho_pi_general, "sigma": rho_sigma_general}
 
 def recorded(psi):
     return vars(psi).get("_inf_char")
+
+
+def member_of(psi):
+    return vars(psi).get("_member_of")
 
 
 def user_copy(psi):
@@ -47,9 +52,11 @@ def modules(max_n):
             yield "sigma", n, k
 
 
+ENUMERATE = {"pi": enumerate_packets_pi, "sigma": enumerate_packets_sigma}
+
+
 def packets(family, n, value):
-    enumerate_packets = {"pi": enumerate_packets_pi, "sigma": enumerate_packets_sigma}
-    return [psi for psi, _ in enumerate_packets[family](n, value)]
+    return [psi for psi, _ in ENUMERATE[family](n, value)]
 
 
 def weight(family, n, value):
@@ -160,3 +167,81 @@ def test_out_of_order_user_parameter_is_still_refused():
                 with pytest.raises(ValueError) as exc:
                     fn(disordered, n, m)
                 assert str(exc.value) == f"invalid parameter {disordered}: ['ORDER']"
+
+
+def test_packet_members_record_the_route_that_admitted_them():
+    for family, n, value in modules(9):
+        module = module_of(family, n, value)
+        found = ENUMERATE[family](n, value)
+        records = {}
+        for psi, verdict in found:
+            record = member_of(psi)
+            assert record is not None
+            assert record[0] == module
+            route = record[1]
+            assert route in membership._routes(module)
+            assert route.verdict is verdict
+            copy = user_copy(psi)
+            assert route.verdict == membership._decide_core(copy, module)
+            if n <= 8:  # the public answers read the record, and agree
+                assert DECIDE[family](psi, n, value) == DECIDE[family](copy, n, value)
+                for delta in (1, -1):
+                    got = RHO[family](psi, n, value, delta)
+                    assert got == RHO[family](copy, n, value, delta)
+            # one record object per route and enumeration
+            assert records.setdefault(route, record) is record
+        assert len({id(member_of(psi)) for psi, _ in found}) == len(records)
+
+
+def test_parameters_built_elsewhere_carry_no_route_record():
+    for family, n, value in modules(9):
+        chi = inf_char_of_weight(weight(family, n, value))
+        assert all(member_of(psi) is None for psi in enumerate_params(chi, n))
+        for psi in packets(family, n, value):
+            assert member_of(user_copy(psi)) is None
+            assert member_of(dataclasses.replace(psi)) is None
+            if n <= 5:
+                assert member_of(cli.param_from_json(cli.param_to_json(psi))) is None
+
+
+def test_enumerated_members_are_not_decided_again(monkeypatch):
+    # asked about the module that admitted it, a member is neither decided
+    # nor has the module's character built; a user-built copy is, once per
+    # question, and so is a member asked about pi_n(n+1-m), which shares the
+    # character of pi_n(m) (and is another module unless n = 2m - 1)
+    calls = {"core": 0, "inf_char": 0}
+    core, inf_char = membership._decide_core, Module.inf_char
+
+    def counted_core(psi, module):
+        calls["core"] += 1
+        return core(psi, module)
+
+    def counted_inf_char(module):
+        calls["inf_char"] += 1
+        return inf_char(module)
+
+    monkeypatch.setattr(membership, "_decide_core", counted_core)
+    monkeypatch.setattr(Module, "inf_char", counted_inf_char)
+
+    def counts(fn, *args):
+        calls.update(core=0, inf_char=0)
+        fn(*args)
+        return calls["core"], calls["inf_char"]
+
+    asked = 0
+    for family, n, value in modules(7):
+        for psi in packets(family, n, value):
+            copy = user_copy(psi)
+            for delta in (1, -1):
+                questions = [
+                    (DECIDE[family], n, value),
+                    (lambda p, n, v: RHO[family](p, n, v, delta), n, value),
+                ]
+                for fn, *args in questions:
+                    assert counts(fn, psi, *args) == (0, 0), (family, n, value, str(psi))
+                    assert counts(fn, copy, *args) == (1, 1), (family, n, value, str(psi))
+            twin = n + 1 - value
+            if family == "pi" and value >= 1 and twin != value:
+                assert counts(decide_pi, psi, n, twin)[0] == 1
+                asked += 1
+    assert asked
