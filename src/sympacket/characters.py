@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .membership import MembershipVerdict, _decide, _Route, _route
+from .membership import _decide_route, _Route
 from .params import (
     ArthurParameter,
     DiscreteBlock,
@@ -337,44 +337,27 @@ def rho_sigma_general(
 
 
 def _rho(psi: ArthurParameter, module: Module, delta: int) -> PacketCharacter:
-    """The character of the module in the packet of psi.
-
-    A member the enumerators built for this module hands the route that
-    admitted it (its ``_member_of`` record) to the recipe and is not
-    decided again.  Any other parameter is decided here by
-    ``membership._decide`` (and validated there, unless it recorded its
-    infinitesimal character)."""
+    """The character of the module in the packet of psi, by the route
+    ``membership._decide_route`` finds (and the checks it makes)."""
     if delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
-    member_of = psi._member_of
-    if member_of is not None and member_of[0] == module:
-        route = member_of[1]
-        return _rho_core(psi, delta, route.verdict, module, route)
-    return _rho_core(psi, delta, _decide(psi, module), module)
+    return _rho_core(psi, delta, module, _decide_route(psi, module))
 
 
 def _rho_core(
-    psi: ArthurParameter,
-    delta: int,
-    verdict: MembershipVerdict,
-    module: Module,
-    route: _Route | None = None,
+    psi: ArthurParameter, delta: int, module: Module, route: _Route | None
 ) -> PacketCharacter:
     """The character recipe of ``rho_pi_general`` and ``rho_sigma_general``,
-    given the module's verdict on psi and a token delta in {+1, -1}; psi is
-    not validated or decided again.
-
-    The route of the verdict gives the big block and the e2 e3 rule: the
-    ``route`` of ``membership._routes(module)`` the caller has, else the one
-    ``membership._route`` finds.
+    given the route of ``membership._routes(module)`` that admits psi (None:
+    the packet does not contain the module) and a token delta in {+1, -1};
+    psi is not validated or decided again.  The route gives the big block
+    and the e2 e3 rule.
     """
-    if not verdict.member:
+    if route is None:
         raise ValueError(f"packet does not contain the {module.name()} module")
     disc_signs, delta_prime = _discrete_signs(psi, delta)
     if len(psi.unipotent) == 1:
         return _assemble(psi, delta, disc_signs, psi.unipotent, (1,))
-    if route is None:
-        route = _route(module, verdict)
     big = _unipotent_block(route.char, route.top)
     eta1, eta2 = _split_unipotent(psi, big)
     a = (eta2.dim + 1) // 2

@@ -73,11 +73,17 @@ class _Parser(argparse.ArgumentParser):
 # --- parameter wire format ---------------------------------------------------
 
 
+def _block_to_json(b: UnipotentBlock | DiscreteBlock) -> dict[str, Any]:
+    if isinstance(b, UnipotentBlock):
+        return {"char": char_name(b.char), "dim": b.dim}
+    return {"t": b.t, "a": b.a}
+
+
 def param_to_json(psi: ArthurParameter) -> dict[str, Any]:
     return {
         "n": psi.n,
-        "unipotent": [{"char": char_name(b.char), "dim": b.dim} for b in psi.unipotent],
-        "discrete": [{"t": b.t, "a": b.a} for b in psi.discrete],
+        "unipotent": [_block_to_json(b) for b in psi.unipotent],
+        "discrete": [_block_to_json(b) for b in psi.discrete],
     }
 
 
@@ -174,15 +180,9 @@ def _load_param(spec: str) -> ArthurParameter:
 
 
 def _character_to_json(char: characters.PacketCharacter) -> dict[str, Any]:
-    blocks = []
-    for b in char.blocks:
-        if isinstance(b, UnipotentBlock):
-            blocks.append({"char": char_name(b.char), "dim": b.dim})
-        else:
-            blocks.append({"t": b.t, "a": b.a})
     return {
         "whittaker": char.whittaker,
-        "blocks": blocks,
+        "blocks": [_block_to_json(b) for b in char.blocks],
         "signs": list(char.signs),
         "flags": list(char.flags),
     }
@@ -257,11 +257,14 @@ def _cmd_rho(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     value = getattr(args, label)
     if value is None:
         raise UsageError(f"--{label} is required with --module {args.module}")
+    for other in _LABELS.values():
+        if other != label and getattr(args, other) is not None:
+            raise UsageError(f"--{other} is not allowed with --module {args.module}")
     inputs[label] = value
     module = module_of(args.module, psi.n, value)
-    verdict = membership._decide(psi, module)
+    route = membership._decide_route(psi, module)
     try:
-        char = characters._rho_core(psi, delta, verdict, module)
+        char = characters._rho_core(psi, delta, module, route)
     except ValueError as exc:  # the recipe refuses only non-members
         raise ValidationError(str(exc), ["NOT_MEMBER"]) from exc
     results: dict[str, Any] = {"character": _character_to_json(char)}
@@ -269,7 +272,6 @@ def _cmd_rho(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if not psi.discrete and len(psi.unipotent) == 3:
         # the printed column: THM71_II_A1 members house the pi_star lift, the
         # others sigma_star; the big block R[2(n - m_table) + 1] gives the rank
-        route = membership._route(module, verdict)
         which = "pi_star" if route.verdict.route == membership.ROUTE_II_A1 else "sigma_star"
         m_table = (2 * psi.n + 1 - route.top) // 2
         found = characters.table_row(psi, which, m_table, delta)

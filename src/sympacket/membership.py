@@ -30,19 +30,21 @@ The central decision procedures:
   THM71_I members are built directly as interval compositions; every other
   route searches only the covers with its top and builds only the character
   choices holding its block.  So every parameter built is a member and gets
-  its route's verdict without a decider call; the tests keep the deciders as
-  the judge of the table.
+  its route's verdict without a decider call.
 
 Both families reach one record, ``weights.Module`` from ``module_of``,
 which turns sigma_{2k,k} into pi_{2k}(k+1).  The module keys its
-infinitesimal character, its route table and the one decider core
-``_decide_core``; ``decide_pi`` / ``decide_sigma`` are wrappers over
-``_decide``.  Each member the enumerators build records the (module,
-route) that admitted it (``params._trusted_param``), one record object per
-route and enumeration; asked about that module, ``_decide`` returns the
-route's verdict and decides nothing.  Any other parameter is decided: it is
-validated unless it recorded its infinitesimal character when it was built,
-and its character compared with the module's before ``_decide_core`` runs.
+infinitesimal character and its route table, and the table is the only
+statement of the criteria above: it builds the members, and it decides.
+``_decide_core`` returns the first route whose shape a parameter has;
+``_decide_route`` reaches it after the checks, and ``decide_pi`` /
+``decide_sigma``, the character recipe and the command line all ask
+``_decide_route``.  Each member the enumerators build records the route
+that admitted it (``params._trusted_param``); a route names its module, so
+asked about that module, ``_decide_route`` returns the recorded route and
+decides nothing.  Any other parameter is decided: it is validated unless
+it recorded its infinitesimal character when it was built, and its
+character compared with the module's before ``_decide_core`` runs.
 Route tags on verdicts are stable wire strings.
 """
 
@@ -68,6 +70,7 @@ from .params import (
     _order_key,
     _parity,
     _require_valid,
+    _unipotent_block,
     _valid_inf_char,
     contains_block,
     inf_char_of_param,
@@ -146,7 +149,8 @@ def decide_pi(psi: ArthurParameter, n: int, m: int) -> MembershipVerdict:
     so the verdict is deterministic when several clauses hold.  Membership is
     always with multiplicity one.
     """
-    return _decide(psi, module_of("pi", n, m))
+    route = _decide_route(psi, module_of("pi", n, m))
+    return _NOT_MEMBER if route is None else route.verdict
 
 
 def decide_sigma(psi: ArthurParameter, n: int, k: int) -> MembershipVerdict:
@@ -156,63 +160,46 @@ def decide_sigma(psi: ArthurParameter, n: int, k: int) -> MembershipVerdict:
     unipotent dimension 2(n-k)+1, and the presence of the block
     sgn^k ⊠ R[2(n-k)+1]; sigma_{2k,k} is pi_{2k}(k+1) (``module_of``).
     """
-    return _decide(psi, module_of("sigma", n, k))
+    route = _decide_route(psi, module_of("sigma", n, k))
+    return _NOT_MEMBER if route is None else route.verdict
 
 
-def _decide(psi: ArthurParameter, module: Module) -> MembershipVerdict:
-    """The verdict of the deciders on a parameter for a module from
-    ``module_of``.
+def _decide_route(psi: ArthurParameter, module: Module) -> _Route | None:
+    """The route of ``_routes(module)`` that admits psi to the packet, or
+    None when the packet does not contain the module.
 
-    A member the enumerators built for this module gets the verdict of the
-    route that admitted it (its ``_member_of`` record), with nothing
-    checked or decided again.  Any other parameter, including a member
-    asked about another module, is checked in this order: valid, of the
-    module's rank, with the module's infinitesimal character.
-    ``params._valid_inf_char`` does the first check and gives the
-    character; a parameter the enumerators built (or
-    ``cli.param_from_json`` read) recorded its character then, so it is not
-    validated again.  Then ``_decide_core`` decides.
+    A member the enumerators built for this module gets the route that
+    admitted it (its ``_route`` record), with nothing checked or decided
+    again.  Any other parameter, including a member asked about another
+    module, is checked in this order: valid, of the module's rank, with the
+    module's infinitesimal character.  ``params._valid_inf_char`` does the
+    first check and gives the character; a parameter the enumerators built
+    (or ``cli.param_from_json`` read) recorded its character then, so it is
+    not validated again.  Then ``_decide_core`` decides.
     """
-    member_of = psi._member_of
-    if member_of is not None and member_of[0] == module:
-        return member_of[1].verdict
+    route = psi._route
+    if route is not None and route.module == module:
+        return route
     entries = _valid_inf_char(psi)
     if psi.n != module.n:
         raise ValueError("parameter rank does not match n")
     if entries != module.inf_char():
-        return _NOT_MEMBER
+        return None
     return _decide_core(psi, module)
 
 
-def _decide_core(psi: ArthurParameter, module: Module) -> MembershipVerdict:
-    """The routes of the deciders, written from the criteria of the main
-    result, for a valid parameter of the module's rank and infinitesimal
-    character; nothing is checked again."""
-    family, n, m = module
-    if family == "sigma":  # m is k
-        big = 2 * (n - m) + 1
-        member = a_psi_u(psi) == big and contains_block(psi, UnipotentBlock(m % 2, big))
-        return _MEMBER[ROUTE_SIGMA] if member else _NOT_MEMBER
-    if m == 0:
-        trivial = psi.unipotent == (UnipotentBlock(CHAR_TRIV, 2 * n + 1),) and not psi.discrete
-        return _MEMBER[ROUTE_TRIVIAL] if trivial else _NOT_MEMBER
-
-    if psi.dim_unipotent == 1 and 2 * m > n + 1 and _segments_pairwise_disjoint(psi):
-        return _MEMBER[ROUTE_I]
-
-    exact = 2 * (n - m) + 1
-    if a_psi_u(psi) == exact and contains_block(psi, UnipotentBlock(m % 2, exact)):
-        return _MEMBER[ROUTE_II_A1]
-
-    shifted = 2 * (n - m) + 3
-    if (
-        2 * m >= n + 2
-        and a_psi_u(psi) == shifted
-        and contains_block(psi, UnipotentBlock((m - 1) % 2, shifted))
-    ):
-        return _MEMBER[ROUTE_II_A3]
-
-    return _NOT_MEMBER
+def _decide_core(psi: ArthurParameter, module: Module) -> _Route | None:
+    """The first route of ``_routes(module)`` whose shape psi has, or None,
+    for a valid parameter of the module's rank and infinitesimal character;
+    nothing is checked again."""
+    top = a_psi_u(psi)
+    for route in _routes(module):
+        if route.char is None:  # THM71_I
+            if psi.dim_unipotent == 1 and _segments_pairwise_disjoint(psi):
+                return route
+        elif top == route.top and _unipotent_block(route.char, top) in psi.unipotent:
+            return route
+    return None
 
 
 def decide_regular(psi: ArthurParameter, a: int) -> bool:
@@ -357,8 +344,8 @@ def _e2e3_sigma(k: int, same: bool, a: int, delta: int, delta_prime: int) -> int
 
 
 class _Route(NamedTuple):
-    """One route to membership: the shape of its members, and the verdict
-    and character data that shape implies.
+    """One route to membership in the module's packet: the shape of its
+    members, and the verdict and character data that shape implies.
 
     Every member has largest unipotent dimension ``top`` and a block of that
     dimension with character ``char``.  ``char`` is None only on THM71_I,
@@ -369,6 +356,7 @@ class _Route(NamedTuple):
     unipotent block.
     """
 
+    module: Module
     verdict: MembershipVerdict
     top: int
     char: int | None
@@ -377,37 +365,30 @@ class _Route(NamedTuple):
 
 @functools.lru_cache(maxsize=256)
 def _routes(module: Module) -> tuple[_Route, ...]:
-    """The routes to the module, in the order the deciders try them.
+    """The routes to the module, in the order they are tried: a parameter of
+    the module's character is a member exactly when it has the shape of one
+    of them, and the first one it fits admits it (``_decide_core``).
 
-    Mirrors the tests of ``_decide_core`` route by route, so the two change
-    together: TRIVIAL is triv ⊠ R[2n+1] alone, THM71_I needs 2m > n+1,
-    THM71_II_A1 the block sgn^m ⊠ R[2(n-m)+1] on top, THM71_II_A3
-    2m >= n+2 and sgn^(m-1) ⊠ R[2(n-m)+3] on top, SIGMA sgn^k ⊠ R[2(n-k)+1]
-    on top.  At m = n the THM71_II_A1 top is 1, whose single-R[1] covers
-    with disjoint segments THM71_I takes first.
+    TRIVIAL is triv ⊠ R[2n+1] alone, THM71_I needs 2m > n+1, THM71_II_A1
+    the block sgn^m ⊠ R[2(n-m)+1] on top, THM71_II_A3 2m >= n+2 and
+    sgn^(m-1) ⊠ R[2(n-m)+3] on top, SIGMA sgn^k ⊠ R[2(n-k)+1] on top.  At
+    m = n the THM71_II_A1 top is 1, whose single-R[1] covers with disjoint
+    segments THM71_I takes first.
     """
     family, n, m = module
     if family == "sigma":  # m is k
         rule = functools.partial(_e2e3_sigma, m)
-        return (_Route(_MEMBER[ROUTE_SIGMA], 2 * (n - m) + 1, m % 2, rule),)
+        return (_Route(module, _MEMBER[ROUTE_SIGMA], 2 * (n - m) + 1, m % 2, rule),)
     if m == 0:
-        return (_Route(_MEMBER[ROUTE_TRIVIAL], 2 * n + 1, CHAR_TRIV, None),)
-    exact = _Route(_MEMBER[ROUTE_II_A1], 2 * (n - m) + 1, m % 2, _e2e3_exact)
+        return (_Route(module, _MEMBER[ROUTE_TRIVIAL], 2 * n + 1, CHAR_TRIV, None),)
+    exact = _Route(module, _MEMBER[ROUTE_II_A1], 2 * (n - m) + 1, m % 2, _e2e3_exact)
     if 2 * m <= n + 1:
         return (exact,)
     return (
-        _Route(_MEMBER[ROUTE_I], 1, None, None),
+        _Route(module, _MEMBER[ROUTE_I], 1, None, None),
         exact,
-        _Route(_MEMBER[ROUTE_II_A3], 2 * (n - m) + 3, (m - 1) % 2, _e2e3_shifted),
+        _Route(module, _MEMBER[ROUTE_II_A3], 2 * (n - m) + 3, (m - 1) % 2, _e2e3_shifted),
     )
-
-
-def _route(module: Module, verdict: MembershipVerdict) -> _Route:
-    """The route of ``_routes(module)`` behind a member verdict."""
-    for route in _routes(module):
-        if route.verdict.route == verdict.route:
-            return route
-    raise LookupError(f"no route {verdict.route} to {module}")
 
 
 def _compositions(low: int, high: int) -> list[tuple[tuple[int, int], ...]]:
@@ -452,27 +433,24 @@ def _route_packets(
     character ``entries``) whose largest unipotent dimension is its top, the
     character choices that hold its block.  Each parameter built is a
     member, by the route that built it, so no decider runs; it records
-    ``entries`` and the (module, route) that admitted it
-    (``params._trusted_param``), one record object per route.
+    ``entries`` and that route (``params._trusted_param``).
     """
     n = module.n
     routes = _routes(module)
-    searched = {route.top: (module, route) for route in routes if route.char is not None}
+    searched = {route.top: route for route in routes if route.char is not None}
     packets = []
     # THM71_I comes first where it applies, and takes its covers from the others
     disjoint = _disjoint_covers(n, module.value) if routes[0].char is None else []
-    record = (module, routes[0])
     for cover in disjoint:
-        members = _cover_params(n, entries, *cover, None, record)
+        members = _cover_params(n, entries, *cover, None, routes[0])
         packets.extend((psi, routes[0].verdict) for psi in members)
     taken = set(disjoint)
     for cover in covers:
-        record = searched.get(cover[0][0])
-        if record is None or cover in taken:
+        route = searched.get(cover[0][0])
+        if route is None or cover in taken:
             continue
-        route = record[1]
         verdict = route.verdict
-        members = _cover_params(n, entries, *cover, route.char, record)
+        members = _cover_params(n, entries, *cover, route.char, route)
         packets.extend((psi, verdict) for psi in members)
     packets.sort(key=lambda packet: _order_key(packet[0]))
     return packets

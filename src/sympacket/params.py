@@ -129,12 +129,12 @@ class ArthurParameter:
     unipotent: tuple[UnipotentBlock, ...]
     discrete: tuple[DiscreteBlock, ...] = ()
     # Not fields (no annotation): the entries of the infinitesimal
-    # character, and the (module, route) of ``membership._routes`` that
-    # admitted an enumerated member, which ``_trusted_param`` records on the
-    # instance.  The class default None reads as "no record" without a
-    # dictionary lookup.
+    # character, and the route of ``membership._routes`` that admitted an
+    # enumerated member, which ``_trusted_param`` records on the instance.
+    # The class default None reads as "no record" without a dictionary
+    # lookup.
     _inf_char = None
-    _member_of = None
+    _route = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "unipotent", tuple(self.unipotent))
@@ -382,30 +382,31 @@ def _trusted_param(
     unipotent: tuple[UnipotentBlock, ...],
     discrete: tuple[DiscreteBlock, ...],
     entries: tuple[int, ...],
-    member_of: tuple | None = None,
+    route: tuple | None = None,
 ) -> ArthurParameter:
     """An ``ArthurParameter`` from block tuples already in canonical order,
     without the tuple coercion of ``__post_init__``, that records the
-    entries of its infinitesimal character and, with ``member_of``, the
-    (module, route) that admits it to the module's packet.
+    entries of its infinitesimal character and, with ``route``, the route
+    of ``membership._routes`` that admits it to the packet of the route's
+    module.
 
     The caller vouches that the blocks form a valid parameter whose
     infinitesimal character has exactly these (decreasing) ``entries``:
-    ``_valid_inf_char`` returns them without validating.  With
-    ``member_of``, it vouches that the route's verdict is the deciders'
-    verdict on the module: ``membership._decide`` returns it without
-    deciding.  The records are plain instance attributes, not dataclass
-    fields, so ``==``, ``hash``, the order, ``repr`` and ``str`` ignore
-    them, and ``dataclasses.replace`` or the constructor make parameters
-    without them.
+    ``_valid_inf_char`` returns them without validating.  With ``route``,
+    it vouches that the route is the first of its module's table whose
+    shape the parameter has: ``membership._decide_route`` returns it
+    without deciding.  The records are plain instance attributes, not
+    dataclass fields, so ``==``, ``hash``, the order, ``repr`` and ``str``
+    ignore them, and ``dataclasses.replace`` or the constructor make
+    parameters without them.
     """
     psi = object.__new__(ArthurParameter)
     object.__setattr__(psi, "n", n)
     object.__setattr__(psi, "unipotent", unipotent)
     object.__setattr__(psi, "discrete", discrete)
     object.__setattr__(psi, "_inf_char", entries)
-    if member_of is not None:
-        object.__setattr__(psi, "_member_of", member_of)
+    if route is not None:
+        object.__setattr__(psi, "_route", route)
     return psi
 
 
@@ -509,10 +510,10 @@ def _cover_params(
     disc_data: tuple,
     parity: int,
     top_char: int | None = None,
-    member_of: tuple | None = None,
+    route: tuple | None = None,
 ):
     """The parameters of rank n on one cover from ``_covers`` of the
-    character ``entries``, each recording them (and ``member_of``, see
+    character ``entries``, each recording them (and ``route``, see
     ``_trusted_param``); with ``top_char``, only those with a block of the
     largest unipotent dimension and that character.
 
@@ -525,7 +526,7 @@ def _cover_params(
     """
     discrete = tuple(_discrete_block(t, a) for t, a in disc_data)
     for unip in _char_assignments(unip_dims, parity, top_char):
-        yield _trusted_param(n, unip, discrete, entries, member_of)
+        yield _trusted_param(n, unip, discrete, entries, route)
 
 
 def enumerate_params(

@@ -189,10 +189,13 @@ def howe_ktype(c: OrthCharacter, p: int, q: int, n: int) -> tuple[int, ...] | No
 
     The weight is the scalar shift (p-q)/2 plus (1^x, 0^(n-x-y), (-1)^y)
     where x = p or 0 and y = q or 0 according to the restriction exponents.
+    The rank n is nonnegative.
     """
     _check_signature(p, q)
     if (p + q) % 2 != 0:
         raise ValueError("p + q must be even")
+    if n < 0:
+        raise ValueError(f"rank must be nonnegative, got {n}")
     if n < first_occurrence(c, p, q):
         return None
     shift = (p - q) // 2

@@ -117,6 +117,20 @@ def test_usage_error_exits_1(capsys):
     assert cli.main(["nonsense"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--module", "pi", "--m", "1", "--k", "5"], "--k is not allowed with --module pi"),
+        (["--module", "sigma", "--k", "1", "--m", "1"], "--m is not allowed with --module sigma"),
+    ],
+    ids=["pi-with-k", "sigma-with-m"],
+)
+def test_rho_refuses_the_value_flag_of_the_other_module(capsys, argv, error):
+    # refused as a missing flag is, not silently dropped
+    code, out, err = run(capsys, ["rho", "--param", WORKED_JSON] + argv)
+    assert (code, out, err) == (1, "", f"usage error: {error}\n")
+
+
 def test_rho_discrepancy_exit_3(capsys):
     # unipotent member of the sigma_{5,2} packet with a trivial rank-one
     # block: the two printed character recipes disagree on this row
@@ -413,9 +427,14 @@ def test_repeated_calls_match_a_fresh_parser(capsys):
             "WEIGHT_SHAPE",
             "invalid literal for int()",
         ),
+        (
+            ["howe", "--p", "2", "--q", "2", "--char", "triv", "--rank", "-5"],
+            "RANGE",
+            "rank must be nonnegative, got -5",
+        ),
     ],
     ids=["enumeration-cap", "pi-range", "sigma-range", "rho-range", "rho-non-member",
-         "invalid-json", "weight-not-integers"],
+         "invalid-json", "weight-not-integers", "howe-negative-rank"],
 )
 def test_every_exit_2_names_a_violation(capsys, argv, violation, error):
     code, out, err = run(capsys, argv)

@@ -16,6 +16,7 @@ from sympacket.membership import (
     distinguished_parameter_sigma,
     peel_step,
     _decide_core,
+    _enumerate_packets,
     _routes,
 )
 from sympacket.params import (
@@ -259,24 +260,38 @@ def _table_route(routes, psi):
     return None
 
 
+def _modules(max_n):
+    """Every pi_n(m) and sigma_{n,k} at ranks 1..max_n, from ``module_of``."""
+    for n in range(1, max_n + 1):
+        for m in range(0, n + 1):
+            yield module_of("pi", n, m)
+        for k in range(1, n // 2 + 1):
+            yield module_of("sigma", n, k)
+
+
 def test_route_table_pins_the_deciders():
-    # the enumerators build each route's shape and attach its verdict without
-    # deciding; on every parameter with the module's character the first
-    # route whose shape it has must be the decider core's verdict
-    for n in range(1, 10):
-        cases = [("pi", m) for m in range(0, n + 1)]
-        cases += [("sigma", k) for k in range(1, n // 2 + 1)]
-        for family, value in cases:
-            module = module_of(family, n, value)
-            routes = _routes(module)
-            chi = InfinitesimalCharacter(module.inf_char())
-            for psi in enumerate_params(chi, n):
-                route = _table_route(routes, psi)
-                verdict = _decide_core(psi, module)
-                if route is None:
-                    assert not verdict.member, (family, n, value, str(psi))
-                else:
-                    assert route.verdict == verdict, (family, n, value, str(psi))
+    # the table both builds members and decides: on every parameter with the
+    # module's character, the decider core returns the very route object an
+    # independent reading of the table finds first, or None with it
+    for module in _modules(9):
+        routes = _routes(module)
+        chi = InfinitesimalCharacter(module.inf_char())
+        for psi in enumerate_params(chi, module.n):
+            route = _table_route(routes, psi)
+            assert _decide_core(psi, module) is route, (module, str(psi))
+
+
+def test_every_route_admits_a_member():
+    # a row of the table that no enumerated member takes would decide
+    # nothing and build nothing, and no other test would notice
+    for module in _modules(9):
+        routes = _routes(module)
+        assert all(route.module == module for route in routes)
+        chi = InfinitesimalCharacter(module.inf_char())
+        taken = {_table_route(routes, psi) for psi in enumerate_params(chi, module.n)}
+        assert taken - {None} == set(routes), module
+        admitted = {psi._route for psi, _ in _enumerate_packets(module, 12)}
+        assert admitted == set(routes), module
 
 
 def test_thm71_i_members_are_interval_compositions():
@@ -301,9 +316,12 @@ def test_thm71_i_members_are_interval_compositions():
                     expected.add(P(n, [(parity, 1)], disc))
             assert len(expected) == 2 ** (2 * m - n - 2), (n, m)
             chi = inf_char_of_weight(pi_nm(n, m))
+            module = module_of("pi", n, m)
+            thm71_i = _routes(module)[0]
+            assert thm71_i.verdict.route == ROUTE_I
             decided = {
                 psi for psi in enumerate_params(chi, n)
-                if _decide_core(psi, module_of("pi", n, m)).route == ROUTE_I
+                if _decide_core(psi, module) is thm71_i
             }
             assert decided == expected, (n, m)
             enumerated = {psi for psi, v in enumerate_packets_pi(n, m) if v.route == ROUTE_I}

@@ -1,6 +1,6 @@
 """Parameters built by the enumerators record their infinitesimal character
-(``params._trusted_param``), and packet members also the (module, route)
-that admitted them; the public deciders and characters read the records
+(``params._trusted_param``), and packet members also the route (which
+names its module) that admitted them; the public deciders and characters read the records
 instead of validating and deciding.  The records must never lie, must be
 invisible to equality, hashing, order, printing and the wire format, and
 must give the same answers and refusals as a user-built copy of the same
@@ -35,8 +35,8 @@ def recorded(psi):
     return vars(psi).get("_inf_char")
 
 
-def member_of(psi):
-    return vars(psi).get("_member_of")
+def route_record(psi):
+    return vars(psi).get("_route")
 
 
 def user_copy(psi):
@@ -175,33 +175,34 @@ def test_packet_members_record_the_route_that_admitted_them():
         found = ENUMERATE[family](n, value)
         records = {}
         for psi, verdict in found:
-            record = member_of(psi)
-            assert record is not None
-            assert record[0] == module
-            route = record[1]
-            assert route in membership._routes(module)
+            route = route_record(psi)
+            assert route is not None
+            assert route.module == module
+            assert any(route is row for row in membership._routes(module))
             assert route.verdict is verdict
             copy = user_copy(psi)
-            assert route.verdict == membership._decide_core(copy, module)
+            # the table decides the copy: the very route recorded, not only
+            # its verdict
+            assert membership._decide_core(copy, module) is route
             if n <= 8:  # the public answers read the record, and agree
                 assert DECIDE[family](psi, n, value) == DECIDE[family](copy, n, value)
                 for delta in (1, -1):
                     got = RHO[family](psi, n, value, delta)
                     assert got == RHO[family](copy, n, value, delta)
-            # one record object per route and enumeration
-            assert records.setdefault(route, record) is record
-        assert len({id(member_of(psi)) for psi, _ in found}) == len(records)
+            # the record is the route object itself, one per route
+            assert records.setdefault(verdict.route, route) is route
+        assert len({id(route_record(psi)) for psi, _ in found}) == len(records)
 
 
 def test_parameters_built_elsewhere_carry_no_route_record():
     for family, n, value in modules(9):
         chi = inf_char_of_weight(weight(family, n, value))
-        assert all(member_of(psi) is None for psi in enumerate_params(chi, n))
+        assert all(route_record(psi) is None for psi in enumerate_params(chi, n))
         for psi in packets(family, n, value):
-            assert member_of(user_copy(psi)) is None
-            assert member_of(dataclasses.replace(psi)) is None
+            assert route_record(user_copy(psi)) is None
+            assert route_record(dataclasses.replace(psi)) is None
             if n <= 5:
-                assert member_of(cli.param_from_json(cli.param_to_json(psi))) is None
+                assert route_record(cli.param_from_json(cli.param_to_json(psi))) is None
 
 
 def test_enumerated_members_are_not_decided_again(monkeypatch):
