@@ -80,6 +80,18 @@ ENUMERATE_DIGESTS = {
     ("sigma", 8, "text"): "c9014921c74096039e99ea299343732437345e669ce86d2b78cdf85e3e668f8d",
 }
 
+# ranks 9-10, where the covers holding a member are the fewest of all covers
+ENUMERATE_DIGESTS_9_10 = {
+    ("pi", 9, "json"): "9fb2ea30f1cdfb2646bfb3cfcaca6758d6eebefdb87213589b552f5f06c7f211",
+    ("pi", 9, "text"): "a53a1d22250eb0029ffe660011b83ec0b2dc5c877e32e4dcf1c70be9364eaee2",
+    ("pi", 10, "json"): "ce8a400f136a1ac388c9eddfcb11bc78a82510e6688c68c6bd819ad3965d70cc",
+    ("pi", 10, "text"): "d08f14ab2b4d35ac701559dd0331f9b6a7305164635df583a5529312704649ef",
+    ("sigma", 9, "json"): "fb5f88a6127d2955d023e612672c47714980185481db829f56f04a8ab148060c",
+    ("sigma", 9, "text"): "320d0c4078f526d63286aac95e5f9362dc15544f0146608f758f3520400a8242",
+    ("sigma", 10, "json"): "b62903f7eeb2771523161be8ab2cdf5d637b74d230a40eaf28c70203831a9897",
+    ("sigma", 10, "text"): "4da7715668f14df5d19d4f01395980a82a3ba238799d5d3b7fb7bdeee44dd93b",
+}
+
 RHO_DIGESTS = {
     ("pi", 1, "json"): "b214fae6e485866ef255d6bf1204f4fa1185f028585dabf7d0a7df571f57e710",
     ("pi", 1, "text"): "8a66fcdf9440dc6571b3231042308579de78f08419526bb29caca15650c3c1b2",
@@ -119,6 +131,10 @@ def _digests(capsys, argvs_of, ranks):
 def test_enumerate_reports_are_golden(capsys):
     # enumerate-pi / enumerate-sigma for every m and k at ranks 1-8
     assert _digests(capsys, _enumerate_argvs, range(1, 9)) == ENUMERATE_DIGESTS
+
+
+def test_enumerate_reports_at_ranks_9_and_10_are_golden(capsys):
+    assert _digests(capsys, _enumerate_argvs, (9, 10)) == ENUMERATE_DIGESTS_9_10
 
 
 def test_rho_reports_are_golden(capsys):
