@@ -33,6 +33,7 @@ from .params import (
     DiscreteBlock,
     RankBoundError,
     UnipotentBlock,
+    _parameter_count,
     _trusted_param,
     char_from_name,
     char_name,
@@ -202,10 +203,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     n, value = args.n, args.value
     label = _LABELS[args.family]
     module = module_of(args.family, n, value)
-    count, packets = membership._enumerate_counted(module)
+    packets = membership._enumerate_packets(module)  # refuses a rank past the cap
+    entries = module.inf_char()
     results = {
-        "inf_char": list(module.inf_char()),
-        "parameters_with_inf_char": count,
+        "inf_char": list(entries),
+        "parameters_with_inf_char": _parameter_count(entries),
         "packets": [
             {
                 "parameter": param_to_json(psi),
@@ -246,13 +248,8 @@ def _cmd_decide(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 
 def _cmd_rho(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    psi = _load_param(args.param)
-    delta = args.whittaker
-    inputs = {
-        "parameter": param_to_json(psi),
-        "module": args.module,
-        "whittaker": delta,
-    }
+    # the flags are checked before --param is read, so a usage mistake is
+    # reported whatever the file holds
     label = _LABELS[args.module]
     value = getattr(args, label)
     if value is None:
@@ -260,7 +257,14 @@ def _cmd_rho(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     for other in _LABELS.values():
         if other != label and getattr(args, other) is not None:
             raise UsageError(f"--{other} is not allowed with --module {args.module}")
-    inputs[label] = value
+    psi = _load_param(args.param)
+    delta = args.whittaker
+    inputs = {
+        "parameter": param_to_json(psi),
+        "module": args.module,
+        "whittaker": delta,
+        label: value,
+    }
     module = module_of(args.module, psi.n, value)
     route = membership._decide_route(psi, module)
     try:

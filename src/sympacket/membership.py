@@ -30,7 +30,10 @@ The central decision procedures:
   THM71_I members are built directly as interval compositions; every other
   route searches only the covers with its top and builds only the character
   choices holding its block.  So every parameter built is a member and gets
-  its route's verdict without a decider call.
+  its route's verdict without a decider call.  Both, and the command line's
+  ``enumerate-*``, run the one enumerator ``_enumerate_packets``, a pass
+  over the route table.  Every cover has one shape, (unipotent dimensions,
+  discrete (t, a) data), as ``params._all_segment_covers`` gives it.
 
 Both families reach one record, ``weights.Module`` from ``module_of``,
 which turns sigma_{2k,k} into pi_{2k}(k+1).  The module keys its
@@ -59,17 +62,16 @@ from typing import Literal, NamedTuple
 from .params import (
     CHAR_SGN,
     CHAR_TRIV,
+    MAX_ENUMERATION_RANK,
     ArthurParameter,
     DiscreteBlock,
     UnipotentBlock,
     a_psi_u,
-    _assignment_count,
     _check_rank,
     _cover_params,
-    _covers,
     _order_key,
-    _parity,
     _require_valid,
+    _topped_covers,
     _unipotent_block,
     _valid_inf_char,
     contains_block,
@@ -404,8 +406,8 @@ def _compositions(low: int, high: int) -> list[tuple[tuple[int, int], ...]]:
 
 
 def _disjoint_covers(n: int, m: int) -> list[tuple]:
-    """The covers of the THM71_I members of pi_n(m), 2m > n+1, as
-    ``params._covers`` gives them.
+    """The covers of the THM71_I members of pi_n(m), 2m > n+1, in the shape
+    ``params._all_segment_covers`` gives them.
 
     A member has one unipotent block, R[1], and pairwise disjoint segments.
     The character holds 0 three times and the positive entries 1..m-1 and
@@ -417,79 +419,50 @@ def _disjoint_covers(n: int, m: int) -> list[tuple]:
     for tau in range(n - m + 1, m):
         crossing = (tau - (n - m), tau + (n - m) + 1)
         for upper in _compositions(tau + 1, m - 1):
-            disc_data = upper + (crossing,)
-            covers.append(((1,), disc_data, _parity(disc_data)))
+            covers.append(((1,), upper + (crossing,)))
     return covers
 
 
-def _route_packets(
-    module: Module, entries: tuple[int, ...], covers: list[tuple]
+def _enumerate_packets(
+    module: Module, max_rank: int = MAX_ENUMERATION_RANK
 ) -> list[tuple[ArthurParameter, MembershipVerdict]]:
     """The packets containing the module, in ``enumerate_params`` order,
-    each with the verdict of its route.
+    each with the verdict of its route: one pass over ``_routes(module)``.
 
-    THM71_I builds its members from ``_disjoint_covers``.  Every other route
-    builds, on the ``covers`` (from ``params._covers`` for the module's
-    character ``entries``) whose largest unipotent dimension is its top, the
-    character choices that hold its block.  Each parameter built is a
-    member, by the route that built it, so no decider runs; it records
-    ``entries`` and that route (``params._trusted_param``).
+    THM71_I, first where it applies, builds its members from
+    ``_disjoint_covers``.  Every other route searches only the covers whose
+    largest unipotent dimension is its top (``params._topped_covers``), less
+    those THM71_I took, and builds on them the character choices that hold
+    its block.  Each parameter built is a member, by the route that built
+    it, so no decider runs; it records the module's character entries and
+    that route (``params._trusted_param``).
     """
-    n = module.n
-    routes = _routes(module)
-    searched = {route.top: route for route in routes if route.char is not None}
+    _check_rank(module.n, max_rank)
+    n, entries = module.n, module.inf_char()
     packets = []
-    # THM71_I comes first where it applies, and takes its covers from the others
-    disjoint = _disjoint_covers(n, module.value) if routes[0].char is None else []
-    for cover in disjoint:
-        members = _cover_params(n, entries, *cover, None, routes[0])
-        packets.extend((psi, routes[0].verdict) for psi in members)
-    taken = set(disjoint)
-    for cover in covers:
-        route = searched.get(cover[0][0])
-        if route is None or cover in taken:
-            continue
-        verdict = route.verdict
-        members = _cover_params(n, entries, *cover, route.char, route)
-        packets.extend((psi, verdict) for psi in members)
+    taken: set[tuple] = set()
+    for route in _routes(module):
+        if route.char is None:  # THM71_I
+            covers = _disjoint_covers(n, module.value)
+            taken = set(covers)
+        else:
+            covers = [c for c in _topped_covers(entries, route.top) if c not in taken]
+        for cover in covers:
+            members = _cover_params(n, entries, *cover, route.char, route)
+            packets.extend((psi, route.verdict) for psi in members)
     packets.sort(key=lambda packet: _order_key(packet[0]))
     return packets
 
 
-def _enumerate_packets(
-    module: Module, max_rank: int
-) -> list[tuple[ArthurParameter, MembershipVerdict]]:
-    """The packets containing the module, top first: the cover search runs
-    once per searched top, on the character less the top's centered
-    segment, so no other cover is searched or counted."""
-    _check_rank(module.n, max_rank)
-    tops = [route.top for route in _routes(module) if route.char is not None]
-    entries = module.inf_char()
-    return _route_packets(module, entries, _covers(entries, tops))
-
-
-def _enumerate_counted(
-    module: Module, max_rank: int = 12
-) -> tuple[int, list[tuple[ArthurParameter, MembershipVerdict]]]:
-    """The number of parameters with the module's infinitesimal character,
-    and the packets containing the module.  The count needs every cover, so
-    this runs the full cover search once."""
-    _check_rank(module.n, max_rank)
-    entries = module.inf_char()
-    covers = _covers(entries)
-    count = sum(_assignment_count(unip_dims) for unip_dims, _, _ in covers)
-    return count, _route_packets(module, entries, covers)
-
-
 def enumerate_packets_pi(
-    n: int, m: int, max_rank: int = 12
+    n: int, m: int, max_rank: int = MAX_ENUMERATION_RANK
 ) -> list[tuple[ArthurParameter, MembershipVerdict]]:
     """All packets containing pi_n(m), with the verdict that admitted them."""
     return _enumerate_packets(module_of("pi", n, m), max_rank)
 
 
 def enumerate_packets_sigma(
-    n: int, k: int, max_rank: int = 12
+    n: int, k: int, max_rank: int = MAX_ENUMERATION_RANK
 ) -> list[tuple[ArthurParameter, MembershipVerdict]]:
     """All packets containing sigma_{n,k}, with verdicts."""
     return _enumerate_packets(module_of("sigma", n, k), max_rank)

@@ -45,6 +45,7 @@ __all__ = [
     "contains_block",
     "remove_discrete_block",
     "enumerate_params",
+    "MAX_ENUMERATION_RANK",
     "RankBoundError",
     "char_name",
     "char_from_name",
@@ -58,6 +59,10 @@ DIM_SUM = "DIM_SUM"
 PARITY_PRODUCT = "PARITY_PRODUCT"
 BLOCK_SHAPE = "BLOCK_SHAPE"
 ORDER = "ORDER"
+
+
+# the default ``max_rank`` of the enumerators: the cover search is combinatorial
+MAX_ENUMERATION_RANK = 12
 
 
 class RankBoundError(ValueError):
@@ -354,7 +359,8 @@ def _all_segment_covers(
 
 
 def _topped_covers(entries: tuple[int, ...], top: int) -> list[_Cover]:
-    """The covers of the multiset whose largest unipotent dimension is ``top``.
+    """The covers of the multiset whose largest unipotent dimension is
+    ``top``, in the shape ``_all_segment_covers`` gives them.
 
     Each such cover is the centered segment of ``top`` plus a cover of the
     rest with unipotent dimensions at most ``top``, and back; so the rest is
@@ -461,18 +467,22 @@ def _char_assignments(
     return tuple(out)
 
 
-def _assignment_count(dims: tuple[int, ...]) -> int:
-    """How many character multisets ``_char_assignments`` gives on a cover,
-    of either parity, without building them.
+def _parameter_count(entries: tuple[int, ...]) -> int:
+    """How many valid parameters have a character with these entries,
+    counted on the covers of ``_all_segment_covers`` without building them.
 
-    The dimensions sum to an odd number, so some dimension occurs an odd
-    number c of times; exchanging k and c - k sign blocks there pairs the
-    two parities, so half of the prod(c + 1) choices have each.
+    On a cover, ``_char_assignments`` gives the character multisets of one
+    parity.  The dimensions sum to an odd number, so some dimension occurs
+    an odd number c of times; exchanging k and c - k sign blocks there pairs
+    the two parities, so half of the prod(c + 1) choices have each.
     """
-    total = 1
-    for dim in set(dims):
-        total *= dims.count(dim) + 1
-    return total // 2
+    total = 0
+    for unip_dims, _ in _all_segment_covers(entries):
+        choices = 1
+        for dim in set(unip_dims):
+            choices *= unip_dims.count(dim) + 1
+        total += choices // 2
+    return total
 
 
 def _check_rank(n: int, max_rank: int) -> None:
@@ -481,20 +491,6 @@ def _check_rank(n: int, max_rank: int) -> None:
         raise ValueError("rank must be positive")
     if n > max_rank:
         raise RankBoundError(f"rank {n} exceeds the enumeration cap {max_rank}")
-
-
-def _covers(entries: tuple[int, ...], tops: Iterable[int] | None = None) -> list[tuple]:
-    """The covers of a character's entries as (unipotent dims, discrete (t, a)
-    data, parity), the parity being the one the determinant condition asks
-    of the unipotent characters.  With ``tops``, only the covers whose
-    largest unipotent dimension is one of them, each top searched on its own
-    (``_topped_covers``).
-    """
-    if tops is None:
-        covers = _all_segment_covers(entries)
-    else:
-        covers = [cover for top in tops for cover in _topped_covers(entries, top)]
-    return [(unip_dims, disc_data, _parity(disc_data)) for unip_dims, disc_data in covers]
 
 
 def _parity(disc_data: tuple[tuple[int, int], ...]) -> int:
@@ -508,41 +504,42 @@ def _cover_params(
     entries: tuple[int, ...],
     unip_dims: tuple[int, ...],
     disc_data: tuple,
-    parity: int,
     top_char: int | None = None,
     route: tuple | None = None,
 ):
-    """The parameters of rank n on one cover from ``_covers`` of the
-    character ``entries``, each recording them (and ``route``, see
-    ``_trusted_param``); with ``top_char``, only those with a block of the
-    largest unipotent dimension and that character.
+    """The parameters of rank n on one cover (unipotent dims, discrete (t, a)
+    data) of the character ``entries``, each recording the entries (and
+    ``route``, see ``_trusted_param``); with ``top_char``, only those with a
+    block of the largest unipotent dimension and that character.
 
     Trusted construction: each cover is canonical ((t, a) by (-t, -a), and
     _char_assignments yields unipotent blocks in _unip_key order), covers
     the 2n+1 entries with well-shaped blocks, and gets only characters of
-    the parity the determinant condition needs; distinct covers and
-    assignments give distinct parameters.  So nothing is canonicalized,
-    validated or deduplicated again.
+    the parity the determinant condition needs (``_parity``); distinct
+    covers and assignments give distinct parameters.  So nothing is
+    canonicalized, validated or deduplicated again.
     """
     discrete = tuple(_discrete_block(t, a) for t, a in disc_data)
-    for unip in _char_assignments(unip_dims, parity, top_char):
+    for unip in _char_assignments(unip_dims, _parity(disc_data), top_char):
         yield _trusted_param(n, unip, discrete, entries, route)
 
 
 def enumerate_params(
-    chi: InfinitesimalCharacter, n: int, max_rank: int = 12
+    chi: InfinitesimalCharacter, n: int, max_rank: int = MAX_ENUMERATION_RANK
 ) -> list[ArthurParameter]:
     """All valid parameters of rank n with inf. character chi, canonicalized,
     each recording ``chi.entries`` (``_trusted_param``).
 
-    The rank is capped by ``max_rank`` (default 12) since the cover search is
-    combinatorial; raise the cap explicitly for larger experiments.
+    The rank is capped by ``max_rank`` (default ``MAX_ENUMERATION_RANK``)
+    since the cover search is combinatorial; raise the cap explicitly for
+    larger experiments.
     """
     _check_rank(n, max_rank)
     if chi.rank != n:
         raise ValueError("character length must be 2n+1")
     entries = chi.entries
-    out = [psi for cover in _covers(entries) for psi in _cover_params(n, entries, *cover)]
+    covers = _all_segment_covers(entries)
+    out = [psi for cover in covers for psi in _cover_params(n, entries, *cover)]
     out.sort(key=_order_key)
     return out
 

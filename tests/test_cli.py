@@ -117,17 +117,34 @@ def test_usage_error_exits_1(capsys):
     assert cli.main(["nonsense"]) == 1
 
 
+UNREADABLE = os.path.join("no-such-directory", "param.json")
+
+
 @pytest.mark.parametrize(
-    "argv, error",
+    "param, argv, error",
     [
-        (["--module", "pi", "--m", "1", "--k", "5"], "--k is not allowed with --module pi"),
-        (["--module", "sigma", "--k", "1", "--m", "1"], "--m is not allowed with --module sigma"),
+        (WORKED_JSON, ["--module", "pi", "--m", "1", "--k", "5"],
+         "--k is not allowed with --module pi"),
+        (WORKED_JSON, ["--module", "sigma", "--k", "1", "--m", "1"],
+         "--m is not allowed with --module sigma"),
+        # the flags are checked before --param is read
+        (UNREADABLE, ["--module", "pi"], "--m is required with --module pi"),
+        (UNREADABLE, ["--module", "pi", "--m", "1", "--k", "5"],
+         "--k is not allowed with --module pi"),
+        (UNREADABLE, ["--module", "sigma", "--k", "1", "--m", "1"],
+         "--m is not allowed with --module sigma"),
     ],
-    ids=["pi-with-k", "sigma-with-m"],
+    ids=[
+        "pi-with-k",
+        "sigma-with-m",
+        "unreadable-param-pi-without-m",
+        "unreadable-param-pi-with-k",
+        "unreadable-param-sigma-with-m",
+    ],
 )
-def test_rho_refuses_the_value_flag_of_the_other_module(capsys, argv, error):
+def test_rho_refuses_the_value_flag_of_the_other_module(capsys, param, argv, error):
     # refused as a missing flag is, not silently dropped
-    code, out, err = run(capsys, ["rho", "--param", WORKED_JSON] + argv)
+    code, out, err = run(capsys, ["rho", "--param", param] + argv)
     assert (code, out, err) == (1, "", f"usage error: {error}\n")
 
 
@@ -360,11 +377,12 @@ def test_enumerate_and_rho_reports_match_the_library(capsys):
 
 def test_enumerate_counts_every_parameter_with_the_character(capsys):
     # the count covers every parameter, also those on covers whose
-    # parameters the command never builds
+    # parameters the command never builds; every m and k at ranks 1-11
+    # (ranks 10-11 add about 2 s, most of it in enumerate_params)
     from sympacket.params import enumerate_params
     from sympacket.weights import inf_char_of_weight, pi_nm, sigma_nk
 
-    for n in range(1, 10):
+    for n in range(1, 12):
         for family, weight, values in (
             ("pi", pi_nm, range(0, n + 1)),
             ("sigma", sigma_nk, range(1, n // 2 + 1)),

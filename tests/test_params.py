@@ -17,8 +17,9 @@ from sympacket.params import (
     remove_discrete_block,
     twist_sgn,
     validate,
-    _covers,
+    _all_segment_covers,
     _cover_params,
+    _topped_covers,
 )
 from sympacket.weights import InfinitesimalCharacter, inf_char_of_weight, pi_nm, sigma_nk
 
@@ -177,9 +178,9 @@ def test_topped_search_finds_the_covers_with_that_top():
     # segment removed, the rest covered with unipotent dimensions at most
     # the top; that must give exactly the full search's covers with that top
     for n, chi in module_characters(8):
-        full = _covers(chi.entries)
+        full = _all_segment_covers(chi.entries)
         for top in range(1, 2 * n + 2, 2):
-            topped = _covers(chi.entries, [top])
+            topped = _topped_covers(chi.entries, top)
             assert len(set(topped)) == len(topped)
             assert set(topped) == {c for c in full if c[0][0] == top}, (n, chi, top)
 
@@ -188,7 +189,7 @@ def test_top_character_filter():
     # with a top character, a cover yields exactly its parameters holding a
     # block of the largest unipotent dimension with that character
     for n, chi in module_characters(7):
-        for cover in _covers(chi.entries):
+        for cover in _all_segment_covers(chi.entries):
             every = list(_cover_params(n, chi.entries, *cover))
             top = cover[0][0]
             for char in (CHAR_TRIV, CHAR_SGN):
