@@ -114,7 +114,11 @@ class PacketCharacter:
             raise ValueError("signs must be +1 or -1")
 
     def sign_map(self) -> dict[Block, int] | None:
-        """Distinct-block signs, or None when equal blocks disagree."""
+        """Distinct-block signs, or None when equal blocks disagree.
+
+        Blocks of both kinds are keys of one dict; valid blocks of the two
+        kinds never compare equal, so they never share a key.
+        """
         out: dict[Block, int] = {}
         for b, s in zip(self.blocks, self.signs):
             if out.setdefault(b, s) != s:
@@ -126,6 +130,56 @@ class PacketCharacter:
         for s in self.signs:
             p *= s
         return p
+
+
+def _trusted_char(
+    whittaker: int,
+    blocks: tuple[Block, ...],
+    signs: tuple[int, ...],
+    flags: tuple[str, ...],
+) -> PacketCharacter:
+    """A ``PacketCharacter`` without the checks of ``__post_init__``.
+
+    The caller vouches that the token is +1 or -1 and that ``signs`` holds
+    one +1 or -1 per block, as the recipes of this module build them; the
+    public constructor keeps every check.  The instance is built as
+    ``params._trusted_param`` builds a parameter: ``object.__new__``, then
+    each field set in order past the frozen ``__setattr__``, which keeps
+    the instance dict as small as the constructor's.
+    """
+    char = object.__new__(PacketCharacter)
+    object.__setattr__(char, "whittaker", whittaker)
+    object.__setattr__(char, "blocks", blocks)
+    object.__setattr__(char, "signs", signs)
+    object.__setattr__(char, "flags", flags)
+    return char
+
+
+def _vanishing(
+    discrete: tuple[DiscreteBlock, ...],
+    disc_signs: tuple[int, ...],
+    unipotent: tuple[UnipotentBlock, ...],
+    unip_signs: tuple[int, ...],
+) -> bool:
+    """Whether equal blocks carry unequal signs: the VANISHING condition.
+
+    ``discrete`` is in canonical order, which puts equal blocks next to each
+    other, so each is compared with its neighbour.  The unipotent slots, one
+    or three, are compared pairwise.  Valid blocks of the two kinds are
+    never equal, so no pair across the kinds is compared.
+    """
+    if len(discrete) > 1:
+        for b, c, s, r in zip(discrete, discrete[1:], disc_signs, disc_signs[1:]):
+            if s != r and b == c:
+                return True
+    if len(unipotent) == 3:
+        (u1, u2, u3), (e1, e2, e3) = unipotent, unip_signs
+        return (
+            (e1 != e2 and u1 == u2)
+            or (e1 != e3 and u1 == u3)
+            or (e2 != e3 and u2 == u3)
+        )
+    return False
 
 
 def char_equivalent(
@@ -228,55 +282,55 @@ def rho_unipotent_table(
         e1 = _sign_pow(extra + base)
         e2 = _sign_pow(extra + base + fm)
     e3 = _sign_pow(fm)
-    char = PacketCharacter(delta, blocks, (e1, e2, e3))
-    if char.sign_map() is None:
-        char = PacketCharacter(delta, blocks, (e1, e2, e3), (VANISHING,))
-    return char
+    signs = (e1, e2, e3)
+    flags = (VANISHING,) if _vanishing((), (), blocks, signs) else ()
+    return _trusted_char(delta, blocks, signs, flags)
 
 
 # --- characters attached to pi_n(m) and sigma_{n,k} -------------------------
 
 
-def _discrete_signs(psi: ArthurParameter, delta: int) -> tuple[list[int], int]:
+def _discrete_signs(psi: ArthurParameter, delta: int) -> tuple[tuple[int, ...], int]:
     """Signs on the discrete blocks and the fully shifted token delta'.
 
     The i-th block sees the token delta_i = delta * (-1)^(a_1 + ... + a_{i-1})
     and carries the sign (-1)^floor(delta_i a_i / 2); delta' is the token
-    shifted past every discrete block.
+    shifted past every discrete block.  The token is carried along: it
+    changes sign after each block with odd a.
     """
     signs: list[int] = []
-    shift = 0
-    for b in psi.discrete:
-        delta_i = delta * _sign_pow(shift)
-        signs.append(_floor_half_sign(delta_i * b.a))
-        shift += b.a
-    return signs, delta * _sign_pow(shift)
+    delta_i = delta
+    for _, a in psi.discrete:
+        signs.append(_sign_pow(delta_i * a // 2))
+        if a % 2:
+            delta_i = -delta_i
+    return tuple(signs), delta_i
 
 
 def _assemble(
     psi: ArthurParameter,
     delta: int,
-    disc_signs: list[int],
+    disc_signs: tuple[int, ...],
     unip_blocks: tuple[UnipotentBlock, ...],
     unip_signs: tuple[int, ...],
 ) -> PacketCharacter:
-    """Fix the free simultaneous flip of the unipotent signs.
+    """The character with these signs on the discrete blocks of psi and on
+    ``unip_blocks``, with the free simultaneous flip of the unipotent signs
+    fixed.
 
     The representative is normalized so the product over all listed blocks
-    is +1; since the number of unipotent blocks is odd (one or three) the
-    flip always reaches it.  Conflicting signs on equal blocks are flagged.
+    is +1, that is an even number of -1 signs; since the number of
+    unipotent blocks is odd (one or three) the flip always reaches it.
+    Conflicting signs on equal blocks are flagged (``_vanishing``).  The
+    recipe's signs are +1 or -1 by construction, so the character is built
+    once, unchecked (``_trusted_char``).
     """
-    blocks: tuple[Block, ...] = tuple(psi.discrete) + tuple(unip_blocks)
-    signs = tuple(disc_signs) + tuple(unip_signs)
-    total = 1
-    for s in signs:
-        total *= s
-    if total == -1:
-        signs = tuple(disc_signs) + tuple(-s for s in unip_signs)
-    char = PacketCharacter(delta, blocks, signs)
-    if char.sign_map() is None:
-        char = PacketCharacter(delta, blocks, signs, (VANISHING,))
-    return char
+    if (disc_signs.count(-1) + unip_signs.count(-1)) % 2:
+        unip_signs = tuple(-s for s in unip_signs)
+    discrete = psi.discrete
+    vanishing = _vanishing(discrete, disc_signs, unip_blocks, unip_signs)
+    flags = (VANISHING,) if vanishing else ()
+    return _trusted_char(delta, discrete + unip_blocks, disc_signs + unip_signs, flags)
 
 
 def _split_unipotent(
@@ -284,13 +338,15 @@ def _split_unipotent(
 ) -> tuple[UnipotentBlock, UnipotentBlock]:
     """The two non-distinguished unipotent blocks, small dimension first.
 
-    When both have dimension one the assignment of roles is immaterial: the
-    two readings produce the same character.
+    The blocks of psi are in canonical order (dimension decreasing, trivial
+    before sign), so the two left after ``big`` are swapped unless their
+    dimensions are equal.  When both have dimension one the assignment of
+    roles is immaterial: the two readings produce the same character.
     """
-    rest = list(psi.unipotent)
-    rest.remove(big)
-    rest.sort(key=lambda b: (b.dim, b.char))
-    return rest[0], rest[1]
+    unip = psi.unipotent
+    i = unip.index(big)
+    x, y = unip[:i] + unip[i + 1 :]
+    return (x, y) if x.dim == y.dim else (y, x)
 
 
 def rho_pi_general(

@@ -27,6 +27,7 @@ import itertools
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .weights import InfinitesimalCharacter
 
@@ -80,9 +81,16 @@ def char_from_name(name: str) -> int:
         raise ValueError(f"unknown character {name!r}") from None
 
 
-@dataclass(frozen=True, order=True)
-class UnipotentBlock:
-    """Quadratic character (0 = trivial, 1 = sign) times R[dim], dim odd."""
+class UnipotentBlock(NamedTuple):
+    """Quadratic character (0 = trivial, 1 = sign) times R[dim], dim odd.
+
+    Blocks of both kinds are ``NamedTuple``s, so ``==``, ``hash`` and the
+    order are those of the plain tuple and run in C.  A plain tuple compares
+    equal across classes: ``UnipotentBlock(1, 3) == DiscreteBlock(1, 3)``.
+    Valid blocks of the two kinds never do (a unipotent ``dim`` is odd, a
+    discrete block has t >= 1 and t + a odd), and code that must tell the
+    kinds apart asks ``isinstance``.
+    """
 
     char: int
     dim: int
@@ -91,8 +99,7 @@ class UnipotentBlock:
         return f"{char_name(self.char)}⊠R[{self.dim}]"
 
 
-@dataclass(frozen=True, order=True)
-class DiscreteBlock:
+class DiscreteBlock(NamedTuple):
     """Two dimensional Weil group block delta_t times R[a], t + a odd.
 
     Its contribution to the infinitesimal character is the integer segment
@@ -234,7 +241,7 @@ def twist_sgn(
     never change.
     """
     if dim_discrete % 2 != 0:
-        raise ValueError("discrete part has even dimension")
+        raise ValueError(f"discrete part must have even dimension, got {dim_discrete}")
     exponent = (dim_discrete // 2) % 2
     if exponent == 0:
         return tuple(blocks)
@@ -519,7 +526,7 @@ def _cover_params(
     covers and assignments give distinct parameters.  So nothing is
     canonicalized, validated or deduplicated again.
     """
-    discrete = tuple(_discrete_block(t, a) for t, a in disc_data)
+    discrete = tuple(itertools.starmap(_discrete_block, disc_data))
     for unip in _char_assignments(unip_dims, _parity(disc_data), top_char):
         yield _trusted_param(n, unip, discrete, entries, route)
 
@@ -545,8 +552,9 @@ def enumerate_params(
 
 
 def _order_key(psi: ArthurParameter) -> tuple:
-    """The dataclass ``order=True`` order of parameters of one rank, as tuples."""
-    return (
-        tuple((b.char, b.dim) for b in psi.unipotent),
-        tuple((b.t, b.a) for b in psi.discrete),
-    )
+    """The dataclass ``order=True`` order of parameters of one rank.
+
+    Blocks are tuples of their fields, so the block tuples themselves are
+    the key, and comparing them runs in C.
+    """
+    return (psi.unipotent, psi.discrete)

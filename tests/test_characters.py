@@ -3,6 +3,8 @@ import itertools
 import pytest
 
 from sympacket.characters import (
+    TABLE_COLUMNS,
+    TABLE_FORMS,
     PacketCharacter,
     VANISHING,
     char_equivalent,
@@ -12,8 +14,13 @@ from sympacket.characters import (
     rho_theta,
     rho_theta_parameter,
     rho_unipotent_table,
+    _vanishing,
 )
-from sympacket.membership import enumerate_packets_pi, distinguished_parameter_sigma
+from sympacket.membership import (
+    distinguished_parameter_sigma,
+    enumerate_packets_pi,
+    enumerate_packets_sigma,
+)
 from sympacket.params import (
     CHAR_SGN,
     CHAR_TRIV,
@@ -177,3 +184,70 @@ def test_members_get_consistent_characters():
                     char = rho_pi_general(psi, n, m, delta)
                     assert not char.flags
                     assert char.sign_map() is not None
+
+
+def test_public_constructor_checks_its_character():
+    blocks = WORKED.unipotent
+    with pytest.raises(ValueError, match="whittaker token must be"):
+        PacketCharacter(0, blocks, (1, 1, 1))
+    with pytest.raises(ValueError, match="one sign per block"):
+        PacketCharacter(1, blocks, (1, 1))
+    with pytest.raises(ValueError, match="signs must be"):
+        PacketCharacter(1, blocks, (1, 0, 1))
+
+
+def test_vanishing_on_crafted_signs():
+    d, e = DiscreteBlock(2, 1), DiscreteBlock(3, 2)
+    one = (UnipotentBlock(CHAR_TRIV, 1),)
+    # equal discrete blocks sit next to each other in canonical order
+    assert _vanishing((e, d, d), (1, 1, -1), one, (1,))
+    assert _vanishing((d, d, e), (-1, 1, 1), one, (1,))
+    assert not _vanishing((e, d, d), (1, -1, -1), one, (1,))
+    assert not _vanishing((e, d), (1, -1), one, (-1,))  # unequal blocks may differ
+    # each pair of the three unipotent slots
+    u = UnipotentBlock(CHAR_SGN, 1)
+    for i, j in itertools.combinations(range(3), 2):
+        slots = [
+            UnipotentBlock(CHAR_TRIV, 1),
+            UnipotentBlock(CHAR_TRIV, 3),
+            UnipotentBlock(CHAR_SGN, 5),
+        ]
+        slots[i] = slots[j] = u
+        signs = [1, 1, 1]
+        assert not _vanishing((), (), tuple(slots), tuple(signs))
+        signs[j] = -1
+        assert _vanishing((), (), tuple(slots), tuple(signs)), (i, j)
+        assert _vanishing((d,), (1,), tuple(slots), tuple(-s for s in signs))
+    # no pair across the kinds: valid blocks of the two kinds are never equal
+    assert not _vanishing((DiscreteBlock(1, 3),), (1,), (UnipotentBlock(1, 3),), (-1,))
+
+
+def test_vanishing_flag_agrees_with_sign_map():
+    # the flag is what sign_map of the same signs says, on every member's
+    # character at ranks <= 9 (none is flagged) and on every printed row
+    def agrees(char):
+        checked = PacketCharacter(char.whittaker, char.blocks, char.signs)
+        assert (VANISHING in char.flags) == (checked.sign_map() is None)
+        return VANISHING in char.flags
+
+    members = 0
+    for n in range(1, 10):
+        questions = [(enumerate_packets_pi, rho_pi_general, m) for m in range(n + 1)]
+        questions += [
+            (enumerate_packets_sigma, rho_sigma_general, k) for k in range(1, n // 2 + 1)
+        ]
+        for enumerate_packets, rho, value in questions:
+            for psi, _ in enumerate_packets(n, value):
+                for delta in (1, -1):
+                    assert not agrees(rho(psi, n, value, delta))
+                    members += 1
+    assert members
+    flagged = [
+        agrees(rho_unipotent_table(form, n, m, which, delta))
+        for form in TABLE_FORMS
+        for n in range(1, 8)
+        for m in range(1, n + 1)
+        for which in TABLE_COLUMNS
+        for delta in (1, -1)
+    ]
+    assert any(flagged) and not all(flagged)

@@ -92,6 +92,9 @@ def test_twist_sgn():
     assert twist_sgn(blocks, 4) == blocks
     assert twist_sgn(blocks, 2) == (UnipotentBlock(CHAR_SGN, 3),)
     assert twist_sgn((UnipotentBlock(CHAR_SGN, 1),), 6) == (UnipotentBlock(CHAR_TRIV, 1),)
+    odd = r"^discrete part must have even dimension, got 3$"
+    with pytest.raises(ValueError, match=odd):
+        twist_sgn(blocks, 3)
 
 
 def test_hw_shape_check():
@@ -229,6 +232,37 @@ def test_contains_block():
     psi = P(3, [(CHAR_TRIV, 3)], [(1, 2)])
     assert contains_block(psi, DiscreteBlock(1, 2))
     assert not contains_block(psi, DiscreteBlock(2, 1))
+
+
+def test_blocks_of_the_two_kinds_with_equal_fields():
+    # blocks are NamedTuples: like plain tuples, a unipotent and a discrete
+    # block with the same fields compare and hash equal
+    assert UnipotentBlock(1, 3) == DiscreteBlock(1, 3)
+    assert hash(UnipotentBlock(1, 3)) == hash(DiscreteBlock(1, 3))
+    # valid blocks of the two kinds never do (a unipotent dim is odd, a
+    # discrete block has t >= 1 and t + a odd), so no enumerated parameter
+    # holds such a pair
+    for n, chi in module_characters(9):
+        for psi in enumerate_params(chi, n):
+            assert not set(psi.unipotent) & set(psi.discrete), str(psi)
+    # contains_block looks for a block among those of its own kind
+    assert contains_block(WORKED, UnipotentBlock(CHAR_SGN, 3))
+    assert not contains_block(WORKED, DiscreteBlock(CHAR_SGN, 3))
+    discrete_only = ArthurParameter(
+        4, (UnipotentBlock(CHAR_TRIV, 3),), (DiscreteBlock(1, 3),)
+    )
+    assert contains_block(discrete_only, DiscreteBlock(1, 3))
+    assert not contains_block(discrete_only, UnipotentBlock(CHAR_SGN, 3))
+    # validate sees the invalid block whatever the other kind holds
+    both = ArthurParameter(4, (UnipotentBlock(CHAR_SGN, 3),), (DiscreteBlock(1, 3),))
+    assert validate(both) == ["BLOCK_SHAPE"]
+    assert validate(discrete_only) == ["BLOCK_SHAPE", "PARITY_PRODUCT"]
+    mixed = ArthurParameter(
+        5,
+        (UnipotentBlock(CHAR_SGN, 3), UnipotentBlock(CHAR_TRIV, 1)),
+        (DiscreteBlock(1, 3), DiscreteBlock(2, 1)),
+    )
+    assert validate(mixed) == ["BLOCK_SHAPE", "DIM_SUM", "PARITY_PRODUCT", "ORDER"]
 
 
 @given(st.integers(1, 5), st.integers(0, 5))

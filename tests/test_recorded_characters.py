@@ -11,7 +11,7 @@ import dataclasses
 import pytest
 
 from sympacket import cli, membership
-from sympacket.characters import rho_pi_general, rho_sigma_general
+from sympacket.characters import PacketCharacter, rho_pi_general, rho_sigma_general
 from sympacket.membership import (
     decide_pi,
     decide_sigma,
@@ -20,6 +20,7 @@ from sympacket.membership import (
 )
 from sympacket.params import (
     ArthurParameter,
+    UnipotentBlock,
     enumerate_params,
     inf_char_of_param,
     validate,
@@ -246,3 +247,34 @@ def test_enumerated_members_are_not_decided_again(monkeypatch):
                 assert counts(decide_pi, psi, n, twin)[0] == 1
                 asked += 1
     assert asked
+
+
+def test_member_characters_are_built_once_unchecked(monkeypatch):
+    # the character recipe builds each character once, without the public
+    # constructor's checks of its own signs and without sign_map for the
+    # VANISHING flag; a user-built copy of a member takes the same recipe
+    calls = {"post_init": 0, "sign_map": 0}
+    post_init, sign_map = PacketCharacter.__post_init__, PacketCharacter.sign_map
+
+    def counted_post_init(char):
+        calls["post_init"] += 1
+        return post_init(char)
+
+    def counted_sign_map(char):
+        calls["sign_map"] += 1
+        return sign_map(char)
+
+    monkeypatch.setattr(PacketCharacter, "__post_init__", counted_post_init)
+    monkeypatch.setattr(PacketCharacter, "sign_map", counted_sign_map)
+    built = 0
+    for m in range(0, 10):
+        for psi in packets("pi", 9, m):
+            for delta in (1, -1):
+                rho_pi_general(psi, 9, m, delta)
+                rho_pi_general(user_copy(psi), 9, m, delta)
+                built += 2
+    assert built
+    assert calls == {"post_init": 0, "sign_map": 0}
+    # the counters do see the public constructor and sign_map
+    PacketCharacter(1, (UnipotentBlock(0, 1),), (1,)).sign_map()
+    assert calls == {"post_init": 1, "sign_map": 1}
