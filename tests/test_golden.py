@@ -10,7 +10,7 @@ digest may change only with an intended change of the wire format.
 import hashlib
 import json
 
-from sympacket import cli, membership
+from sympacket import characters, cli, membership
 
 FORMATS = (("json", []), ("text", ["--format", "text"]))
 
@@ -118,6 +118,30 @@ RHO_DIGESTS = {
 }
 
 
+# both characters of every member, as ``repr``, in enumeration order
+CHARACTER_DIGESTS = {
+    ("pi", 7): "51c497c430fe53d788c5270cd6fcb47ce20e2433fded8c69f4a33f064f4d980b",
+    ("pi", 8): "dffba8cf6380b47890035c3a886061edb88737319a97279807edf7af1f534aa4",
+    ("pi", 9): "737446d2239d64cf007e8a9e5bb238225e26520a9defdde9e498de822672dc32",
+    ("sigma", 7): "88d1e11044925e9b2f2ef04aa08e18fad7740e006711a8a78d63c3280034a773",
+    ("sigma", 8): "9e392511b4ec94186db9476fe7037ed43b00cabf74c578e9de1b840ae39ca90f",
+    ("sigma", 9): "574de97d12e0b234fb542c57cff092591dff092182937917a5eae6ef8975fd3c",
+}
+
+
+def _character_digest(family, n):
+    enumerate_packets, rho = {
+        "pi": (membership.enumerate_packets_pi, characters.rho_pi_general),
+        "sigma": (membership.enumerate_packets_sigma, characters.rho_sigma_general),
+    }[family]
+    h = hashlib.sha256()
+    for v in _values(family, n):
+        for psi, _ in enumerate_packets(n, v):
+            for delta in (1, -1):
+                h.update(repr(rho(psi, n, v, delta)).encode())
+    return h.hexdigest()
+
+
 def _digests(capsys, argvs_of, ranks):
     return {
         (family, n, fmt): _digest(capsys, argvs_of(family, n, prefix))
@@ -140,3 +164,13 @@ def test_enumerate_reports_at_ranks_9_and_10_are_golden(capsys):
 def test_rho_reports_are_golden(capsys):
     # rho for both Whittaker tokens on every member at ranks 1-6
     assert _digests(capsys, _rho_argvs, range(1, 7)) == RHO_DIGESTS
+
+
+def test_member_characters_at_ranks_7_to_9_are_golden():
+    # the values of the characters, which the rho reports pin only to rank 6
+    digests = {
+        (family, n): _character_digest(family, n)
+        for family in ("pi", "sigma")
+        for n in (7, 8, 9)
+    }
+    assert digests == CHARACTER_DIGESTS
