@@ -22,7 +22,6 @@ from .params import (
     ArthurParameter,
     DiscreteBlock,
     UnipotentBlock,
-    _unipotent_block,
 )
 from .quadforms import _sign_pow
 from .weights import Module, module_of
@@ -166,7 +165,10 @@ def _vanishing(
     ``discrete`` is in canonical order, which puts equal blocks next to each
     other, so each is compared with its neighbour.  The unipotent slots, one
     or three, are compared pairwise.  Valid blocks of the two kinds are
-    never equal, so no pair across the kinds is compared.
+    never equal, so no pair across the kinds is compared.  ``_rho_core``
+    compares the discrete neighbours in the pass that signs them and asks
+    this function about its unipotent slots only, as ``rho_unipotent_table``
+    does about its rows.
     """
     if len(discrete) > 1:
         for b, c, s, r in zip(discrete, discrete[1:], disc_signs, disc_signs[1:]):
@@ -290,65 +292,6 @@ def rho_unipotent_table(
 # --- characters attached to pi_n(m) and sigma_{n,k} -------------------------
 
 
-def _discrete_signs(psi: ArthurParameter, delta: int) -> tuple[tuple[int, ...], int]:
-    """Signs on the discrete blocks and the fully shifted token delta'.
-
-    The i-th block sees the token delta_i = delta * (-1)^(a_1 + ... + a_{i-1})
-    and carries the sign (-1)^floor(delta_i a_i / 2); delta' is the token
-    shifted past every discrete block.  The token is carried along: it
-    changes sign after each block with odd a.
-    """
-    signs: list[int] = []
-    delta_i = delta
-    for _, a in psi.discrete:
-        signs.append(_sign_pow(delta_i * a // 2))
-        if a % 2:
-            delta_i = -delta_i
-    return tuple(signs), delta_i
-
-
-def _assemble(
-    psi: ArthurParameter,
-    delta: int,
-    disc_signs: tuple[int, ...],
-    unip_blocks: tuple[UnipotentBlock, ...],
-    unip_signs: tuple[int, ...],
-) -> PacketCharacter:
-    """The character with these signs on the discrete blocks of psi and on
-    ``unip_blocks``, with the free simultaneous flip of the unipotent signs
-    fixed.
-
-    The representative is normalized so the product over all listed blocks
-    is +1, that is an even number of -1 signs; since the number of
-    unipotent blocks is odd (one or three) the flip always reaches it.
-    Conflicting signs on equal blocks are flagged (``_vanishing``).  The
-    recipe's signs are +1 or -1 by construction, so the character is built
-    once, unchecked (``_trusted_char``).
-    """
-    if (disc_signs.count(-1) + unip_signs.count(-1)) % 2:
-        unip_signs = tuple(-s for s in unip_signs)
-    discrete = psi.discrete
-    vanishing = _vanishing(discrete, disc_signs, unip_blocks, unip_signs)
-    flags = (VANISHING,) if vanishing else ()
-    return _trusted_char(delta, discrete + unip_blocks, disc_signs + unip_signs, flags)
-
-
-def _split_unipotent(
-    psi: ArthurParameter, big: UnipotentBlock
-) -> tuple[UnipotentBlock, UnipotentBlock]:
-    """The two non-distinguished unipotent blocks, small dimension first.
-
-    The blocks of psi are in canonical order (dimension decreasing, trivial
-    before sign), so the two left after ``big`` are swapped unless their
-    dimensions are equal.  When both have dimension one the assignment of
-    roles is immaterial: the two readings produce the same character.
-    """
-    unip = psi.unipotent
-    i = unip.index(big)
-    x, y = unip[:i] + unip[i + 1 :]
-    return (x, y) if x.dim == y.dim else (y, x)
-
-
 def rho_pi_general(
     psi: ArthurParameter, n: int, m: int, delta: int
 ) -> PacketCharacter:
@@ -373,6 +316,9 @@ def rho_pi_general(
     Blocks are listed as: discrete (canonical order), then the unipotent
     slots by increasing dimension.
     """
+    route = psi._route
+    if route is not None and route.module == ("pi", n, m) and delta in (1, -1):
+        return _rho_core(psi, delta, route.module, route)
     return _rho(psi, module_of("pi", n, m), delta)
 
 
@@ -389,12 +335,22 @@ def rho_sigma_general(
 
     For n = 2k the module is the scalar pi_{2k}(k+1) and that recipe is used.
     """
+    route = psi._route
+    if route is not None and route.module == ("sigma", n, k) and delta in (1, -1):
+        return _rho_core(psi, delta, route.module, route)
     return _rho(psi, module_of("sigma", n, k), delta)
 
 
 def _rho(psi: ArthurParameter, module: Module, delta: int) -> PacketCharacter:
     """The character of the module in the packet of psi, by the route
-    ``membership._decide_route`` finds (and the checks it makes)."""
+    ``membership._decide_route`` finds (and the checks it makes).
+
+    ``rho_pi_general`` / ``rho_sigma_general`` come here unless psi is a
+    member the enumerators built for the very module asked about, with a
+    valid token: such a member goes straight to ``_rho_core`` with its
+    recorded route, which is what this path would find, with no ``Module``
+    built.  So every refusal, and its order, is this path's.
+    """
     if delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
     return _rho_core(psi, delta, module, _decide_route(psi, module))
@@ -408,21 +364,60 @@ def _rho_core(
     the packet does not contain the module) and a token delta in {+1, -1};
     psi is not validated or decided again.  The route gives the big block
     and the e2 e3 rule.
+
+    One pass over the discrete blocks carries the token, changing its sign
+    after each block with odd a, signs each block, counts the -1 signs and
+    compares each block with its neighbour, as ``_vanishing`` does (canonical
+    order puts equal blocks next to each other).  The two unipotent slots
+    besides the big block are read off the canonical order, small dimension
+    first; when both have dimension one the roles are immaterial, as the two
+    readings give the same character.  The free simultaneous flip of the
+    unipotent signs is fixed so that the product over all listed blocks is
+    +1, an even number of -1 signs; the number of unipotent slots is odd,
+    so the flip always reaches it.  With e3 = +1 that product would be
+    (-1)^(discrete -1 count) e1 e2, so e3 takes that value.  The signs are
+    +1 or -1 by construction, so the character is built once, unchecked
+    (``_trusted_char``).
     """
     if route is None:
         raise ValueError(f"packet does not contain the {module.name()} module")
-    disc_signs, delta_prime = _discrete_signs(psi, delta)
-    if len(psi.unipotent) == 1:
-        return _assemble(psi, delta, disc_signs, psi.unipotent, (1,))
-    big = _unipotent_block(route.char, route.top)
-    eta1, eta2 = _split_unipotent(psi, big)
-    a = (eta2.dim + 1) // 2
-    e1e2 = _floor_half_sign(delta_prime * a)
-    e2e3 = route.e2e3(eta2.char == big.char, a, delta, delta_prime)
-    e3 = 1
-    e2 = e2e3 * e3
-    e1 = e1e2 * e2
-    return _assemble(psi, delta, disc_signs, (eta1, eta2, big), (e1, e2, e3))
+    discrete = psi.discrete
+    signs = []
+    minus = 0
+    vanishing = False
+    token = delta
+    previous = last = None
+    for block in discrete:
+        a = block.a
+        sign = -1 if token * a // 2 % 2 else 1
+        if sign < 0:
+            minus += 1
+        if sign != last and block == previous:
+            vanishing = True
+        if a % 2:
+            token = -token
+        signs.append(sign)
+        previous, last = block, sign
+    unipotent = psi.unipotent
+    if len(unipotent) == 1:
+        slots, slot_signs = unipotent, (-1 if minus % 2 else 1,)
+    else:
+        # the big block is char ⊠ R[top]; the first block equal to it is it
+        key = route.char, route.top
+        x, y, big = unipotent
+        if x == key:
+            x, y, big = y, big, x
+        elif y == key:
+            y, big = big, y
+        eta1, eta2 = (x, y) if x.dim == y.dim else (y, x)
+        a = (eta2.dim + 1) // 2
+        e1e2 = -1 if token * a // 2 % 2 else 1  # token is now delta'
+        e3 = -e1e2 if minus % 2 else e1e2
+        e2 = route.e2e3(eta2.char == route.char, a, delta, token) * e3
+        slots, slot_signs = (eta1, eta2, big), (e1e2 * e2, e2, e3)
+        vanishing = vanishing or _vanishing((), (), slots, slot_signs)
+    flags = (VANISHING,) if vanishing else ()
+    return _trusted_char(delta, discrete + slots, tuple(signs) + slot_signs, flags)
 
 
 def table_row(

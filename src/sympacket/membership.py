@@ -33,7 +33,7 @@ The central decision procedures:
   its route's verdict without a decider call.  Both, and the command line's
   ``enumerate-*``, run the one enumerator ``_enumerate_packets``, a pass
   over the route table.  Every cover has one shape, (unipotent dimensions,
-  discrete (t, a) data), as ``params._all_segment_covers`` gives it.
+  discrete blocks), as ``params._all_segment_covers`` gives it.
 
 Both families reach one record, ``weights.Module`` from ``module_of``,
 which turns sigma_{2k,k} into pi_{2k}(k+1).  The module keys its
@@ -69,6 +69,7 @@ from .params import (
     a_psi_u,
     _check_rank,
     _cover_params,
+    _discrete_block,
     _order_key,
     _require_valid,
     _topped_covers,
@@ -393,13 +394,14 @@ def _routes(module: Module) -> tuple[_Route, ...]:
     )
 
 
-def _compositions(low: int, high: int) -> list[tuple[tuple[int, int], ...]]:
+def _compositions(low: int, high: int) -> list[tuple[DiscreteBlock, ...]]:
     """The ways to cut the integers low..high into consecutive segments, each
-    as discrete data (t, a) = (l + h, h - l + 1), highest segment first."""
+    as the discrete block (t, a) = (l + h, h - l + 1), highest segment
+    first, as shared instances (``params._discrete_block``)."""
     if low > high:
         return [()]
     return [
-        ((cut + high, high - cut + 1),) + rest
+        (_discrete_block(cut + high, high - cut + 1),) + rest
         for cut in range(high, low - 1, -1)
         for rest in _compositions(low, cut - 1)
     ]
@@ -417,7 +419,7 @@ def _disjoint_covers(n: int, m: int) -> list[tuple]:
     """
     covers = []
     for tau in range(n - m + 1, m):
-        crossing = (tau - (n - m), tau + (n - m) + 1)
+        crossing = _discrete_block(tau - (n - m), tau + (n - m) + 1)
         for upper in _compositions(tau + 1, m - 1):
             covers.append(((1,), upper + (crossing,)))
     return covers

@@ -293,7 +293,13 @@ def remove_discrete_block(psi: ArthurParameter, index: int) -> ArthurParameter:
 
 # --- enumeration -----------------------------------------------------------
 
-_Cover = tuple[tuple[int, ...], tuple[tuple[int, int], ...]]
+_Cover = tuple[tuple[int, ...], tuple[DiscreteBlock, ...]]
+
+# Shared block instances for trusted construction.  Blocks are immutable, and
+# the enumeration cap keeps the (char, dim) and (t, a) pairs few; sharing only
+# saves time, so the caches are bounded.
+_unipotent_block = functools.lru_cache(maxsize=1024)(UnipotentBlock)
+_discrete_block = functools.lru_cache(maxsize=1024)(DiscreteBlock)
 
 
 def _sub_multiset(cnt: dict[int, int], seg: Iterable[int]) -> dict[int, int] | None:
@@ -322,11 +328,12 @@ def _all_segment_covers(
 ) -> frozenset[_Cover]:
     """All ways of writing the multiset as segments of the two block kinds.
 
-    A cover is a pair (multiset of unipotent dimensions, multiset of (t, a)
-    discrete data).  The search always covers the current maximum element,
-    either by the centered segment topped there or by a mirrored segment
-    pair [l, M] ∪ [-M, -l] with l > -M; results are canonicalized, so each
-    cover is reported once.  With ``cap``, only covers whose unipotent
+    A cover is a pair (multiset of unipotent dimensions, multiset of
+    discrete blocks), each a sorted tuple, the blocks shared instances
+    (``_discrete_block``) in canonical order.  The search always covers the
+    current maximum element, either by the centered segment topped there or
+    by a mirrored segment pair [l, M] ∪ [-M, -l] with l > -M; results are
+    canonicalized, so each cover is reported once.  With ``cap``, only covers whose unipotent
     dimensions are all at most ``cap``.
     """
     memo: dict[tuple[tuple[int, int], ...], frozenset[_Cover]] = {}
@@ -354,9 +361,9 @@ def _all_segment_covers(
         for low in range(top, -top, -1):
             if top + low < 1 or not (_take(rest, low) and _take(rest, -low)):
                 break
-            block = (top + low, top - low + 1)  # (t, a)
+            block = _discrete_block(top + low, top - low + 1)
             for unip, disc in rec(rest):
-                # (t, a) pairs decreasing, which is increasing (-t, -a)
+                # blocks decreasing as (t, a), which is canonical (-t, -a)
                 merged = tuple(sorted(disc + (block,), reverse=True))
                 found.add((unip, merged))
         memo[key] = frozenset(found)
@@ -381,13 +388,6 @@ def _topped_covers(entries: tuple[int, ...], top: int) -> list[_Cover]:
         ((top,) + unip, disc)
         for unip, disc in _all_segment_covers(tuple(Counter(rest).elements()), top)
     ]
-
-
-# Shared block instances for trusted construction.  Blocks are immutable, and
-# the enumeration cap keeps the (char, dim) and (t, a) pairs few; sharing only
-# saves time, so the caches are bounded.
-_unipotent_block = functools.lru_cache(maxsize=1024)(UnipotentBlock)
-_discrete_block = functools.lru_cache(maxsize=1024)(DiscreteBlock)
 
 
 def _trusted_param(
@@ -476,20 +476,47 @@ def _char_assignments(
 
 def _parameter_count(entries: tuple[int, ...]) -> int:
     """How many valid parameters have a character with these entries,
-    counted on the covers of ``_all_segment_covers`` without building them.
+    counted without building a cover or a parameter.
 
     On a cover, ``_char_assignments`` gives the character multisets of one
     parity.  The dimensions sum to an odd number, so some dimension occurs
     an odd number c of times; exchanging k and c - k sign blocks there pairs
-    the two parities, so half of the prod(c + 1) choices have each.
+    the two parities, so half of the prod(c + 1) choices have each, and the
+    count is half the sum of prod(c + 1) over the covers.
+
+    That sum is taken by a memoized recursion over the multiset, which
+    reaches each cover of ``_all_segment_covers`` once.  Each copy of the
+    current maximum M tops one segment: a mirrored pair [low, M] ∪ [-M, -low]
+    or the centered segment of M.  The pairs are taken first, in
+    non-increasing ``low``; every copy of M left then tops a centered
+    segment, a run of c equal dimensions 2M+1 that contributes c + 1.
     """
-    total = 0
-    for unip_dims, _ in _all_segment_covers(entries):
-        choices = 1
-        for dim in set(unip_dims):
-            choices *= unip_dims.count(dim) + 1
-        total += choices // 2
-    return total
+    memo: dict[tuple, int] = {}
+
+    def weighted(cnt: dict[int, int], bound: int) -> int:
+        # the covers of cnt whose pairs topped at max(cnt) have low <= bound
+        if not cnt:
+            return 1
+        top = max(cnt)
+        key = (tuple(sorted(cnt.items())), min(bound, top))
+        if key in memo:
+            return memo[key]
+        copies = cnt[top]
+        total = 0
+        rest = _sub_multiset(cnt, list(range(-top, top + 1)) * copies)
+        if rest is not None:
+            total += (copies + 1) * weighted(rest, top)
+        rest = dict(cnt)
+        for low in range(top, -top, -1):
+            if top + low < 1 or not (_take(rest, low) and _take(rest, -low)):
+                break
+            if low <= bound:
+                # past the last copy of top the next maximum is unbounded
+                total += weighted(rest, low if top in rest else top)
+        memo[key] = total
+        return total
+
+    return weighted(dict(Counter(entries)), max(entries)) // 2
 
 
 def _check_rank(n: int, max_rank: int) -> None:
@@ -500,34 +527,31 @@ def _check_rank(n: int, max_rank: int) -> None:
         raise RankBoundError(f"rank {n} exceeds the enumeration cap {max_rank}")
 
 
-def _parity(disc_data: tuple[tuple[int, int], ...]) -> int:
-    """The parity the determinant condition asks of the unipotent characters
-    on a cover with discrete data ``disc_data``."""
-    return sum(a % 2 for _, a in disc_data) % 2
-
-
 def _cover_params(
     n: int,
     entries: tuple[int, ...],
     unip_dims: tuple[int, ...],
-    disc_data: tuple,
+    discrete: tuple[DiscreteBlock, ...],
     top_char: int | None = None,
     route: tuple | None = None,
 ):
-    """The parameters of rank n on one cover (unipotent dims, discrete (t, a)
-    data) of the character ``entries``, each recording the entries (and
+    """The parameters of rank n on one cover (unipotent dims, discrete
+    blocks) of the character ``entries``, each recording the entries (and
     ``route``, see ``_trusted_param``); with ``top_char``, only those with a
     block of the largest unipotent dimension and that character.
 
-    Trusted construction: each cover is canonical ((t, a) by (-t, -a), and
-    _char_assignments yields unipotent blocks in _unip_key order), covers
-    the 2n+1 entries with well-shaped blocks, and gets only characters of
-    the parity the determinant condition needs (``_parity``); distinct
-    covers and assignments give distinct parameters.  So nothing is
-    canonicalized, validated or deduplicated again.
+    Trusted construction: each cover is canonical (blocks in canonical
+    order, and _char_assignments yields unipotent blocks in _unip_key
+    order), covers the 2n+1 entries with well-shaped blocks, and gets only
+    characters of the parity the determinant condition needs: the parity of
+    the sum of the discrete a, which the dimension count gives as
+    (2n+1 - sum of the unipotent dims) / 2.  Distinct covers and
+    assignments give distinct parameters.  So nothing is canonicalized,
+    validated or deduplicated again, and the cover's block tuple is every
+    parameter's discrete part.
     """
-    discrete = tuple(itertools.starmap(_discrete_block, disc_data))
-    for unip in _char_assignments(unip_dims, _parity(disc_data), top_char):
+    parity = (2 * n + 1 - sum(unip_dims)) // 2 % 2
+    for unip in _char_assignments(unip_dims, parity, top_char):
         yield _trusted_param(n, unip, discrete, entries, route)
 
 

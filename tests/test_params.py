@@ -19,6 +19,7 @@ from sympacket.params import (
     validate,
     _all_segment_covers,
     _cover_params,
+    _parameter_count,
     _topped_covers,
 )
 from sympacket.weights import InfinitesimalCharacter, inf_char_of_weight, pi_nm, sigma_nk
@@ -186,6 +187,27 @@ def test_topped_search_finds_the_covers_with_that_top():
             topped = _topped_covers(chi.entries, top)
             assert len(set(topped)) == len(topped)
             assert set(topped) == {c for c in full if c[0][0] == top}, (n, chi, top)
+
+
+def test_parameter_count_at_ranks_12_and_13_agrees_with_the_covers():
+    # the count recursion builds no cover; tests/test_cli.py checks it
+    # against enumerate_params up to rank 11, this against the full cover
+    # search above the enumeration cap
+    def by_covers(entries):
+        total = 0
+        for unip_dims, _ in _all_segment_covers(entries):
+            choices = 1
+            for dim in set(unip_dims):
+                choices *= unip_dims.count(dim) + 1
+            total += choices // 2
+        return total
+
+    for n in (12, 13):
+        weights = [pi_nm(n, m) for m in sorted({0, 1, n // 2, n})]
+        weights += [sigma_nk(n, k) for k in range(1, n // 2 + 1)]
+        for weight in weights:
+            entries = inf_char_of_weight(weight).entries
+            assert _parameter_count(entries) == by_covers(entries), weight
 
 
 def test_top_character_filter():

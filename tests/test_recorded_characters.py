@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from sympacket import cli, membership
+from sympacket import characters, cli, membership
 from sympacket.characters import PacketCharacter, rho_pi_general, rho_sigma_general
 from sympacket.membership import (
     decide_pi,
@@ -266,15 +266,79 @@ def test_member_characters_are_built_once_unchecked(monkeypatch):
 
     monkeypatch.setattr(PacketCharacter, "__post_init__", counted_post_init)
     monkeypatch.setattr(PacketCharacter, "sign_map", counted_sign_map)
+    # every pi_9(m) and sigma_{9,k}, and sigma_{2k,k}, whose module is the
+    # scalar pi_{2k}(k+1)
+    questions = [("pi", 9, m) for m in range(0, 10)]
+    questions += [("sigma", 9, k) for k in range(1, 5)]
+    questions += [("sigma", 2 * k, k) for k in range(1, 5)]
     built = 0
-    for m in range(0, 10):
-        for psi in packets("pi", 9, m):
+    for family, n, value in questions:
+        for psi in packets(family, n, value):
             for delta in (1, -1):
-                rho_pi_general(psi, 9, m, delta)
-                rho_pi_general(user_copy(psi), 9, m, delta)
+                RHO[family](psi, n, value, delta)
+                RHO[family](user_copy(psi), n, value, delta)
                 built += 2
     assert built
     assert calls == {"post_init": 0, "sign_map": 0}
     # the counters do see the public constructor and sign_map
     PacketCharacter(1, (UnipotentBlock(0, 1),), (1,)).sign_map()
     assert calls == {"post_init": 1, "sign_map": 1}
+
+
+def test_recorded_members_are_refused_as_their_copies():
+    # rho_* read a member's route record first; every question the record
+    # does not answer takes the copy's path, so refusals and their order
+    # are the copy's: a bad token, a value outside the module's range, a
+    # rank that is not the parameter's, the other family, and sigma_{2k,k}
+    # (recorded as pi_{2k}(k+1))
+    refused = answered = 0
+    for family, n, value in modules(6):
+        other = "sigma" if family == "pi" else "pi"
+        questions = [(family, n, value, delta) for delta in (0, 2, -2)]
+        questions += [(family, n, v, 1) for v in (-1, 0, n // 2 + 1, n + 1)]
+        questions += [(family, n + 1, value, 1)]
+        questions += [(other, n, v, delta) for v in range(-1, n + 2) for delta in (1, -1, 0)]
+        for psi in packets(family, n, value):
+            copy = user_copy(psi)
+            for fam, rank, v, delta in questions:
+                got = outcome(RHO[fam], psi, rank, v, delta)
+                assert got == outcome(RHO[fam], copy, rank, v, delta), (str(psi), fam, rank, v)
+                if (fam, rank, v) == (family, n, value) and delta not in (1, -1):
+                    assert got == ("refused", "delta must be +1 or -1")
+                refused += got[0] == "refused"
+                answered += got[0] == "ok"
+    assert refused and answered
+    for k in range(1, 5):
+        for psi in packets("sigma", 2 * k, k):
+            assert route_record(psi).module == ("pi", 2 * k, k + 1)
+            copy = user_copy(psi)
+            for delta in (1, -1, 0, 2):
+                got = outcome(rho_sigma_general, psi, 2 * k, k, delta)
+                assert got == outcome(rho_sigma_general, copy, 2 * k, k, delta)
+                assert got == outcome(rho_pi_general, psi, 2 * k, k + 1, delta)
+
+
+def test_member_asked_about_its_own_module_builds_no_module(monkeypatch):
+    calls = []
+
+    def counted_module_of(*args):
+        calls.append(args)
+        return module_of(*args)
+
+    monkeypatch.setattr(characters, "module_of", counted_module_of)
+    asked = 0
+    for family, n, value in modules(9):
+        for psi in packets(family, n, value):
+            for delta in (1, -1):
+                RHO[family](psi, n, value, delta)
+                asked += 1
+                if family == "sigma" and n == 2 * value:
+                    # recorded as pi_{2k}(k+1): the question goes to module_of
+                    assert calls == [(family, n, value)]
+                else:
+                    assert calls == [], (family, n, value, str(psi))
+                calls.clear()
+                RHO[family](user_copy(psi), n, value, delta)
+                assert calls == [(family, n, value)]
+                calls.clear()
+    assert asked
