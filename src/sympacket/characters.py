@@ -142,7 +142,7 @@ def _trusted_char(
     The caller vouches that the token is +1 or -1 and that ``signs`` holds
     one +1 or -1 per block, as the recipes of this module build them; the
     public constructor keeps every check.  The instance is built as
-    ``params._trusted_param`` builds a parameter: ``object.__new__``, then
+    ``params._trusted_params`` builds a parameter: ``object.__new__``, then
     each field set in order past the frozen ``__setattr__``, which keeps
     the instance dict as small as the constructor's.
     """
@@ -166,9 +166,9 @@ def _vanishing(
     other, so each is compared with its neighbour.  The unipotent slots, one
     or three, are compared pairwise.  Valid blocks of the two kinds are
     never equal, so no pair across the kinds is compared.  ``_rho_core``
-    compares the discrete neighbours in the pass that signs them and asks
-    this function about its unipotent slots only, as ``rho_unipotent_table``
-    does about its rows.
+    makes the same comparisons inline: the discrete neighbours in the pass
+    that signs them, then the three unipotent slots;
+    ``rho_unipotent_table`` asks this function about its rows.
     """
     if len(discrete) > 1:
         for b, c, s, r in zip(discrete, discrete[1:], disc_signs, disc_signs[1:]):
@@ -336,7 +336,15 @@ def rho_sigma_general(
     For n = 2k the module is the scalar pi_{2k}(k+1) and that recipe is used.
     """
     route = psi._route
-    if route is not None and route.module == ("sigma", n, k) and delta in (1, -1):
+    if (
+        route is not None
+        and delta in (1, -1)
+        and (
+            route.module == ("sigma", n, k)
+            # a member of sigma_{2k,k} records its module, pi_{2k}(k+1)
+            or (n == 2 * k and route.module == ("pi", n, k + 1))
+        )
+    ):
         return _rho_core(psi, delta, route.module, route)
     return _rho(psi, module_of("sigma", n, k), delta)
 
@@ -368,9 +376,10 @@ def _rho_core(
     One pass over the discrete blocks carries the token, changing its sign
     after each block with odd a, signs each block, counts the -1 signs and
     compares each block with its neighbour, as ``_vanishing`` does (canonical
-    order puts equal blocks next to each other).  The two unipotent slots
-    besides the big block are read off the canonical order, small dimension
-    first; when both have dimension one the roles are immaterial, as the two
+    order puts equal blocks next to each other); the three unipotent slots
+    are compared pairwise inline as well.  The two unipotent slots besides
+    the big block are read off the canonical order, small dimension first;
+    when both have dimension one the roles are immaterial, as the two
     readings give the same character.  The free simultaneous flip of the
     unipotent signs is fixed so that the product over all listed blocks is
     +1, an even number of -1 signs; the number of unipotent slots is odd,
@@ -414,8 +423,14 @@ def _rho_core(
         e1e2 = -1 if token * a // 2 % 2 else 1  # token is now delta'
         e3 = -e1e2 if minus % 2 else e1e2
         e2 = route.e2e3(eta2.char == route.char, a, delta, token) * e3
-        slots, slot_signs = (eta1, eta2, big), (e1e2 * e2, e2, e3)
-        vanishing = vanishing or _vanishing((), (), slots, slot_signs)
+        e1 = e1e2 * e2
+        vanishing = (
+            vanishing
+            or (e1 != e2 and eta1 == eta2)
+            or (e1 != e3 and eta1 == big)
+            or (e2 != e3 and eta2 == big)
+        )
+        slots, slot_signs = (eta1, eta2, big), (e1, e2, e3)
     flags = (VANISHING,) if vanishing else ()
     return _trusted_char(delta, discrete + slots, tuple(signs) + slot_signs, flags)
 

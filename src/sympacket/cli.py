@@ -34,7 +34,7 @@ from .params import (
     RankBoundError,
     UnipotentBlock,
     _parameter_count,
-    _trusted_param,
+    _trusted_params,
     char_from_name,
     char_name,
     inf_char_of_param,
@@ -113,7 +113,7 @@ def param_from_json(obj: Any) -> ArthurParameter:
     it is well formed, valid and of rank at most ``MAX_REPORT_RANK``.
 
     It is validated here, once: the parameter returned records its
-    infinitesimal character (``params._trusted_param``), so the deciders
+    infinitesimal character (``params._trusted_params``), so the deciders
     and characters it is handed to do not validate it again.
     """
     if not isinstance(obj, dict):
@@ -142,7 +142,7 @@ def param_from_json(obj: Any) -> ArthurParameter:
         raise ValidationError(f"invalid parameter: {violations}", violations)
     _check_report_rank(psi.n)
     entries = inf_char_of_param(psi).entries
-    return _trusted_param(psi.n, psi.unipotent, psi.discrete, entries)
+    return _trusted_params(psi.n, (psi.unipotent,), psi.discrete, entries)[0]
 
 
 def _read_param_file(path: str) -> str:

@@ -33,7 +33,9 @@ The central decision procedures:
   its route's verdict without a decider call.  Both, and the command line's
   ``enumerate-*``, run the one enumerator ``_enumerate_packets``, a pass
   over the route table.  Every cover has one shape, (unipotent dimensions,
-  discrete blocks), as ``params._all_segment_covers`` gives it.
+  non-increasing; discrete blocks, in canonical order), as
+  ``params._all_segment_covers`` gives it: one walk over the symmetric
+  half of the character, which reaches each cover once.
 
 Both families reach one record, ``weights.Module`` from ``module_of``,
 which turns sigma_{2k,k} into pi_{2k}(k+1).  The module keys its
@@ -43,7 +45,7 @@ statement of the criteria above: it builds the members, and it decides.
 ``_decide_route`` reaches it after the checks, and ``decide_pi`` /
 ``decide_sigma``, the character recipe and the command line all ask
 ``_decide_route``.  Each member the enumerators build records the route
-that admitted it (``params._trusted_param``); a route names its module, so
+that admitted it (``params._trusted_params``); a route names its module, so
 asked about that module, ``_decide_route`` returns the recorded route and
 decides nothing.  Any other parameter is decided: it is validated unless
 it recorded its infinitesimal character when it was built, and its
@@ -437,23 +439,25 @@ def _enumerate_packets(
     those THM71_I took, and builds on them the character choices that hold
     its block.  Each parameter built is a member, by the route that built
     it, so no decider runs; it records the module's character entries and
-    that route (``params._trusted_param``).
+    that route (``params._trusted_params``), so the members are sorted by
+    ``params._order_key`` alone and each takes its verdict from its route.
     """
     _check_rank(module.n, max_rank)
     n, entries = module.n, module.inf_char()
-    packets = []
+    members: list[ArthurParameter] = []
     taken: set[tuple] = set()
     for route in _routes(module):
         if route.char is None:  # THM71_I
             covers = _disjoint_covers(n, module.value)
             taken = set(covers)
         else:
-            covers = [c for c in _topped_covers(entries, route.top) if c not in taken]
-        for cover in covers:
-            members = _cover_params(n, entries, *cover, route.char, route)
-            packets.extend((psi, route.verdict) for psi in members)
-    packets.sort(key=lambda packet: _order_key(packet[0]))
-    return packets
+            covers = _topped_covers(entries, route.top)
+            if taken:
+                covers = [c for c in covers if c not in taken]
+        for unip_dims, discrete in covers:
+            members += _cover_params(n, entries, unip_dims, discrete, route.char, route)
+    members.sort(key=_order_key)
+    return [(psi, psi._route.verdict) for psi in members]
 
 
 def enumerate_packets_pi(

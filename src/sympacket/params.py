@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -142,7 +143,7 @@ class ArthurParameter:
     discrete: tuple[DiscreteBlock, ...] = ()
     # Not fields (no annotation): the entries of the infinitesimal
     # character, and the route of ``membership._routes`` that admitted an
-    # enumerated member, which ``_trusted_param`` records on the instance.
+    # enumerated member, which ``_trusted_params`` records on the instance.
     # The class default None reads as "no record" without a dictionary
     # lookup.
     _inf_char = None
@@ -302,125 +303,141 @@ _unipotent_block = functools.lru_cache(maxsize=1024)(UnipotentBlock)
 _discrete_block = functools.lru_cache(maxsize=1024)(DiscreteBlock)
 
 
-def _sub_multiset(cnt: dict[int, int], seg: Iterable[int]) -> dict[int, int] | None:
-    """The multiset less the entries of ``seg``, or None if it lacks one."""
-    out = dict(cnt)
-    for v in seg:
-        if not _take(out, v):
-            return None
-    return out
+def _half_counts(entries: tuple[int, ...]) -> tuple[int, ...]:
+    """The counts of 0, 1, ..., max of a multiset closed under negation, as
+    an infinitesimal character is, and every multiset the cover search
+    meets (segments are); with trailing zeros cut (``_cut``) the tuple of
+    counts is its own memo key."""
+    cnt = Counter(entries)
+    return tuple(cnt[v] for v in range(max(cnt, default=-1) + 1))
 
 
-def _take(cnt: dict[int, int], v: int) -> bool:
-    """Remove one entry v from the multiset in place; False if there is none."""
-    k = cnt.get(v, 0)
-    if k == 0:
-        return False
-    if k == 1:
-        del cnt[v]
-    else:
-        cnt[v] = k - 1
-    return True
+def _cut(counts: list[int]) -> tuple[int, ...]:
+    end = len(counts)
+    while end and not counts[end - 1]:
+        end -= 1
+    return tuple(counts[:end])
+
+
+def _first_steps(half: tuple[int, ...], bound: int | None, cap: int | None) -> list:
+    """The segments that can top the maximum M of the half-count, in the
+    order that reaches each cover once, as (low, half-count left, bound).
+
+    Each copy of M tops one segment: first the mirrored pairs [low, M] ∪
+    [-M, -low] (M + low >= 1), by non-increasing low, so a pair is a step
+    only with low <= ``bound`` (None: any) and its low bounds the next pair
+    at M; then every copy left, as a run of half[M] centered segments of
+    dimension 2M + 1 (low None), if 2M + 1 <= ``cap`` (None: no cap).  A
+    pair grows by low and -low as low falls, one count of |low| (two of 0),
+    so one copy of the counts loses them step by step until one runs out.
+    """
+    high = len(half) - 1
+    copies = half[high]
+    steps = []
+    if (cap is None or 2 * high < cap) and min(half) >= copies:
+        steps.append((None, _cut([c - copies for c in half[:high]]), None))
+    rest = list(half)
+    for low in range(high, -high, -1):
+        v = low if low >= 0 else -low
+        left = rest[v] - (2 if low == 0 else 1)
+        if left < 0:
+            break
+        rest[v] = left
+        if bound is None or low <= bound:
+            if copies > 1:
+                steps.append((low, tuple(rest), low if low < high else None))
+            else:
+                steps.append((low, _cut(rest), None))
+    return steps
 
 
 def _all_segment_covers(
-    entries: tuple[int, ...], cap: int | None = None
-) -> frozenset[_Cover]:
+    entries: tuple[int, ...], top: int | None = None
+) -> list[_Cover]:
     """All ways of writing the multiset as segments of the two block kinds.
 
-    A cover is a pair (multiset of unipotent dimensions, multiset of
-    discrete blocks), each a sorted tuple, the blocks shared instances
-    (``_discrete_block``) in canonical order.  The search always covers the
-    current maximum element, either by the centered segment topped there or
-    by a mirrored segment pair [l, M] ∪ [-M, -l] with l > -M; results are
-    canonicalized, so each cover is reported once.  With ``cap``, only covers whose unipotent
-    dimensions are all at most ``cap``.
+    A cover is a pair (unipotent dimensions, non-increasing; discrete
+    blocks, shared instances (``_discrete_block``) in canonical order).  The
+    search walks the half-count (``_half_counts``) down from its maximum by
+    the steps of ``_first_steps``, so it reaches each cover once, and sorts
+    each finished cover's discrete blocks once.  With ``top``, only the
+    covers whose largest unipotent dimension is ``top``: its centered
+    segment, then the rest searched with unipotent dimensions at most top.
     """
-    memo: dict[tuple[tuple[int, int], ...], frozenset[_Cover]] = {}
+    half = _half_counts(entries)
+    lead: tuple[int, ...] = ()
+    if top is not None:
+        size = (top + 1) // 2  # the centered segment of top holds 0..size-1
+        if len(half) < size or min(half[:size]) < 1:
+            return []
+        half = _cut([c - 1 for c in half[:size]] + list(half[size:]))
+        lead = (top,)
+    memo: dict[tuple, list[_Cover]] = {((), None): [((), ())]}
 
-    def rec(cnt: dict[int, int]) -> frozenset[_Cover]:
-        if not cnt:
-            return frozenset({((), ())})
-        key = tuple(sorted(cnt.items()))
-        if key in memo:
-            return memo[key]
-        top = max(cnt)
-        found: set[_Cover] = set()
-        dim = 2 * top + 1
-        if top >= 0 and (cap is None or dim <= cap):
-            rest = _sub_multiset(cnt, range(-top, top + 1))
-            if rest is not None:
-                for unip, disc in rec(rest):
-                    found.add(
-                        (tuple(sorted(unip + (dim,), reverse=True)), disc)
-                    )
-        # the pair [low, top] ∪ [-top, -low] grows by low and -low as low
-        # falls, so one copy of the multiset loses them step by step, and
-        # the first entry it lacks ends the search
-        rest = dict(cnt)
-        for low in range(top, -top, -1):
-            if top + low < 1 or not (_take(rest, low) and _take(rest, -low)):
-                break
-            block = _discrete_block(top + low, top - low + 1)
-            for unip, disc in rec(rest):
-                # blocks decreasing as (t, a), which is canonical (-t, -a)
-                merged = tuple(sorted(disc + (block,), reverse=True))
-                found.add((unip, merged))
-        memo[key] = frozenset(found)
-        return memo[key]
+    def walk(half: tuple[int, ...], bound: int | None) -> list[_Cover]:
+        key = (half, bound)
+        found = memo.get(key)
+        if found is None:
+            found = []
+            high = len(half) - 1
+            for low, rest, following in _first_steps(half, bound, top):
+                sub = walk(rest, following)
+                if low is None:
+                    run = (2 * high + 1,) * half[high]
+                    found += [(run + unip, disc) for unip, disc in sub]
+                else:
+                    block = _discrete_block(high + low, high - low + 1)
+                    found += [(unip, (block,) + disc) for unip, disc in sub]
+            memo[key] = found
+        return found
 
-    return rec(dict(Counter(entries)))
-
-
-def _topped_covers(entries: tuple[int, ...], top: int) -> list[_Cover]:
-    """The covers of the multiset whose largest unipotent dimension is
-    ``top``, in the shape ``_all_segment_covers`` gives them.
-
-    Each such cover is the centered segment of ``top`` plus a cover of the
-    rest with unipotent dimensions at most ``top``, and back; so the rest is
-    searched with that cap and nothing else.
-    """
-    half = (top - 1) // 2
-    rest = _sub_multiset(Counter(entries), list(range(-half, half + 1)))
-    if rest is None:
-        return []
+    # blocks decreasing as (t, a), which is canonical (-t, -a)
     return [
-        ((top,) + unip, disc)
-        for unip, disc in _all_segment_covers(tuple(Counter(rest).elements()), top)
+        (lead + unip, tuple(sorted(disc, reverse=True)))
+        for unip, disc in walk(half, None)
     ]
 
 
-def _trusted_param(
+def _topped_covers(entries: tuple[int, ...], top: int) -> list[_Cover]:
+    """The covers whose largest unipotent dimension is ``top``: the
+    enumerators search each route's top with one ``_all_segment_covers``."""
+    return _all_segment_covers(entries, top)
+
+
+def _trusted_params(
     n: int,
-    unipotent: tuple[UnipotentBlock, ...],
+    unipotents: Iterable[tuple[UnipotentBlock, ...]],
     discrete: tuple[DiscreteBlock, ...],
     entries: tuple[int, ...],
     route: tuple | None = None,
-) -> ArthurParameter:
-    """An ``ArthurParameter`` from block tuples already in canonical order,
-    without the tuple coercion of ``__post_init__``, that records the
-    entries of its infinitesimal character and, with ``route``, the route
-    of ``membership._routes`` that admits it to the packet of the route's
-    module.
+) -> list[ArthurParameter]:
+    """One ``ArthurParameter`` per tuple of unipotent blocks, all with these
+    discrete blocks, from tuples in canonical order, with no frame or tuple
+    coercion of ``__post_init__`` each; each records the entries of its
+    infinitesimal character and, with ``route``, the route of
+    ``membership._routes`` that admits it to the packet of its module.
 
-    The caller vouches that the blocks form a valid parameter whose
+    The caller vouches that the blocks form valid parameters whose
     infinitesimal character has exactly these (decreasing) ``entries``:
-    ``_valid_inf_char`` returns them without validating.  With ``route``,
-    it vouches that the route is the first of its module's table whose
-    shape the parameter has: ``membership._decide_route`` returns it
-    without deciding.  The records are plain instance attributes, not
-    dataclass fields, so ``==``, ``hash``, the order, ``repr`` and ``str``
-    ignore them, and ``dataclasses.replace`` or the constructor make
-    parameters without them.
+    ``_valid_inf_char`` returns them without validating; and that the route
+    is the first of its module's table whose shape each has:
+    ``membership._decide_route`` returns it without deciding.  The records
+    are plain instance attributes, not dataclass fields, so ``==``,
+    ``hash``, the order, ``repr`` and ``str`` ignore them, and
+    ``dataclasses.replace`` or the constructor make parameters without them.
     """
-    psi = object.__new__(ArthurParameter)
-    object.__setattr__(psi, "n", n)
-    object.__setattr__(psi, "unipotent", unipotent)
-    object.__setattr__(psi, "discrete", discrete)
-    object.__setattr__(psi, "_inf_char", entries)
-    if route is not None:
-        object.__setattr__(psi, "_route", route)
-    return psi
+    new, put = object.__new__, object.__setattr__
+    built = []
+    for unipotent in unipotents:
+        psi = new(ArthurParameter)
+        put(psi, "n", n)
+        put(psi, "unipotent", unipotent)
+        put(psi, "discrete", discrete)
+        put(psi, "_inf_char", entries)
+        if route is not None:
+            put(psi, "_route", route)
+        built.append(psi)
+    return built
 
 
 def _require_valid(psi: ArthurParameter) -> None:
@@ -433,7 +450,7 @@ def _require_valid(psi: ArthurParameter) -> None:
 def _valid_inf_char(psi: ArthurParameter) -> tuple[int, ...]:
     """The entries of the infinitesimal character of a valid parameter.
 
-    A parameter from ``_trusted_param`` returns the entries it recorded,
+    A parameter from ``_trusted_params`` returns the entries it recorded,
     unchecked.  Any other is validated first (``ValueError`` naming the
     violation codes) and its character computed (``inf_char_of_param``).
     """
@@ -482,41 +499,24 @@ def _parameter_count(entries: tuple[int, ...]) -> int:
     parity.  The dimensions sum to an odd number, so some dimension occurs
     an odd number c of times; exchanging k and c - k sign blocks there pairs
     the two parities, so half of the prod(c + 1) choices have each, and the
-    count is half the sum of prod(c + 1) over the covers.
-
-    That sum is taken by a memoized recursion over the multiset, which
-    reaches each cover of ``_all_segment_covers`` once.  Each copy of the
-    current maximum M tops one segment: a mirrored pair [low, M] ∪ [-M, -low]
-    or the centered segment of M.  The pairs are taken first, in
-    non-increasing ``low``; every copy of M left then tops a centered
-    segment, a run of c equal dimensions 2M+1 that contributes c + 1.
+    count is half the sum of prod(c + 1) over the covers.  That sum is
+    taken on the walk of ``_all_segment_covers``, with the same memo key,
+    where a run of c equal dimensions contributes c + 1.
     """
-    memo: dict[tuple, int] = {}
+    memo: dict[tuple, int] = {((), None): 1}
 
-    def weighted(cnt: dict[int, int], bound: int) -> int:
-        # the covers of cnt whose pairs topped at max(cnt) have low <= bound
-        if not cnt:
-            return 1
-        top = max(cnt)
-        key = (tuple(sorted(cnt.items())), min(bound, top))
-        if key in memo:
-            return memo[key]
-        copies = cnt[top]
-        total = 0
-        rest = _sub_multiset(cnt, list(range(-top, top + 1)) * copies)
-        if rest is not None:
-            total += (copies + 1) * weighted(rest, top)
-        rest = dict(cnt)
-        for low in range(top, -top, -1):
-            if top + low < 1 or not (_take(rest, low) and _take(rest, -low)):
-                break
-            if low <= bound:
-                # past the last copy of top the next maximum is unbounded
-                total += weighted(rest, low if top in rest else top)
-        memo[key] = total
+    def weighted(half: tuple[int, ...], bound: int | None) -> int:
+        key = (half, bound)
+        total = memo.get(key)
+        if total is None:
+            total = 0
+            for low, rest, following in _first_steps(half, bound, None):
+                sub = weighted(rest, following)
+                total += sub if low is not None else (half[-1] + 1) * sub
+            memo[key] = total
         return total
 
-    return weighted(dict(Counter(entries)), max(entries)) // 2
+    return weighted(_half_counts(entries), None) // 2
 
 
 def _check_rank(n: int, max_rank: int) -> None:
@@ -534,32 +534,29 @@ def _cover_params(
     discrete: tuple[DiscreteBlock, ...],
     top_char: int | None = None,
     route: tuple | None = None,
-):
+) -> list[ArthurParameter]:
     """The parameters of rank n on one cover (unipotent dims, discrete
-    blocks) of the character ``entries``, each recording the entries (and
-    ``route``, see ``_trusted_param``); with ``top_char``, only those with a
-    block of the largest unipotent dimension and that character.
+    blocks) of the character ``entries``, recording the entries (and
+    ``route``, see ``_trusted_params``); with ``top_char``, only those with
+    a block of the largest unipotent dimension and that character.
 
-    Trusted construction: each cover is canonical (blocks in canonical
-    order, and _char_assignments yields unipotent blocks in _unip_key
-    order), covers the 2n+1 entries with well-shaped blocks, and gets only
-    characters of the parity the determinant condition needs: the parity of
-    the sum of the discrete a, which the dimension count gives as
-    (2n+1 - sum of the unipotent dims) / 2.  Distinct covers and
-    assignments give distinct parameters.  So nothing is canonicalized,
-    validated or deduplicated again, and the cover's block tuple is every
-    parameter's discrete part.
+    Each cover is canonical (_char_assignments yields unipotent blocks in
+    _unip_key order), covers the 2n+1 entries with well-shaped blocks, and
+    gets only characters of the parity the determinant condition needs: that
+    of the sum of the discrete a, (2n+1 - sum of the unipotent dims) / 2.
+    Distinct covers and assignments give distinct parameters, so nothing is
+    canonicalized, validated or deduplicated again.
     """
     parity = (2 * n + 1 - sum(unip_dims)) // 2 % 2
-    for unip in _char_assignments(unip_dims, parity, top_char):
-        yield _trusted_param(n, unip, discrete, entries, route)
+    unipotents = _char_assignments(unip_dims, parity, top_char)
+    return _trusted_params(n, unipotents, discrete, entries, route)
 
 
 def enumerate_params(
     chi: InfinitesimalCharacter, n: int, max_rank: int = MAX_ENUMERATION_RANK
 ) -> list[ArthurParameter]:
     """All valid parameters of rank n with inf. character chi, canonicalized,
-    each recording ``chi.entries`` (``_trusted_param``).
+    each recording ``chi.entries`` (``_trusted_params``).
 
     The rank is capped by ``max_rank`` (default ``MAX_ENUMERATION_RANK``)
     since the cover search is combinatorial; raise the cap explicitly for
@@ -569,16 +566,14 @@ def enumerate_params(
     if chi.rank != n:
         raise ValueError("character length must be 2n+1")
     entries = chi.entries
-    covers = _all_segment_covers(entries)
-    out = [psi for cover in covers for psi in _cover_params(n, entries, *cover)]
+    out: list[ArthurParameter] = []
+    for unip_dims, discrete in _all_segment_covers(entries):
+        out += _cover_params(n, entries, unip_dims, discrete)
     out.sort(key=_order_key)
     return out
 
 
-def _order_key(psi: ArthurParameter) -> tuple:
-    """The dataclass ``order=True`` order of parameters of one rank.
-
-    Blocks are tuples of their fields, so the block tuples themselves are
-    the key, and comparing them runs in C.
-    """
-    return (psi.unipotent, psi.discrete)
+# The dataclass ``order=True`` order of parameters of one rank.  Blocks are
+# tuples of their fields, so the block tuples themselves are the key, taken
+# with no Python frame and compared in C.
+_order_key = operator.attrgetter("unipotent", "discrete")

@@ -4,6 +4,12 @@ The enumeration oracle rebuilds the parameter list for a given infinitesimal
 character by blind generate-and-test over a candidate block pool, with leaf
 verification by multiset equality.  It shares no code path with the
 production enumerator (which recurses on the maximum remaining entry).
+
+The cover oracle ``set_segment_covers`` is the library's earlier cover
+search, kept here as it was: a recursion on the maximum over a dict of
+counts that covers it either way, re-sorts every partial cover and
+deduplicates through sets.  The library's search walks the symmetric half
+of the multiset and reaches each cover once.
 """
 
 from __future__ import annotations
@@ -90,3 +96,62 @@ def brute_force_params(chi: InfinitesimalCharacter, n: int) -> list[ArthurParame
             if not validate(psi):
                 out.add(psi)
     return sorted(out)
+
+
+def _take(cnt: dict[int, int], v: int) -> bool:
+    """Remove one entry v from the multiset in place; False if there is none."""
+    k = cnt.get(v, 0)
+    if k == 0:
+        return False
+    if k == 1:
+        del cnt[v]
+    else:
+        cnt[v] = k - 1
+    return True
+
+
+def _sub_multiset(cnt: dict[int, int], seg) -> dict[int, int] | None:
+    """The multiset less the entries of ``seg``, or None if it lacks one."""
+    out = dict(cnt)
+    for v in seg:
+        if not _take(out, v):
+            return None
+    return out
+
+
+def set_segment_covers(entries: tuple[int, ...], cap: int | None = None) -> frozenset:
+    """Every cover of the multiset as (unipotent dimensions decreasing,
+    discrete blocks in canonical order), with unipotent dimensions at most
+    ``cap`` when it is given.
+
+    The search covers the current maximum M either by the centered segment
+    topped there or by a mirrored pair [l, M] ∪ [-M, -l] with l > -M, sorts
+    every partial cover and deduplicates through sets.
+    """
+    memo: dict[tuple, frozenset] = {}
+
+    def rec(cnt: dict[int, int]) -> frozenset:
+        if not cnt:
+            return frozenset({((), ())})
+        key = tuple(sorted(cnt.items()))
+        if key in memo:
+            return memo[key]
+        top = max(cnt)
+        found: set = set()
+        dim = 2 * top + 1
+        if top >= 0 and (cap is None or dim <= cap):
+            rest = _sub_multiset(cnt, range(-top, top + 1))
+            if rest is not None:
+                for unip, disc in rec(rest):
+                    found.add((tuple(sorted(unip + (dim,), reverse=True)), disc))
+        rest = dict(cnt)
+        for low in range(top, -top, -1):
+            if top + low < 1 or not (_take(rest, low) and _take(rest, -low)):
+                break
+            block = DiscreteBlock(top + low, top - low + 1)
+            for unip, disc in rec(rest):
+                found.add((unip, tuple(sorted(disc + (block,), reverse=True))))
+        memo[key] = frozenset(found)
+        return memo[key]
+
+    return rec(dict(Counter(entries)))

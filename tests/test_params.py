@@ -24,7 +24,7 @@ from sympacket.params import (
 )
 from sympacket.weights import InfinitesimalCharacter, inf_char_of_weight, pi_nm, sigma_nk
 
-from oracles import brute_force_params
+from oracles import brute_force_params, set_segment_covers
 
 
 def P(n, unip, disc=()):
@@ -208,6 +208,46 @@ def test_parameter_count_at_ranks_12_and_13_agrees_with_the_covers():
         for weight in weights:
             entries = inf_char_of_weight(weight).entries
             assert _parameter_count(entries) == by_covers(entries), weight
+
+
+def distinct_characters(ranks):
+    """The distinct entries of the characters of every pi_n(m) and
+    sigma_{n,k} at these ranks (pi_n(m) and pi_n(n+1-m) share one)."""
+    seen = {}
+    for n in ranks:
+        weights = [pi_nm(n, m) for m in range(n + 1)]
+        weights += [sigma_nk(n, k) for k in range(1, n // 2 + 1)]
+        for weight in weights:
+            seen.setdefault(inf_char_of_weight(weight).entries, n)
+    return [(n, entries) for entries, n in seen.items()]
+
+
+def test_cover_search_matches_the_set_based_oracle():
+    # the search walks the symmetric half and reaches each cover once, so it
+    # keeps no set: it must give the earlier set-based search's covers, in
+    # the same shape, each once, in full and for every top
+    for n, entries in distinct_characters(range(1, 12)):
+        expected = set_segment_covers(entries)
+        covers = _all_segment_covers(entries)
+        assert len(covers) == len(set(covers)), entries
+        assert set(covers) == expected, entries
+        for top in range(1, 2 * n + 2, 2):
+            topped = _topped_covers(entries, top)
+            assert len(topped) == len(set(topped)), (entries, top)
+            assert set(topped) == {c for c in expected if c[0][0] == top}, (entries, top)
+
+
+def test_parameter_count_at_ranks_12_and_13_agrees_with_the_oracle_covers():
+    # every character at ranks 12-13, counted over the set-based search's
+    # covers: half of prod(c + 1) on each
+    for _, entries in distinct_characters((12, 13)):
+        total = 0
+        for unip_dims, _ in set_segment_covers(entries):
+            choices = 1
+            for dim in set(unip_dims):
+                choices *= unip_dims.count(dim) + 1
+            total += choices // 2
+        assert _parameter_count(entries) == total, entries
 
 
 def test_top_character_filter():

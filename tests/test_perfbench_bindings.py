@@ -3,7 +3,8 @@
 traced run fail, or leave a layer silently unmeasured; so every name it
 binds must resolve in the library.  And the benchmark's correctness checks
 must still accept the library's outputs and reject corrupted ones
-(``perfbench/selftest.py``)."""
+(``perfbench/selftest.py``).  The enumerators must reach the cover search
+through the name the tracer wraps."""
 
 import importlib
 import importlib.util
@@ -11,7 +12,8 @@ import os
 import subprocess
 import sys
 
-from sympacket import cli
+from sympacket import cli, membership, params
+from sympacket.weights import module_of
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
@@ -50,3 +52,28 @@ def test_benchmark_selftest_passes():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert "selftest: ok" in done.stdout
+
+
+def test_each_topped_route_calls_the_traced_cover_search_once(monkeypatch):
+    # the tracer times params.covers by wrapping params._all_segment_covers;
+    # an enumerator that reached the search some other way would leave that
+    # layer reading 0, as it read before
+    assert _tracing().SPAN_LAYERS["params.covers"] == ("params", ["_all_segment_covers"])
+    calls = []
+    search = params._all_segment_covers
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(params, "_all_segment_covers", counted)
+    for family, n, value in (("pi", 9, 5), ("sigma", 9, 2), ("pi", 9, 8)):
+        calls.clear()
+        if family == "pi":
+            packets = membership.enumerate_packets_pi(n, value)
+        else:
+            packets = membership.enumerate_packets_sigma(n, value)
+        assert packets
+        routes = membership._routes(module_of(family, n, value))
+        topped = [route for route in routes if route.char is not None]
+        assert len(calls) == len(topped), (family, n, value, calls)
