@@ -1,7 +1,8 @@
 """Golden wire output: SHA-256 digests of the command line's reports.
 
-Each digest covers, for one command, family, rank and format, every argv
-with its exit code, stdout and stderr, in order.  So a changed byte in a
+Each digest covers, for one grid of argvs (one command, family and rank,
+or one subcommand's grid, or its refusals) and one format, every argv with
+its exit code, stdout and stderr, in order.  So a changed byte in a
 report, an exit code (the exit 3 rows of ``rho`` included) or the list of
 members changes it.  Reports of schema_version 1 stay byte-identical: a
 digest may change only with an intended change of the wire format.
@@ -9,6 +10,8 @@ digest may change only with an intended change of the wire format.
 
 import hashlib
 import json
+
+import pytest
 
 from sympacket import characters, cli, membership
 
@@ -174,3 +177,206 @@ def test_member_characters_at_ranks_7_to_9_are_golden():
         for n in (7, 8, 9)
     }
     assert digests == CHARACTER_DIGESTS
+
+
+# --- the other subcommands, the refusals and the largest reports -------------
+
+WORKED = {
+    "n": 2,
+    "unipotent": [
+        {"char": "sgn", "dim": 3},
+        {"char": "triv", "dim": 1},
+        {"char": "sgn", "dim": 1},
+    ],
+    "discrete": [],
+}
+DISCRETE = {"n": 2, "unipotent": [{"char": "triv", "dim": 1}], "discrete": [{"t": 1, "a": 2}]}
+
+
+def _trivial(n):
+    return json.dumps({"n": n, "unipotent": [{"char": "triv", "dim": 2 * n + 1}], "discrete": []})
+
+
+def _with(path, value, base=WORKED):
+    """The wire text of ``base`` with the field at ``path`` set to ``value``."""
+    bad = json.loads(json.dumps(base))
+    *where, key = path
+    target = bad
+    for step in where:
+        target = target[step]
+    target[key] = value
+    return json.dumps(bad)
+
+
+def _decide_argvs(family):
+    # every parameter with the module's character, members and non-members
+    from sympacket.params import enumerate_params
+    from sympacket.weights import inf_char_of_weight, pi_nm, sigma_nk
+
+    weight = pi_nm if family == "pi" else sigma_nk
+    return [
+        ["decide", "--param", json.dumps(cli.param_to_json(psi)), f"--{family}", str(v)]
+        for n in range(1, 5)
+        for v in _values(family, n)
+        for psi in enumerate_params(inf_char_of_weight(weight(n, v)), n)
+    ]
+
+
+REGULAR = [
+    {"n": 3, "unipotent": [{"char": "sgn", "dim": 5}], "discrete": [{"t": 10, "a": 1}]},
+    {"n": 1, "unipotent": [{"char": "triv", "dim": 3}], "discrete": []},
+    {"n": 2, "unipotent": [{"char": "triv", "dim": 1}],
+     "discrete": [{"t": 4, "a": 1}, {"t": 2, "a": 1}]},
+    {"n": 2, "unipotent": [{"char": "sgn", "dim": 3}], "discrete": [{"t": 6, "a": 1}]},
+    WORKED,  # not a regular character: exit 2
+]
+
+HOWE_FORMS = [["--char", c] for c in ("triv", "det", "sgn", "sgn-det")] + [
+    ["--eta", "sgn", "--tau", "1"],
+    ["--eta", "triv", "--tau", "0", "--delta", "-1"],
+]
+
+GRIDS = {
+    "decide-pi": lambda: _decide_argvs("pi"),
+    "decide-sigma": lambda: _decide_argvs("sigma"),
+    "decide-regular": lambda: [
+        ["decide", "--param", json.dumps(psi), "--regular", str(a)]
+        for psi in REGULAR
+        for a in range(4)
+    ],
+    "invariants": lambda: [
+        ["invariants", str(p), str(q)] + delta
+        for p in range(4)
+        for q in range(4)
+        for delta in ([], ["--delta", "1"], ["--delta", "-1"])
+    ],
+    "howe": lambda: [
+        ["howe", "--p", str(p), "--q", str(q), "--rank", str(n)] + form
+        for p in range(4)
+        for q in range(4)
+        for n in range(3)
+        for form in HOWE_FORMS
+    ],
+    "standard": lambda: [
+        ["standard", family, str(n), str(v)]
+        for family in ("pi", "sigma")
+        for n in range(1, 6)
+        for v in range(n + 2)
+    ],
+    "tableau": lambda: [
+        ["tableau", str(n), str(m)] for n in range(6) for m in range(-1, n + 2)
+    ],
+    "cohind": lambda: [
+        ["cohind", str(n), str(p), str(q)] + extra
+        for n in range(1, 5)
+        for p in range(3)
+        for q in range(3)
+        for extra in (
+            [],
+            ["--t", "-1"],
+            ["--t", "3", "--scalar-m", "0"],
+            ["--t", "2", "--scalar-m", "2"],
+            ["--t", "1", "--weight=" + ",".join(["-1"] * n)],
+            ["--t", "4", "--scalar-m", "1", "--weight=" + ",".join(map(str, range(-n, 0)))],
+            ["--t", "0", "--weight", "0,0,0,0,0"],
+        )
+    ],
+    # the usage errors of tests/test_cli.py
+    "exit-1": lambda: [
+        ["decide", "--param", json.dumps(WORKED)],
+        ["nonsense"],
+        ["howe", "--p", "0", "--q", "4", "--rank", "5"],
+        ["rho", "--param", json.dumps(WORKED), "--module", "pi"],
+        ["rho", "--param", json.dumps(WORKED), "--module", "pi", "--m", "1", "--k", "5"],
+        ["rho", "--param", json.dumps(WORKED), "--module", "sigma", "--k", "1", "--m", "1"],
+        ["rho", "--param", "no-such-directory/param.json", "--module", "pi"],
+    ],
+    # the refusals of tests/test_cli.py, and field names that need escapes
+    "exit-2": lambda: [
+        ["decide", "--param", _with(("unipotent", 0, "char"), "triv"), "--pi", "1"],
+        ["decide", "--param", json.dumps({"n": 1, "unipotent": [], "discrete": [], "bogus": 1}),
+         "--pi", "0"],
+        ["decide", "--param", json.dumps({"n": 1, "unipotent": [], "discrete": [],
+                                      "b\u00fcr\u2028": 1, "\ud800": 2, "\x07": 3}),
+         "--pi", "0"],
+        ["decide", "--param", _with(("unipotent", 0, "char"), "sgn\u00e9"), "--pi", "1"],
+        ["decide", "--param", json.dumps({**WORKED, "unipotent": [WORKED["unipotent"][i]
+                                                              for i in (1, 0, 2)]}),
+         "--pi", "1"],
+        ["decide", "--param", json.dumps(REGULAR[0]), "--regular", "3"],
+        ["decide", "--param", _with(("unipotent", 0, "dim"), 3.9), "--pi", "2"],
+        ["decide", "--param", _with(("unipotent", 0, "dim"), "3"), "--pi", "2"],
+        ["decide", "--param", _with(("n",), 2.0), "--pi", "2"],
+        ["decide", "--param", _with(("discrete", 0, "t"), "1", DISCRETE), "--pi", "2"],
+        ["decide", "--param", _with(("unipotent", 1, "dim"), True), "--pi", "2"],
+        ["decide", "--param", _with(("discrete", 0, "a"), 2.0, DISCRETE), "--pi", "2"],
+        ["decide", "--param", '[{"n": 2}]', "--pi", "1"],
+        ["decide", "--param", "{not json", "--pi", "1"],
+        ["decide", "--param", "[" * 100000, "--pi", "1"],
+        ["decide", "--param", "no-such-directory/param.json", "--pi", "1"],
+        ["tableau", "100000", "3"],
+        ["cohind", "100000", "1", "2"],
+        ["standard", "pi", "400000", "3"],
+        ["standard", "sigma", "400000", "3"],
+        ["howe", "--p", "2", "--q", "2", "--char", "triv", "--rank", "400000"],
+        ["howe", "--p", "2", "--q", "2", "--char", "triv", "--rank", "-5"],
+        ["howe", "--p", "2", "--q", "2", "--char", "triv", "--rank", "65"],
+        ["decide", "--param", _trivial(65), "--pi", "0"],
+        ["decide", "--param", _trivial(10**6), "--pi", "0"],
+        ["rho", "--param", _trivial(65), "--module", "pi", "--m", "0"],
+        ["rho", "--param", _trivial(10**6), "--module", "pi", "--m", "0"],
+        ["enumerate-pi", "13", "3"],
+        ["enumerate-pi", "3000000", "3"],
+        ["enumerate-pi", "3", "5"],
+        ["enumerate-sigma", "5", "3"],
+        ["rho", "--param", json.dumps(WORKED), "--module", "pi", "--m", "5"],
+        ["rho", "--param", json.dumps(DISCRETE), "--module", "pi", "--m", "1"],
+        ["cohind", "4", "1", "2", "--t", "3", "--weight", "1,x"],
+    ],
+}
+
+REPORT_DIGESTS = {
+    ("decide-pi", "json"): "5a1b7a2f74c7b5e4fef2c415093ebe2fa441d59ab9f1f1923625e22097fc2aed",
+    ("decide-pi", "text"): "8259bd873283a05b05cbb2db9829a4541056d97f2fbfd57dd9821c887b888169",
+    ("decide-sigma", "json"): "c935501a7d4706b108c61bf6a723b47e04c2b0637636f1ab30f927c3c6b65e68",
+    ("decide-sigma", "text"): "604b2ab83f677cf760a46e4ff53f8ad764a407806124d7e26aa2e1354ecc62dd",
+    ("decide-regular", "json"): "916ea684481b51f85a669e8eb736b18049c9900d9adef93ac90765866bc6bba5",
+    ("decide-regular", "text"): "86a86e5aad20738456948e898101b3abd49f98befba7b79d7ab7c981ab424295",
+    ("invariants", "json"): "edb04d33ffbf450afef4862c7227189837f22cb28e266ece4a23525950136f93",
+    ("invariants", "text"): "6e37022f731b37ed8adae0ec3635d627903f76c185ae6f936e41c5714fb172bf",
+    ("howe", "json"): "a5ed0727e60a9fb9b2e2d3df0b5860ee639fd8c49a4bd62c452f761771772549",
+    ("howe", "text"): "9c64204139fc72a4ee52a0cc40bd7fb353864cb90612a87c3c7ecacb2ef13212",
+    ("standard", "json"): "1aa32ea61dac86467301e95f1fc9e96182194541d70b48e43cd664f5cefbbb71",
+    ("standard", "text"): "9c1346e8c9db2bbac5a9b27275a0e7639129a9ed57f2b36ea7757aedba2680b7",
+    ("tableau", "json"): "deb800ecfd96f8a2390ede748fb5fe145ac2dc1f93c713abec99869474721cb8",
+    ("tableau", "text"): "98143a32f941f3e030cd56fecbd8a79b35edd84e443c358ba9312594cb82f913",
+    ("cohind", "json"): "9fe268f2a54aff4fb1efab7ce5b38fa10f9d70d671a9c8058304d0181a072866",
+    ("cohind", "text"): "835f9b06e4d7a3c03f11856ffc5b2ab191213ba8871eb5a11ab06a1f92423b73",
+    ("exit-1", "json"): "35b695c6502e75664d85057b368594ef0e55720a0f13b43353d8d41911a59a46",
+    ("exit-1", "text"): "7f54b4ee28437aaf45c69e81b9e28a2e9ff4ca4c1d23f9baf94ac577435f7d91",
+    ("exit-2", "json"): "8c717939c1925a68ec955de8da5a0dd95c8d521f0be7e37fc44e3cdb1e2480a1",
+    ("exit-2", "text"): "680cdaf174c28c6b18eef7e881ce870885b92a055dfe8157362c23450d9b72b4",
+}
+
+# the largest reports a command prints: ~2 MB and ~0.4 MB of JSON
+LARGE_DIGESTS = {
+    (12, "json"): "be2ac11c51f503f69b6bb8863741dfbe49779e80b4822a761728c084d1009c4f",
+    (12, "text"): "030e85cb18a937535f30643f3ecabd59c55ca7138833e374ad6930bf6dc30a4b",
+    (9, "json"): "58a96236420773ad4eaf296c3f4dad0f3e27a15d77c0d9e1875800718b91e0de",
+    (9, "text"): "1583cb34cebba43b8565069be5836deaf81d93e4beec34646100f84ce39f8adf",
+}
+
+
+@pytest.mark.parametrize("name", list(GRIDS))
+def test_other_reports_and_refusals_are_golden(capsys, name):
+    argvs = GRIDS[name]()
+    digests = {fmt: _digest(capsys, [prefix + argv for argv in argvs])
+               for fmt, prefix in FORMATS}
+    assert digests == {fmt: REPORT_DIGESTS[name, fmt] for fmt, _ in FORMATS}
+
+
+@pytest.mark.parametrize("m", [12, 9])
+def test_largest_enumerate_reports_are_golden(capsys, m):
+    digests = {fmt: _digest(capsys, [prefix + ["enumerate-pi", "12", str(m)]])
+               for fmt, prefix in FORMATS}
+    assert digests == {fmt: LARGE_DIGESTS[m, fmt] for fmt, _ in FORMATS}
