@@ -25,6 +25,7 @@ import io
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
 from . import characters, cohomology, langlands, membership, quadforms, tableaux
@@ -440,9 +441,95 @@ def _report(command: str, inputs: dict[str, Any], results: dict[str, Any]) -> di
     }
 
 
+def _indented_json(value: Any) -> str:
+    """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives, built
+    in one list and joined once.
+
+    CPython's C encoder does not take ``indent``, so ``json.dumps`` falls
+    back to its generator-based Python encoder there; this walk takes about
+    a third of its time on a large report.  Strings go through json's
+    ``encode_basestring_ascii``, exact ints through ``int.__repr__``, and
+    any other scalar is written, or refused with ``TypeError``, as
+    ``json.dumps`` writes or refuses it.  ``True``, ``False`` and ``None``
+    are tested by identity (``1.0 == True``), containers with
+    ``isinstance``, so a subclass of dict or list is walked as one.  A
+    report is a tree, so no circular reference is looked for: one would
+    end in ``RecursionError``.
+    """
+    parts: list[str] = []
+    append = parts.append
+    enc = _encode_str
+    int_repr = int.__repr__
+
+    def write(value: Any, nl: str) -> None:
+        # the scalars of a container are written in its loop, with no call
+        if isinstance(value, str):
+            append(enc(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for key, item in sorted(value.items()):
+                if not isinstance(key, str):
+                    key = _json_key(key)
+                kind = type(item)
+                if kind is str:
+                    append(f"{sep}{enc(key)}: {enc(item)}")
+                elif kind is int:
+                    append(f"{sep}{enc(key)}: {int_repr(item)}")
+                else:
+                    append(f"{sep}{enc(key)}: ")
+                    write(item, inner)
+                sep = "," + inner
+            append(nl + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            inner = nl + "  "
+            sep = "[" + inner
+            for item in value:
+                kind = type(item)
+                if kind is str:
+                    append(sep + enc(item))
+                elif kind is int:
+                    append(sep + int_repr(item))
+                else:
+                    append(sep)
+                    write(item, inner)
+                sep = "," + inner
+            append(nl + "]")
+        else:
+            append(json.dumps(value))
+
+    write(value, "\n")
+    return "".join(parts)
+
+
+def _json_key(key: Any) -> str:
+    """A dict key that is not a string, as ``json.dumps`` names it."""
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
+
+
+# ``json.dumps(value, sort_keys=True)`` builds a new encoder on every call
+_compact_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def _print_report(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_indented_json(report))
         return
     print(f"# {report['command']}")
     for section in ("inputs", "results"):
@@ -458,7 +545,7 @@ def _render_value(value: Any) -> str:
         ]
         disc = [f"δ_{b['t']}⊠R[{b['a']}]" for b in value["discrete"]]
         return " ⊕ ".join(disc + unip) + f"  (n={value['n']})"
-    return json.dumps(value, sort_keys=True)
+    return _compact_json(value)
 
 
 def build_parser() -> _Parser:
@@ -531,6 +618,17 @@ def build_parser() -> _Parser:
 _parser = functools.cache(build_parser)
 
 
+def _refuse(exc: Exception, violations: list[str]) -> int:
+    """Print the exit-2 payload of a refused input to stderr; return 2."""
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "error": str(exc),
+        "violations": violations,
+    }
+    print(_indented_json(payload), file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -539,22 +637,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ValidationError as exc:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "error": str(exc),
-            "violations": exc.violations,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
-        return 2
+        return _refuse(exc, exc.violations)
     except ValueError as exc:  # the library refused an argument
         violation = "RANK_BOUND" if isinstance(exc, RankBoundError) else "RANGE"
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "error": str(exc),
-            "violations": [violation],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
-        return 2
+        return _refuse(exc, [violation])
     try:
         _print_report(report, args.format)
         sys.stdout.flush()

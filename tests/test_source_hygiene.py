@@ -6,6 +6,9 @@ In every module of ``src/sympacket`` except ``__init__.py``:
 * each module-level private function or class is referenced somewhere in
   ``src/`` outside its own definition, so dead helpers do not linger;
 * each imported name is used in the module that imports it.
+
+And in every module, ``__init__.py`` included, no ``json`` call is given an
+``indent``: ``cli._indented_json`` is the one writer of indented JSON.
 """
 
 import ast
@@ -76,3 +79,20 @@ def test_imported_names_are_used(module):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in _imported_names(tree) if name not in read]
     assert unused == [], f"{module}: imported and never used: {unused}"
+
+
+# the json calls that take ``indent``, by the name they are called through
+INDENTING = {"dump", "dumps", "JSONEncoder"}
+
+
+@pytest.mark.parametrize("module", list(TREES))
+def test_indented_json_has_one_writer(module):
+    calls = [
+        node.lineno
+        for node in ast.walk(TREES[module])
+        if isinstance(node, ast.Call)
+        and (node.func.attr if isinstance(node.func, ast.Attribute)
+             else getattr(node.func, "id", None)) in INDENTING
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+    assert calls == [], f"{module}: json called with indent on lines {calls}"
