@@ -446,8 +446,8 @@ def _indented_json(value: Any) -> str:
     in one list and joined once.
 
     CPython's C encoder does not take ``indent``, so ``json.dumps`` falls
-    back to its generator-based Python encoder there; this walk takes about
-    a third of its time on a large report.  Strings go through json's
+    back to its generator-based Python encoder there; this walk takes less
+    than half of its time on a large report.  Strings go through json's
     ``encode_basestring_ascii``, exact ints through ``int.__repr__``, and
     any other scalar is written, or refused with ``TypeError``, as
     ``json.dumps`` writes or refuses it.  ``True``, ``False`` and ``None``

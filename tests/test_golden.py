@@ -14,6 +14,8 @@ import json
 import pytest
 
 from sympacket import characters, cli, membership
+from sympacket.params import enumerate_params
+from sympacket.weights import inf_char_of_weight, pi_nm, sigma_nk
 
 FORMATS = (("json", []), ("text", ["--format", "text"]))
 
@@ -210,9 +212,6 @@ def _with(path, value, base=WORKED):
 
 def _decide_argvs(family):
     # every parameter with the module's character, members and non-members
-    from sympacket.params import enumerate_params
-    from sympacket.weights import inf_char_of_weight, pi_nm, sigma_nk
-
     weight = pi_nm if family == "pi" else sigma_nk
     return [
         ["decide", "--param", json.dumps(cli.param_to_json(psi)), f"--{family}", str(v)]
