@@ -332,6 +332,35 @@ GRIDS = {
         ["rho", "--param", json.dumps(DISCRETE), "--module", "pi", "--m", "1"],
         ["cohind", "4", "1", "2", "--t", "3", "--weight", "1,x"],
     ],
+    # argvs that only argparse reads (abbreviations, ``=`` forms, intermixed
+    # positionals, a repeated option, ``--``, an option after the subcommand),
+    # values that int() takes as written, and the usage errors around them
+    "argparse-only": lambda: [
+        ["decide", "--par", json.dumps(WORKED), "--pi", "1"],
+        ["decide", "--p", json.dumps(WORKED), "--pi", "1"],
+        ["rho", "--param", json.dumps(WORKED), "--mod", "pi", "--m", "1", "--whit", "-1"],
+        ["howe", "--p", "2", "--q", "2", "--ch", "det", "--ra", "1"],
+        ["cohind", "3", "1", "1", "--t", "2", "--scal", "1"],
+        ["--form", "text", "tableau", "3", "1"],
+        ["decide", "--param=" + json.dumps(WORKED), "--pi=1"],
+        ["decide", "--param", json.dumps(WORKED), "--sigma=1"],
+        ["cohind", "3", "--t", "2", "1", "1"],
+        ["invariants", "2", "--delta", "-1", "2"],
+        ["rho", "--param", json.dumps(WORKED), "--module", "pi", "--m", "1", "--m", "2"],
+        ["enumerate-pi", "--", "3", "1"],
+        ["enumerate-pi", "3", "1", "--format", "text"],
+        ["rho", "--param", json.dumps(WORKED), "--module", "pi", "--m", "1",
+         "--whittaker", "2"],
+        ["enumerate-pi", "x", "1"],
+        ["enumerate-pi", " 3", "+1"],
+        ["enumerate-pi", "\uff13", "1"],
+        ["enumerate-pi", "3", "-1"],
+        ["decide", "--param", json.dumps(WORKED), "--pi", "1", "--sigma", "1"],
+        ["decide", "--param", json.dumps(WORKED), "--pi"],
+        ["decide", "--param", json.dumps(WORKED), "--regular", "1", "2"],
+        ["tableau", "3", "1", "2"],
+        ["--format", "xml", "tableau", "3", "1"],
+    ],
 }
 
 REPORT_DIGESTS = {
@@ -355,6 +384,8 @@ REPORT_DIGESTS = {
     ("exit-1", "text"): "7f54b4ee28437aaf45c69e81b9e28a2e9ff4ca4c1d23f9baf94ac577435f7d91",
     ("exit-2", "json"): "8c717939c1925a68ec955de8da5a0dd95c8d521f0be7e37fc44e3cdb1e2480a1",
     ("exit-2", "text"): "680cdaf174c28c6b18eef7e881ce870885b92a055dfe8157362c23450d9b72b4",
+    ("argparse-only", "json"): "33fe62dedc333382f254699ddbef974059417820a20fa3f58982388b5a024e37",
+    ("argparse-only", "text"): "4be924dc518d0812e8c6f4098c004041229f4523d797f102dbc9db8ec6a7d82b",
 }
 
 # the largest reports a command prints: ~2 MB and ~0.4 MB of JSON
@@ -379,3 +410,31 @@ def test_largest_enumerate_reports_are_golden(capsys, m):
     digests = {fmt: _digest(capsys, [prefix + ["enumerate-pi", "12", str(m)]])
                for fmt, prefix in FORMATS}
     assert digests == {fmt: LARGE_DIGESTS[m, fmt] for fmt, _ in FORMATS}
+
+
+# the help of the top level and of each subcommand, printed before exit 0
+HELP_DIGESTS = {
+    "": "71c4a11aec749bee7991bf9fbbdda4f77d02388bff2cb2d2db18a07dbeb1679b",
+    "enumerate-pi": "f8ae3058c5d9c658657769f4d8f4d658fc7d68d456649c16d0c513fed26aea06",
+    "enumerate-sigma": "2b73c97bf97a177403ffab0f66df3674b991cd8e045c904cb7de54bae8507c22",
+    "decide": "c7a4d544a4f3d299cbe0f55ee70c791a82f11e435fa44ab20007afcd3d85ff18",
+    "rho": "c0f2b7cfbc9f982a4a4f3ac0c64ebea7f486ba3e8a4bcc92f6761b558f773403",
+    "invariants": "677c1c1eb57cd7be9cc37f1ae4444fc13ffa78c50bb4a7988ed3cc114a5dda8c",
+    "howe": "a49f8b53e2ba07c72960701200151e9da1837dd22aa562558c59d12471cdc2cd",
+    "standard": "8bdf256e7856b2e9612817e59612e54e3bf9f7c886e503a6ac1f5ff46ba316b1",
+    "tableau": "f72e15f271086879af638bf48c2b559ba94b784bc047cc1cc8db30b1ea5569ae",
+    "cohind": "d173d574d29458584d54c2b893f97af17d18484eb0f29d4594a661a4b01af0f4",
+}
+
+
+def test_help_is_golden(capsys, monkeypatch):
+    # argparse wraps help to the terminal's width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    digests = {}
+    for command in HELP_DIGESTS:
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([command, "-h"] if command else ["-h"])
+        out, err = capsys.readouterr()
+        assert (exit_.value.code, err) == (0, "")
+        digests[command] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == HELP_DIGESTS
