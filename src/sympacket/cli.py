@@ -24,6 +24,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
@@ -603,6 +604,9 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_tableau)
 
     sp = sub.add_parser("cohind")
+    # a weight led by a negative entry, such as -1,-1, is a value as -1 is,
+    # not an option
+    sp._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
     sp.add_argument("n", type=int)
     sp.add_argument("p", type=int)
     sp.add_argument("q", type=int)

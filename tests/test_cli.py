@@ -226,6 +226,18 @@ def test_standard_and_tableau_and_howe_and_cohind(capsys):
     assert report["results"]["weakly_fair"] is True
 
 
+def test_weight_may_lead_with_a_negative_entry(capsys):
+    # -1,-1 is a value of --weight, as -1 is and as --weight=-1,-1 reads it
+    argv = ["cohind", "2", "1", "1", "--t", "1"]
+    spaced = run(capsys, argv + ["--weight", "-1,-1"])
+    assert spaced == run(capsys, argv + ["--weight=-1,-1"])
+    assert spaced[0] == 0
+    assert json.loads(spaced[1])["inputs"]["weight"] == [-1, -1]
+    # a token that is not a list of integers still reads as an option
+    code, _, err = run(capsys, argv + ["--weight", "-1,x"])
+    assert code == 1 and "expected one argument" in err
+
+
 def test_decide_regular(capsys):
     psi = json.dumps(
         {
