@@ -27,7 +27,7 @@ import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from . import characters, cohomology, langlands, membership, quadforms, tableaux
 from .params import (
@@ -550,9 +550,9 @@ def _render_value(value: Any) -> str:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="sympacket", description=__doc__)
+    parser = _CommandLineParser(prog="sympacket", description=__doc__)
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
     for family, label in _LABELS.items():
         sp = sub.add_parser(f"enumerate-{family}")
@@ -616,6 +616,187 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_cohind)
 
     return parser
+
+
+# --- the table of well-formed argvs -------------------------------------------
+#
+# build_parser is the one declaration of the command line.  The top-level
+# parser compiles a table from its own actions on its first parse, and parses
+# a well-formed argv with it: top-level options, the subcommand, its
+# positionals in order, then its options, each given once as ``--opt value``.
+# The table declines every other argv (abbreviations, ``=`` forms, ``--``,
+# ``-h``, repeats, any token argparse would refuse or read differently), and
+# argparse parses it, so its errors and help keep argparse's bytes.
+
+# what reading argparse's private layout may raise on another Python
+_LAYOUT_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+
+
+class _Decline(Exception):
+    """The table does not fully recognise an argv."""
+
+
+class _Entry(NamedTuple):
+    """What the table knows of one parser."""
+
+    start: dict[str, Any]  # the namespace before any token, as argparse begins it
+    positionals: tuple[tuple, ...]  # (dest, convert, choices), in order
+    options: dict[str, tuple]  # exact option string -> (dest, convert, choices)
+    required: frozenset[str]  # the dests of the required options
+    groups: tuple[tuple[tuple[str, ...], bool], ...]  # mutually exclusive: dests, required
+    is_value: Callable[[str], bool]
+
+
+def _entry(parser: argparse.ArgumentParser, skip: argparse.Action | None = None) -> _Entry:
+    """The entry of a subcommand's parser, or of the top-level one, whose
+    subcommand action is ``skip``.  Raises ``_Decline`` unless every other
+    action but help stores one value."""
+    if parser.fromfile_prefix_chars is not None:
+        raise _Decline
+    start: dict[str, Any] = {}
+    positionals, options, required = [], {}, []
+    for action in parser._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            start.setdefault(action.dest, action.default)
+        if action is skip or isinstance(action, argparse._HelpAction):
+            continue
+        convert = parser._registry_get("type", action.type, action.type)
+        if (type(action) is not argparse._StoreAction or action.nargs is not None
+                or not callable(convert)
+                # argparse converts an unused default given as a string
+                or isinstance(action.default, str) and action.type is not None):
+            raise _Decline
+        field = (action.dest, convert, action.choices)
+        if not action.option_strings:
+            positionals.append(field)
+        for option in action.option_strings:
+            options[option] = field
+        if action.required and action.option_strings:
+            required.append(action.dest)
+    for dest, value in parser._defaults.items():
+        start.setdefault(dest, value)
+    groups = []
+    for group in parser._mutually_exclusive_groups:
+        # argparse counts a member as given when its value is not its default
+        if any(action.default is not None for action in group._group_actions):
+            raise _Decline
+        groups.append((tuple(a.dest for a in group._group_actions), group.required))
+
+    chars = parser.prefix_chars
+    negative = (None if parser._has_negative_number_optionals
+                else parser._negative_number_matcher.match)
+
+    def is_value(token: str) -> bool:
+        """argparse reads the token as a value: it does not start with a
+        prefix character, or it looks like a negative number in a parser
+        with no option that does."""
+        if not token or token[0] not in chars:
+            return True
+        return negative is not None and negative(token) is not None
+
+    return _Entry(start, tuple(positionals), options, frozenset(required), tuple(groups), is_value)
+
+
+_Table = tuple[_Entry, str, dict[str, _Entry]]  # top level, its subcommand's dest, subcommands
+
+
+def _compile(parser: argparse.ArgumentParser) -> _Table | None:
+    """The table of the top-level ``parser``: an entry for each subcommand
+    the table can read, or None where it can read no argv."""
+    try:
+        (subparsers,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        top = _entry(parser, subparsers)
+        if top.positionals or subparsers.dest is argparse.SUPPRESS:
+            return None
+        commands = {}
+        for name, sub in subparsers.choices.items():
+            try:
+                commands[name] = _entry(sub)
+            except (_Decline, *_LAYOUT_ERRORS):
+                pass
+    except (_Decline, *_LAYOUT_ERRORS):
+        return None
+    return top, subparsers.dest, commands
+
+
+def _value(entry: _Entry, field: tuple, token: str) -> Any:
+    """The value of one token, converted and checked as argparse does."""
+    _, convert, choices = field
+    if not entry.is_value(token):
+        raise _Decline
+    try:
+        value = convert(token)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        raise _Decline from None
+    if choices is not None and value not in choices:
+        raise _Decline
+    return value
+
+
+def _read(entry: _Entry, argv: list[str], i: int) -> tuple[dict[str, Any], int]:
+    """The values of the positionals and options of ``entry`` from
+    ``argv[i]`` on, and the index of the first token after them."""
+    values: dict[str, Any] = {}
+    n, stop = len(argv), i + len(entry.positionals)
+    if stop > n:
+        raise _Decline
+    for field, token in zip(entry.positionals, argv[i:stop]):
+        values[field[0]] = _value(entry, field, token)
+    i, options = stop, entry.options
+    while i < n and argv[i] in options:
+        field = options[argv[i]]
+        if field[0] in values or i + 1 == n:
+            raise _Decline
+        values[field[0]] = _value(entry, field, argv[i + 1])
+        i += 2
+    if not entry.required <= values.keys():
+        raise _Decline
+    for dests, required in entry.groups:
+        given = sum(values.get(dest) is not None for dest in dests)
+        if given > 1 or required and not given:
+            raise _Decline
+    return values, i
+
+
+def _table_parse(table: _Table, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse returns for a well-formed ``argv``, or None
+    where the table does not fully recognise it."""
+    top, dest, commands = table
+    try:
+        top_values, i = _read(top, argv, 0)
+        name = argv[i] if i < len(argv) else None
+        command = commands.get(name)
+        if command is None:
+            return None
+        values, end = _read(command, argv, i + 1)
+    except _Decline:
+        return None
+    if end != len(argv):
+        return None
+    # argparse's order: the top level's defaults and options, the subcommand,
+    # then the subcommand's defaults and values
+    return argparse.Namespace(
+        **{**top.start, **top_values, dest: name, **command.start, **values}
+    )
+
+
+class _CommandLineParser(_Parser):
+    """The top-level parser: a well-formed argv is parsed with the table, any
+    other (or one given a namespace) by argparse."""
+
+    @functools.cached_property
+    def _table(self) -> _Table | None:
+        return _compile(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        if namespace is None and self._table is not None:
+            parsed = _table_parse(self._table, args)
+            if parsed is not None:
+                return parsed, []
+        return super().parse_known_args(args, namespace)
 
 
 # The parser holds no state between parses, so each process builds it once.

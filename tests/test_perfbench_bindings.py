@@ -4,8 +4,10 @@ traced run fail, or leave a layer silently unmeasured; so every name it
 binds must resolve in the library.  And the benchmark's correctness checks
 must still accept the library's outputs and reject corrupted ones
 (``perfbench/selftest.py``).  The enumerators must reach the cover search
-through the name the tracer wraps."""
+through the name the tracer wraps, and the command line's table of
+well-formed argvs must stay in use while ``parse_args`` is traced."""
 
+import argparse
 import importlib
 import importlib.util
 import os
@@ -77,3 +79,25 @@ def test_each_topped_route_calls_the_traced_cover_search_once(monkeypatch):
         routes = membership._routes(module_of(family, n, value))
         topped = [route for route in routes if route.char is not None]
         assert len(calls) == len(topped), (family, n, value, calls)
+
+
+def test_the_parse_table_stays_in_use_under_the_tracer(capsys, monkeypatch):
+    # the tracer times cli.parse by setting _Parser.parse_args, which calls
+    # the top-level parser's parse_known_args, where the table is read
+    modules = ("params", "membership", "characters", "weights", "cli",
+               "quadforms", "cohomology", "langlands", "tableaux")
+    tracer = _tracing().Tracer({name: _lib(name) for name in modules})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a well-formed argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    tracer.install()
+    try:
+        assert cli.main(["tableau", "3", "1"]) == 0
+    finally:
+        tracer.uninstall()
+    assert "cli.parse_args" in [span[0] for span in tracer.spans]
+    assert "parse_args" not in vars(cli._Parser)
+    assert cli.main(["--format", "text", "tableau", "3", "1"]) == 0
+    capsys.readouterr()
