@@ -110,6 +110,20 @@ def _wire_int(obj: dict, key: str) -> int:
     return value
 
 
+def _int(text: str) -> int:
+    """An integer argument, taken only as JSON writes one: digits, with a
+    minus sign if negative.  ``int()`` also takes a ``+`` sign, surrounding
+    space, leading zeros, ``_`` separators and other Unicode digits."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return value
+
+
+# argparse names the type in its usage error: "invalid int value: 'x'"
+_int.__name__ = "int"
+
+
 def param_from_json(obj: Any) -> ArthurParameter:
     """The parameter of a wire object, refused (``ValidationError``) unless
     it is well formed, valid and of rank at most ``MAX_REPORT_RANK``.
@@ -420,7 +434,7 @@ def _cmd_cohind(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             )
         if args.weight:
             try:
-                mu = HighestWeight(tuple(int(x) for x in args.weight.split(",")))
+                mu = HighestWeight(tuple(_int(x) for x in args.weight.split(",")))
             except ValueError as exc:
                 raise ValidationError(str(exc), ["WEIGHT_SHAPE"]) from exc
             inputs["weight"] = list(mu.entries)
@@ -556,62 +570,62 @@ def build_parser() -> _Parser:
 
     for family, label in _LABELS.items():
         sp = sub.add_parser(f"enumerate-{family}")
-        sp.add_argument("n", type=int)
-        sp.add_argument("value", metavar=label, type=int)
+        sp.add_argument("n", type=_int)
+        sp.add_argument("value", metavar=label, type=_int)
         sp.set_defaults(func=_cmd_enumerate, family=family)
 
     sp = sub.add_parser("decide")
     sp.add_argument("--param", required=True, help="parameter file or inline JSON")
     group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pi", type=int, metavar="M")
-    group.add_argument("--sigma", type=int, metavar="K")
-    group.add_argument("--regular", type=int, metavar="A")
+    group.add_argument("--pi", type=_int, metavar="M")
+    group.add_argument("--sigma", type=_int, metavar="K")
+    group.add_argument("--regular", type=_int, metavar="A")
     sp.set_defaults(func=_cmd_decide)
 
     sp = sub.add_parser("rho")
     sp.add_argument("--param", required=True)
     sp.add_argument("--module", choices=("pi", "sigma"), required=True)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--whittaker", type=int, choices=(1, -1), default=1)
+    sp.add_argument("--m", type=_int)
+    sp.add_argument("--k", type=_int)
+    sp.add_argument("--whittaker", type=_int, choices=(1, -1), default=1)
     sp.set_defaults(func=_cmd_rho)
 
     sp = sub.add_parser("invariants")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("--delta", type=int, choices=(1, -1))
+    sp.add_argument("p", type=_int)
+    sp.add_argument("q", type=_int)
+    sp.add_argument("--delta", type=_int, choices=(1, -1))
     sp.set_defaults(func=_cmd_invariants)
 
     sp = sub.add_parser("howe")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
+    sp.add_argument("--p", type=_int, required=True)
+    sp.add_argument("--q", type=_int, required=True)
     sp.add_argument("--char", choices=tuple(_HOWE_CHAR))
     sp.add_argument("--eta", choices=("triv", "sgn"))
-    sp.add_argument("--tau", type=int, choices=(0, 1))
-    sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--delta", type=int, choices=(1, -1))
+    sp.add_argument("--tau", type=_int, choices=(0, 1))
+    sp.add_argument("--rank", type=_int, required=True)
+    sp.add_argument("--delta", type=_int, choices=(1, -1))
     sp.set_defaults(func=_cmd_howe)
 
     sp = sub.add_parser("standard")
     sp.add_argument("family", choices=("pi", "sigma"))
-    sp.add_argument("n", type=int)
-    sp.add_argument("value", type=int)
+    sp.add_argument("n", type=_int)
+    sp.add_argument("value", type=_int)
     sp.set_defaults(func=_cmd_standard)
 
     sp = sub.add_parser("tableau")
-    sp.add_argument("n", type=int)
-    sp.add_argument("m", type=int)
+    sp.add_argument("n", type=_int)
+    sp.add_argument("m", type=_int)
     sp.set_defaults(func=_cmd_tableau)
 
     sp = sub.add_parser("cohind")
     # a weight led by a negative entry, such as -1,-1, is a value as -1 is,
     # not an option
     sp._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
-    sp.add_argument("n", type=int)
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("--t", type=int)
-    sp.add_argument("--scalar-m", type=int)
+    sp.add_argument("n", type=_int)
+    sp.add_argument("p", type=_int)
+    sp.add_argument("q", type=_int)
+    sp.add_argument("--t", type=_int)
+    sp.add_argument("--scalar-m", type=_int)
     sp.add_argument("--weight", help="comma separated highest weight entries")
     sp.set_defaults(func=_cmd_cohind)
 

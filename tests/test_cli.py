@@ -238,6 +238,34 @@ def test_weight_may_lead_with_a_negative_entry(capsys):
     assert code == 1 and "expected one argument" in err
 
 
+# texts int() reads as an integer that JSON would not write
+NOT_JSON_INTEGERS = [" 3", "3 ", "+3", "03", "-0", "1_0", "３", "٣"]
+
+
+@pytest.mark.parametrize("text", NOT_JSON_INTEGERS)
+def test_integer_arguments_are_read_as_json_writes_them(capsys, text):
+    for argv in (
+        ["enumerate-pi", text, "1"],
+        ["tableau", "3", text],
+        ["decide", "--param", WORKED_JSON, "--pi", text],
+        ["rho", "--param", WORKED_JSON, "--module", "pi", "--m", "1", "--whittaker", text],
+        ["cohind", "3", "1", "1", "--t", text],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert f"invalid int value: {text!r}" in err, argv
+    code, out, err = run(capsys, ["cohind", "3", "1", "1", "--t", "2", "--weight=1," + text])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["violations"] == ["WEIGHT_SHAPE"]
+
+
+def test_json_integers_are_taken(capsys):
+    assert run(capsys, ["tableau", "10", "0"])[0] == 0
+    code, out, _ = run(capsys, ["cohind", "3", "1", "1", "--t", "-2", "--weight", "2,1,0"])
+    assert code == 0
+    assert json.loads(out)["inputs"]["t"] == -2
+
+
 def test_decide_regular(capsys):
     psi = json.dumps(
         {

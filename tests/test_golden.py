@@ -334,7 +334,7 @@ GRIDS = {
     ],
     # argvs that only argparse reads (abbreviations, ``=`` forms, intermixed
     # positionals, a repeated option, ``--``, an option after the subcommand),
-    # values that int() takes as written, and the usage errors around them
+    # and usage errors, among them integers not written as JSON writes them
     "argparse-only": lambda: [
         ["decide", "--par", json.dumps(WORKED), "--pi", "1"],
         ["decide", "--p", json.dumps(WORKED), "--pi", "1"],
@@ -384,8 +384,8 @@ REPORT_DIGESTS = {
     ("exit-1", "text"): "7f54b4ee28437aaf45c69e81b9e28a2e9ff4ca4c1d23f9baf94ac577435f7d91",
     ("exit-2", "json"): "8c717939c1925a68ec955de8da5a0dd95c8d521f0be7e37fc44e3cdb1e2480a1",
     ("exit-2", "text"): "680cdaf174c28c6b18eef7e881ce870885b92a055dfe8157362c23450d9b72b4",
-    ("argparse-only", "json"): "33fe62dedc333382f254699ddbef974059417820a20fa3f58982388b5a024e37",
-    ("argparse-only", "text"): "4be924dc518d0812e8c6f4098c004041229f4523d797f102dbc9db8ec6a7d82b",
+    ("argparse-only", "json"): "8588cfbfa7103c0e1de32b1cf9b4a9d11c17c29746f7954f1f1319d74717e9b7",
+    ("argparse-only", "text"): "6ac052b7e1c7da87ee9b573bbd16a61c405b2c1dc38f5691cf23e8c2dbc7a06b",
 }
 
 # the largest reports a command prints: ~2 MB and ~0.4 MB of JSON
