@@ -43,6 +43,16 @@ __all__ = [
 ]
 
 
+def _integers(values) -> tuple[int, ...]:
+    """The values as a tuple, refused unless each is an ``int``: a float,
+    a string or a bool is not truncated or converted."""
+    entries = tuple(values)
+    for x in entries:
+        if type(x) is not int:
+            raise ValueError(f"entries must be integers, got {x!r}")
+    return entries
+
+
 @dataclass(frozen=True, order=True)
 class HighestWeight:
     """Weakly decreasing integer tuple labelling a holomorphic module."""
@@ -50,7 +60,7 @@ class HighestWeight:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
+        object.__setattr__(self, "entries", _integers(self.entries))
         if not self.entries:
             raise ValueError("rank must be positive")
         if any(a < b for a, b in zip(self.entries, self.entries[1:])):
@@ -73,7 +83,7 @@ class InfinitesimalCharacter:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(sorted((int(x) for x in self.entries), reverse=True))
+        entries = tuple(sorted(_integers(self.entries), reverse=True))
         object.__setattr__(self, "entries", entries)
         if len(entries) % 2 == 0:
             raise ValueError("length must be odd")

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,22 @@ def test_highest_weight_requires_decreasing():
         HighestWeight((1, 2))
     with pytest.raises(ValueError):
         HighestWeight(())
+
+
+@pytest.mark.parametrize(
+    "build, values, bad",
+    [
+        (HighestWeight, (2.7, 1), "2.7"),
+        (HighestWeight, ("3", True), "'3'"),
+        (InfinitesimalCharacter, (1.9, 0, -1), "1.9"),
+    ],
+)
+def test_entries_must_be_integers(build, values, bad):
+    # an entry is refused, not truncated or converted
+    with pytest.raises(ValueError, match=f"got {re.escape(bad)}$"):
+        build(values)
+    # a list of ints is taken as its tuple
+    assert build([int(x) for x in values]).entries == tuple(int(x) for x in values)
 
 
 def test_classify_unitary_known_cases():
