@@ -15,7 +15,6 @@ lift degenerates) instead of being repaired.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .membership import _decide_route, _Route
 from .params import (
@@ -23,8 +22,7 @@ from .params import (
     DiscreteBlock,
     UnipotentBlock,
 )
-from .quadforms import _sign_pow
-from .weights import Module, module_of
+from .weights import Module, _record, _sign_pow, module_of
 
 __all__ = [
     "Block",
@@ -54,7 +52,7 @@ def _floor_half_sign(x: int) -> int:
     return _sign_pow(x // 2)
 
 
-@dataclass(frozen=True)
+@_record
 class ComponentGroup:
     """Distinct blocks with multiplicities; the group is the set of sign
     vectors over the distinct blocks whose multiplicity-weighted product is
@@ -90,7 +88,7 @@ def component_group(psi: ArthurParameter) -> ComponentGroup:
     return ComponentGroup(blocks, mult)
 
 
-@dataclass(frozen=True)
+@_record
 class PacketCharacter:
     """Sign assignment on the listed blocks of a parameter.
 

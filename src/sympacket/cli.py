@@ -29,7 +29,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Callable, NamedTuple
 
-from . import characters, cohomology, langlands, membership, quadforms, tableaux
+from . import characters, membership
 from .params import (
     ArthurParameter,
     DiscreteBlock,
@@ -205,11 +205,16 @@ def _character_to_json(char: characters.PacketCharacter) -> dict[str, Any]:
     }
 
 
-def _halfvec_to_json(vec: cohomology.HalfIntVector) -> dict[str, Any]:
+def _halfvec_to_json(vec) -> dict[str, Any]:
+    """A ``cohomology.HalfIntVector`` on the wire."""
     return {"doubled": list(vec.doubled), "half": True}
 
 
 # --- subcommand handlers ------------------------------------------------------
+#
+# A side module (quadforms, langlands, tableaux, cohomology) is imported by the
+# handlers that use it, so the packet commands do not load it.  Its functions
+# are reached through the module at each call.
 
 # the name of the value of each module family: pi_n(m), sigma_{n,k}
 _LABELS = {"pi": "m", "sigma": "k"}
@@ -311,6 +316,8 @@ def _cmd_rho(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    from . import quadforms
+
     p, q = args.p, args.q
     deltas = [args.delta] if args.delta else [1, -1]
     results: dict[str, Any] = {
@@ -339,6 +346,8 @@ _HOWE_CHAR = {"triv": (0, 0), "det": (0, 1), "sgn": (1, 0), "sgn-det": (1, 1)}
 
 
 def _cmd_howe(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    from . import quadforms
+
     p, q, n, delta = args.p, args.q, args.rank, args.delta or 1
     _check_report_rank(n)
     if (p + q) % 2 != 0:
@@ -377,6 +386,8 @@ def _cmd_howe(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 
 def _cmd_standard(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    from . import langlands
+
     _check_report_rank(args.n)
     if args.family == "pi":
         sm = langlands.standard_pi(args.n, args.value)
@@ -399,6 +410,8 @@ def _check_report_rank(n: int) -> None:
 
 
 def _cmd_tableau(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    from . import tableaux
+
     _check_report_rank(args.n)
     tab = tableaux.av_scalar(args.n, args.m)
     results = {
@@ -411,6 +424,8 @@ def _cmd_tableau(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 
 def _cmd_cohind(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    from . import cohomology
+
     n, p, q = args.n, args.p, args.q
     _check_report_rank(n)
     data = cohomology.rho_vectors(n, p, q)

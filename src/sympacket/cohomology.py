@@ -21,11 +21,10 @@ doubled integers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .params import ArthurParameter
-from .weights import HighestWeight, InfinitesimalCharacter, regular_a_max
+from .weights import HighestWeight, InfinitesimalCharacter, _record, regular_a_max
 
 __all__ = [
     "HalfIntVector",
@@ -42,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class HalfIntVector:
     """Vector with half-integer entries, stored as doubled integers."""
 
@@ -78,7 +77,7 @@ def _add_root(vec: list[int], i: int, j: int | None, si: int, sj: int) -> None:
         vec[j] += sj
 
 
-@dataclass(frozen=True)
+@_record
 class RhoVectors:
     """Half-sums of roots attached to the pair (p, q), plus S = dim(u ∩ k)."""
 
@@ -208,7 +207,7 @@ def ktype_inequality_general(
     return lhs >= (p + q) * (t + p + q + 1) - 4 * p * q
 
 
-@dataclass(frozen=True)
+@_record
 class InductionWeight:
     """Inducing character data attached to one discrete block.
 
@@ -246,7 +245,7 @@ def induction_weights(psi: ArthurParameter, n: int) -> list[InductionWeight]:
     return out
 
 
-@dataclass(frozen=True)
+@_record
 class AqLambda:
     """Inducing character of the a-th module on the regular ladder.
 

@@ -9,10 +9,8 @@ dimensions of any packet containing the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .params import ArthurParameter, UnipotentBlock, a_psi, a_psi_u, contains_block
-from .weights import Module, module_of
+from .weights import Module, _record, module_of
 
 __all__ = [
     "StandardModule",
@@ -23,7 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class StandardModule:
     """GL(1) exponent string plus the tempered anchor pi_rank(rank).
 

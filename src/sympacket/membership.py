@@ -81,11 +81,12 @@ from .params import (
     inf_char_of_param,
     remove_discrete_block,
 )
-from .quadforms import _sign_pow
 from .weights import (
     InfinitesimalCharacter,
     Module,
     _inf_char_entries,
+    _record,
+    _sign_pow,
     module_of,
     pi_nm,
     regular_a_max,
@@ -259,7 +260,7 @@ def decide_unipotent(psi: ArthurParameter, n: int) -> list[tuple[str, int]]:
     return found
 
 
-@dataclass(frozen=True)
+@_record
 class Peel:
     """One successful reduction step: the block removed and the residue."""
 

@@ -17,8 +17,9 @@ law n0(c) + n0(c⊗det) = p + q for free.  The lowest U(n)-type of the lift
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
+
+from .weights import _record, _sign_pow
 
 __all__ = [
     "hilbert_symbol_real",
@@ -34,11 +35,6 @@ __all__ = [
     "howe_ktype",
     "howe_degree",
 ]
-
-
-def _sign_pow(k: int) -> int:
-    """(-1)**k for possibly negative k."""
-    return -1 if k % 2 else 1
 
 
 def hilbert_symbol_real(a: int, b: int) -> int:
@@ -116,7 +112,7 @@ def _check_signature(p: int, q: int) -> None:
         raise ValueError("signature entries must be nonnegative")
 
 
-@dataclass(frozen=True)
+@_record
 class OrthCharacter:
     """Character of O(p, q), (p + q even), as a spinor-norm label.
 

@@ -11,7 +11,7 @@ of the scalar module pi_n(m) sits at r = min(2m, n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .weights import _record
 
 __all__ = [
     "SignedTableau",
@@ -30,7 +30,7 @@ ROW_SHAPE = "ROW_SHAPE"
 ODD_BALANCE = "ODD_BALANCE"
 
 
-@dataclass(frozen=True)
+@_record
 class SignedTableau:
     """Rows as (length, leading sign) pairs; signs alternate along a row."""
 

@@ -18,12 +18,17 @@ highest weight ``(-m_n, ..., -m_1)``.  This module provides:
   modules attached to a regular integral infinitesimal character.
 
 Everything is integer arithmetic; half-integers are avoided by doubling.
+
+At the bottom of the package's imports, it also holds what every module
+shares: ``_record``, the frozen record decorator the records use in place
+of ``@dataclass``, and the sign power ``_sign_pow``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from operator import attrgetter, ge, gt, le, lt, neg
 from typing import NamedTuple
 
 __all__ = [
@@ -43,35 +48,145 @@ __all__ = [
 ]
 
 
-def _integers(values) -> tuple[int, ...]:
-    """The values as a tuple, refused unless each is an ``int``: a float,
+def _record(cls=None, /, *, order=False):
+    """Class decorator making ``cls`` a frozen record, in place of
+    ``@dataclass(frozen=True)``, or of ``@dataclass(frozen=True,
+    order=True)`` with ``order``.
+
+    The fields are the annotated names, in order; a class attribute of the
+    same name is the field's default.  As a dataclass does, it adds
+    ``__init__`` (unless the class writes its own), which calls
+    ``self.__post_init__()`` where the class has one; ``__repr__``;
+    ``__eq__`` and ``__hash__`` on the tuple of fields, ``==`` comparing
+    only within one class; with ``order``, the four comparisons; and
+    ``__match_args__``.  Setting or deleting an attribute raises
+    ``dataclasses.FrozenInstanceError``.  The methods are closures over the
+    field names: no source is written and compiled, which is most of what a
+    dataclass costs at import.  Instances keep their ``__dict__``.
+    """
+    if cls is None:
+        return lambda cls: _record(cls, order=order)
+    names = tuple(cls.__annotations__)
+    count = len(names)
+    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    post_init = hasattr(cls, "__post_init__")
+    if count == 1:
+        one = attrgetter(names[0])
+
+        def fields(record):
+            return (one(record),)
+    else:
+        fields = attrgetter(*names)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != count:
+            args = _bind(cls.__qualname__, names, defaults, args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        shown = ", ".join([f"{name}={value!r}" for name, value in zip(names, fields(self))])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    methods = {"__repr__": __repr__, "__eq__": __eq__, "__hash__": __hash__,
+               "__setattr__": __setattr__, "__delattr__": __delattr__}
+    if "__init__" not in vars(cls):
+        methods["__init__"] = __init__
+    if order:
+        for name, compare in (("__lt__", lt), ("__le__", le), ("__gt__", gt), ("__ge__", ge)):
+            methods[name] = _ordering(fields, compare)
+    for name, method in methods.items():
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    cls.__match_args__ = names
+    return cls
+
+
+def _ordering(fields, compare):
+    """A comparison of two records of one class by their tuples of fields."""
+
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            return compare(fields(self), fields(other))
+        return NotImplemented
+
+    return method
+
+
+def _bind(qualname, names, defaults, args, kwargs):
+    """The field values, in order, of a record built with keywords or with
+    defaulted fields left out; ``TypeError`` where a dataclass's
+    ``__init__`` raises it."""
+    if len(args) > len(names):
+        raise TypeError(f"{qualname}.__init__() takes {len(names) + 1} positional "
+                        f"arguments but {len(args) + 1} were given")
+    values = {**defaults, **dict(zip(names, args))}
+    for name, value in kwargs.items():
+        if name not in names:
+            raise TypeError(f"{qualname}.__init__() got an unexpected keyword argument {name!r}")
+        if name in names[: len(args)]:
+            raise TypeError(f"{qualname}.__init__() got multiple values for argument {name!r}")
+        values[name] = value
+    for name in names:
+        if name not in values:
+            raise TypeError(f"{qualname}.__init__() missing required argument: {name!r}")
+    return [values[name] for name in names]
+
+
+def _sign_pow(k: int) -> int:
+    """(-1)**k for possibly negative k."""
+    return -1 if k % 2 else 1
+
+
+def _not_integer(values: tuple) -> ValueError:
+    """The error refusing the first value that is not an ``int``: a float,
     a string or a bool is not truncated or converted."""
-    entries = tuple(values)
-    for x in entries:
-        if type(x) is not int:
-            raise ValueError(f"entries must be integers, got {x!r}")
-    return entries
+    bad = next(x for x in values if type(x) is not int)
+    return ValueError(f"entries must be integers, got {bad!r}")
 
 
-@dataclass(frozen=True, order=True)
+@_record(order=True)
 class HighestWeight:
     """Weakly decreasing integer tuple labelling a holomorphic module."""
 
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _integers(self.entries))
-        if not self.entries:
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        entries = tuple(entries)
+        if set(map(type, entries)) - {int}:
+            raise _not_integer(entries)
+        if not entries:
             raise ValueError("rank must be positive")
-        if any(a < b for a, b in zip(self.entries, self.entries[1:])):
-            raise ValueError(f"entries must be weakly decreasing: {self.entries}")
+        if any(map(lt, entries, entries[1:])):
+            raise ValueError(f"entries must be weakly decreasing: {entries}")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
 
-@dataclass(frozen=True, order=True)
+@_record(order=True)
 class InfinitesimalCharacter:
     """Integral infinitesimal character of a rank-n module.
 
@@ -82,17 +197,21 @@ class InfinitesimalCharacter:
 
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        entries = tuple(sorted(_integers(self.entries), reverse=True))
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        values = tuple(entries)
+        if set(map(type, values)) - {int}:
+            raise _not_integer(values)
+        entries = tuple(sorted(values, reverse=True))
         if len(entries) % 2 == 0:
             raise ValueError("length must be odd")
-        counts = Counter(entries)
-        if counts[0] % 2 == 0:
-            raise ValueError("0 must occur with odd multiplicity")
-        for value, count in counts.items():
-            if counts[-value] != count:
-                raise ValueError("multiset must be symmetric under negation")
+        # sorted and of odd length, it is closed under negation exactly when
+        # it reads the same negated and reversed; 0 is then its middle entry
+        # and occurs an odd number of times
+        if entries != tuple(map(neg, reversed(entries))):
+            if entries.count(0) % 2 == 0:
+                raise ValueError("0 must occur with odd multiplicity")
+            raise ValueError("multiset must be symmetric under negation")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def rank(self) -> int:
@@ -110,7 +229,7 @@ class InfinitesimalCharacter:
         return all(c == 1 for c in counts.values())
 
 
-@dataclass(frozen=True)
+@_record
 class Unitarity:
     """Outcome of the unitarity test, with the two counting invariants."""
 
@@ -208,7 +327,7 @@ def sigma_nk(n: int, k: int) -> HighestWeight:
     return HighestWeight(module_of("sigma", n, k).weight())
 
 
-@dataclass(frozen=True)
+@_record
 class OrthRepLabel:
     """Finite dimensional representation of a compact even orthogonal group.
 
@@ -230,7 +349,7 @@ class OrthRepLabel:
         return self.sign == -1 and all(x == 0 for x in self.entries)
 
 
-@dataclass(frozen=True)
+@_record
 class HoweSource:
     """Dual pair datum realizing a unitary highest weight module.
 

@@ -7,8 +7,16 @@ In every module of ``src/sympacket`` except ``__init__.py``:
   ``src/`` outside its own definition, so dead helpers do not linger;
 * each imported name is used in the module that imports it.
 
-And in every module, ``__init__.py`` included, no ``json`` call is given an
-``indent``: ``cli._indented_json`` is the one writer of indented JSON.
+And in every module, ``__init__.py`` included:
+
+* no ``json`` call is given an ``indent``: ``cli._indented_json`` is the
+  one writer of indented JSON;
+* no call of the builtins ``exec``, ``eval`` or ``compile`` (``re.compile``
+  builds a regular expression, not code), and ``@dataclass`` on exactly the
+  two records that ``dataclasses.replace`` is used on; the others are
+  ``weights._record`` records, which write no source at import;
+* the core modules import no side module at module level, so the packet
+  commands do not load them.
 """
 
 import ast
@@ -96,3 +104,66 @@ def test_indented_json_has_one_writer(module):
         and any(keyword.arg == "indent" for keyword in node.keywords)
     ]
     assert calls == [], f"{module}: json called with indent on lines {calls}"
+
+
+@pytest.mark.parametrize("module", list(TREES))
+def test_no_code_is_compiled_at_run_time(module):
+    calls = [
+        node.lineno
+        for node in ast.walk(TREES[module])
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in {"exec", "eval", "compile"}
+    ]
+    assert calls == [], f"{module}: exec, eval or compile called on lines {calls}"
+
+
+def _decorator_name(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_only_two_records_are_dataclasses():
+    decorated = sorted(
+        node.name
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(_decorator_name(d) == "dataclass" for d in node.decorator_list)
+    )
+    assert decorated == ["ArthurParameter", "MembershipVerdict"]
+
+
+SIDE_MODULES = {"quadforms", "cohomology", "langlands", "tableaux"}
+CORE_MODULES = ["weights.py", "params.py", "membership.py", "characters.py", "cli.py"]
+
+
+def _module_level(body):
+    """The statements run on import: the body and its ``if``/``try``
+    blocks, not function or class bodies."""
+    for node in body:
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _module_level(getattr(node, field, []))
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[-1] for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        if node.module in (None, "sympacket"):
+            return [alias.name for alias in node.names]
+        return [node.module.split(".")[-1]]
+    return []
+
+
+@pytest.mark.parametrize("module", CORE_MODULES)
+def test_core_modules_import_no_side_module_at_module_level(module):
+    found = [
+        (node.lineno, name)
+        for node in _module_level(TREES[module].body)
+        for name in _imported_modules(node)
+        if name in SIDE_MODULES
+    ]
+    assert found == [], f"{module}: side modules imported at module level: {found}"
