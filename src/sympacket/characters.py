@@ -47,11 +47,6 @@ TABLE_FORMS = ("first", "second")
 TABLE_COLUMNS = ("pi", "sigma", "pi_star", "sigma_star")
 
 
-def _floor_half_sign(x: int) -> int:
-    """(-1)**floor(x/2) with the mathematical floor."""
-    return _sign_pow(x // 2)
-
-
 @_record
 class ComponentGroup:
     """Distinct blocks with multiplicities; the group is the set of sign
@@ -71,21 +66,12 @@ class ComponentGroup:
         return 2 ** (len(self.blocks) - constrained)
 
 
-def _listed_distinct(psi: ArthurParameter) -> tuple[tuple[Block, ...], tuple[int, ...]]:
-    listed: list[Block] = list(psi.discrete)
-    listed.extend(sorted(psi.unipotent, key=lambda b: (b.dim, b.char)))
-    seen: dict[Block, int] = {}
-    for b in listed:
-        seen[b] = seen.get(b, 0) + 1
-    blocks = tuple(seen.keys())
-    return blocks, tuple(seen[b] for b in blocks)
-
-
 def component_group(psi: ArthurParameter) -> ComponentGroup:
     """Component group data of a parameter: distinct blocks, discrete ones
     first, then unipotent by increasing dimension."""
-    blocks, mult = _listed_distinct(psi)
-    return ComponentGroup(blocks, mult)
+    listed = psi.discrete + tuple(sorted(psi.unipotent, key=lambda b: (b.dim, b.char)))
+    mult = Counter(listed)  # in order of first appearance
+    return ComponentGroup(tuple(mult), tuple(mult.values()))
 
 
 @_record
@@ -152,36 +138,6 @@ def _trusted_char(
     return char
 
 
-def _vanishing(
-    discrete: tuple[DiscreteBlock, ...],
-    disc_signs: tuple[int, ...],
-    unipotent: tuple[UnipotentBlock, ...],
-    unip_signs: tuple[int, ...],
-) -> bool:
-    """Whether equal blocks carry unequal signs: the VANISHING condition.
-
-    ``discrete`` is in canonical order, which puts equal blocks next to each
-    other, so each is compared with its neighbour.  The unipotent slots, one
-    or three, are compared pairwise.  Valid blocks of the two kinds are
-    never equal, so no pair across the kinds is compared.  ``_rho_core``
-    makes the same comparisons inline: the discrete neighbours in the pass
-    that signs them, then the three unipotent slots;
-    ``rho_unipotent_table`` asks this function about its rows.
-    """
-    if len(discrete) > 1:
-        for b, c, s, r in zip(discrete, discrete[1:], disc_signs, disc_signs[1:]):
-            if s != r and b == c:
-                return True
-    if len(unipotent) == 3:
-        (u1, u2, u3), (e1, e2, e3) = unipotent, unip_signs
-        return (
-            (e1 != e2 and u1 == u2)
-            or (e1 != e3 and u1 == u3)
-            or (e2 != e3 and u2 == u3)
-        )
-    return False
-
-
 def char_equivalent(
     c1: PacketCharacter, c2: PacketCharacter, psi: ArthurParameter | None = None
 ) -> bool:
@@ -245,7 +201,7 @@ def rho_theta(
         raise ValueError(f"need n >= 2m - 1 + tau = {2 * m - 1 + tau}")
     arg = delta * m if side == "O(2m,0)" else -delta * m
     e1 = _sign_pow(tau + tau_prime * ((1 + delta) // 2 + m))
-    e3 = _floor_half_sign(arg)
+    e3 = _sign_pow(arg // 2)
     return (e1, e1 * e3, e3)
 
 
@@ -282,9 +238,10 @@ def rho_unipotent_table(
         e1 = _sign_pow(extra + base)
         e2 = _sign_pow(extra + base + fm)
     e3 = _sign_pow(fm)
-    signs = (e1, e2, e3)
-    flags = (VANISHING,) if _vanishing((), (), blocks, signs) else ()
-    return _trusted_char(delta, blocks, signs, flags)
+    row = _trusted_char(delta, blocks, (e1, e2, e3), ())
+    if row.sign_map() is None:
+        row = _trusted_char(delta, blocks, row.signs, (VANISHING,))
+    return row
 
 
 # --- characters attached to pi_n(m) and sigma_{n,k} -------------------------
@@ -373,15 +330,16 @@ def _rho_core(
 
     One pass over the discrete blocks carries the token, changing its sign
     after each block with odd a, signs each block, counts the -1 signs and
-    compares each block with its neighbour, as ``_vanishing`` does (canonical
-    order puts equal blocks next to each other); the three unipotent slots
-    are compared pairwise inline as well.  The two unipotent slots besides
-    the big block are read off the canonical order, small dimension first;
-    when both have dimension one the roles are immaterial, as the two
-    readings give the same character.  The free simultaneous flip of the
-    unipotent signs is fixed so that the product over all listed blocks is
-    +1, an even number of -1 signs; the number of unipotent slots is odd,
-    so the flip always reaches it.  With e3 = +1 that product would be
+    compares each block with its neighbour (canonical order puts equal
+    blocks next to each other); the three unipotent slots are compared
+    pairwise.  These comparisons are ``PacketCharacter.sign_map``'s rule,
+    made inline so that no dict is built per character.  The two unipotent
+    slots besides the big block are read off the canonical order, small
+    dimension first; when both have dimension one the roles are immaterial,
+    as the two readings give the same character.  The free simultaneous
+    flip of the unipotent signs is fixed so that the product over all listed
+    blocks is +1, an even number of -1 signs; the number of unipotent slots
+    is odd, so the flip always reaches it.  With e3 = +1 that product would be
     (-1)^(discrete -1 count) e1 e2, so e3 takes that value.  The signs are
     +1 or -1 by construction, so the character is built once, unchecked
     (``_trusted_char``).

@@ -163,20 +163,21 @@ def param_from_json(obj: Any) -> ArthurParameter:
 
 def _read_param_file(path: str) -> str:
     """The text of a ``--param`` file of at most ``MAX_PARAM_BYTES`` bytes,
-    decoded as a text-mode read decodes it (UTF-8, universal newlines)."""
+    decoded as a text-mode read decodes it (UTF-8, universal newlines); a
+    file that is not UTF-8 is unreadable."""
     try:
         with open(path, "rb") as fh:
             data = fh.read(MAX_PARAM_BYTES + 1)
-    except OSError as exc:
+        if len(data) <= MAX_PARAM_BYTES:
+            return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(
             f"cannot read parameter file: {exc}", ["PARAM_UNREADABLE"]
         ) from exc
-    if len(data) > MAX_PARAM_BYTES:
-        raise ValidationError(
-            f"parameter file is longer than {MAX_PARAM_BYTES} bytes",
-            ["PARAM_UNREADABLE"],
-        )
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    raise ValidationError(
+        f"parameter file is longer than {MAX_PARAM_BYTES} bytes",
+        ["PARAM_UNREADABLE"],
+    )
 
 
 def _load_param(spec: str) -> ArthurParameter:

@@ -24,7 +24,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .params import ArthurParameter
-from .weights import HighestWeight, InfinitesimalCharacter, _record, regular_a_max
+from .weights import (
+    HighestWeight,
+    InfinitesimalCharacter,
+    _not_integer,
+    _record,
+    regular_a_max,
+)
 
 __all__ = [
     "HalfIntVector",
@@ -48,7 +54,10 @@ class HalfIntVector:
     doubled: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "doubled", tuple(int(x) for x in self.doubled))
+        doubled = tuple(self.doubled)
+        if set(map(type, doubled)) - {int}:
+            raise _not_integer(doubled)
+        object.__setattr__(self, "doubled", doubled)
 
     def __len__(self) -> int:
         return len(self.doubled)

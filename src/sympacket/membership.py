@@ -61,6 +61,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
+from . import params
 from .params import (
     CHAR_SGN,
     CHAR_TRIV,
@@ -74,7 +75,6 @@ from .params import (
     _discrete_block,
     _order_key,
     _require_valid,
-    _topped_covers,
     _unipotent_block,
     _valid_inf_char,
     contains_block,
@@ -436,12 +436,13 @@ def _enumerate_packets(
 
     THM71_I, first where it applies, builds its members from
     ``_disjoint_covers``.  Every other route searches only the covers whose
-    largest unipotent dimension is its top (``params._topped_covers``), less
-    those THM71_I took, and builds on them the character choices that hold
-    its block.  Each parameter built is a member, by the route that built
-    it, so no decider runs; it records the module's character entries and
-    that route (``params._trusted_params``), so the members are sorted by
-    ``params._order_key`` alone and each takes its verdict from its route.
+    largest unipotent dimension is its top (``params._all_segment_covers``
+    with that top), less those THM71_I took, and builds on them the
+    character choices that hold its block.  Each parameter built is a
+    member, by the route that built it, so no decider runs; it records the
+    module's character entries and that route (``params._trusted_params``),
+    so the members are sorted by ``params._order_key`` alone and each takes
+    its verdict from its route.
     """
     _check_rank(module.n, max_rank)
     n, entries = module.n, module.inf_char()
@@ -452,7 +453,8 @@ def _enumerate_packets(
             covers = _disjoint_covers(n, module.value)
             taken = set(covers)
         else:
-            covers = _topped_covers(entries, route.top)
+            # through the module, so that a wrapper on the search sees it
+            covers = params._all_segment_covers(entries, route.top)
             if taken:
                 covers = [c for c in covers if c not in taken]
         for unip_dims, discrete in covers:

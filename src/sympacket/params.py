@@ -126,10 +126,6 @@ def _unip_key(block: UnipotentBlock) -> tuple[int, int]:
     return (-block.dim, block.char)
 
 
-def _disc_key(block: DiscreteBlock) -> tuple[int, int]:
-    return (-block.t, -block.a)
-
-
 @dataclass(frozen=True, order=True)
 class ArthurParameter:
     """Block multiset of total dimension 2n+1, stored in canonical order.
@@ -157,7 +153,7 @@ class ArthurParameter:
         return ArthurParameter(
             self.n,
             tuple(sorted(self.unipotent, key=_unip_key)),
-            tuple(sorted(self.discrete, key=_disc_key)),
+            tuple(sorted(self.discrete, reverse=True)),  # (-t, -a) increasing
         )
 
     @property
@@ -396,12 +392,6 @@ def _all_segment_covers(
         (lead + unip, tuple(sorted(disc, reverse=True)))
         for unip, disc in walk(half, None)
     ]
-
-
-def _topped_covers(entries: tuple[int, ...], top: int) -> list[_Cover]:
-    """The covers whose largest unipotent dimension is ``top``: the
-    enumerators search each route's top with one ``_all_segment_covers``."""
-    return _all_segment_covers(entries, top)
 
 
 def _trusted_params(

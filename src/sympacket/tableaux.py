@@ -11,7 +11,7 @@ of the scalar module pi_n(m) sits at r = min(2m, n).
 
 from __future__ import annotations
 
-from .weights import _record
+from .weights import _not_integer, _record
 
 __all__ = [
     "SignedTableau",
@@ -37,7 +37,10 @@ class SignedTableau:
     rows: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple((int(l), int(s)) for l, s in self.rows)
+        rows = tuple((l, s) for l, s in self.rows)
+        entries = sum(rows, ())
+        if set(map(type, entries)) - {int}:
+            raise _not_integer(entries)
         # canonical order: longer rows first, + before - at equal length
         rows = tuple(sorted(rows, key=lambda r: (-r[0], -r[1])))
         object.__setattr__(self, "rows", rows)

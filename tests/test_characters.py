@@ -14,12 +14,13 @@ from sympacket.characters import (
     rho_theta,
     rho_theta_parameter,
     rho_unipotent_table,
-    _vanishing,
+    _rho_core,
 )
 from sympacket.membership import (
     distinguished_parameter_sigma,
     enumerate_packets_pi,
     enumerate_packets_sigma,
+    _routes,
 )
 from sympacket.params import (
     CHAR_SGN,
@@ -28,6 +29,7 @@ from sympacket.params import (
     DiscreteBlock,
     UnipotentBlock,
 )
+from sympacket.weights import module_of
 
 
 def P(n, unip, disc=()):
@@ -197,29 +199,42 @@ def test_public_constructor_checks_its_character():
 
 
 def test_vanishing_on_crafted_signs():
-    d, e = DiscreteBlock(2, 1), DiscreteBlock(3, 2)
-    one = (UnipotentBlock(CHAR_TRIV, 1),)
-    # equal discrete blocks sit next to each other in canonical order
-    assert _vanishing((e, d, d), (1, 1, -1), one, (1,))
-    assert _vanishing((d, d, e), (-1, 1, 1), one, (1,))
-    assert not _vanishing((e, d, d), (1, -1, -1), one, (1,))
-    assert not _vanishing((e, d), (1, -1), one, (-1,))  # unequal blocks may differ
-    # each pair of the three unipotent slots
-    u = UnipotentBlock(CHAR_SGN, 1)
-    for i, j in itertools.combinations(range(3), 2):
-        slots = [
-            UnipotentBlock(CHAR_TRIV, 1),
-            UnipotentBlock(CHAR_TRIV, 3),
-            UnipotentBlock(CHAR_SGN, 5),
-        ]
-        slots[i] = slots[j] = u
-        signs = [1, 1, 1]
-        assert not _vanishing((), (), tuple(slots), tuple(signs))
-        signs[j] = -1
-        assert _vanishing((), (), tuple(slots), tuple(signs)), (i, j)
-        assert _vanishing((d,), (1,), tuple(slots), tuple(-s for s in signs))
-    # no pair across the kinds: valid blocks of the two kinds are never equal
-    assert not _vanishing((DiscreteBlock(1, 3),), (1,), (UnipotentBlock(1, 3),), (-1,))
+    # no member at ranks <= 9 is flagged (below), so the recipe's inline
+    # comparisons are run here on crafted parameters through the routes of
+    # every e2 e3 rule: equal neighbouring discrete blocks, and three
+    # unipotent slots of which two or three are equal.  The flag must be
+    # what sign_map says of the blocks and signs the recipe gives.
+    odd, even = DiscreteBlock(2, 3), DiscreteBlock(1, 2)
+    discretes = [(), (odd,), (even, even), (odd, odd), (even, odd, odd)]
+    shapes = []
+    for module in (module_of("pi", 5, 4), module_of("sigma", 6, 2)):
+        for route in _routes(module):
+            if route.char is None:  # THM71_I: one unipotent slot
+                shapes.append((module, route, [(CHAR_TRIV, 1)]))
+                continue
+            key = (route.char, route.top)
+            pool = sorted({key} | set(itertools.product((CHAR_TRIV, CHAR_SGN), (1, 3))))
+            shapes += [
+                (module, route, unip)
+                for unip in itertools.combinations_with_replacement(pool, 3)
+                if key in unip
+            ]
+    causes = set()
+    for (module, route, unip), disc, delta in itertools.product(shapes, discretes, (1, -1)):
+        char = _rho_core(P(module.n, unip, disc), delta, module, route)
+        checked = PacketCharacter(delta, char.blocks, char.signs)
+        assert (VANISHING in char.flags) == (checked.sign_map() is None), (char, route)
+        # the pairs of equal listed blocks with unequal signs: discrete
+        # neighbours, or two of the unipotent slots
+        found = {
+            "discrete" if j < len(disc) else (i - len(disc), j - len(disc))
+            for (i, b), (j, c) in itertools.combinations(enumerate(char.blocks), 2)
+            if b == c and char.signs[i] != char.signs[j]
+        }
+        if len(found) == 1:
+            causes |= found
+    # each comparison is, on some parameter, the only one that flags it
+    assert causes == {"discrete", (0, 1), (0, 2), (1, 2)}
 
 
 def test_vanishing_flag_agrees_with_sign_map():

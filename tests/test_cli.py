@@ -505,12 +505,17 @@ def test_every_exit_2_names_a_violation(capsys, argv, violation, error):
 
 def test_unreadable_parameter_file_names_a_violation(capsys, tmp_path):
     missing = tmp_path / "missing.json"
-    code, out, err = run(capsys, ["decide", "--param", str(missing), "--pi", "1"])
-    assert code == 2
-    assert out == ""
-    payload = json.loads(err)
-    assert payload["violations"] == ["PARAM_UNREADABLE"]
-    assert payload["error"].startswith("cannot read parameter file")
+    # bytes no UTF-8 text holds, before JSON that would parse
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'\xff\xfe{"n": 1}')
+    for path, reason in ((missing, ""), (latin, "'utf-8' codec")):
+        code, out, err = run(capsys, ["decide", "--param", str(path), "--pi", "1"])
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["violations"] == ["PARAM_UNREADABLE"]
+        assert payload["error"].startswith("cannot read parameter file"), path
+        assert reason in payload["error"]
 
 
 def test_oversized_parameter_file_is_refused(capsys, tmp_path):

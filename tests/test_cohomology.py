@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from sympacket.cohomology import (
@@ -19,6 +21,16 @@ def _pairs(n):
     for p in range(n + 1):
         for q in range(n - p + 1):
             yield p, q
+
+
+@pytest.mark.parametrize(
+    "values, bad", [((2.7, "3", True), "2.7"), ((2, "3"), "'3'"), ((4, True), "True")]
+)
+def test_half_int_vector_entries_must_be_integers(values, bad):
+    # an entry is refused, not truncated or converted
+    with pytest.raises(ValueError, match=f"got {re.escape(bad)}$"):
+        HalfIntVector(values)
+    assert HalfIntVector([1, -2]).doubled == (1, -2)
 
 
 def test_rho_vectors_closed_forms():

@@ -6,6 +6,7 @@ nor ``fractions``; each other command loads the one it uses.  The package
 serves the side modules' names on first use.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -108,3 +109,19 @@ def test_side_names_are_served_on_first_use():
     assert before == []
     assert listed and same and attribute and star
     assert missing == "module 'sympacket' has no attribute 'no_such_name'"
+
+
+def test_side_names_are_the_side_modules_public_names():
+    # the package lists the side modules' names itself, so that importing it
+    # imports none of them: each listed name must be its module's, public
+    # and served once, and every public name but cohomology.RhoVectors,
+    # which the package has never served, must be listed
+    unlisted = set()
+    for module, names in sympacket._SIDE_NAMES.items():
+        side = importlib.import_module(f"sympacket.{module}")
+        assert set(names) <= set(side.__all__), module
+        for name in names:
+            assert getattr(sympacket, name) is getattr(side, name), name
+        unlisted |= {(module, name) for name in side.__all__ if name not in names}
+    assert len(sympacket._SIDE_MODULE) == sum(map(len, sympacket._SIDE_NAMES.values()))
+    assert unlisted == {("cohomology", "RhoVectors")}

@@ -20,7 +20,6 @@ from sympacket.params import (
     _all_segment_covers,
     _cover_params,
     _parameter_count,
-    _topped_covers,
 )
 from sympacket.weights import InfinitesimalCharacter, inf_char_of_weight, pi_nm, sigma_nk
 
@@ -184,7 +183,7 @@ def test_topped_search_finds_the_covers_with_that_top():
     for n, chi in module_characters(8):
         full = _all_segment_covers(chi.entries)
         for top in range(1, 2 * n + 2, 2):
-            topped = _topped_covers(chi.entries, top)
+            topped = _all_segment_covers(chi.entries, top)
             assert len(set(topped)) == len(topped)
             assert set(topped) == {c for c in full if c[0][0] == top}, (n, chi, top)
 
@@ -232,7 +231,7 @@ def test_cover_search_matches_the_set_based_oracle():
         assert len(covers) == len(set(covers)), entries
         assert set(covers) == expected, entries
         for top in range(1, 2 * n + 2, 2):
-            topped = _topped_covers(entries, top)
+            topped = _all_segment_covers(entries, top)
             assert len(topped) == len(set(topped)), (entries, top)
             assert set(topped) == {c for c in expected if c[0][0] == top}, (entries, top)
 

@@ -11,12 +11,16 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import shutil
+import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sympacket
 from sympacket import cli
 
 WORKED = json.dumps({
@@ -167,3 +171,56 @@ def test_well_formed_argvs_take_the_table(capsys, monkeypatch, argparse_refuses)
     monkeypatch.setattr(sys, "argv", ["sympacket", "tableau", "3", "1"])
     assert cli.main() == 0
     assert json.loads(capsys.readouterr().out)["command"] == "tableau"
+
+
+# runs each argv through cli.main and prints the subcommands the argv table
+# compiled, then each exit code with the bytes written to stdout
+RUN_WELL_FORMED = """
+import io, json, sys
+from sympacket import cli
+table = cli._parser()._table
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.BytesIO()
+    sys.stdout = io.TextIOWrapper(out, encoding="utf-8")
+    code = cli.main(argv)
+    sys.stdout.flush()
+    runs.append([code, out.getvalue().hex()])
+    sys.stdout = sys.__stdout__
+print(json.dumps([table and sorted(table[2]), runs]))
+"""
+
+
+def test_well_formed_argvs_run_alike_on_every_supported_python():
+    # pyproject.toml declares Python >= 3.10, and the table is compiled from
+    # argparse's private attributes, which may differ between versions: each
+    # other CPython 3.10-3.13 on PATH that starts must compile every
+    # subcommand and print what this interpreter prints
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sympacket.__file__)))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argvs = json.dumps(list(WELL_FORMED.values()))
+
+    def run(python):
+        done = subprocess.run([python, "-c", RUN_WELL_FORMED, argvs], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, (python, done.stderr)
+        return json.loads(done.stdout)
+
+    expected = run(sys.executable)
+    assert expected[0] == sorted(WELL_FORMED)
+    assert [code for code, _ in expected[1]] == [0] * len(WELL_FORMED)
+    others = []
+    for name in ("python3.10", "python3.11", "python3.12", "python3.13"):
+        python = shutil.which(name)
+        if python is None:
+            continue
+        # a version manager's shim may be on PATH for a version it lacks
+        probe = subprocess.run([python, "-c", "import sys; print(sys.version)"],
+                               capture_output=True, text=True, timeout=60)
+        if probe.returncode != 0 or probe.stdout.strip() == sys.version:
+            continue
+        assert run(python) == expected, (name, probe.stdout)
+        others.append(name)
+    if not others:
+        pytest.skip("no other CPython 3.10-3.13 starts here")

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,17 @@ from sympacket.tableaux import (
     render_tableau,
     validate_tableau,
 )
+
+
+@pytest.mark.parametrize(
+    "rows, bad",
+    [(((2.9, 1.0), ("1", True)), "2.9"), (((2, 1), ("1", 1)), "'1'"), (((1, True),), "True")],
+)
+def test_signed_tableau_entries_must_be_integers(rows, bad):
+    # a row length or sign is refused, not truncated or converted
+    with pytest.raises(ValueError, match=f"got {re.escape(bad)}$"):
+        SignedTableau(rows)
+    assert SignedTableau([[1, -1], [2, 1]]).rows == ((2, 1), (1, -1))
 
 
 def test_validate_chain_elements():
