@@ -36,10 +36,10 @@ from .params import (
     RankBoundError,
     UnipotentBlock,
     _parameter_count,
+    _segment_entries,
     _trusted_params,
     char_from_name,
     char_name,
-    inf_char_of_param,
     validate,
 )
 from .weights import HighestWeight, module_of
@@ -157,7 +157,7 @@ def param_from_json(obj: Any) -> ArthurParameter:
     if violations:
         raise ValidationError(f"invalid parameter: {violations}", violations)
     _check_report_rank(psi.n)
-    entries = inf_char_of_param(psi).entries
+    entries = _segment_entries(psi)
     return _trusted_params(psi.n, (psi.unipotent,), psi.discrete, entries)[0]
 
 

@@ -192,25 +192,50 @@ def validate(psi: ArthurParameter) -> list[str]:
     odd_discrete = sum(1 for b in psi.discrete if b.a % 2 == 1) % 2
     if char_parity != odd_discrete:
         codes.append(PARITY_PRODUCT)
-    if psi != psi.canonical():
+    if not _in_canonical_order(psi):
         codes.append(ORDER)
     return codes
 
 
+def _in_canonical_order(psi: ArthurParameter) -> bool:
+    """Whether ``psi.canonical()`` would return the same blocks: no two
+    neighbouring blocks out of order, compared as ``canonical`` sorts them
+    (unipotent by ``_unip_key``, discrete decreasing), with no copy built."""
+    unipotent = psi.unipotent
+    for x, y in zip(unipotent, unipotent[1:]):
+        if (x.dim, -x.char) < (y.dim, -y.char):  # _unip_key(x) > _unip_key(y)
+            return False
+    discrete = psi.discrete
+    for x, y in zip(discrete, discrete[1:]):
+        if x < y:
+            return False
+    return True
+
+
 def inf_char_of_param(psi: ArthurParameter) -> InfinitesimalCharacter:
-    """Infinitesimal character of the packet attached to the parameter.
+    """Infinitesimal character of the packet attached to the parameter,
+    checked as every ``InfinitesimalCharacter`` is (``_segment_entries``)."""
+    return InfinitesimalCharacter(_segment_entries(psi))
+
+
+def _segment_entries(psi: ArthurParameter) -> tuple[int, ...]:
+    """The entries of the parameter's infinitesimal character, decreasing.
 
     Each unipotent block contributes the centered segment of its dimension,
     each discrete block the segment [bottom, top] plus its mirror image.
+    The entries are sorted once and not checked: for a valid parameter they
+    are an infinitesimal character.
     """
     entries: list[int] = []
     for b in psi.unipotent:
         half = (b.dim - 1) // 2
-        entries.extend(range(-half, half + 1))
+        entries += range(-half, half + 1)
     for b in psi.discrete:
-        entries.extend(range(b.bottom, b.top + 1))
-        entries.extend(range(-b.top, -b.bottom + 1))
-    return InfinitesimalCharacter(tuple(entries))
+        bottom, top = b.bottom, b.top
+        entries += range(bottom, top + 1)
+        entries += range(-top, 1 - bottom)
+    entries.sort(reverse=True)
+    return tuple(entries)
 
 
 def a_psi(psi: ArthurParameter) -> int:
@@ -442,12 +467,13 @@ def _valid_inf_char(psi: ArthurParameter) -> tuple[int, ...]:
 
     A parameter from ``_trusted_params`` returns the entries it recorded,
     unchecked.  Any other is validated first (``ValueError`` naming the
-    violation codes) and its character computed (``inf_char_of_param``).
+    violation codes) and its entries read off its segments
+    (``_segment_entries``), with no ``InfinitesimalCharacter`` built.
     """
     entries = psi._inf_char
     if entries is None:
         _require_valid(psi)
-        entries = inf_char_of_param(psi).entries
+        entries = _segment_entries(psi)
     return entries
 
 

@@ -10,6 +10,12 @@ search, kept here as it was: a recursion on the maximum over a dict of
 counts that covers it either way, re-sorts every partial cover and
 deduplicates through sets.  The library's search walks the symmetric half
 of the multiset and reaches each cover once.
+
+The boundary oracles ``validate_by_copy`` and ``checked_inf_char_entries``
+are the library's earlier statements of a user-built parameter's checks:
+``ORDER`` when the parameter differs from its canonical copy, and the
+character's entries read from a checked ``InfinitesimalCharacter``.  The
+library compares neighbouring blocks and sorts the segments' entries once.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ import itertools
 from collections import Counter
 
 from sympacket.params import (
+    CHAR_SGN,
+    CHAR_TRIV,
     ArthurParameter,
     DiscreteBlock,
     UnipotentBlock,
@@ -155,3 +163,49 @@ def set_segment_covers(entries: tuple[int, ...], cap: int | None = None) -> froz
         return memo[key]
 
     return rec(dict(Counter(entries)))
+
+
+def validate_by_copy(psi: ArthurParameter) -> list[str]:
+    """The violation codes of ``params.validate``, with ORDER found by
+    building and comparing the canonical copy."""
+    codes: list[str] = []
+    shape_ok = psi.n >= 0
+    for b in psi.unipotent:
+        if b.char not in (CHAR_TRIV, CHAR_SGN) or b.dim < 1 or b.dim % 2 == 0:
+            shape_ok = False
+    for b in psi.discrete:
+        if b.t < 1 or b.a < 1 or (b.t + b.a) % 2 == 0:
+            shape_ok = False
+    if not shape_ok:
+        codes.append("BLOCK_SHAPE")
+    if psi.dim_unipotent + psi.dim_discrete != 2 * psi.n + 1:
+        codes.append("DIM_SUM")
+    char_parity = sum(b.char for b in psi.unipotent) % 2
+    odd_discrete = sum(1 for b in psi.discrete if b.a % 2 == 1) % 2
+    if char_parity != odd_discrete:
+        codes.append("PARITY_PRODUCT")
+    if psi != psi.canonical():
+        codes.append("ORDER")
+    return codes
+
+
+def checked_inf_char_entries(psi: ArthurParameter) -> tuple[int, ...]:
+    """The entries of the parameter's infinitesimal character, from the
+    checked ``InfinitesimalCharacter`` of its segments."""
+    entries: list[int] = []
+    for b in psi.unipotent:
+        half = (b.dim - 1) // 2
+        entries.extend(range(-half, half + 1))
+    for b in psi.discrete:
+        entries.extend(range(b.bottom, b.top + 1))
+        entries.extend(range(-b.top, -b.bottom + 1))
+    return InfinitesimalCharacter(tuple(entries)).entries
+
+
+def valid_inf_char_by_copy(psi: ArthurParameter) -> tuple[int, ...]:
+    """``params._valid_inf_char`` of a parameter with no record: refused
+    with the codes of ``validate_by_copy``, else ``checked_inf_char_entries``."""
+    codes = validate_by_copy(psi)
+    if codes:
+        raise ValueError(f"invalid parameter {psi}: {codes}")
+    return checked_inf_char_entries(psi)

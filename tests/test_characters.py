@@ -18,8 +18,6 @@ from sympacket.characters import (
 )
 from sympacket.membership import (
     distinguished_parameter_sigma,
-    enumerate_packets_pi,
-    enumerate_packets_sigma,
     _routes,
 )
 from sympacket.params import (
@@ -177,11 +175,11 @@ def test_rho_sigma_general_boundary_delegates():
     assert rho_sigma_general(psi, 4, 2, 1) == rho_pi_general(psi, 4, 3, 1)
 
 
-def test_members_get_consistent_characters():
+def test_members_get_consistent_characters(ranks_1_to_9):
     # every member's character is constant on equal blocks (no VANISHING)
     for n in range(1, 7):
         for m in range(1, n + 1):
-            for psi, _ in enumerate_packets_pi(n, m):
+            for psi, _ in ranks_1_to_9["pi", n, m].members:
                 for delta in (1, -1):
                     char = rho_pi_general(psi, n, m, delta)
                     assert not char.flags
@@ -237,7 +235,7 @@ def test_vanishing_on_crafted_signs():
     assert causes == {"discrete", (0, 1), (0, 2), (1, 2)}
 
 
-def test_vanishing_flag_agrees_with_sign_map():
+def test_vanishing_flag_agrees_with_sign_map(ranks_1_to_9):
     # the flag is what sign_map of the same signs says, on every member's
     # character at ranks <= 9 (none is flagged) and on every printed row
     def agrees(char):
@@ -245,17 +243,13 @@ def test_vanishing_flag_agrees_with_sign_map():
         assert (VANISHING in char.flags) == (checked.sign_map() is None)
         return VANISHING in char.flags
 
+    rho = {"pi": rho_pi_general, "sigma": rho_sigma_general}
     members = 0
-    for n in range(1, 10):
-        questions = [(enumerate_packets_pi, rho_pi_general, m) for m in range(n + 1)]
-        questions += [
-            (enumerate_packets_sigma, rho_sigma_general, k) for k in range(1, n // 2 + 1)
-        ]
-        for enumerate_packets, rho, value in questions:
-            for psi, _ in enumerate_packets(n, value):
-                for delta in (1, -1):
-                    assert not agrees(rho(psi, n, value, delta))
-                    members += 1
+    for (family, n, value), found in ranks_1_to_9.items():
+        for psi, _ in found.members:
+            for delta in (1, -1):
+                assert not agrees(rho[family](psi, n, value, delta))
+                members += 1
     assert members
     flagged = [
         agrees(rho_unipotent_table(form, n, m, which, delta))

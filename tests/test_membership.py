@@ -146,12 +146,11 @@ def test_peel_step_cases():
     assert peel_step(reject, 2, 1) == "REJECT"
 
 
-def test_peel_consistency_on_enumeration():
+def test_peel_consistency_on_enumeration(ranks_1_to_9):
     # membership before a strip with equality matches membership after
     for n in range(1, 6):
         for m in range(0, n + 1):
-            chi = inf_char_of_weight(pi_nm(n, m))
-            for psi in enumerate_params(chi, n):
+            for psi in ranks_1_to_9["pi", n, m].params:
                 step = peel_step(psi, n, m)
                 if step is None or step == "REJECT":
                     continue
@@ -165,11 +164,10 @@ def test_peel_consistency_on_enumeration():
                 assert before == after, (n, m, str(psi))
 
 
-def test_recursive_oracle_agrees_small():
+def test_recursive_oracle_agrees_small(ranks_1_to_9):
     for n in range(1, 6):
         for m in range(0, n + 1):
-            chi = inf_char_of_weight(pi_nm(n, m))
-            for psi in enumerate_params(chi, n):
+            for psi in ranks_1_to_9["pi", n, m].params:
                 assert decide_pi(psi, n, m).member == decide_pi_recursive(psi, n, m)
 
 
@@ -210,21 +208,14 @@ def test_enumerate_packets_worked():
     )
 
 
-def test_enumerate_packets_equal_public_filter():
+def test_enumerate_packets_equal_public_filter(ranks_1_to_9):
     # the enumerators decide without re-validating; they must keep exactly
     # the parameters, in order and with the routes, that the public
     # deciders keep
-    for n in range(1, 10):
-        for m in range(0, n + 1):
-            chi = inf_char_of_weight(pi_nm(n, m))
-            public = [(psi, decide_pi(psi, n, m)) for psi in enumerate_params(chi, n)]
-            assert enumerate_packets_pi(n, m) == [(p, v) for p, v in public if v.member]
-        for k in range(1, n // 2 + 1):
-            chi = inf_char_of_weight(sigma_nk(n, k))
-            public = [(psi, decide_sigma(psi, n, k)) for psi in enumerate_params(chi, n)]
-            assert enumerate_packets_sigma(n, k) == [
-                (p, v) for p, v in public if v.member
-            ]
+    decide = {"pi": decide_pi, "sigma": decide_sigma}
+    for (family, n, value), found in ranks_1_to_9.items():
+        public = [(psi, decide[family](psi, n, value)) for psi in found.params]
+        assert list(found.members) == [(p, v) for p, v in public if v.member]
     # spot checks at ranks 11 and 12, where most covers cannot hold a member
     spots = [
         (enumerate_packets_pi, decide_pi, pi_nm, 12, 9),
@@ -269,26 +260,24 @@ def _modules(max_n):
             yield module_of("sigma", n, k)
 
 
-def test_route_table_pins_the_deciders():
+def test_route_table_pins_the_deciders(ranks_1_to_9):
     # the table both builds members and decides: on every parameter with the
     # module's character, the decider core returns the very route object an
     # independent reading of the table finds first, or None with it
     for module in _modules(9):
         routes = _routes(module)
-        chi = InfinitesimalCharacter(module.inf_char())
-        for psi in enumerate_params(chi, module.n):
+        for psi in ranks_1_to_9[module].params:
             route = _table_route(routes, psi)
             assert _decide_core(psi, module) is route, (module, str(psi))
 
 
-def test_every_route_admits_a_member():
+def test_every_route_admits_a_member(ranks_1_to_9):
     # a row of the table that no enumerated member takes would decide
     # nothing and build nothing, and no other test would notice
     for module in _modules(9):
         routes = _routes(module)
         assert all(route.module == module for route in routes)
-        chi = InfinitesimalCharacter(module.inf_char())
-        taken = {_table_route(routes, psi) for psi in enumerate_params(chi, module.n)}
+        taken = {_table_route(routes, psi) for psi in ranks_1_to_9[module].params}
         assert taken - {None} == set(routes), module
         admitted = {psi._route for psi, _ in _enumerate_packets(module, 12)}
         assert admitted == set(routes), module
@@ -356,24 +345,24 @@ def test_decide_regular():
         decide_regular(WORKED, 0)  # non-regular character
 
 
-def test_multiplicity_one_for_members():
+def test_multiplicity_one_for_members(ranks_1_to_9):
     for n in range(1, 6):
         for m in range(0, n + 1):
-            for _, verdict in enumerate_packets_pi(n, m):
+            for _, verdict in ranks_1_to_9["pi", n, m].members:
                 assert verdict.multiplicity == 1
 
 
-def test_small_m_members_all_fire_exact_block_route():
+def test_small_m_members_all_fire_exact_block_route(ranks_1_to_9):
     # with 2m <= n+1 the disjoint-segment and shifted-block routes are
     # unavailable, so every member carries the exact big block
     for n in range(1, 7):
         for m in range(1, n + 1):
             if 2 * m > n + 1:
                 continue
-            for psi, verdict in enumerate_packets_pi(n, m):
+            for psi, verdict in ranks_1_to_9["pi", n, m].members:
                 assert verdict.route == ROUTE_II_A1, (n, m, str(psi))
     # the trivial representation's parameter also has the exact-block shape
     for n in range(1, 5):
-        (psi, verdict), = enumerate_packets_pi(n, 0)
+        (psi, verdict), = ranks_1_to_9["pi", n, 0].members
         assert verdict.route == ROUTE_TRIVIAL
         assert psi.unipotent == (UnipotentBlock(CHAR_TRIV, 2 * n + 1),)

@@ -1,7 +1,12 @@
+import dataclasses
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sympacket import params
+from sympacket.characters import rho_pi_general
+from sympacket.membership import decide_pi, enumerate_packets_pi
 from sympacket.params import (
     CHAR_SGN,
     CHAR_TRIV,
@@ -20,10 +25,17 @@ from sympacket.params import (
     _all_segment_covers,
     _cover_params,
     _parameter_count,
+    _valid_inf_char,
 )
 from sympacket.weights import InfinitesimalCharacter, inf_char_of_weight, pi_nm, sigma_nk
 
-from oracles import brute_force_params, set_segment_covers
+from oracles import (
+    brute_force_params,
+    checked_inf_char_entries,
+    set_segment_covers,
+    valid_inf_char_by_copy,
+    validate_by_copy,
+)
 
 
 def P(n, unip, disc=()):
@@ -351,3 +363,117 @@ def test_shape_check_on_unitary_weight_characters(values):
     chi = inf_char_of_weight(mu)
     for psi in enumerate_params(chi, mu.n):
         assert hw_shape_check(psi), (mu.entries, str(psi))
+
+
+# --- the boundary of a user-built parameter ----------------------------------
+
+
+@st.composite
+def user_parameters(draw):
+    """Parameters as a user may build them: int fields of any sign or well
+    shaped, a block repeated, the blocks canonical, shuffled or as drawn,
+    the rank that of the dimension count or any."""
+    wild = draw(st.booleans())
+    if wild:
+        unip = st.builds(UnipotentBlock, st.integers(-1, 2), st.integers(-3, 9))
+        disc = st.builds(DiscreteBlock, st.integers(-2, 8), st.integers(-2, 8))
+    else:
+        odd = st.integers(0, 4).map(lambda h: 2 * h + 1)
+        unip = st.builds(UnipotentBlock, st.sampled_from((CHAR_TRIV, CHAR_SGN)), odd)
+        # t + a odd: a of the other parity than t
+        disc = st.tuples(st.integers(1, 8), odd).map(
+            lambda ta: DiscreteBlock(ta[0], ta[1] + ta[0] % 2)
+        )
+    unipotent = draw(st.lists(unip, max_size=5))
+    discrete = draw(st.lists(disc, max_size=4))
+    if not wild and unipotent and draw(st.booleans()):
+        # the character of the first block meets the determinant condition
+        parity = sum(b.char for b in unipotent[1:]) + sum(b.a for b in discrete)
+        unipotent[0] = UnipotentBlock(parity % 2, unipotent[0].dim)
+    for blocks in (unipotent, discrete):
+        if blocks and draw(st.booleans()):
+            blocks.append(draw(st.sampled_from(blocks)))
+    dims = sum(b.dim for b in unipotent) + 2 * sum(b.a for b in discrete)
+    n = draw(st.sampled_from([(dims - 1) // 2]) | st.integers(-3, 12))
+    arrangement = draw(st.sampled_from(("canonical", "shuffled", "drawn")))
+    if arrangement == "shuffled":
+        unipotent = draw(st.permutations(unipotent))
+        discrete = draw(st.permutations(discrete))
+    psi = ArthurParameter(n, tuple(unipotent), tuple(discrete))
+    return psi.canonical() if arrangement == "canonical" else psi
+
+
+def outcome(fn, psi):
+    try:
+        return "ok", fn(psi)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(user_parameters())
+@example(WORKED)
+@example(ArthurParameter(2, WORKED.unipotent[::-1]))
+@example(ArthurParameter(-1, (UnipotentBlock(CHAR_TRIV, -1),)))
+@settings(max_examples=300, deadline=None)
+def test_boundary_agrees_with_the_canonical_copy_oracle(psi):
+    # validate's neighbour comparison gives the codes that comparing with the
+    # canonical copy gives, and _valid_inf_char the checked character's
+    # entries, or the same refusal
+    assert validate(psi) == validate_by_copy(psi)
+    assert outcome(_valid_inf_char, psi) == outcome(valid_inf_char_by_copy, psi)
+
+
+def test_segment_entries_are_the_checked_characters(ranks_1_to_9):
+    # every parameter enumerated at ranks <= 8, stripped of its record, as a
+    # user would build it
+    checked = 0
+    for (_, n, _), found in ranks_1_to_9.items():
+        if n > 8:
+            continue
+        for psi in found.params:
+            copy = dataclasses.replace(psi)
+            assert copy._inf_char is None
+            assert _valid_inf_char(copy) == checked_inf_char_entries(copy), str(psi)
+            checked += 1
+    assert checked
+
+
+def test_user_built_member_is_validated_once_per_question(monkeypatch):
+    # decide_pi, then rho_pi_general with each token: a user-built member is
+    # validated once per question, through the module attribute
+    # params.validate, and no InfinitesimalCharacter is built; a member the
+    # enumerator built is neither validated nor measured
+    calls = {"validate": 0, "inf_char": 0}
+    real_validate, init = params.validate, InfinitesimalCharacter.__init__
+
+    def counted_validate(psi):
+        calls["validate"] += 1
+        return real_validate(psi)
+
+    def counted_init(chi, entries):
+        calls["inf_char"] += 1
+        init(chi, entries)
+
+    questions = [(6, 2), (5, 4), (4, 3)]
+    members = {(n, m): [psi for psi, _ in enumerate_packets_pi(n, m)] for n, m in questions}
+    monkeypatch.setattr(params, "validate", counted_validate)
+    monkeypatch.setattr(InfinitesimalCharacter, "__init__", counted_init)
+
+    def counts(psi, n, m):
+        calls.update(validate=0, inf_char=0)
+        assert decide_pi(psi, n, m).member
+        for delta in (1, -1):
+            rho_pi_general(psi, n, m, delta)
+        return calls["validate"], calls["inf_char"]
+
+    for (n, m), found in members.items():
+        assert found
+        for psi in found:
+            user = ArthurParameter(psi.n, psi.unipotent, psi.discrete)
+            assert counts(user, n, m) == (3, 0), str(psi)
+            assert counts(psi, n, m) == (0, 0), str(psi)
+    # the counters see a validation and a character built
+    calls.update(validate=0, inf_char=0)
+    inf_char_of_param(user)
+    params._require_valid(user)
+    assert calls == {"validate": 1, "inf_char": 1}

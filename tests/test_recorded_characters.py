@@ -112,13 +112,13 @@ def outcome(fn, *args):
         return "refused", str(exc)
 
 
-def test_recorded_and_user_built_parameters_get_the_same_answers():
+def test_recorded_and_user_built_parameters_get_the_same_answers(ranks_1_to_9):
     # for each module, every parameter with its character, members and not:
     # the verdict and both characters (or the non-member refusal) agree
     for family, n, value in modules(8):
-        chi = inf_char_of_weight(weight(family, n, value))
-        members = set(packets(family, n, value))
-        for psi in enumerate_params(chi, n):
+        found = ranks_1_to_9[family, n, value]
+        members = {psi for psi, _ in found.members}
+        for psi in found.params:
             copy = user_copy(psi)
             assert recorded(psi) is not None and recorded(copy) is None
             verdict = DECIDE[family](psi, n, value)
@@ -132,7 +132,7 @@ def test_recorded_and_user_built_parameters_get_the_same_answers():
                     assert got[1].startswith("packet does not contain the")
 
 
-def test_members_refused_by_another_module_alike():
+def test_members_refused_by_another_module_alike(ranks_1_to_9):
     # each member against a module of its rank whose packet it is not in,
     # one with the same character where there is one (pi_n(m) and
     # pi_n(n+1-m) share theirs), else one with another character
@@ -142,7 +142,7 @@ def test_members_refused_by_another_module_alike():
             (module for module in modules(n) if module[1] == n),
             key=lambda module: inf_char_of_weight(weight(*module)).entries != entries,
         )
-        for psi in packets(family, n, value):
+        for psi, _ in ranks_1_to_9[family, n, value].members:
             copy = user_copy(psi)
             other, _, v = next(
                 module for module in others if not DECIDE[module[0]](copy, n, module[2]).member
