@@ -197,13 +197,19 @@ def _decide_route(psi: ArthurParameter, module: Module) -> _Route | None:
 def _decide_core(psi: ArthurParameter, module: Module) -> _Route | None:
     """The first route of ``_routes(module)`` whose shape psi has, or None,
     for a valid parameter of the module's rank and infinitesimal character;
-    nothing is checked again."""
-    top = a_psi_u(psi)
+    nothing is checked again.
+
+    Valid means canonical, so the largest unipotent dimension is that of
+    the first block, and a unipotent part of dimension 1 is one block R[1]
+    (a valid part is never empty: the discrete dimensions are even).
+    """
+    unipotent = psi.unipotent
+    top = unipotent[0].dim
     for route in _routes(module):
         if route.char is None:  # THM71_I
-            if psi.dim_unipotent == 1 and _segments_pairwise_disjoint(psi):
+            if top == 1 and len(unipotent) == 1 and _segments_pairwise_disjoint(psi):
                 return route
-        elif top == route.top and _unipotent_block(route.char, top) in psi.unipotent:
+        elif top == route.top and _unipotent_block(route.char, top) in unipotent:
             return route
     return None
 

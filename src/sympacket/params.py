@@ -97,7 +97,10 @@ class UnipotentBlock(NamedTuple):
     dim: int
 
     def __str__(self) -> str:
-        return f"{char_name(self.char)}⊠R[{self.dim}]"
+        char = self.char
+        # a char that is not an int is shown as it is, for the refusal
+        name = char_name(char) if type(char) is int else repr(char)
+        return f"{name}⊠R[{self.dim}]"
 
 
 class DiscreteBlock(NamedTuple):
@@ -175,41 +178,57 @@ def validate(psi: ArthurParameter) -> list[str]:
     Codes: BLOCK_SHAPE (bad block data or negative rank), DIM_SUM (dimension
     count off), PARITY_PRODUCT (determinant condition fails), ORDER (blocks
     not canonically sorted).  An empty list means the parameter is valid.
+
+    One loop per block list, in this one frame, checks each block's shape,
+    adds its dimension and its share of the determinant condition (the
+    unipotent characters and the discrete a: the condition is that their
+    sum is even), and compares the block with the one before it as
+    ``canonical()`` sorts them, so ORDER needs no canonical copy.  A rank or
+    block field that is not an ``int`` (a bool is not, as in
+    ``weights._not_integer``) is refused as BLOCK_SHAPE alone: the count,
+    the condition and the order are not read on such data.
     """
-    codes: list[str] = []
-    shape_ok = psi.n >= 0
+    n = psi.n
+    if type(n) is not int:
+        return [BLOCK_SHAPE]
+    shape_ok = n >= 0
+    ordered = True
+    dim = parity = 0
+    last_dim = last_char = None
     for b in psi.unipotent:
-        if b.char not in (CHAR_TRIV, CHAR_SGN) or b.dim < 1 or b.dim % 2 == 0:
+        char, d = b.char, b.dim
+        if type(char) is not int or type(d) is not int:
+            return [BLOCK_SHAPE]
+        if (char != CHAR_TRIV and char != CHAR_SGN) or d < 1 or not d & 1:
             shape_ok = False
+        # canonical: dimension decreasing, trivial before sign (_unip_key)
+        if last_dim is not None and (d > last_dim or d == last_dim and char < last_char):
+            ordered = False
+        last_dim, last_char = d, char
+        dim += d
+        parity += char
+    last = None
     for b in psi.discrete:
-        if b.t < 1 or b.a < 1 or (b.t + b.a) % 2 == 0:
+        t, a = b.t, b.a
+        if type(t) is not int or type(a) is not int:
+            return [BLOCK_SHAPE]
+        if t < 1 or a < 1 or not (t + a) & 1:
             shape_ok = False
+        if last is not None and last < b:  # canonical: decreasing as (t, a)
+            ordered = False
+        last = b
+        dim += 2 * a
+        parity += a
+    codes: list[str] = []
     if not shape_ok:
         codes.append(BLOCK_SHAPE)
-    if psi.dim_unipotent + psi.dim_discrete != 2 * psi.n + 1:
+    if dim != 2 * n + 1:
         codes.append(DIM_SUM)
-    char_parity = sum(b.char for b in psi.unipotent) % 2
-    odd_discrete = sum(1 for b in psi.discrete if b.a % 2 == 1) % 2
-    if char_parity != odd_discrete:
+    if parity & 1:
         codes.append(PARITY_PRODUCT)
-    if not _in_canonical_order(psi):
+    if not ordered:
         codes.append(ORDER)
     return codes
-
-
-def _in_canonical_order(psi: ArthurParameter) -> bool:
-    """Whether ``psi.canonical()`` would return the same blocks: no two
-    neighbouring blocks out of order, compared as ``canonical`` sorts them
-    (unipotent by ``_unip_key``, discrete decreasing), with no copy built."""
-    unipotent = psi.unipotent
-    for x, y in zip(unipotent, unipotent[1:]):
-        if (x.dim, -x.char) < (y.dim, -y.char):  # _unip_key(x) > _unip_key(y)
-            return False
-    discrete = psi.discrete
-    for x, y in zip(discrete, discrete[1:]):
-        if x < y:
-            return False
-    return True
 
 
 def inf_char_of_param(psi: ArthurParameter) -> InfinitesimalCharacter:

@@ -16,6 +16,12 @@ are the library's earlier statements of a user-built parameter's checks:
 ``ORDER`` when the parameter differs from its canonical copy, and the
 character's entries read from a checked ``InfinitesimalCharacter``.  The
 library compares neighbouring blocks and sorts the segments' entries once.
+
+The decider oracle ``decide_core_by_sums`` is the library's earlier reading
+of a parameter's shape in ``membership._decide_core``: the largest unipotent
+dimension as a maximum and THM71_I's one R[1] as a sum of dimensions, on
+blocks in any order.  The library reads both off the first block of a
+canonical parameter.
 """
 
 from __future__ import annotations
@@ -23,12 +29,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
+from sympacket.membership import _routes, _segments_pairwise_disjoint
 from sympacket.params import (
     CHAR_SGN,
     CHAR_TRIV,
     ArthurParameter,
     DiscreteBlock,
     UnipotentBlock,
+    a_psi_u,
     validate,
 )
 from sympacket.weights import InfinitesimalCharacter
@@ -209,3 +217,16 @@ def valid_inf_char_by_copy(psi: ArthurParameter) -> tuple[int, ...]:
     if codes:
         raise ValueError(f"invalid parameter {psi}: {codes}")
     return checked_inf_char_entries(psi)
+
+
+def decide_core_by_sums(psi: ArthurParameter, module):
+    """The first route of ``membership._routes(module)`` whose shape psi
+    has, or None, read with ``a_psi_u`` and ``dim_unipotent``."""
+    top = a_psi_u(psi)
+    for route in _routes(module):
+        if route.char is None:  # THM71_I
+            if psi.dim_unipotent == 1 and _segments_pairwise_disjoint(psi):
+                return route
+        elif top == route.top and UnipotentBlock(route.char, top) in psi.unipotent:
+            return route
+    return None

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from sympacket.membership import (
@@ -28,6 +30,7 @@ from sympacket.params import (
     UnipotentBlock,
     a_psi_u,
     enumerate_params,
+    validate,
 )
 from sympacket.langlands import exponent_filter, standard_pi
 from sympacket.weights import (
@@ -37,6 +40,8 @@ from sympacket.weights import (
     pi_nm,
     sigma_nk,
 )
+
+from oracles import decide_core_by_sums
 
 
 def P(n, unip, disc=()):
@@ -269,6 +274,76 @@ def test_route_table_pins_the_deciders(ranks_1_to_9):
         for psi in ranks_1_to_9[module].params:
             route = _table_route(routes, psi)
             assert _decide_core(psi, module) is route, (module, str(psi))
+
+
+def test_decide_core_reads_agree_with_the_sums(ranks_1_to_9):
+    # _decide_core reads the top off the first block and THM71_I's one R[1]
+    # off the block count, as canonical order allows: on every enumerated
+    # parameter, asked about every module of its rank with its character
+    # (pi_n(m) and pi_n(n+1-m) share one), it returns the oracle's route
+    sharing = {}
+    for module in _modules(9):
+        sharing.setdefault((module.n, module.inf_char()), set()).add(module)
+    asked = 0
+    for modules in sharing.values():
+        for psi in ranks_1_to_9[min(modules)].params:
+            for module in modules:
+                assert _decide_core(psi, module) is decide_core_by_sums(psi, module), (
+                    module,
+                    str(psi),
+                )
+                asked += 1
+    assert asked
+
+
+def _unipotent_parameters(n):
+    """Every valid purely unipotent parameter of rank n, canonical: each
+    partition of 2n+1 into odd parts, (dimension, count) by decreasing
+    dimension, with an even number of sign blocks, put after the trivial
+    blocks of their dimension."""
+
+    def partitions(total, largest):
+        if total == 0:
+            yield ()
+        for dim in range(min(total, largest), 0, -1):
+            if dim % 2:
+                for count in range(1, total // dim + 1):
+                    for rest in partitions(total - count * dim, dim - 2):
+                        yield ((dim, count),) + rest
+
+    for groups in partitions(2 * n + 1, 2 * n + 1):
+        for signs in itertools.product(*(range(count + 1) for _, count in groups)):
+            if sum(signs) % 2:
+                continue
+            blocks = []
+            for (dim, count), k in zip(groups, signs):
+                blocks += [UnipotentBlock(CHAR_TRIV, dim)] * (count - k)
+                blocks += [UnipotentBlock(CHAR_SGN, dim)] * k
+            yield ArthurParameter(n, tuple(blocks))
+
+
+def test_decide_unipotent_agrees_with_the_route_table():
+    # decide_unipotent's tags, read through module_of, are the modules whose
+    # deciders say member; at n = 2k it may name sigma_{2k,k} alone for
+    # pi_{2k}(k+1), the same module
+    checked = named_by_sigma = 0
+    for n in range(1, 10):
+        asked = [("pi", m) for m in range(n + 1)]
+        asked += [("sigma", k) for k in range(1, n // 2 + 1)]
+        for psi in _unipotent_parameters(n):
+            assert validate(psi) == [] and psi == psi.canonical(), str(psi)
+            tags = decide_unipotent(psi, n)
+            members = {
+                module_of(family, n, value)
+                for family, value in asked
+                if (decide_pi if family == "pi" else decide_sigma)(psi, n, value).member
+            }
+            assert {module_of(family, n, value) for family, value in tags} == members, str(psi)
+            if n % 2 == 0 and ("sigma", n // 2) in tags and ("pi", n // 2 + 1) not in tags:
+                named_by_sigma += 1
+            checked += 1
+    assert checked == 1444
+    assert named_by_sigma == 7
 
 
 def test_every_route_admits_a_member(ranks_1_to_9):

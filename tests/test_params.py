@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -74,6 +75,52 @@ def test_validate_dim_and_shape_and_order():
     )
     assert "ORDER" in validate(disordered)
     assert validate(disordered.canonical()) == []
+
+
+def test_validate_refuses_fields_that_are_not_ints():
+    # a float, a string or a bool is not an int, in the rank or in a block:
+    # BLOCK_SHAPE alone, and the deciders refuse the parameter rather than
+    # call it a member or fail inside
+    refused = [
+        ArthurParameter(1.0, (UnipotentBlock(CHAR_TRIV, 3),)),
+        ArthurParameter(1, (UnipotentBlock(CHAR_TRIV, 3.0),)),
+        ArthurParameter(1, (UnipotentBlock("sgn", 3),)),
+        ArthurParameter(1, (UnipotentBlock(False, 3),)),
+        ArthurParameter(1, (UnipotentBlock(CHAR_TRIV, 1),), (DiscreteBlock(1, 1.0),)),
+        ArthurParameter(1, (UnipotentBlock(CHAR_TRIV, 1),), (DiscreteBlock(True, 1),)),
+    ]
+    for psi in refused:
+        assert validate(psi) == ["BLOCK_SHAPE"], repr(psi)
+        with pytest.raises(ValueError) as exc:
+            decide_pi(psi, 1, 0)
+        assert str(exc.value) == f"invalid parameter {psi}: ['BLOCK_SHAPE']"
+    assert str(refused[2]) == "'sgn'⊠R[3]"
+    assert validate(ArthurParameter(1, (UnipotentBlock(CHAR_TRIV, 3),))) == []
+
+
+def test_validate_runs_in_one_frame():
+    # one loop per block list: no generator, property or helper runs under
+    # validate, valid or not
+    psi = ArthurParameter(
+        12,
+        (UnipotentBlock(CHAR_SGN, 5), UnipotentBlock(CHAR_TRIV, 3), UnipotentBlock(CHAR_SGN, 1)),
+        (DiscreteBlock(6, 5), DiscreteBlock(4, 3)),
+    )
+    disordered = ArthurParameter(12, psi.unipotent[::-1], psi.discrete[::-1])
+    for user, codes in ((psi, []), (disordered, ["ORDER"])):
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            found = validate(user)
+        finally:
+            sys.setprofile(None)
+        assert found == codes
+        assert calls == ["validate"]
 
 
 def test_inf_char_of_param_known_values():
