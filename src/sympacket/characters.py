@@ -22,7 +22,7 @@ from .params import (
     DiscreteBlock,
     UnipotentBlock,
 )
-from .weights import Module, _record, _sign_pow, module_of
+from .weights import _record, _sign_pow, module_of
 
 __all__ = [
     "Block",
@@ -80,7 +80,9 @@ class PacketCharacter:
 
     ``blocks`` may repeat; a well defined character is constant on equal
     blocks.  ``flags`` records degeneracies (VANISHING) when the printed
-    construction assigns unequal signs to equal blocks.
+    construction assigns unequal signs to equal blocks.  The constructor
+    checks the token and the signs, each the int +1 or -1, in its own frame
+    with no ``__post_init__`` or generator, since printed rows use it.
     """
 
     whittaker: int
@@ -88,13 +90,16 @@ class PacketCharacter:
     signs: tuple[int, ...]
     flags: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.whittaker not in (1, -1):
+    def __init__(self, whittaker: int, blocks: tuple, signs: tuple, flags: tuple = ()) -> None:
+        if type(whittaker) is not int or whittaker not in (1, -1):
             raise ValueError("whittaker token must be +1 or -1")
-        if len(self.blocks) != len(self.signs):
+        if len(blocks) != len(signs):
             raise ValueError("one sign per block required")
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signs must be +1 or -1")
+        for sign in signs:
+            if type(sign) is not int or sign not in (1, -1):
+                raise ValueError("signs must be +1 or -1")
+        for name, value in zip(self.__match_args__, (whittaker, blocks, signs, flags)):
+            object.__setattr__(self, name, value)
 
     def sign_map(self) -> dict[Block, int] | None:
         """Distinct-block signs, or None when equal blocks disagree.
@@ -113,29 +118,6 @@ class PacketCharacter:
         for s in self.signs:
             p *= s
         return p
-
-
-def _trusted_char(
-    whittaker: int,
-    blocks: tuple[Block, ...],
-    signs: tuple[int, ...],
-    flags: tuple[str, ...],
-) -> PacketCharacter:
-    """A ``PacketCharacter`` without the checks of ``__post_init__``.
-
-    The caller vouches that the token is +1 or -1 and that ``signs`` holds
-    one +1 or -1 per block, as the recipes of this module build them; the
-    public constructor keeps every check.  The instance is built as
-    ``params._trusted_params`` builds a parameter: ``object.__new__``, then
-    each field set in order past the frozen ``__setattr__``, which keeps
-    the instance dict as small as the constructor's.
-    """
-    char = object.__new__(PacketCharacter)
-    object.__setattr__(char, "whittaker", whittaker)
-    object.__setattr__(char, "blocks", blocks)
-    object.__setattr__(char, "signs", signs)
-    object.__setattr__(char, "flags", flags)
-    return char
 
 
 def char_equivalent(
@@ -193,7 +175,7 @@ def rho_theta(
     """
     if side not in ("O(2m,0)", "O(0,2m)"):
         raise ValueError("side must be 'O(2m,0)' or 'O(0,2m)'")
-    if delta not in (1, -1):
+    if type(delta) is not int or delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
     if tau not in (0, 1) or tau_prime not in (0, 1):
         raise ValueError("tau and tau' must be 0 or 1")
@@ -221,7 +203,7 @@ def rho_unipotent_table(
         raise ValueError("form must be 'first' or 'second'")
     if which not in TABLE_COLUMNS:
         raise ValueError(f"which must be one of {TABLE_COLUMNS}")
-    if delta not in (1, -1):
+    if type(delta) is not int or delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
     if m < 1 or n < m:
         raise ValueError("need 1 <= m <= n")
@@ -238,9 +220,9 @@ def rho_unipotent_table(
         e1 = _sign_pow(extra + base)
         e2 = _sign_pow(extra + base + fm)
     e3 = _sign_pow(fm)
-    row = _trusted_char(delta, blocks, (e1, e2, e3), ())
+    row = PacketCharacter(delta, blocks, (e1, e2, e3))
     if row.sign_map() is None:
-        row = _trusted_char(delta, blocks, row.signs, (VANISHING,))
+        row = PacketCharacter(delta, blocks, row.signs, (VANISHING,))
     return row
 
 
@@ -269,12 +251,16 @@ def rho_pi_general(
 
     The remaining free flip is resolved by the listed-product normalization.
     Blocks are listed as: discrete (canonical order), then the unipotent
-    slots by increasing dimension.
+    slots by increasing dimension.  Refused, in order: a token other than
+    the int +1 or -1, what ``membership._decide_route`` refuses, a packet
+    without the module.
     """
-    route = psi._route
-    if route is not None and route.module == ("pi", n, m) and delta in (1, -1):
-        return _rho_core(psi, delta, route.module, route)
-    return _rho(psi, module_of("pi", n, m), delta)
+    if type(delta) is not int or delta not in (1, -1):
+        raise ValueError("delta must be +1 or -1")
+    route = _decide_route(psi, "pi", n, m)
+    if route is None:
+        raise ValueError(_not_member("pi", n, m))
+    return _rho_core(psi, delta, route)
 
 
 def rho_sigma_general(
@@ -290,43 +276,25 @@ def rho_sigma_general(
 
     For n = 2k the module is the scalar pi_{2k}(k+1) and that recipe is used.
     """
-    route = psi._route
-    if (
-        route is not None
-        and delta in (1, -1)
-        and (
-            route.module == ("sigma", n, k)
-            # a member of sigma_{2k,k} records its module, pi_{2k}(k+1)
-            or (n == 2 * k and route.module == ("pi", n, k + 1))
-        )
-    ):
-        return _rho_core(psi, delta, route.module, route)
-    return _rho(psi, module_of("sigma", n, k), delta)
-
-
-def _rho(psi: ArthurParameter, module: Module, delta: int) -> PacketCharacter:
-    """The character of the module in the packet of psi, by the route
-    ``membership._decide_route`` finds (and the checks it makes).
-
-    ``rho_pi_general`` / ``rho_sigma_general`` come here unless psi is a
-    member the enumerators built for the very module asked about, with a
-    valid token: such a member goes straight to ``_rho_core`` with its
-    recorded route, which is what this path would find, with no ``Module``
-    built.  So every refusal, and its order, is this path's.
-    """
-    if delta not in (1, -1):
+    if type(delta) is not int or delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
-    return _rho_core(psi, delta, module, _decide_route(psi, module))
+    route = _decide_route(psi, "sigma", n, k)
+    if route is None:
+        raise ValueError(_not_member("sigma", n, k))
+    return _rho_core(psi, delta, route)
 
 
-def _rho_core(
-    psi: ArthurParameter, delta: int, module: Module, route: _Route | None
-) -> PacketCharacter:
+def _not_member(family: str, n: int, value: int) -> str:
+    """The refusal of a character of a packet without the (valid) module."""
+    name = "scalar" if module_of(family, n, value).family == "pi" else "near-scalar"
+    return f"packet does not contain the {name} module"
+
+
+def _rho_core(psi: ArthurParameter, delta: int, route: _Route) -> PacketCharacter:
     """The character recipe of ``rho_pi_general`` and ``rho_sigma_general``,
-    given the route of ``membership._routes(module)`` that admits psi (None:
-    the packet does not contain the module) and a token delta in {+1, -1};
-    psi is not validated or decided again.  The route gives the big block
-    and the e2 e3 rule.
+    given the route that admits psi (``membership._decide_route``) and a
+    token delta, the int +1 or -1; nothing is checked again.  The route
+    gives the big block and the e2 e3 rule.
 
     One pass over the discrete blocks carries the token, changing its sign
     after each block with odd a, signs each block, counts the -1 signs and
@@ -341,11 +309,9 @@ def _rho_core(
     blocks is +1, an even number of -1 signs; the number of unipotent slots
     is odd, so the flip always reaches it.  With e3 = +1 that product would be
     (-1)^(discrete -1 count) e1 e2, so e3 takes that value.  The signs are
-    +1 or -1 by construction, so the character is built once, unchecked
-    (``_trusted_char``).
+    +1 or -1 by construction, so the character is built once, unchecked:
+    ``object.__new__``, then each field set past the frozen ``__setattr__``.
     """
-    if route is None:
-        raise ValueError(f"packet does not contain the {module.name()} module")
     discrete = psi.discrete
     signs = []
     minus = 0
@@ -387,8 +353,12 @@ def _rho_core(
             or (e2 != e3 and eta2 == big)
         )
         slots, slot_signs = (eta1, eta2, big), (e1, e2, e3)
-    flags = (VANISHING,) if vanishing else ()
-    return _trusted_char(delta, discrete + slots, tuple(signs) + slot_signs, flags)
+    char = object.__new__(PacketCharacter)
+    object.__setattr__(char, "whittaker", delta)
+    object.__setattr__(char, "blocks", discrete + slots)
+    object.__setattr__(char, "signs", tuple(signs) + slot_signs)
+    object.__setattr__(char, "flags", (VANISHING,) if vanishing else ())
+    return char
 
 
 def table_row(

@@ -287,12 +287,10 @@ def _cmd_rho(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         "whittaker": delta,
         label: value,
     }
-    module = module_of(args.module, psi.n, value)
-    route = membership._decide_route(psi, module)
-    try:
-        char = characters._rho_core(psi, delta, module, route)
-    except ValueError as exc:  # the recipe refuses only non-members
-        raise ValidationError(str(exc), ["NOT_MEMBER"]) from exc
+    route = membership._decide_route(psi, args.module, psi.n, value)
+    if route is None:
+        raise ValidationError(characters._not_member(args.module, psi.n, value), ["NOT_MEMBER"])
+    char = characters._rho_core(psi, delta, route)
     results: dict[str, Any] = {"character": _character_to_json(char)}
     code = 0
     if not psi.discrete and len(psi.unipotent) == 3:
@@ -428,6 +426,9 @@ def _cmd_cohind(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     from . import cohomology
 
     n, p, q = args.n, args.p, args.q
+    if args.t is None and (args.scalar_m is not None or args.weight is not None):
+        flag = "--scalar-m" if args.scalar_m is not None else "--weight"
+        raise UsageError(f"{flag} needs --t")  # before any work, as rho's flags
     _check_report_rank(n)
     data = cohomology.rho_vectors(n, p, q)
     results: dict[str, Any] = {
@@ -448,7 +449,7 @@ def _cmd_cohind(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             results["scalar_ktype_inequality"] = cohomology.ktype_inequality_scalar(
                 args.scalar_m, p, q, args.t
             )
-        if args.weight:
+        if args.weight is not None:
             try:
                 mu = HighestWeight(tuple(_int(x) for x in args.weight.split(",")))
             except ValueError as exc:

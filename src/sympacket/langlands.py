@@ -48,9 +48,9 @@ def standard_pi(n: int, m: int) -> StandardModule:
     """Standard module of pi_n(m): exponents n-m, ..., 1 on sgn^m characters
     over the anchor pi_m(m).  For m = n the module is tempered and the
     exponent string is empty."""
-    if not 1 <= m <= n:
+    if type(n) is int and type(m) is int and not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    return _standard(module_of("pi", n, m))
+    return _standard(module_of("pi", n, m))  # refuses a rank or m not an int
 
 
 def standard_sigma(n: int, k: int) -> StandardModule:

@@ -41,16 +41,12 @@ Both families reach one record, ``weights.Module`` from ``module_of``,
 which turns sigma_{2k,k} into pi_{2k}(k+1).  The module keys its
 infinitesimal character and its route table, and the table is the only
 statement of the criteria above: it builds the members, and it decides.
-``_decide_core`` returns the first route whose shape a parameter has;
-``_decide_route`` reaches it after the checks, and ``decide_pi`` /
-``decide_sigma``, the character recipe and the command line all ask
-``_decide_route``.  Each member the enumerators build records the route
-that admitted it (``params._trusted_params``); a route names its module, so
-asked about that module, ``_decide_route`` returns the recorded route and
-decides nothing.  Any other parameter is decided: it is validated unless
-it recorded its infinitesimal character when it was built, and its
-character compared with the module's before ``_decide_core`` runs.
-Route tags on verdicts are stable wire strings.
+Every packet question (``decide_pi`` / ``decide_sigma``, the characters,
+the command line's ``rho``) passes the triple it was asked to the one
+lookup, ``_decide_route``: a member's recorded route answers there, and
+any other question is checked there and decided by ``_decide_core``.  No
+other module reads the record.  Route tags on verdicts are stable wire
+strings.
 """
 
 from __future__ import annotations
@@ -155,7 +151,7 @@ def decide_pi(psi: ArthurParameter, n: int, m: int) -> MembershipVerdict:
     so the verdict is deterministic when several clauses hold.  Membership is
     always with multiplicity one.
     """
-    route = _decide_route(psi, module_of("pi", n, m))
+    route = _decide_route(psi, "pi", n, m)
     return _NOT_MEMBER if route is None else route.verdict
 
 
@@ -166,25 +162,26 @@ def decide_sigma(psi: ArthurParameter, n: int, k: int) -> MembershipVerdict:
     unipotent dimension 2(n-k)+1, and the presence of the block
     sgn^k ⊠ R[2(n-k)+1]; sigma_{2k,k} is pi_{2k}(k+1) (``module_of``).
     """
-    route = _decide_route(psi, module_of("sigma", n, k))
+    route = _decide_route(psi, "sigma", n, k)
     return _NOT_MEMBER if route is None else route.verdict
 
 
-def _decide_route(psi: ArthurParameter, module: Module) -> _Route | None:
-    """The route of ``_routes(module)`` that admits psi to the packet, or
-    None when the packet does not contain the module.
+def _decide_route(psi: ArthurParameter, family: str, n: int, value: int) -> _Route | None:
+    """The route of ``_routes(module_of(family, n, value))`` that admits psi
+    to the packet, or None when the packet does not contain the module.
 
-    A member the enumerators built for this module gets the route that
-    admitted it (its ``_route`` record), with nothing checked or decided
-    again.  Any other parameter, including a member asked about another
-    module, is checked in this order: valid, of the module's rank, with the
-    module's infinitesimal character.  ``params._valid_inf_char`` does the
-    first check and gives the character; a parameter the enumerators built
-    (or ``cli.param_from_json`` read) recorded its character then, so it is
-    not validated again.  Then ``_decide_core`` decides.
+    A member the enumerators built records its route (``_route``), which
+    names its module.  Asked about that triple with ``int`` rank and value,
+    or about one ``module_of`` resolves to it (sigma_{2k,k} records
+    pi_{2k}(k+1)), the record answers, unchecked.  Any other question checks
+    the module, then the parameter (valid, by ``params._valid_inf_char``,
+    which trusts a recorded character; of the module's rank), and decides.
     """
     route = psi._route
-    if route is not None and route.module == module:
+    if route is not None and type(n) is type(value) is int and route.module == (family, n, value):
+        return route
+    module = module_of(family, n, value)
+    if route is not None and route.module == module:  # sigma_{2k,k}
         return route
     entries = _valid_inf_char(psi)
     if psi.n != module.n:

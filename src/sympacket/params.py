@@ -454,8 +454,8 @@ def _trusted_params(
     The caller vouches that the blocks form valid parameters whose
     infinitesimal character has exactly these (decreasing) ``entries``:
     ``_valid_inf_char`` returns them without validating; and that the route
-    is the first of its module's table whose shape each has:
-    ``membership._decide_route`` returns it without deciding.  The records
+    is the first of its module's table whose shape each has: the one lookup,
+    ``membership._decide_route``, returns it without deciding.  The records
     are plain instance attributes, not dataclass fields, so ``==``,
     ``hash``, the order, ``repr`` and ``str`` ignore them, and
     ``dataclasses.replace`` or the constructor make parameters without them.

@@ -287,17 +287,18 @@ class Module(NamedTuple):
         """The entries of its infinitesimal character."""
         return _inf_char_entries(self.weight())
 
-    def name(self) -> str:
-        """The family as messages name it: "scalar" or "near-scalar"."""
-        return "scalar" if self.family == "pi" else "near-scalar"
-
 
 def module_of(family: str, n: int, value: int) -> Module:
     """pi_n(value) (family "pi", 0 <= m <= n) or sigma_{n,value} (family
-    "sigma", 2 <= 2k <= n); any other value is refused.  The one place where
-    sigma_{2k,k} becomes pi_{2k}(k+1): their weights coincide.  Rank 0, the
-    trivial group's, is a scalar module here; ``pi_nm`` refuses it.
+    "sigma", 2 <= 2k <= n); anything else, a bool or float included, is
+    refused.  The one place where sigma_{2k,k} becomes pi_{2k}(k+1): their
+    weights coincide.  Rank 0, the trivial group's, is a scalar module here;
+    ``pi_nm`` refuses it.
     """
+    if family not in ("pi", "sigma"):
+        raise ValueError(f"family must be 'pi' or 'sigma', got {family!r}")
+    if type(n) is not int or type(value) is not int:
+        raise ValueError(f"rank and value must be int, got n={n!r}, value={value!r}")
     if family == "pi":
         if n < 0:
             raise ValueError("rank must be positive")

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from sympacket.characters import (
 )
 from sympacket.membership import (
     distinguished_parameter_sigma,
+    enumerate_packets_pi,
     _routes,
 )
 from sympacket.params import (
@@ -196,6 +198,49 @@ def test_public_constructor_checks_its_character():
         PacketCharacter(1, blocks, (1, 0, 1))
 
 
+def test_public_constructor_runs_in_one_frame():
+    # its checks are made inline, with no __post_init__ or generator frame,
+    # so a printed table row costs little more than the recipe's unchecked
+    # build
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        char = PacketCharacter(1, WORKED.unipotent, (1, -1, -1))
+    finally:
+        sys.setprofile(None)
+    assert calls == ["__init__"]
+    assert (char.whittaker, char.signs, char.flags) == (1, (1, -1, -1), ())
+
+
+def test_tokens_and_signs_are_the_int_plus_or_minus_one():
+    # True and 1.0 compare equal to 1, and -1.0 to -1, but none is a token
+    # or a sign: refused everywhere one is taken, for a packet member and
+    # its user-built copy alike, never carried into a character
+    psi = enumerate_packets_pi(5, 3)[0][0]
+    copy = ArthurParameter(psi.n, psi.unipotent, psi.discrete)
+    blocks = WORKED.unipotent
+    for bad in (True, False, 1.0, -1.0, 0):
+        with pytest.raises(ValueError, match="whittaker token must be"):
+            PacketCharacter(bad, blocks, (1, 1, 1))
+        with pytest.raises(ValueError, match="signs must be"):
+            PacketCharacter(1, blocks, (1, bad, 1))
+        with pytest.raises(ValueError, match="delta must be"):
+            rho_theta(3, 1, 0, 0, bad, "O(2m,0)")
+        with pytest.raises(ValueError, match="delta must be"):
+            rho_unipotent_table("first", 3, 1, "pi", bad)
+        for p in (psi, copy):
+            with pytest.raises(ValueError, match="delta must be"):
+                rho_pi_general(p, 5, 3, bad)
+    for p in (psi, copy):
+        char = rho_pi_general(p, 5, 3, 1)
+        assert type(char.whittaker) is int and all(type(s) is int for s in char.signs)
+
+
 def test_vanishing_on_crafted_signs():
     # no member at ranks <= 9 is flagged (below), so the recipe's inline
     # comparisons are run here on crafted parameters through the routes of
@@ -219,7 +264,7 @@ def test_vanishing_on_crafted_signs():
             ]
     causes = set()
     for (module, route, unip), disc, delta in itertools.product(shapes, discretes, (1, -1)):
-        char = _rho_core(P(module.n, unip, disc), delta, module, route)
+        char = _rho_core(P(module.n, unip, disc), delta, route)
         checked = PacketCharacter(delta, char.blocks, char.signs)
         assert (VANISHING in char.flags) == (checked.sign_map() is None), (char, route)
         # the pairs of equal listed blocks with unequal signs: discrete

@@ -238,6 +238,31 @@ def test_weight_may_lead_with_a_negative_entry(capsys):
     assert code == 1 and "expected one argument" in err
 
 
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--scalar-m", "2"], "--scalar-m needs --t"),
+        (["--weight", "9,9"], "--weight needs --t"),
+        (["--weight", ""], "--weight needs --t"),
+        (["--weight=9,9", "--scalar-m", "2"], "--scalar-m needs --t"),
+    ],
+    ids=["scalar-m", "weight", "empty-weight", "both"],
+)
+def test_cohind_flags_need_t(capsys, flags, error):
+    # refused as a usage mistake, not dropped from the report; checked
+    # before any work, so a rank past the report bound is not reached
+    for n in ("2", "100000"):
+        code, out, err = run(capsys, ["cohind", n, "1", "1"] + flags)
+        assert (code, out, err) == (1, "", f"usage error: {error}\n")
+
+
+def test_cohind_empty_weight_is_refused(capsys):
+    for weight in (["--weight", ""], ["--weight="]):
+        code, out, err = run(capsys, ["cohind", "2", "1", "1", "--t", "1"] + weight)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["violations"] == ["WEIGHT_SHAPE"]
+
+
 # texts int() reads as an integer that JSON would not write
 NOT_JSON_INTEGERS = [" 3", "3 ", "+3", "03", "-0", "1_0", "３", "٣"]
 

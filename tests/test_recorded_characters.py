@@ -1,16 +1,19 @@
 """Parameters built by the enumerators record their infinitesimal character
 (``params._trusted_params``), and packet members also the route (which
-names its module) that admitted them; the public deciders and characters read the records
-instead of validating and deciding.  The records must never lie, must be
+names its module) that admitted them; the one lookup of the public deciders
+and characters (``membership._decide_route``) reads the records instead of
+validating and deciding.  The records must never lie, must be
 invisible to equality, hashing, order, printing and the wire format, and
 must give the same answers and refusals as a user-built copy of the same
 parameter, which carries no record and is validated and decided."""
 
 import dataclasses
+import itertools
+import sys
 
 import pytest
 
-from sympacket import characters, cli, membership
+from sympacket import cli, membership, params
 from sympacket.characters import PacketCharacter, rho_pi_general, rho_sigma_general
 from sympacket.membership import (
     decide_pi,
@@ -253,18 +256,18 @@ def test_member_characters_are_built_once_unchecked(monkeypatch):
     # the character recipe builds each character once, without the public
     # constructor's checks of its own signs and without sign_map for the
     # VANISHING flag; a user-built copy of a member takes the same recipe
-    calls = {"post_init": 0, "sign_map": 0}
-    post_init, sign_map = PacketCharacter.__post_init__, PacketCharacter.sign_map
+    calls = {"init": 0, "sign_map": 0}
+    init, sign_map = PacketCharacter.__init__, PacketCharacter.sign_map
 
-    def counted_post_init(char):
-        calls["post_init"] += 1
-        return post_init(char)
+    def counted_init(char, *args):
+        calls["init"] += 1
+        return init(char, *args)
 
     def counted_sign_map(char):
         calls["sign_map"] += 1
         return sign_map(char)
 
-    monkeypatch.setattr(PacketCharacter, "__post_init__", counted_post_init)
+    monkeypatch.setattr(PacketCharacter, "__init__", counted_init)
     monkeypatch.setattr(PacketCharacter, "sign_map", counted_sign_map)
     # every pi_9(m) and sigma_{9,k}, and sigma_{2k,k}, whose module is the
     # scalar pi_{2k}(k+1)
@@ -279,16 +282,16 @@ def test_member_characters_are_built_once_unchecked(monkeypatch):
                 RHO[family](user_copy(psi), n, value, delta)
                 built += 2
     assert built
-    assert calls == {"post_init": 0, "sign_map": 0}
+    assert calls == {"init": 0, "sign_map": 0}
     # the counters do see the public constructor and sign_map
     PacketCharacter(1, (UnipotentBlock(0, 1),), (1,)).sign_map()
-    assert calls == {"post_init": 1, "sign_map": 1}
+    assert calls == {"init": 1, "sign_map": 1}
 
 
 def test_recorded_members_are_refused_as_their_copies():
-    # rho_* read a member's route record first; every question the record
-    # does not answer takes the copy's path, so refusals and their order
-    # are the copy's: a bad token, a value outside the module's range, a
+    # the lookup reads a member's route record first; every question the
+    # record does not answer takes the copy's path, so refusals and their
+    # order are the copy's: a bad token, a value outside the module's range, a
     # rank that is not the parameter's, the other family, and sigma_{2k,k}
     # (recorded as pi_{2k}(k+1))
     refused = answered = 0
@@ -319,23 +322,135 @@ def test_recorded_members_are_refused_as_their_copies():
 
 
 def test_member_asked_about_its_own_module_builds_no_module(monkeypatch):
+    # the lookup builds no module for a member asked about the triple its
+    # record names, and exactly one for a member of sigma_{2k,k}, recorded
+    # as pi_{2k}(k+1) and asked as sigma; neither is validated or decided.
+    # A user-built copy builds one, and is validated and decided.
     calls = []
 
-    def counted_module_of(*args):
-        calls.append(args)
-        return module_of(*args)
+    def counting(name, fn):
+        def counted(*args):
+            calls.append((name, args) if name == "module_of" else name)
+            return fn(*args)
 
-    monkeypatch.setattr(characters, "module_of", counted_module_of)
-    asked = 0
+        return counted
+
+    monkeypatch.setattr(membership, "module_of", counting("module_of", module_of))
+    monkeypatch.setattr(params, "validate", counting("validate", validate))
+    monkeypatch.setattr(membership, "_decide_core", counting("decide", membership._decide_core))
+    asked = renamed = 0
     for family, n, value in modules(9):
+        built = [("module_of", (family, n, value))]
         for psi in packets(family, n, value):
+            # only members of sigma_{2k,k} record another triple than the one asked
+            other = route_record(psi).module != (family, n, value)
+            assert other == (family == "sigma" and n == 2 * value)
+            renamed += other
             for delta in (1, -1):
-                RHO[family](psi, n, value, delta)
+                for fn in (DECIDE[family], lambda p, n, v: RHO[family](p, n, v, delta)):
+                    calls.clear()
+                    fn(psi, n, value)
+                    assert calls == (built if other else []), (family, n, value, str(psi))
+                    calls.clear()
+                    fn(user_copy(psi), n, value)
+                    assert calls == built + ["validate", "decide"]
+                    asked += 1
+    assert asked and renamed
+
+
+def test_recorded_member_character_profiler_events():
+    # one recorded member's rho_pi_general, every call event of the
+    # profiler: the lookup, the recipe, its e2 e3 rule and the one object it
+    # builds.  Every member's characters pay each event (the sweep benchmark
+    # counts them), so a new frame or C call here has to earn its place.
+    psi = next(psi for psi in packets("pi", 6, 4) if psi.discrete and len(psi.unipotent) == 3)
+    events = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            events.append(frame.f_code.co_name)
+        elif event == "c_call" and arg is not sys.setprofile:
+            events.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        char = rho_pi_general(psi, 6, 4, 1)
+    finally:
+        sys.setprofile(None)
+    assert char == rho_pi_general(user_copy(psi), 6, 4, 1)
+    assert events == [
+        "rho_pi_general",
+        "_decide_route",
+        "_rho_core",
+        "append",
+        "len",
+        "_e2e3_exact",
+        "_sign_pow",
+        "__new__",
+    ]
+
+
+def test_refusals_come_token_then_module_then_parameter():
+    # each mix of a bad token, a bad module (a value out of range or not an
+    # int) and a bad parameter (a rank that is not the parameter's): a
+    # member and its user-built copy give the same answer, the refusal of
+    # the first of token, module, parameter.  The member's record is never
+    # trusted on a question it does not answer exactly.
+    asked = 0
+    for family, n, value in modules(6):
+        # each value with the refusal of the module it names, if any
+        values = [(value, None), (-1, "need "), (float(value), "rank and value must be int")]
+        values += [(str(value), "rank and value must be int")]
+        for psi in packets(family, n, value)[:4]:
+            copy = user_copy(psi)
+            for delta, (v, module_refusal), rank in itertools.product(
+                (1, -1, True, 1.0, 0), values, (n, n + 1)
+            ):
+                got = outcome(RHO[family], psi, rank, v, delta)
+                assert got == outcome(RHO[family], copy, rank, v, delta), (str(psi), delta, v, rank)
+                good_token = type(delta) is int and delta in (1, -1)
+                if not good_token:
+                    assert got == ("refused", "delta must be +1 or -1")
+                elif module_refusal is not None:
+                    assert got[0] == "refused" and got[1].startswith(module_refusal)
+                elif rank != n:
+                    assert got == ("refused", "parameter rank does not match n")
+                else:
+                    assert got[0] == "ok"
+                if good_token:
+                    # the deciders make the same checks, module then parameter
+                    verdict = outcome(DECIDE[family], psi, rank, v)
+                    assert verdict == outcome(DECIDE[family], copy, rank, v)
+                    assert verdict[0] == got[0]
+                    if got[0] == "refused":
+                        assert verdict == got
                 asked += 1
-                # sigma_{2k,k} members record pi_{2k}(k+1), which the
-                # record-first check accepts for sigma_{2k,k} too
-                assert calls == [], (family, n, value, str(psi))
-                RHO[family](user_copy(psi), n, value, delta)
-                assert calls == [(family, n, value)]
-                calls.clear()
     assert asked
+
+
+def test_a_module_asked_with_equal_non_ints_is_refused():
+    # True and 1.0 compare equal to 1, so a record that answered them would
+    # answer a member where its copy is refused; every entry point refuses
+    # them, and a family other than "pi" / "sigma"
+    from sympacket.langlands import standard_pi, standard_sigma
+
+    standard = {"pi": standard_pi, "sigma": standard_sigma}
+    for family, n, value in (("pi", 1, 1), ("pi", 3, 1), ("sigma", 3, 1), ("sigma", 2, 1)):
+        found = packets(family, n, value)
+        for bad in (True, 1.0, "1"):
+            questions = [(n, bad)] + ([(bad, value)] if n == 1 else [])
+            for rank, v in questions:
+                for fn in (ENUMERATE[family], standard[family]):
+                    with pytest.raises(ValueError, match="rank and value must be int"):
+                        fn(rank, v)
+                for psi in found:
+                    for p in (psi, user_copy(psi)):
+                        for fn in (DECIDE[family], RHO[family]):
+                            with pytest.raises(ValueError, match="rank and value must be int"):
+                                fn(p, rank, v, *([1] if fn is RHO[family] else []))
+        for psi in found:
+            for p in (psi, user_copy(psi)):
+                with pytest.raises(ValueError, match="family must be 'pi' or 'sigma'"):
+                    membership._decide_route(p, family.capitalize(), n, value)
+    with pytest.raises(ValueError, match="family must be 'pi' or 'sigma', got 'Pi'"):
+        module_of("Pi", 4, 1)

@@ -144,13 +144,13 @@ def test_defaults_are_the_class_attributes():
 
 
 def test_post_init_runs_and_is_looked_up_at_each_call(monkeypatch):
-    with pytest.raises(ValueError, match="whittaker"):
-        characters.PacketCharacter(2, (U(0, 1),), (1,))
+    with pytest.raises(ValueError, match="sign must be"):
+        weights.OrthRepLabel((1, 0), 2)
     assert tableaux.SignedTableau(((1, -1), (2, 1))).rows == ((2, 1), (1, -1))
     seen = []
-    monkeypatch.setattr(characters.PacketCharacter, "__post_init__", lambda char: seen.append(char))
-    char = characters.PacketCharacter(2, (U(0, 1),), (1,))
-    assert seen == [char]
+    monkeypatch.setattr(weights.OrthRepLabel, "__post_init__", lambda label: seen.append(label))
+    label = weights.OrthRepLabel((1, 0), 2)
+    assert seen == [label]
 
 
 def test_the_decorator_keeps_the_class_and_writes_no_source():

@@ -16,7 +16,10 @@ And in every module, ``__init__.py`` included:
   two records that ``dataclasses.replace`` is used on; the others are
   ``weights._record`` records, which write no source at import;
 * the core modules import no side module at module level, so the packet
-  commands do not load them.
+  commands do not load them;
+* the route record of a packet member (the attribute ``_route``) is read
+  only in ``membership.py`` and set only in ``params.py``, so the one lookup
+  (``membership._decide_route``) stays the only reader of it.
 """
 
 import ast
@@ -167,3 +170,39 @@ def test_core_modules_import_no_side_module_at_module_level(module):
         if name in SIDE_MODULES
     ]
     assert found == [], f"{module}: side modules imported at module level: {found}"
+
+
+def _route_record_uses(tree):
+    """(line, "read") for each ``x._route`` read; (line, "set") for each
+    ``x._route`` assigned or deleted, each ``_route`` assigned in a class
+    body, and each string ``"_route"`` (as ``setattr``, ``getattr`` or a
+    ``vars`` lookup would name it)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_route":
+            yield node.lineno, "read" if isinstance(node.ctx, ast.Load) else "set"
+        elif isinstance(node, ast.Constant) and node.value == "_route":
+            yield node.lineno, "set"
+        elif isinstance(node, ast.ClassDef):
+            for statement in node.body:
+                targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+                if any(isinstance(t, ast.Name) and t.id == "_route" for t in targets):
+                    yield statement.lineno, "set"
+
+
+def test_route_record_is_read_by_membership_and_set_by_params():
+    found = {
+        module: sorted(_route_record_uses(tree))
+        for module, tree in TREES.items()
+    }
+    strays = {
+        module: [
+            (line, use)
+            for line, use in uses
+            if (module, use) not in {("membership.py", "read"), ("params.py", "set")}
+        ]
+        for module, uses in found.items()
+    }
+    assert {module: uses for module, uses in strays.items() if uses} == {}
+    # both ends are seen: the check reads the code it is meant to
+    assert {use for _, use in found["membership.py"]} == {"read"}
+    assert {use for _, use in found["params.py"]} == {"set"}
