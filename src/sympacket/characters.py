@@ -21,6 +21,7 @@ from .params import (
     ArthurParameter,
     DiscreteBlock,
     UnipotentBlock,
+    _unip_key,
 )
 from .weights import _record, _sign_pow, module_of
 
@@ -150,7 +151,15 @@ def char_equivalent(
 
 def rho_theta_parameter(n: int, m: int, tau_prime: int) -> tuple[UnipotentBlock, ...]:
     """Blocks of the packet housing the theta lift of a rank-2m orthogonal
-    character of discriminant class (-1)^m, listed by increasing dimension."""
+    character of discriminant class (-1)^m, listed by increasing dimension.
+    Refused: a rank or m that is not an int, 1 <= m <= n failing, a tau'
+    other than the int 0 or 1."""
+    if type(n) is not int or type(m) is not int:
+        raise ValueError(f"rank and m must be int, got n={n!r}, m={m!r}")
+    if m < 1 or n < m:
+        raise ValueError("need 1 <= m <= n")
+    if type(tau_prime) is not int or tau_prime not in (0, 1):
+        raise ValueError("tau' must be 0 or 1")
     return (
         UnipotentBlock(tau_prime % 2, 1),
         UnipotentBlock((tau_prime + m) % 2, 2 * m - 1),
@@ -177,8 +186,11 @@ def rho_theta(
         raise ValueError("side must be 'O(2m,0)' or 'O(0,2m)'")
     if type(delta) is not int or delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
-    if tau not in (0, 1) or tau_prime not in (0, 1):
+    ints = type(tau) is int and type(tau_prime) is int
+    if not ints or tau not in (0, 1) or tau_prime not in (0, 1):
         raise ValueError("tau and tau' must be 0 or 1")
+    if type(n) is not int or type(m) is not int:
+        raise ValueError(f"rank and m must be int, got n={n!r}, m={m!r}")
     if n < 2 * m - 1 + tau:
         raise ValueError(f"need n >= 2m - 1 + tau = {2 * m - 1 + tau}")
     arg = delta * m if side == "O(2m,0)" else -delta * m
@@ -205,10 +217,8 @@ def rho_unipotent_table(
         raise ValueError(f"which must be one of {TABLE_COLUMNS}")
     if type(delta) is not int or delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
-    if m < 1 or n < m:
-        raise ValueError("need 1 <= m <= n")
     tau_prime = 0 if form == "first" else 1
-    blocks = rho_theta_parameter(n, m, tau_prime)
+    blocks = rho_theta_parameter(n, m, tau_prime)  # refuses n and m
     starred = which.endswith("_star")
     extra = 1 if which.startswith("sigma") else 0
     fm = (delta * m) // 2 if starred else (-delta * m) // 2
@@ -257,10 +267,14 @@ def rho_pi_general(
     """
     if type(delta) is not int or delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
-    route = _decide_route(psi, "pi", n, m)
+    route, recorded = _decide_route(psi, "pi", n, m)
     if route is None:
         raise ValueError(_not_member("pi", n, m))
-    return _rho_core(psi, delta, route)
+    if recorded:
+        kept = psi._kept_char
+        if kept is not None and kept.whittaker == delta:
+            return kept
+    return _rho_core(psi, delta, route, recorded)
 
 
 def rho_sigma_general(
@@ -278,10 +292,14 @@ def rho_sigma_general(
     """
     if type(delta) is not int or delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
-    route = _decide_route(psi, "sigma", n, k)
+    route, recorded = _decide_route(psi, "sigma", n, k)
     if route is None:
         raise ValueError(_not_member("sigma", n, k))
-    return _rho_core(psi, delta, route)
+    if recorded:
+        kept = psi._kept_char
+        if kept is not None and kept.whittaker == delta:
+            return kept
+    return _rho_core(psi, delta, route, recorded)
 
 
 def _not_member(family: str, n: int, value: int) -> str:
@@ -290,7 +308,9 @@ def _not_member(family: str, n: int, value: int) -> str:
     return f"packet does not contain the {name} module"
 
 
-def _rho_core(psi: ArthurParameter, delta: int, route: _Route) -> PacketCharacter:
+def _rho_core(
+    psi: ArthurParameter, delta: int, route: _Route, keep: bool = False
+) -> PacketCharacter:
     """The character recipe of ``rho_pi_general`` and ``rho_sigma_general``,
     given the route that admits psi (``membership._decide_route``) and a
     token delta, the int +1 or -1; nothing is checked again.  The route
@@ -309,11 +329,20 @@ def _rho_core(psi: ArthurParameter, delta: int, route: _Route) -> PacketCharacte
     blocks is +1, an even number of -1 signs; the number of unipotent slots
     is odd, so the flip always reaches it.  With e3 = +1 that product would be
     (-1)^(discrete -1 count) e1 e2, so e3 takes that value.  The signs are
-    +1 or -1 by construction, so the character is built once, unchecked:
+    +1 or -1 by construction, so each character is built once, unchecked:
     ``object.__new__``, then each field set past the frozen ``__setattr__``.
+
+    With ``keep`` the same pass also builds the character of the token
+    -delta and keeps it on psi as ``_kept_char``.  floor(x/2) and
+    floor(-x/2) differ in parity exactly for odd x, so its discrete blocks
+    with odd a change sign and its delta' is the negated token; the e2 e3
+    rule runs once for each token, and the two characters share one
+    ``blocks`` tuple.  Equal blocks have equal a, so the discrete
+    comparisons hold for both.
     """
     discrete = psi.discrete
     signs = []
+    flipped = []  # with keep, the discrete signs of -delta
     minus = 0
     vanishing = False
     token = delta
@@ -328,10 +357,13 @@ def _rho_core(psi: ArthurParameter, delta: int, route: _Route) -> PacketCharacte
         if a % 2:
             token = -token
         signs.append(sign)
+        if keep:
+            flipped += (-sign if a % 2 else sign,)
         previous, last = block, sign
     unipotent = psi.unipotent
-    if len(unipotent) == 1:
-        slots, slot_signs = unipotent, (-1 if minus % 2 else 1,)
+    single = len(unipotent) == 1
+    if single:
+        slots = unipotent
     else:
         # the big block is char ⊠ R[top]; the first block equal to it is it
         key = route.char, route.top
@@ -340,25 +372,47 @@ def _rho_core(psi: ArthurParameter, delta: int, route: _Route) -> PacketCharacte
             x, y, big = y, big, x
         elif y == key:
             y, big = big, y
-        eta1, eta2 = (x, y) if x.dim == y.dim else (y, x)
+        if x.dim == y.dim:
+            eta1, eta2 = x, y
+        else:
+            eta1, eta2 = y, x
         a = (eta2.dim + 1) // 2
-        e1e2 = -1 if token * a // 2 % 2 else 1  # token is now delta'
-        e3 = -e1e2 if minus % 2 else e1e2
-        e2 = route.e2e3(eta2.char == route.char, a, delta, token) * e3
-        e1 = e1e2 * e2
-        vanishing = (
-            vanishing
-            or (e1 != e2 and eta1 == eta2)
-            or (e1 != e3 and eta1 == big)
-            or (e2 != e3 and eta2 == big)
-        )
-        slots, slot_signs = (eta1, eta2, big), (e1, e2, e3)
-    char = object.__new__(PacketCharacter)
-    object.__setattr__(char, "whittaker", delta)
-    object.__setattr__(char, "blocks", discrete + slots)
-    object.__setattr__(char, "signs", tuple(signs) + slot_signs)
-    object.__setattr__(char, "flags", (VANISHING,) if vanishing else ())
-    return char
+        same = eta2.char == route.char
+        slots = eta1, eta2, big
+    blocks = discrete + slots
+    parity = minus % 2  # of the discrete -1 signs
+    new, put = object.__new__, object.__setattr__
+    for whittaker in (delta, -delta) if keep else (delta,):
+        if whittaker != delta:
+            # the -delta pass ends with the negated token, and its parity
+            # differs where an odd number of blocks has odd a, that is where
+            # the token ended changed
+            token, parity, signs = -token, parity ^ (token != delta), flipped
+        if single:
+            flagged = vanishing
+            signs += (-1 if parity else 1,)
+        else:
+            e1e2 = -1 if token * a // 2 % 2 else 1  # token is now delta'
+            e3 = -e1e2 if parity else e1e2
+            e2 = route.e2e3(same, a, whittaker, token) * e3
+            e1 = e1e2 * e2
+            flagged = (
+                vanishing
+                or (e1 != e2 and eta1 == eta2)
+                or (e1 != e3 and eta1 == big)
+                or (e2 != e3 and eta2 == big)
+            )
+            signs += e1, e2, e3
+        char = new(PacketCharacter)
+        put(char, "whittaker", whittaker)
+        put(char, "blocks", blocks)
+        put(char, "signs", tuple(signs))
+        put(char, "flags", (VANISHING,) if flagged else ())
+        if whittaker == delta:
+            asked = char
+        else:
+            put(psi, "_kept_char", char)
+    return asked
 
 
 def table_row(
@@ -366,9 +420,12 @@ def table_row(
 ) -> tuple[str, PacketCharacter] | None:
     """The printed-table row housing a purely unipotent parameter, as its
     form and character (``rho_unipotent_table``), or None when the
-    parameter's blocks are those of neither form."""
+    parameter's blocks are those of neither form.  The blocks are compared
+    in canonical order, both lists sorted, so a parameter out of that order
+    is matched too."""
+    blocks = sorted(psi.unipotent, key=_unip_key)
     for form, tau_prime in (("first", 0), ("second", 1)):
         expected = rho_theta_parameter(psi.n, m_table, tau_prime)
-        if Counter(psi.unipotent) == Counter(expected):
+        if blocks == sorted(expected, key=_unip_key):
             return form, rho_unipotent_table(form, psi.n, m_table, which, delta)
     return None

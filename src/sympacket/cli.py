@@ -287,7 +287,7 @@ def _cmd_rho(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         "whittaker": delta,
         label: value,
     }
-    route = membership._decide_route(psi, args.module, psi.n, value)
+    route = membership._decide_route(psi, args.module, psi.n, value)[0]
     if route is None:
         raise ValidationError(characters._not_member(args.module, psi.n, value), ["NOT_MEMBER"])
     char = characters._rho_core(psi, delta, route)

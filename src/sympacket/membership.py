@@ -151,7 +151,7 @@ def decide_pi(psi: ArthurParameter, n: int, m: int) -> MembershipVerdict:
     so the verdict is deterministic when several clauses hold.  Membership is
     always with multiplicity one.
     """
-    route = _decide_route(psi, "pi", n, m)
+    route = _decide_route(psi, "pi", n, m)[0]
     return _NOT_MEMBER if route is None else route.verdict
 
 
@@ -162,13 +162,16 @@ def decide_sigma(psi: ArthurParameter, n: int, k: int) -> MembershipVerdict:
     unipotent dimension 2(n-k)+1, and the presence of the block
     sgn^k ⊠ R[2(n-k)+1]; sigma_{2k,k} is pi_{2k}(k+1) (``module_of``).
     """
-    route = _decide_route(psi, "sigma", n, k)
+    route = _decide_route(psi, "sigma", n, k)[0]
     return _NOT_MEMBER if route is None else route.verdict
 
 
-def _decide_route(psi: ArthurParameter, family: str, n: int, value: int) -> _Route | None:
+def _decide_route(
+    psi: ArthurParameter, family: str, n: int, value: int
+) -> tuple[_Route | None, bool]:
     """The route of ``_routes(module_of(family, n, value))`` that admits psi
-    to the packet, or None when the packet does not contain the module.
+    to the packet, or None when the packet does not contain the module; and
+    whether the member's route record gave it.
 
     A member the enumerators built records its route (``_route``), which
     names its module.  Asked about that triple with ``int`` rank and value,
@@ -176,19 +179,21 @@ def _decide_route(psi: ArthurParameter, family: str, n: int, value: int) -> _Rou
     pi_{2k}(k+1)), the record answers, unchecked.  Any other question checks
     the module, then the parameter (valid, by ``params._valid_inf_char``,
     which trusts a recorded character; of the module's rank), and decides.
+    The characters keep a member's second character only on a question its
+    record answered, so that they need not read the record themselves.
     """
     route = psi._route
     if route is not None and type(n) is type(value) is int and route.module == (family, n, value):
-        return route
+        return route, True
     module = module_of(family, n, value)
     if route is not None and route.module == module:  # sigma_{2k,k}
-        return route
+        return route, True
     entries = _valid_inf_char(psi)
     if psi.n != module.n:
         raise ValueError("parameter rank does not match n")
     if entries != module.inf_char():
-        return None
-    return _decide_core(psi, module)
+        return None, False
+    return _decide_core(psi, module), False
 
 
 def _decide_core(psi: ArthurParameter, module: Module) -> _Route | None:
@@ -440,26 +445,28 @@ def _enumerate_packets(
     THM71_I, first where it applies, builds its members from
     ``_disjoint_covers``.  Every other route searches only the covers whose
     largest unipotent dimension is its top (``params._all_segment_covers``
-    with that top), less those THM71_I took, and builds on them the
-    character choices that hold its block.  Each parameter built is a
-    member, by the route that built it, so no decider runs; it records the
-    module's character entries and that route (``params._trusted_params``),
-    so the members are sorted by ``params._order_key`` alone and each takes
-    its verdict from its route.
+    with that top) and builds on them the character choices that hold its
+    block.  THM71_I's covers have the one unipotent block R[1], so only a
+    route of top 1, THM71_II_A1 at m = n, meets them, and only there are
+    they left out.  Each parameter built is a member, by the route that
+    built it, so no decider runs; it records the module's character entries
+    and that route (``params._trusted_params``), so the members are sorted
+    by ``params._order_key`` alone and each takes its verdict from its
+    route.
     """
     _check_rank(module.n, max_rank)
     n, entries = module.n, module.inf_char()
     members: list[ArthurParameter] = []
-    taken: set[tuple] = set()
+    taken: list[tuple] = []
     for route in _routes(module):
         if route.char is None:  # THM71_I
-            covers = _disjoint_covers(n, module.value)
-            taken = set(covers)
+            covers = taken = _disjoint_covers(n, module.value)
         else:
             # through the module, so that a wrapper on the search sees it
             covers = params._all_segment_covers(entries, route.top)
-            if taken:
-                covers = [c for c in covers if c not in taken]
+            if route.top == 1 and taken:  # THM71_II_A1 at m = n
+                disjoint = set(taken)
+                covers = [c for c in covers if c not in disjoint]
         for unip_dims, discrete in covers:
             members += _cover_params(n, entries, unip_dims, discrete, route.char, route)
     members.sort(key=_order_key)

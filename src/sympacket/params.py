@@ -142,11 +142,13 @@ class ArthurParameter:
     discrete: tuple[DiscreteBlock, ...] = ()
     # Not fields (no annotation): the entries of the infinitesimal
     # character, and the route of ``membership._routes`` that admitted an
-    # enumerated member, which ``_trusted_params`` records on the instance.
-    # The class default None reads as "no record" without a dictionary
-    # lookup.
+    # enumerated member, which ``_trusted_params`` records on the instance;
+    # and a member's character of the second token, which
+    # ``characters._rho_core`` keeps when its route record answered.  The
+    # class default None reads as "no record" without a dictionary lookup.
     _inf_char = None
     _route = None
+    _kept_char = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "unipotent", tuple(self.unipotent))

@@ -318,7 +318,7 @@ def pi_nm(n: int, m: int) -> HighestWeight:
     Larger m gives holomorphic discrete series, which live outside the range
     handled here.
     """
-    if n < 1:
+    if type(n) is int and n < 1:  # module_of refuses a rank that is not an int
         raise ValueError("rank must be positive")
     return HighestWeight(module_of("pi", n, m).weight())
 

@@ -1,5 +1,6 @@
 import itertools
 import sys
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from sympacket.characters import (
     rho_theta,
     rho_theta_parameter,
     rho_unipotent_table,
+    table_row,
     _rho_core,
 )
 from sympacket.membership import (
@@ -29,7 +31,7 @@ from sympacket.params import (
     DiscreteBlock,
     UnipotentBlock,
 )
-from sympacket.weights import module_of
+from sympacket.weights import module_of, pi_nm
 
 
 def P(n, unip, disc=()):
@@ -99,6 +101,68 @@ def test_rho_theta_product_and_preconditions():
             continue
         e1, e2, e3 = rho_theta(n, m, tp, tau, delta, side)
         assert e1 * e2 * e3 == 1
+
+
+def test_theta_tables_refuse_what_is_not_an_int():
+    # a float, a string or a bool rank, m or tau' is refused, not computed with
+    with pytest.raises(ValueError, match="rank and m must be int, got n=3, m=1.0"):
+        rho_unipotent_table("first", 3, 1.0, "pi", 1)
+    with pytest.raises(ValueError, match="rank and m must be int, got n='3', m=1"):
+        rho_unipotent_table("first", "3", 1, "pi", 1)
+    with pytest.raises(ValueError, match="rank and m must be int, got n=True, m=1"):
+        rho_unipotent_table("second", True, 1, "sigma", 1)
+    with pytest.raises(ValueError, match="need 1 <= m <= n"):
+        rho_unipotent_table("second", 3, 4, "sigma", 1)
+    for n, m, tau_prime, refusal in (
+        (3, 1.0, 0, "rank and m must be int"),
+        (3.0, 1, 0, "rank and m must be int"),
+        (3, 5, 0, "need 1 <= m <= n"),
+        (3, 0, 0, "need 1 <= m <= n"),
+        (3, 1, True, "tau' must be 0 or 1"),
+        (3, 1, 2, "tau' must be 0 or 1"),
+    ):
+        with pytest.raises(ValueError, match=refusal):
+            rho_theta_parameter(n, m, tau_prime)
+    for tau_prime, tau in ((True, 0), (0, True), (1.0, 0), (0, 0.0), ("1", 0)):
+        with pytest.raises(ValueError, match="tau and tau' must be 0 or 1"):
+            rho_theta(3, 1, tau_prime, tau, 1, "O(2m,0)")
+    for n, m in ((3.0, 1), (3, 1.0), (3, True), ("3", 1)):
+        with pytest.raises(ValueError, match="rank and m must be int"):
+            rho_theta(n, m, 0, 0, 1, "O(2m,0)")
+    with pytest.raises(ValueError, match="rank and value must be int, got n='3', value=1"):
+        pi_nm("3", 1)
+    with pytest.raises(ValueError, match="rank and value must be int"):
+        pi_nm(3.0, 1)
+    with pytest.raises(ValueError, match="rank must be positive"):
+        pi_nm(0, 0)
+    # the ints themselves are answered as before
+    assert rho_theta(3, 1, 1, 0, 1, "O(2m,0)") == (1, 1, 1)
+    assert rho_unipotent_table("first", 3, 1, "pi", 1).signs == (1, -1, -1)
+    assert pi_nm(3, 1).entries == (1, 1, 1)
+
+
+def test_table_row_matches_blocks_in_any_order():
+    # the printed row is found on the parameter's blocks as a multiset (the
+    # first form whose blocks are those, by Counter): in canonical order,
+    # reversed, or rotated; on neither form's blocks it is None
+    forms = (("first", 0), ("second", 1))
+    for n, m_table in ((4, 2), (3, 1), (5, 2), (2, 1), (6, 3)):
+        for tau_prime in (0, 1):
+            blocks = rho_theta_parameter(n, m_table, tau_prime)
+            form = next(
+                form
+                for form, t in forms
+                if Counter(rho_theta_parameter(n, m_table, t)) == Counter(blocks)
+            )
+            for order in (blocks, blocks[::-1], blocks[1:] + blocks[:1]):
+                psi = ArthurParameter(n, order)
+                found = table_row(psi, "pi_star", m_table, 1)
+                assert found == (form, rho_unipotent_table(form, n, m_table, "pi_star", 1))
+    psi = P(4, [(CHAR_TRIV, 5), (CHAR_SGN, 3), (CHAR_TRIV, 1)])
+    assert table_row(psi, "pi", 2, 1) is None
+    # the blocks differ only in multiplicity: a repeated block is not two
+    twice = ArthurParameter(4, (UnipotentBlock(0, 1), UnipotentBlock(0, 1), UnipotentBlock(0, 7)))
+    assert table_row(twice, "pi", 1, 1) is None
 
 
 def test_rho_unipotent_table_examples():
@@ -264,9 +328,14 @@ def test_vanishing_on_crafted_signs():
             ]
     causes = set()
     for (module, route, unip), disc, delta in itertools.product(shapes, discretes, (1, -1)):
-        char = _rho_core(P(module.n, unip, disc), delta, route)
+        psi = P(module.n, unip, disc)
+        char = _rho_core(psi, delta, route)
         checked = PacketCharacter(delta, char.blocks, char.signs)
         assert (VANISHING in char.flags) == (checked.sign_map() is None), (char, route)
+        # the pass that keeps the other token's character gives both
+        # characters of the one-token passes, flags included
+        assert _rho_core(psi, delta, route, True) == char
+        assert vars(psi)["_kept_char"] == _rho_core(psi, -delta, route)
         # the pairs of equal listed blocks with unequal signs: discrete
         # neighbours, or two of the unipotent slots
         found = {

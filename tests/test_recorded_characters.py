@@ -2,10 +2,13 @@
 (``params._trusted_params``), and packet members also the route (which
 names its module) that admitted them; the one lookup of the public deciders
 and characters (``membership._decide_route``) reads the records instead of
-validating and deciding.  The records must never lie, must be
-invisible to equality, hashing, order, printing and the wire format, and
-must give the same answers and refusals as a user-built copy of the same
-parameter, which carries no record and is validated and decided."""
+validating and deciding.  On a character question the route record
+answers, a member also keeps the character of the other Whittaker token
+(``_kept_char``), which answers the next question for that token.  The
+records must never lie, must be invisible to equality, hashing, order,
+printing and the wire format, and must give the same answers and refusals
+as a user-built copy of the same parameter, which carries no record and is
+validated and decided."""
 
 import dataclasses
 import itertools
@@ -13,7 +16,7 @@ import sys
 
 import pytest
 
-from sympacket import cli, membership, params
+from sympacket import characters, cli, membership, params
 from sympacket.characters import PacketCharacter, rho_pi_general, rho_sigma_general
 from sympacket.membership import (
     decide_pi,
@@ -358,12 +361,8 @@ def test_member_asked_about_its_own_module_builds_no_module(monkeypatch):
     assert asked and renamed
 
 
-def test_recorded_member_character_profiler_events():
-    # one recorded member's rho_pi_general, every call event of the
-    # profiler: the lookup, the recipe, its e2 e3 rule and the one object it
-    # builds.  Every member's characters pay each event (the sweep benchmark
-    # counts them), so a new frame or C call here has to earn its place.
-    psi = next(psi for psi in packets("pi", 6, 4) if psi.discrete and len(psi.unipotent) == 3)
+def profiler_events(fn, *args):
+    """The result of fn(*args) and every call event of the profiler in it."""
     events = []
 
     def profile(frame, event, arg):
@@ -374,9 +373,22 @@ def test_recorded_member_character_profiler_events():
 
     sys.setprofile(profile)
     try:
-        char = rho_pi_general(psi, 6, 4, 1)
+        result = fn(*args)
     finally:
         sys.setprofile(None)
+    return result, events
+
+
+def test_recorded_member_character_profiler_events():
+    # one recorded member's rho_pi_general for both tokens, every call
+    # event of the profiler.  The first ask: the lookup, the recipe, its e2
+    # e3 rule once per token and the two characters it builds.  The second:
+    # the lookup, which tells that the record answered, and the kept
+    # character.  Every member's characters pay each event (the sweep
+    # benchmark counts them), so a new frame or C call here has to earn its
+    # place.
+    psi = next(psi for psi in packets("pi", 6, 4) if psi.discrete and len(psi.unipotent) == 3)
+    char, events = profiler_events(rho_pi_general, psi, 6, 4, 1)
     assert char == rho_pi_general(user_copy(psi), 6, 4, 1)
     assert events == [
         "rho_pi_general",
@@ -387,7 +399,132 @@ def test_recorded_member_character_profiler_events():
         "_e2e3_exact",
         "_sign_pow",
         "__new__",
+        "_e2e3_exact",
+        "_sign_pow",
+        "__new__",
     ]
+    other, events = profiler_events(rho_pi_general, psi, 6, 4, -1)
+    assert other == rho_pi_general(user_copy(psi), 6, 4, -1)
+    assert events == ["rho_pi_general", "_decide_route"]
+    # a user-built copy is decided, and takes the one-token recipe, on each ask
+    for delta in (1, -1):
+        _, events = profiler_events(rho_pi_general, user_copy(psi), 6, 4, delta)
+        assert "_decide_core" in events
+        recipe = events[events.index("_rho_core"):]
+        assert recipe == ["_rho_core", "append", "len", "_e2e3_exact", "_sign_pow", "__new__"]
+
+
+def kept_record(psi):
+    return vars(psi).get("_kept_char")
+
+
+def fields(char):
+    return char.whittaker, char.blocks, char.signs, char.flags
+
+
+def test_members_keep_the_other_character_in_any_ask_order():
+    # every member of every pi_n(m) and sigma_{n,k} at ranks 1-9, sigma_{2k,k}
+    # among them (recorded as pi_{2k}(k+1)), freshly enumerated for each ask
+    # order: delta then -delta, -delta then delta, delta twice.  Each answer
+    # is the user-built copy's character, field by field.  The first ask
+    # keeps the character of the other token, and a later ask for that token
+    # returns the kept character itself.
+    orders = [(1, -1), (-1, 1), (1, 1), (-1, -1)]
+    renamed = returned = 0
+    for family, n, value in modules(9):
+        copies = [user_copy(psi) for psi in packets(family, n, value)]
+        expected = [
+            {delta: fields(RHO[family](copy, n, value, delta)) for delta in (1, -1)}
+            for copy in copies
+        ]
+        renamed += family == "sigma" and n == 2 * value
+        for first, second in orders:
+            found = packets(family, n, value)
+            assert found == copies
+            for psi, want in zip(found, expected):
+                assert kept_record(psi) is None
+                assert fields(RHO[family](psi, n, value, first)) == want[first]
+                kept = kept_record(psi)
+                assert fields(kept) == want[-first]
+                got = RHO[family](psi, n, value, second)
+                assert fields(got) == want[second]
+                if second != first:
+                    assert got is kept
+                    returned += 1
+                assert fields(kept_record(psi)) == want[-first]
+                # the record is invisible to equality and hashing
+                assert psi == user_copy(psi) and hash(psi) == hash(user_copy(psi))
+    assert renamed == 4 and returned
+
+
+def counting_recipe(monkeypatch):
+    """The keep argument of each run of the character recipe."""
+    runs = []
+    core = characters._rho_core
+
+    def counted(psi, delta, route, keep=False):
+        runs.append(keep)
+        return core(psi, delta, route, keep)
+
+    monkeypatch.setattr(characters, "_rho_core", counted)
+    return runs
+
+
+def test_user_built_parameters_keep_no_character(monkeypatch):
+    # a user-built copy, and a parameter read from the wire (which records
+    # its character but no route), runs the one-token recipe on every ask,
+    # the same token asked twice included, and carries no third record
+    runs = counting_recipe(monkeypatch)
+    asked = 0
+    for family, n, value in modules(6):
+        for psi in packets(family, n, value):
+            for p in (user_copy(psi), cli.param_from_json(cli.param_to_json(psi))):
+                for delta in (1, 1, -1, -1):
+                    runs.clear()
+                    got = RHO[family](p, n, value, delta)
+                    assert runs == [False]
+                    assert fields(got) == fields(RHO[family](psi, n, value, delta))
+                    asked += 1
+                assert kept_record(p) is None
+                assert route_record(p) is None
+    assert asked
+
+
+def test_members_asked_about_another_module_keep_no_character(monkeypatch):
+    # a member of pi_n(m) asked about sigma_{n,k} (but not pi_n(m) itself,
+    # as sigma_{2k,k} is), or about pi_n(n+1-m), which shares its
+    # character, is decided there: it runs the one-token recipe on every
+    # ask, or is refused, and keeps nothing.  What it keeps for its own
+    # module does not answer there either.
+    runs = counting_recipe(monkeypatch)
+    asked = refused = 0
+    for n in range(1, 9):
+        for m in range(1, n + 1):
+            others = [
+                (rho_sigma_general, n, k)
+                for k in range(1, n // 2 + 1)
+                if module_of("sigma", n, k) != module_of("pi", n, m)
+            ]
+            if n + 1 - m != m:
+                others.append((rho_pi_general, n, n + 1 - m))
+            for psi in packets("pi", n, m):
+                copy = user_copy(psi)
+                for own_first in (False, True):
+                    if own_first:
+                        rho_pi_general(psi, n, m, 1)
+                    for rho, rank, v in others:
+                        for delta in (1, -1, 1):
+                            runs.clear()
+                            got = outcome(rho, psi, rank, v, delta)
+                            assert runs == ([False] if got[0] == "ok" else [])
+                            assert got == outcome(rho, copy, rank, v, delta)
+                            asked += got[0] == "ok"
+                            refused += got[0] == "refused"
+                            if not own_first:
+                                assert kept_record(psi) is None
+                    if own_first:
+                        assert kept_record(psi).whittaker == -1
+    assert asked and refused
 
 
 def test_refusals_come_token_then_module_then_parameter():

@@ -19,7 +19,11 @@ And in every module, ``__init__.py`` included:
   commands do not load them;
 * the route record of a packet member (the attribute ``_route``) is read
   only in ``membership.py`` and set only in ``params.py``, so the one lookup
-  (``membership._decide_route``) stays the only reader of it.
+  (``membership._decide_route``) stays the only reader of it;
+* the character a member keeps for its second token (the attribute
+  ``_kept_char``) is read and set only in ``characters.py``, past the class
+  default of ``params.ArthurParameter``: only in ``_rho_core``, which sets
+  it, and in the two functions that return it.
 """
 
 import ast
@@ -172,26 +176,39 @@ def test_core_modules_import_no_side_module_at_module_level(module):
     assert found == [], f"{module}: side modules imported at module level: {found}"
 
 
-def _route_record_uses(tree):
-    """(line, "read") for each ``x._route`` read; (line, "set") for each
-    ``x._route`` assigned or deleted, each ``_route`` assigned in a class
-    body, and each string ``"_route"`` (as ``setattr``, ``getattr`` or a
-    ``vars`` lookup would name it)."""
+def _record_uses(tree, name):
+    """(line, "read") for each ``x.<name>`` read; (line, "set") for each
+    ``x.<name>`` assigned or deleted, and each string ``"<name>"`` (as
+    ``setattr``, ``getattr`` or a ``vars`` lookup would name it); (line,
+    "default") for each ``<name>`` assigned in a class body."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "_route":
+        if isinstance(node, ast.Attribute) and node.attr == name:
             yield node.lineno, "read" if isinstance(node.ctx, ast.Load) else "set"
-        elif isinstance(node, ast.Constant) and node.value == "_route":
+        elif isinstance(node, ast.Constant) and node.value == name:
             yield node.lineno, "set"
         elif isinstance(node, ast.ClassDef):
             for statement in node.body:
                 targets = getattr(statement, "targets", [getattr(statement, "target", None)])
-                if any(isinstance(t, ast.Name) and t.id == "_route" for t in targets):
-                    yield statement.lineno, "set"
+                if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+                    yield statement.lineno, "default"
+
+
+def _functions_using(tree, name):
+    """The module-level functions of ``tree`` that use the record ``name``."""
+    return {
+        (node.name, use)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        for _, use in _record_uses(node, name)
+    }
 
 
 def test_route_record_is_read_by_membership_and_set_by_params():
     found = {
-        module: sorted(_route_record_uses(tree))
+        module: sorted(
+            (line, "set" if use == "default" else use)
+            for line, use in _record_uses(tree, "_route")
+        )
         for module, tree in TREES.items()
     }
     strays = {
@@ -206,3 +223,30 @@ def test_route_record_is_read_by_membership_and_set_by_params():
     # both ends are seen: the check reads the code it is meant to
     assert {use for _, use in found["membership.py"]} == {"read"}
     assert {use for _, use in found["params.py"]} == {"set"}
+
+
+def test_kept_character_is_read_and_set_by_characters():
+    found = {
+        module: sorted(_record_uses(tree, "_kept_char"))
+        for module, tree in TREES.items()
+    }
+    strays = {
+        module: [
+            (line, use)
+            for line, use in uses
+            if (module, use) not in {
+                ("characters.py", "read"),
+                ("characters.py", "set"),
+                ("params.py", "default"),
+            }
+        ]
+        for module, uses in found.items()
+    }
+    assert {module: uses for module, uses in strays.items() if uses} == {}
+    # the one class default, and the three functions that use the record
+    assert [use for _, use in found["params.py"]] == ["default"]
+    assert _functions_using(TREES["characters.py"], "_kept_char") == {
+        ("_rho_core", "set"),
+        ("rho_pi_general", "read"),
+        ("rho_sigma_general", "read"),
+    }
