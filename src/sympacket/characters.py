@@ -173,8 +173,8 @@ def rho_theta(
     """Sign triple of the theta lift of det^tau from a definite O(2m) form.
 
     ``side`` is "O(2m,0)" or "O(0,2m)"; ``tau_prime`` in {0, 1} selects the
-    packet (the character on the rank-one block).  Requires
-    n >= 2m - 1 + tau.  The triple always has product +1:
+    packet (the character on the rank-one block).  Requires m >= 1 and
+    n >= 2m - 1 + tau, so also m <= n.  The triple always has product +1:
 
         ((-1)^{tau + tau'((1+delta)/2 + m)},
          (-1)^{tau + tau'((1+delta)/2 + m) + floor(±delta m/2)},
@@ -191,6 +191,8 @@ def rho_theta(
         raise ValueError("tau and tau' must be 0 or 1")
     if type(n) is not int or type(m) is not int:
         raise ValueError(f"rank and m must be int, got n={n!r}, m={m!r}")
+    if m < 1:
+        raise ValueError("need 1 <= m <= n")
     if n < 2 * m - 1 + tau:
         raise ValueError(f"need n >= 2m - 1 + tau = {2 * m - 1 + tau}")
     arg = delta * m if side == "O(2m,0)" else -delta * m

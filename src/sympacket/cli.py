@@ -226,7 +226,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     label = _LABELS[args.family]
     module = module_of(args.family, n, value)
     packets = membership._enumerate_packets(module)  # refuses a rank past the cap
-    entries = module.inf_char()
+    entries = membership._module_inf_char(module)
     results = {
         "inf_char": list(entries),
         "parameters_with_inf_char": _parameter_count(entries),

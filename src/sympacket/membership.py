@@ -39,8 +39,9 @@ The central decision procedures:
 
 Both families reach one record, ``weights.Module`` from ``module_of``,
 which turns sigma_{2k,k} into pi_{2k}(k+1).  The module keys its
-infinitesimal character and its route table, and the table is the only
-statement of the criteria above: it builds the members, and it decides.
+infinitesimal character (``_module_inf_char``, built once per module) and
+its route table, and the table is the only statement of the criteria
+above: it builds the members, and it decides.
 Every packet question (``decide_pi`` / ``decide_sigma``, the characters,
 the command line's ``rho``) passes the triple it was asked to the one
 lookup, ``_decide_route``: a member's recorded route answers there, and
@@ -191,7 +192,7 @@ def _decide_route(
     entries = _valid_inf_char(psi)
     if psi.n != module.n:
         raise ValueError("parameter rank does not match n")
-    if entries != module.inf_char():
+    if entries != _module_inf_char(module):
         return None, False
     return _decide_core(psi, module), False
 
@@ -222,12 +223,15 @@ def decide_regular(psi: ArthurParameter, a: int) -> bool:
     The unitary highest weight modules with such a character form a ladder
     indexed by 0 <= a <= a_max; the a-th one lies in the packet of psi
     exactly when the (necessarily unique) unipotent block has dimension
-    2a + 1.
+    2a + 1.  An index that is not an int, a bool or a float included, is
+    refused.
     """
     chi = InfinitesimalCharacter(_valid_inf_char(psi))
     if not chi.is_regular():
         raise ValueError("infinitesimal character is not regular")
     amax = regular_a_max(chi)
+    if type(a) is not int:
+        raise ValueError(f"ladder index must be int, got a={a!r}")
     if not 0 <= a <= amax:
         raise ValueError(f"need 0 <= a <= {amax}, got {a}")
     if len(psi.unipotent) != 1:
@@ -405,6 +409,20 @@ def _routes(module: Module) -> tuple[_Route, ...]:
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _module_inf_char(module: Module) -> tuple[int, ...]:
+    """``module.inf_char()``, built once per module and kept, like
+    ``_routes``, for the last 256 modules asked.
+
+    Pass only what ``module_of`` returns: ``Module("pi", 3.0, 1)`` equals
+    and hashes like ``Module("pi", 3, 1)`` and would read its entries,
+    where its own ``inf_char()``, left uncached, refuses it.  The key is the
+    module, never the parameter asked about, so a user-built parameter is
+    still validated and decided on every question.
+    """
+    return module.inf_char()
+
+
 def _compositions(low: int, high: int) -> list[tuple[DiscreteBlock, ...]]:
     """The ways to cut the integers low..high into consecutive segments, each
     as the discrete block (t, a) = (l + h, h - l + 1), highest segment
@@ -455,7 +473,7 @@ def _enumerate_packets(
     route.
     """
     _check_rank(module.n, max_rank)
-    n, entries = module.n, module.inf_char()
+    n, entries = module.n, _module_inf_char(module)
     members: list[ArthurParameter] = []
     taken: list[tuple] = []
     for route in _routes(module):

@@ -129,6 +129,14 @@ def test_theta_tables_refuse_what_is_not_an_int():
     for n, m in ((3.0, 1), (3, 1.0), (3, True), ("3", 1)):
         with pytest.raises(ValueError, match="rank and m must be int"):
             rho_theta(n, m, 0, 0, 1, "O(2m,0)")
+    # m < 1, and with it a rank below 1, as rho_theta_parameter refuses it
+    with pytest.raises(ValueError, match="need 1 <= m <= n"):
+        rho_theta(3, -2, 0, 0, 1, "O(2m,0)")
+    with pytest.raises(ValueError, match="need 1 <= m <= n"):
+        rho_theta(-1, 0, 0, 0, 1, "O(0,2m)")
+    for side in ("O(2m,0)", "O(0,2m)"):
+        with pytest.raises(ValueError, match="need 1 <= m <= n"):
+            rho_theta(3, 0, 0, 0, 1, side)
     with pytest.raises(ValueError, match="rank and value must be int, got n='3', value=1"):
         pi_nm("3", 1)
     with pytest.raises(ValueError, match="rank and value must be int"):

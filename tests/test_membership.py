@@ -19,6 +19,7 @@ from sympacket.membership import (
     peel_step,
     _decide_core,
     _enumerate_packets,
+    _module_inf_char,
     _routes,
 )
 from sympacket.params import (
@@ -35,6 +36,8 @@ from sympacket.params import (
 from sympacket.langlands import exponent_filter, standard_pi
 from sympacket.weights import (
     InfinitesimalCharacter,
+    Module,
+    _inf_char_entries,
     inf_char_of_weight,
     module_of,
     pi_nm,
@@ -418,6 +421,78 @@ def test_decide_regular():
         decide_regular(params[0], 3)
     with pytest.raises(ValueError):
         decide_regular(WORKED, 0)  # non-regular character
+
+
+def test_decide_regular_refuses_an_index_that_is_not_an_int():
+    # delta_5 ⊠ R[2] + triv ⊠ R[3]: character (3, 2, 1, 0, -1, -2, -3), a_max 2
+    psi = P(3, [(CHAR_TRIV, 3)], [(5, 2)])
+    assert [decide_regular(psi, a) for a in range(3)] == [False, True, False]
+    for a in (True, False, 1.0, 1.5, "1"):
+        with pytest.raises(ValueError, match=f"ladder index must be int, got a={a!r}"):
+            decide_regular(psi, a)
+    # refused before the range check, and after the character's
+    with pytest.raises(ValueError, match="ladder index must be int"):
+        decide_regular(psi, 7.0)
+    with pytest.raises(ValueError, match="not regular"):
+        decide_regular(WORKED, 1.0)
+
+
+def all_modules(max_n):
+    """Every module ``module_of`` returns at ranks 0..max_n, sigma_{2k,k}
+    (which is pi_{2k}(k+1)) included."""
+    for n in range(max_n + 1):
+        for m in range(n + 1):
+            yield module_of("pi", n, m)
+        for k in range(1, n // 2 + 1):
+            yield module_of("sigma", n, k)
+
+
+def test_module_character_memo_is_the_definition():
+    _module_inf_char.cache_clear()
+    for module in all_modules(12):
+        assert _module_inf_char(module) == _inf_char_entries(module.weight()), module
+
+
+def test_module_character_memo_leaves_the_definition_uncached():
+    # a hand-built module with a float value equals and hashes like pi_3(1),
+    # but its own inf_char() still refuses it once pi_3(1) is in the memo
+    assert decide_pi(P(3, [(CHAR_SGN, 5), (CHAR_TRIV, 1), (CHAR_SGN, 1)]), 3, 1).member
+    hits = _module_inf_char.cache_info().hits
+    _module_inf_char(module_of("pi", 3, 1))
+    assert _module_inf_char.cache_info().hits == hits + 1  # pi_3(1) is kept
+    hand_built = Module("pi", 3.0, 1)
+    assert hand_built == module_of("pi", 3, 1) and hash(hand_built) == hash(module_of("pi", 3, 1))
+    with pytest.raises(TypeError):
+        hand_built.inf_char()
+
+
+def test_module_character_memo_is_bounded():
+    bound = _module_inf_char.cache_info().maxsize
+    assert bound == _routes.cache_info().maxsize == 256
+    asked = list(all_modules(30))
+    for module in asked:
+        _module_inf_char(module)
+    assert len(asked) > bound
+    assert _module_inf_char.cache_info().currsize == bound
+
+
+def test_user_built_question_above_the_enumeration_cap():
+    # rank 40, past MAX_ENUMERATION_RANK: the memo builds the module's side
+    # of the character test, and the route table decides as at small rank
+    n = 40
+    trivial = P(n, [(CHAR_TRIV, 2 * n + 1)])
+    assert decide_pi(trivial, n, 0).route == ROUTE_TRIVIAL
+    assert not decide_pi(trivial, n, 1).member
+    disjoint = P(n, [(CHAR_TRIV, 1)], [(19, 40)])  # R[1] + [-10, 29]
+    assert validate(disjoint) == []
+    assert decide_pi(disjoint, n, 30).route == ROUTE_I
+    assert not decide_pi(disjoint, n, 29).member
+    near = distinguished_parameter_sigma(n, 5)
+    assert decide_sigma(near, n, 5).route == ROUTE_SIGMA
+    assert not decide_sigma(near, n, 4).member
+    for psi, m in ((trivial, 0), (trivial, 1), (disjoint, 30), (disjoint, 29)):
+        assert decide_pi(psi, n, m).member == decide_pi_recursive(psi, n, m)
+    assert _module_inf_char(module_of("pi", n, 30)) == _inf_char_entries((30,) * n)
 
 
 def test_multiplicity_one_for_members(ranks_1_to_9):

@@ -213,28 +213,38 @@ def test_parameters_built_elsewhere_carry_no_route_record():
 
 
 def test_enumerated_members_are_not_decided_again(monkeypatch):
-    # asked about the module that admitted it, a member is neither decided
-    # nor has the module's character built; a user-built copy is, once per
+    # asked about the module that admitted it, a member is neither validated
+    # nor decided; a user-built copy is validated and decided once per
     # question, and so is a member asked about pi_n(n+1-m), which shares the
-    # character of pi_n(m) (and is another module unless n = 2m - 1)
-    calls = {"core": 0, "inf_char": 0}
-    core, inf_char = membership._decide_core, Module.inf_char
+    # character of pi_n(m) (and is another module unless n = 2m - 1).  The
+    # module's character is built at most once per module, whoever asks
+    # (``membership._module_inf_char``), and never for a member's question.
+    calls = {"valid": 0, "core": 0}
+    built = {}
+    valid, core, inf_char = membership._valid_inf_char, membership._decide_core, Module.inf_char
+
+    def counted_valid(psi):
+        calls["valid"] += 1
+        return valid(psi)
 
     def counted_core(psi, module):
         calls["core"] += 1
         return core(psi, module)
 
     def counted_inf_char(module):
-        calls["inf_char"] += 1
+        built[module] = built.get(module, 0) + 1
         return inf_char(module)
 
+    monkeypatch.setattr(membership, "_valid_inf_char", counted_valid)
     monkeypatch.setattr(membership, "_decide_core", counted_core)
     monkeypatch.setattr(Module, "inf_char", counted_inf_char)
+    membership._module_inf_char.cache_clear()
 
     def counts(fn, *args):
-        calls.update(core=0, inf_char=0)
+        calls.update(valid=0, core=0)
+        before = sum(built.values())
         fn(*args)
-        return calls["core"], calls["inf_char"]
+        return calls["valid"], calls["core"], sum(built.values()) - before
 
     asked = 0
     for family, n, value in modules(7):
@@ -246,13 +256,14 @@ def test_enumerated_members_are_not_decided_again(monkeypatch):
                     (lambda p, n, v: RHO[family](p, n, v, delta), n, value),
                 ]
                 for fn, *args in questions:
-                    assert counts(fn, psi, *args) == (0, 0), (family, n, value, str(psi))
-                    assert counts(fn, copy, *args) == (1, 1), (family, n, value, str(psi))
+                    assert counts(fn, psi, *args) == (0, 0, 0), (family, n, value, str(psi))
+                    assert counts(fn, copy, *args)[:2] == (1, 1), (family, n, value, str(psi))
             twin = n + 1 - value
             if family == "pi" and value >= 1 and twin != value:
-                assert counts(decide_pi, psi, n, twin)[0] == 1
+                assert counts(decide_pi, psi, n, twin)[:2] == (1, 1)
                 asked += 1
     assert asked
+    assert built and max(built.values()) == 1, built
 
 
 def test_member_characters_are_built_once_unchecked(monkeypatch):
