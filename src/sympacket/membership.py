@@ -39,9 +39,11 @@ The central decision procedures:
 
 Both families reach one record, ``weights.Module`` from ``module_of``,
 which turns sigma_{2k,k} into pi_{2k}(k+1).  The module keys its
-infinitesimal character (``_module_inf_char``, built once per module) and
-its route table, and the table is the only statement of the criteria
-above: it builds the members, and it decides.
+infinitesimal character (``_module_inf_char``, built once per module, for
+the enumerators and recorded characters; a user-built parameter is compared
+with the module's closed-form segments, ``_same_inf_char``) and its route
+table, and the table is the only statement of the criteria above: it builds
+the members, and it decides.
 Every packet question (``decide_pi`` / ``decide_sigma``, the characters,
 the command line's ``rho``) passes the triple it was asked to the one
 lookup, ``_decide_route``: a member's recorded route answers there, and
@@ -178,10 +180,14 @@ def _decide_route(
     names its module.  Asked about that triple with ``int`` rank and value,
     or about one ``module_of`` resolves to it (sigma_{2k,k} records
     pi_{2k}(k+1)), the record answers, unchecked.  Any other question checks
-    the module, then the parameter (valid, by ``params._valid_inf_char``,
-    which trusts a recorded character; of the module's rank), and decides.
-    The characters keep a member's second character only on a question its
-    record answered, so that they need not read the record themselves.
+    the module, then the parameter (valid, unless it records its character;
+    of the module's rank), then the character, and decides.  A recorded
+    character (a member asked about another module, a parameter read from
+    the wire) is compared with ``_module_inf_char``; a user-built parameter
+    records none and is compared by segment edges (``_same_inf_char``),
+    with no entry listed.  The characters keep a member's second character
+    only on a question its record answered, so that they need not read the
+    record themselves.
     """
     route = psi._route
     if route is not None and type(n) is type(value) is int and route.module == (family, n, value):
@@ -189,12 +195,47 @@ def _decide_route(
     module = module_of(family, n, value)
     if route is not None and route.module == module:  # sigma_{2k,k}
         return route, True
-    entries = _valid_inf_char(psi)
+    entries = psi._inf_char
+    if entries is None:
+        _require_valid(psi)
     if psi.n != module.n:
         raise ValueError("parameter rank does not match n")
-    if entries != _module_inf_char(module):
+    if entries is None:
+        if not _same_inf_char(psi, module):
+            return None, False
+    elif entries != _module_inf_char(module):
         return None, False
     return _decide_core(psi, module), False
+
+
+def _same_inf_char(psi: ArthurParameter, module: Module) -> bool:
+    """Whether a valid parameter has the module's infinitesimal character,
+    compared by the edges of their segments: O(blocks), with no entry
+    listed and nothing cached.
+
+    A segment [lo, hi] rises at lo and ends at hi + 1.  Two unions of
+    segments are the same multiset exactly when the rises of the one with
+    the ends of the other, sorted, are the ends of the one with the rises of
+    the other.  R[d] is [-(d//2), d//2]; a discrete block (t, a) is
+    [bottom, top] and its mirror, read inline from t and a.  pi_n(m) is
+    [m-n, m-1], [1-m, n-m] and {0}; sigma_{n,k} (n > 2k) is [k-n, n-k],
+    [1-k, k-1] and {0}, whose edges are those of pi_n(k): the two modules
+    share their character.  So one closed form serves both families.
+    """
+    n, v = module.n, module.value
+    rises = [v, n - v + 1, 1]  # the module's ends
+    ends = [v - n, 1 - v, 0]  # the module's rises
+    for b in psi.unipotent:
+        half = b.dim // 2
+        rises += (-half,)
+        ends += (half + 1,)
+    for t, a in psi.discrete:
+        bottom, top = (t - a + 1) // 2, (t + a - 1) // 2
+        rises += (bottom, -top)
+        ends += (top + 1, 1 - bottom)
+    rises.sort()
+    ends.sort()
+    return rises == ends
 
 
 def _decide_core(psi: ArthurParameter, module: Module) -> _Route | None:
@@ -414,11 +455,14 @@ def _module_inf_char(module: Module) -> tuple[int, ...]:
     """``module.inf_char()``, built once per module and kept, like
     ``_routes``, for the last 256 modules asked.
 
-    Pass only what ``module_of`` returns: ``Module("pi", 3.0, 1)`` equals
-    and hashes like ``Module("pi", 3, 1)`` and would read its entries,
-    where its own ``inf_char()``, left uncached, refuses it.  The key is the
-    module, never the parameter asked about, so a user-built parameter is
-    still validated and decided on every question.
+    Only the enumerators (``_enumerate_packets``, the command line's
+    ``enumerate-*``) and a question about a parameter that records its
+    character (``_decide_route``: a member asked about another module, a
+    parameter read from the wire) read it.  A user-built question compares
+    segment edges (``_same_inf_char``) and never builds or keeps these O(n)
+    entries.  Pass only what ``module_of`` returns: ``Module("pi", 3.0, 1)``
+    equals and hashes like ``Module("pi", 3, 1)`` and would read its
+    entries, where its own ``inf_char()``, left uncached, refuses it.
     """
     return module.inf_char()
 

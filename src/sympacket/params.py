@@ -455,7 +455,8 @@ def _trusted_params(
 
     The caller vouches that the blocks form valid parameters whose
     infinitesimal character has exactly these (decreasing) ``entries``:
-    ``_valid_inf_char`` returns them without validating; and that the route
+    ``_valid_inf_char`` returns them and ``membership._decide_route``
+    compares them without validating; and that the route
     is the first of its module's table whose shape each has: the one lookup,
     ``membership._decide_route``, returns it without deciding.  The records
     are plain instance attributes, not dataclass fields, so ``==``,
@@ -490,6 +491,9 @@ def _valid_inf_char(psi: ArthurParameter) -> tuple[int, ...]:
     unchecked.  Any other is validated first (``ValueError`` naming the
     violation codes) and its entries read off its segments
     (``_segment_entries``), with no ``InfinitesimalCharacter`` built.
+    ``membership.decide_regular`` reads it; the packet questions do not
+    (``membership._decide_route`` validates a user-built parameter and
+    compares segment edges, with no entry listed).
     """
     entries = psi._inf_char
     if entries is None:

@@ -17,6 +17,16 @@ are the library's earlier statements of a user-built parameter's checks:
 character's entries read from a checked ``InfinitesimalCharacter``.  The
 library compares neighbouring blocks and sorts the segments' entries once.
 
+The character-test oracle ``same_inf_char_by_entries`` is the library's
+earlier test of a user-built parameter's character in
+``membership._decide_route``: the sorted entries of its segments against
+the module's sorted entries.  The library compares the segments' edges.
+
+The sigma oracle ``decide_sigma_recursive`` is the analogue for
+sigma_{n,k} of ``membership.decide_pi_recursive``: it strips discrete
+blocks whose segment ends at k-1 and decides the purely unipotent residue
+with ``decide_unipotent``.  It does not read the route table.
+
 The decider oracle ``decide_core_by_sums`` is the library's earlier reading
 of a parameter's shape in ``membership._decide_core``: the largest unipotent
 dimension as a maximum and THM71_I's one R[1] as a sum of dimensions, on
@@ -29,7 +39,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from sympacket.membership import _routes, _segments_pairwise_disjoint
+from sympacket.membership import (
+    _routes,
+    _segments_pairwise_disjoint,
+    decide_pi_recursive,
+    decide_unipotent,
+)
 from sympacket.params import (
     CHAR_SGN,
     CHAR_TRIV,
@@ -37,9 +52,10 @@ from sympacket.params import (
     DiscreteBlock,
     UnipotentBlock,
     a_psi_u,
+    remove_discrete_block,
     validate,
 )
-from sympacket.weights import InfinitesimalCharacter
+from sympacket.weights import InfinitesimalCharacter, _inf_char_entries, module_of
 
 
 def _unip_segment(dim: int) -> Counter:
@@ -217,6 +233,49 @@ def valid_inf_char_by_copy(psi: ArthurParameter) -> tuple[int, ...]:
     if codes:
         raise ValueError(f"invalid parameter {psi}: {codes}")
     return checked_inf_char_entries(psi)
+
+
+def same_inf_char_by_entries(psi: ArthurParameter, module) -> bool:
+    """Whether the parameter has the module's infinitesimal character, by
+    the sorted entries of both sides."""
+    return checked_inf_char_entries(psi) == module.inf_char()
+
+
+def decide_sigma_recursive(psi: ArthurParameter, n: int, k: int) -> bool:
+    """Membership oracle for sigma_{n,k} by repeated discrete-block stripping.
+
+    sigma_{2k,k} is pi_{2k}(k+1) and goes to ``decide_pi_recursive``.  For
+    n > 2k the character is [k-n, n-k], [1-k, k-1] and {0}.  A member covers
+    n-k, its largest entry, with its largest unipotent block, so no
+    discrete segment of a member ends above k-1.  Stripping a block whose
+    segment ends at k-1 (with the sign retwist) leaves [k-n, n-k] and the
+    character's smaller part cut short, which is sigma_{n-a,k-a}; at k = 0
+    that is the trivial module pi_n(0).  With nothing left to strip, a
+    purely unipotent residue is decided by ``decide_unipotent``, and any
+    other is not a member.
+    """
+    if validate(psi):
+        raise ValueError(f"invalid parameter {psi}")
+    module_of("sigma", n, k)  # refuses k outside 1..n/2
+    if n == 2 * k:
+        return decide_pi_recursive(psi, n, k + 1)
+    while True:
+        if k == 0:
+            return decide_pi_recursive(psi, n, 0)
+        weight = (k + 1,) * (2 * k) + (k,) * (n - 2 * k)
+        if checked_inf_char_entries(psi) != _inf_char_entries(weight):
+            return False
+        if not psi.discrete:
+            return ("sigma", k) in decide_unipotent(psi, n)
+        if any(b.top > k - 1 for b in psi.discrete):
+            return False
+        ending = [i for i, b in enumerate(psi.discrete) if b.top == k - 1]
+        if not ending:
+            return False
+        a = psi.discrete[ending[0]].a
+        if a > k:  # the segment crosses 0: its mirror repeats entries
+            return False
+        psi, n, k = remove_discrete_block(psi, ending[0]), n - a, k - a
 
 
 def decide_core_by_sums(psi: ArthurParameter, module):

@@ -44,7 +44,7 @@ from sympacket.weights import (
     sigma_nk,
 )
 
-from oracles import decide_core_by_sums
+from oracles import decide_core_by_sums, decide_sigma_recursive
 
 
 def P(n, unip, disc=()):
@@ -177,6 +177,33 @@ def test_recursive_oracle_agrees_small(ranks_1_to_9):
         for m in range(0, n + 1):
             for psi in ranks_1_to_9["pi", n, m].params:
                 assert decide_pi(psi, n, m).member == decide_pi_recursive(psi, n, m)
+
+
+def test_sigma_recursive_oracle_agrees(ranks_1_to_9):
+    # every parameter of ranks 1-9: those of a sigma_{n,k} asked about it,
+    # sigma_{2k,k} = pi_{2k}(k+1) included, and every one about sigma_{n,1}
+    # (pi_n(1) shares its character; the others differ in it)
+    asked = members = 0
+    for (family, n, value), found in ranks_1_to_9.items():
+        ks = {value} if family == "sigma" else {1} if n >= 2 else set()
+        for k in ks:
+            for psi in found.params:
+                member = decide_sigma(psi, n, k).member
+                assert member == decide_sigma_recursive(psi, n, k), (n, k, str(psi))
+                asked += 1
+                members += member
+    assert asked > 10_000 and members > 150, (asked, members)
+
+
+def test_sigma_recursive_oracle_strips_to_the_trivial_module():
+    # the distinguished parameter sgn^k ⊠ R[2(n-k)+1] + δ_{k-1} ⊠ R[k] strips
+    # to triv ⊠ R[2(n-k)+1], the trivial module pi_{n-k}(0); a block whose
+    # segment ends above k-1 is refused
+    psi = distinguished_parameter_sigma(7, 3)
+    assert decide_sigma(psi, 7, 3).route == ROUTE_SIGMA
+    assert decide_sigma_recursive(psi, 7, 3)
+    high = P(3, [(CHAR_SGN, 1)], [(2, 3)])  # R[1] + [0, 2] and its mirror
+    assert not decide_sigma(high, 3, 1).member and not decide_sigma_recursive(high, 3, 1)
 
 
 def test_recursive_oracle_near_scalar_shape():
@@ -477,8 +504,9 @@ def test_module_character_memo_is_bounded():
 
 
 def test_user_built_question_above_the_enumeration_cap():
-    # rank 40, past MAX_ENUMERATION_RANK: the memo builds the module's side
-    # of the character test, and the route table decides as at small rank
+    # rank 40, past MAX_ENUMERATION_RANK: the closed-form segments of the
+    # module test the character, and the route table decides as at small
+    # rank; the memo of the module's entries serves there too
     n = 40
     trivial = P(n, [(CHAR_TRIV, 2 * n + 1)])
     assert decide_pi(trivial, n, 0).route == ROUTE_TRIVIAL

@@ -214,37 +214,46 @@ def test_parameters_built_elsewhere_carry_no_route_record():
 
 def test_enumerated_members_are_not_decided_again(monkeypatch):
     # asked about the module that admitted it, a member is neither validated
-    # nor decided; a user-built copy is validated and decided once per
-    # question, and so is a member asked about pi_n(n+1-m), which shares the
-    # character of pi_n(m) (and is another module unless n = 2m - 1).  The
-    # module's character is built at most once per module, whoever asks
-    # (``membership._module_inf_char``), and never for a member's question.
-    calls = {"valid": 0, "core": 0}
+    # nor decided, and no character is read.  A user-built copy is validated
+    # and decided once per question and compared by segment edges
+    # (``membership._same_inf_char``): no entries of its own are listed
+    # (``params._segment_entries``, ``_valid_inf_char``) and none of the
+    # module's (``membership._module_inf_char``).  A member asked about
+    # pi_n(n+1-m), which shares the character of pi_n(m) (and is another
+    # module unless n = 2m - 1), is decided once, comparing its recorded
+    # entries with the module's, which are built at most once per module.
+    calls = dict.fromkeys(("valid", "core", "edges", "entries", "module"), 0)
     built = {}
-    valid, core, inf_char = membership._valid_inf_char, membership._decide_core, Module.inf_char
+    inf_char = Module.inf_char
 
-    def counted_valid(psi):
-        calls["valid"] += 1
-        return valid(psi)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    def counted_core(psi, module):
-        calls["core"] += 1
-        return core(psi, module)
+        return wrapper
 
     def counted_inf_char(module):
         built[module] = built.get(module, 0) + 1
         return inf_char(module)
 
-    monkeypatch.setattr(membership, "_valid_inf_char", counted_valid)
-    monkeypatch.setattr(membership, "_decide_core", counted_core)
-    monkeypatch.setattr(Module, "inf_char", counted_inf_char)
     membership._module_inf_char.cache_clear()
+    for owner, attr, name in [
+        (membership, "_require_valid", "valid"),
+        (membership, "_decide_core", "core"),
+        (membership, "_same_inf_char", "edges"),
+        (membership, "_valid_inf_char", "entries"),
+        (params, "_segment_entries", "entries"),
+        (membership, "_module_inf_char", "module"),
+    ]:
+        monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+    monkeypatch.setattr(Module, "inf_char", counted_inf_char)
 
     def counts(fn, *args):
-        calls.update(valid=0, core=0)
         before = sum(built.values())
+        calls.update(dict.fromkeys(calls, 0))
         fn(*args)
-        return calls["valid"], calls["core"], sum(built.values()) - before
+        return (*calls.values(), sum(built.values()) - before)
 
     asked = 0
     for family, n, value in modules(7):
@@ -256,11 +265,12 @@ def test_enumerated_members_are_not_decided_again(monkeypatch):
                     (lambda p, n, v: RHO[family](p, n, v, delta), n, value),
                 ]
                 for fn, *args in questions:
-                    assert counts(fn, psi, *args) == (0, 0, 0), (family, n, value, str(psi))
-                    assert counts(fn, copy, *args)[:2] == (1, 1), (family, n, value, str(psi))
+                    where = (family, n, value, str(psi))
+                    assert counts(fn, psi, *args) == (0, 0, 0, 0, 0, 0), where
+                    assert counts(fn, copy, *args) == (1, 1, 1, 0, 0, 0), where
             twin = n + 1 - value
             if family == "pi" and value >= 1 and twin != value:
-                assert counts(decide_pi, psi, n, twin)[:2] == (1, 1)
+                assert counts(decide_pi, psi, n, twin)[:5] == (0, 1, 0, 0, 1)
                 asked += 1
     assert asked
     assert built and max(built.values()) == 1, built
