@@ -40,8 +40,8 @@ The central decision procedures:
 Both families reach one record, ``weights.Module`` from ``module_of``,
 which turns sigma_{2k,k} into pi_{2k}(k+1).  The module keys its
 infinitesimal character (``_module_inf_char``, built once per module, for
-the enumerators and recorded characters; a user-built parameter is compared
-with the module's closed-form segments, ``_same_inf_char``) and its route
+the enumerators; a packet question compares a parameter's segments with the
+module's closed-form segments, ``_same_inf_char``) and its route
 table, and the table is the only statement of the criteria above: it builds
 the members, and it decides.
 Every packet question (``decide_pi`` / ``decide_sigma``, the characters,
@@ -181,13 +181,13 @@ def _decide_route(
     or about one ``module_of`` resolves to it (sigma_{2k,k} records
     pi_{2k}(k+1)), the record answers, unchecked.  Any other question checks
     the module, then the parameter (valid, unless it records its character;
-    of the module's rank), then the character, and decides.  A recorded
-    character (a member asked about another module, a parameter read from
-    the wire) is compared with ``_module_inf_char``; a user-built parameter
-    records none and is compared by segment edges (``_same_inf_char``),
-    with no entry listed.  The characters keep a member's second character
-    only on a question its record answered, so that they need not read the
-    record themselves.
+    of the module's rank), then the character, and decides.  Every
+    parameter's character is compared by segment edges (``_same_inf_char``),
+    with no entry listed: a recorded character (a member asked about another
+    module, a parameter read from the wire) is the one of its blocks, so the
+    record only spares the validation.  The characters keep a member's
+    second character only on a question its record answered, so that they
+    need not read the record themselves.
     """
     route = psi._route
     if route is not None and type(n) is type(value) is int and route.module == (family, n, value):
@@ -195,15 +195,11 @@ def _decide_route(
     module = module_of(family, n, value)
     if route is not None and route.module == module:  # sigma_{2k,k}
         return route, True
-    entries = psi._inf_char
-    if entries is None:
+    if psi._inf_char is None:
         _require_valid(psi)
     if psi.n != module.n:
         raise ValueError("parameter rank does not match n")
-    if entries is None:
-        if not _same_inf_char(psi, module):
-            return None, False
-    elif entries != _module_inf_char(module):
+    if not _same_inf_char(psi, module):
         return None, False
     return _decide_core(psi, module), False
 
@@ -456,11 +452,9 @@ def _module_inf_char(module: Module) -> tuple[int, ...]:
     ``_routes``, for the last 256 modules asked.
 
     Only the enumerators (``_enumerate_packets``, the command line's
-    ``enumerate-*``) and a question about a parameter that records its
-    character (``_decide_route``: a member asked about another module, a
-    parameter read from the wire) read it.  A user-built question compares
-    segment edges (``_same_inf_char``) and never builds or keeps these O(n)
-    entries.  Pass only what ``module_of`` returns: ``Module("pi", 3.0, 1)``
+    ``enumerate-*``) read it.  A packet question compares segment edges
+    (``_same_inf_char``) and never builds or keeps these O(n) entries.
+    Pass only what ``module_of`` returns: ``Module("pi", 3.0, 1)``
     equals and hashes like ``Module("pi", 3, 1)`` and would read its
     entries, where its own ``inf_char()``, left uncached, refuses it.
     """

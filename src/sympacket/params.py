@@ -455,8 +455,8 @@ def _trusted_params(
 
     The caller vouches that the blocks form valid parameters whose
     infinitesimal character has exactly these (decreasing) ``entries``:
-    ``_valid_inf_char`` returns them and ``membership._decide_route``
-    compares them without validating; and that the route
+    ``_valid_inf_char`` returns them, and ``membership._decide_route``
+    compares the blocks' segments without validating; and that the route
     is the first of its module's table whose shape each has: the one lookup,
     ``membership._decide_route``, returns it without deciding.  The records
     are plain instance attributes, not dataclass fields, so ``==``,

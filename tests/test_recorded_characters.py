@@ -220,8 +220,9 @@ def test_enumerated_members_are_not_decided_again(monkeypatch):
     # (``params._segment_entries``, ``_valid_inf_char``) and none of the
     # module's (``membership._module_inf_char``).  A member asked about
     # pi_n(n+1-m), which shares the character of pi_n(m) (and is another
-    # module unless n = 2m - 1), is decided once, comparing its recorded
-    # entries with the module's, which are built at most once per module.
+    # module unless n = 2m - 1), is not validated, and is compared by
+    # segment edges and decided once.  No question builds a module's
+    # character entries; only the enumeration does, once per module.
     calls = dict.fromkeys(("valid", "core", "edges", "entries", "module"), 0)
     built = {}
     inf_char = Module.inf_char
@@ -270,7 +271,7 @@ def test_enumerated_members_are_not_decided_again(monkeypatch):
                     assert counts(fn, copy, *args) == (1, 1, 1, 0, 0, 0), where
             twin = n + 1 - value
             if family == "pi" and value >= 1 and twin != value:
-                assert counts(decide_pi, psi, n, twin)[:5] == (0, 1, 0, 0, 1)
+                assert counts(decide_pi, psi, n, twin) == (0, 1, 1, 0, 0, 0)
                 asked += 1
     assert asked
     assert built and max(built.values()) == 1, built
