@@ -83,13 +83,18 @@ class PacketCharacter:
     blocks.  ``flags`` records degeneracies (VANISHING) when the printed
     construction assigns unequal signs to equal blocks.  The constructor
     checks the token and the signs, each the int +1 or -1, in its own frame
-    with no ``__post_init__`` or generator, since printed rows use it.
+    with no ``__post_init__`` or generator, since printed rows use it; it
+    holds the one default, ``flags=()``.  The fields are slots, so an
+    instance has no ``__dict__``; a copy or a pickle is rebuilt through the
+    constructor (``__reduce__``), since the frozen ``__setattr__`` refuses
+    the slot state that ``copy`` and ``pickle`` would set.
     """
 
+    __slots__ = ("whittaker", "blocks", "signs", "flags")
     whittaker: int
     blocks: tuple[Block, ...]
     signs: tuple[int, ...]
-    flags: tuple[str, ...] = ()
+    flags: tuple[str, ...]
 
     def __init__(self, whittaker: int, blocks: tuple, signs: tuple, flags: tuple = ()) -> None:
         if type(whittaker) is not int or whittaker not in (1, -1):
@@ -101,6 +106,9 @@ class PacketCharacter:
                 raise ValueError("signs must be +1 or -1")
         for name, value in zip(self.__match_args__, (whittaker, blocks, signs, flags)):
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return self.__class__, (self.whittaker, self.blocks, self.signs, self.flags)
 
     def sign_map(self) -> dict[Block, int] | None:
         """Distinct-block signs, or None when equal blocks disagree.
@@ -332,7 +340,9 @@ def _rho_core(
     is odd, so the flip always reaches it.  With e3 = +1 that product would be
     (-1)^(discrete -1 count) e1 e2, so e3 takes that value.  The signs are
     +1 or -1 by construction, so each character is built once, unchecked:
-    ``object.__new__``, then each field set past the frozen ``__setattr__``.
+    ``object.__new__``, then each slot written through its descriptor's
+    setter, bound once (``_SLOT_SETTERS``), past the frozen ``__setattr__``;
+    the kept character goes to psi's ``_kept_char`` slot the same way.
 
     With ``keep`` the same pass also builds the character of the token
     -delta and keeps it on psi as ``_kept_char``.  floor(x/2) and
@@ -383,7 +393,8 @@ def _rho_core(
         slots = eta1, eta2, big
     blocks = discrete + slots
     parity = minus % 2  # of the discrete -1 signs
-    new, put = object.__new__, object.__setattr__
+    new = object.__new__
+    set_whittaker, set_blocks, set_signs, set_flags = _SLOT_SETTERS
     for whittaker in (delta, -delta) if keep else (delta,):
         if whittaker != delta:
             # the -delta pass ends with the negated token, and its parity
@@ -406,15 +417,21 @@ def _rho_core(
             )
             signs += e1, e2, e3
         char = new(PacketCharacter)
-        put(char, "whittaker", whittaker)
-        put(char, "blocks", blocks)
-        put(char, "signs", tuple(signs))
-        put(char, "flags", (VANISHING,) if flagged else ())
+        set_whittaker(char, whittaker)
+        set_blocks(char, blocks)
+        set_signs(char, tuple(signs))
+        set_flags(char, (VANISHING,) if flagged else ())
         if whittaker == delta:
             asked = char
         else:
-            put(psi, "_kept_char", char)
+            _set_kept_char(psi, char)
     return asked
+
+
+# The setters of ``PacketCharacter``'s slots, in field order, and of the
+# parameter's ``_kept_char`` slot, for ``_rho_core``.
+_SLOT_SETTERS = tuple(vars(PacketCharacter)[name].__set__ for name in PacketCharacter.__slots__)
+_set_kept_char = vars(ArthurParameter)["_kept_char"].__set__
 
 
 def table_row(

@@ -55,7 +55,6 @@ strings.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
@@ -140,9 +139,12 @@ _MEMBER = {
 
 
 def _segments_pairwise_disjoint(psi: ArthurParameter) -> bool:
-    intervals = [(b.bottom, b.top) for b in psi.discrete]
-    for (l1, h1), (l2, h2) in itertools.combinations(intervals, 2):
-        if not (h1 < l2 or h2 < l1):
+    """Whether the discrete blocks' segments [bottom, top] are pairwise
+    disjoint: sorted once, each must end before the next begins, so the
+    check is O(b log b) for b blocks rather than one test per pair."""
+    intervals = sorted([(b.bottom, b.top) for b in psi.discrete])
+    for (_, high), (low, _) in zip(intervals, intervals[1:]):
+        if high >= low:
             return False
     return True
 

@@ -27,7 +27,7 @@ import itertools
 import operator
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .weights import InfinitesimalCharacter
@@ -129,7 +129,14 @@ def _unip_key(block: UnipotentBlock) -> tuple[int, int]:
     return (-block.dim, block.char)
 
 
-@dataclass(frozen=True, order=True)
+def _record_slot():
+    """A record of ``ArthurParameter``: a slot that ``__init__``, ``==``,
+    ``hash``, the order and ``repr`` leave out, set to None by
+    ``__post_init__`` (or to a record by ``_trusted_params``)."""
+    return field(init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class ArthurParameter:
     """Block multiset of total dimension 2n+1, stored in canonical order.
 
@@ -140,19 +147,25 @@ class ArthurParameter:
     n: int
     unipotent: tuple[UnipotentBlock, ...]
     discrete: tuple[DiscreteBlock, ...] = ()
-    # Not fields (no annotation): the entries of the infinitesimal
+    # Records (``_record_slot``): the entries of the infinitesimal
     # character, and the route of ``membership._routes`` that admitted an
-    # enumerated member, which ``_trusted_params`` records on the instance;
-    # and a member's character of the second token, which
-    # ``characters._rho_core`` keeps when its route record answered.  The
-    # class default None reads as "no record" without a dictionary lookup.
-    _inf_char = None
-    _route = None
-    _kept_char = None
+    # enumerated member, which ``_trusted_params`` records; and a member's
+    # character of the second token, which ``characters._rho_core`` keeps
+    # when its route record answered.  None reads as "no record": the
+    # constructor and ``dataclasses.replace`` make parameters without them.
+    _inf_char: tuple[int, ...] | None = _record_slot()
+    _route: tuple | None = _record_slot()
+    _kept_char: object | None = _record_slot()  # a characters.PacketCharacter
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "unipotent", tuple(self.unipotent))
-        object.__setattr__(self, "discrete", tuple(self.discrete))
+        # past the frozen __setattr__, through the slots' setters, as
+        # _trusted_params writes them: the blocks as tuples, and no records
+        _, set_unipotent, set_discrete, set_inf_char, set_route, set_kept_char = _SLOT_SETTERS
+        set_unipotent(self, tuple(self.unipotent))
+        set_discrete(self, tuple(self.discrete))
+        set_inf_char(self, None)
+        set_route(self, None)
+        set_kept_char(self, None)
 
     def canonical(self) -> "ArthurParameter":
         return ArthurParameter(
@@ -459,22 +472,30 @@ def _trusted_params(
     compares the blocks' segments without validating; and that the route
     is the first of its module's table whose shape each has: the one lookup,
     ``membership._decide_route``, returns it without deciding.  The records
-    are plain instance attributes, not dataclass fields, so ``==``,
-    ``hash``, the order, ``repr`` and ``str`` ignore them, and
-    ``dataclasses.replace`` or the constructor make parameters without them.
+    are slots that ``==``, ``hash``, the order, ``repr`` and ``str`` ignore
+    (``_record_slot``).  Each of the six slots is written through its
+    descriptor's setter, bound once (``_SLOT_SETTERS``), past the frozen
+    ``__setattr__``; a slot has no class default, so ``_kept_char`` is set
+    to None here, as ``__post_init__`` sets all three records for any other
+    parameter.
     """
-    new, put = object.__new__, object.__setattr__
+    new = object.__new__
+    set_n, set_unipotent, set_discrete, set_inf_char, set_route, set_kept_char = _SLOT_SETTERS
     built = []
     for unipotent in unipotents:
         psi = new(ArthurParameter)
-        put(psi, "n", n)
-        put(psi, "unipotent", unipotent)
-        put(psi, "discrete", discrete)
-        put(psi, "_inf_char", entries)
-        if route is not None:
-            put(psi, "_route", route)
+        set_n(psi, n)
+        set_unipotent(psi, unipotent)
+        set_discrete(psi, discrete)
+        set_inf_char(psi, entries)
+        set_route(psi, route)
+        set_kept_char(psi, None)
         built.append(psi)
     return built
+
+
+# The setters of ``ArthurParameter``'s slots, in the order of its fields.
+_SLOT_SETTERS = tuple(vars(ArthurParameter)[name].__set__ for name in ArthurParameter.__slots__)
 
 
 def _require_valid(psi: ArthurParameter) -> None:

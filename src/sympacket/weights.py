@@ -62,7 +62,9 @@ def _record(cls=None, /, *, order=False):
     ``__match_args__``.  Setting or deleting an attribute raises
     ``dataclasses.FrozenInstanceError``.  The methods are closures over the
     field names: no source is written and compiled, which is most of what a
-    dataclass costs at import.  Instances keep their ``__dict__``.
+    dataclass costs at import.  Instances keep their ``__dict__`` unless the
+    class declares ``__slots__``; such a class writes its own ``__init__``
+    with its defaults, since a slot's class attribute is its descriptor.
     """
     if cls is None:
         return lambda cls: _record(cls, order=order)

@@ -31,7 +31,10 @@ The decider oracle ``decide_core_by_sums`` is the library's earlier reading
 of a parameter's shape in ``membership._decide_core``: the largest unipotent
 dimension as a maximum and THM71_I's one R[1] as a sum of dimensions, on
 blocks in any order.  The library reads both off the first block of a
-canonical parameter.
+canonical parameter.  It tests THM71_I's disjoint segments with
+``segments_pairwise_disjoint_by_pairs``, the library's earlier test, which
+compares every pair of discrete segments.  The library sorts the segments
+once and compares neighbours.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from collections import Counter
 
 from sympacket.membership import (
     _routes,
-    _segments_pairwise_disjoint,
     decide_pi_recursive,
     decide_unipotent,
 )
@@ -278,13 +280,23 @@ def decide_sigma_recursive(psi: ArthurParameter, n: int, k: int) -> bool:
         psi, n, k = remove_discrete_block(psi, ending[0]), n - a, k - a
 
 
+def segments_pairwise_disjoint_by_pairs(psi: ArthurParameter) -> bool:
+    """Whether no two discrete segments [bottom, top] of psi meet, tested
+    on every pair."""
+    intervals = [(b.bottom, b.top) for b in psi.discrete]
+    for (l1, h1), (l2, h2) in itertools.combinations(intervals, 2):
+        if not (h1 < l2 or h2 < l1):
+            return False
+    return True
+
+
 def decide_core_by_sums(psi: ArthurParameter, module):
     """The first route of ``membership._routes(module)`` whose shape psi
     has, or None, read with ``a_psi_u`` and ``dim_unipotent``."""
     top = a_psi_u(psi)
     for route in _routes(module):
         if route.char is None:  # THM71_I
-            if psi.dim_unipotent == 1 and _segments_pairwise_disjoint(psi):
+            if psi.dim_unipotent == 1 and segments_pairwise_disjoint_by_pairs(psi):
                 return route
         elif top == route.top and UnipotentBlock(route.char, top) in psi.unipotent:
             return route

@@ -343,7 +343,7 @@ def test_vanishing_on_crafted_signs():
         # the pass that keeps the other token's character gives both
         # characters of the one-token passes, flags included
         assert _rho_core(psi, delta, route, True) == char
-        assert vars(psi)["_kept_char"] == _rho_core(psi, -delta, route)
+        assert psi._kept_char == _rho_core(psi, -delta, route)
         # the pairs of equal listed blocks with unequal signs: discrete
         # neighbours, or two of the unipotent slots
         found = {

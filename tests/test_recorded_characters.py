@@ -10,8 +10,10 @@ printing and the wire format, and must give the same answers and refusals
 as a user-built copy of the same parameter, which carries no record and is
 validated and decided."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import sys
 
 import pytest
@@ -33,17 +35,17 @@ from sympacket.params import (
 )
 from sympacket.weights import Module, inf_char_of_weight, module_of, pi_nm, sigma_nk
 
-FIELDS = {"n", "unipotent", "discrete"}
+RECORDS = ("_inf_char", "_route", "_kept_char")
 DECIDE = {"pi": decide_pi, "sigma": decide_sigma}
 RHO = {"pi": rho_pi_general, "sigma": rho_sigma_general}
 
 
 def recorded(psi):
-    return vars(psi).get("_inf_char")
+    return psi._inf_char
 
 
 def route_record(psi):
-    return vars(psi).get("_route")
+    return psi._route
 
 
 def user_copy(psi):
@@ -80,8 +82,8 @@ def check_record(found):
         assert copy == psi and psi == copy and hash(copy) == hash(psi)
         assert repr(copy) == repr(psi) and str(copy) == str(psi)
         assert cli.param_to_json(copy) == cli.param_to_json(psi)
-        assert set(vars(copy)) == FIELDS
-        assert set(vars(dataclasses.replace(psi))) == FIELDS
+        for other in (copy, dataclasses.replace(psi)):
+            assert [getattr(other, name) for name in RECORDS] == [None] * 3
     assert sorted(copies) == found
     assert sorted(copies + found) == [p for psi in found for p in (psi, psi)]
 
@@ -437,7 +439,7 @@ def test_recorded_member_character_profiler_events():
 
 
 def kept_record(psi):
-    return vars(psi).get("_kept_char")
+    return psi._kept_char
 
 
 def fields(char):
@@ -613,3 +615,64 @@ def test_a_module_asked_with_equal_non_ints_is_refused():
                     membership._decide_route(p, family.capitalize(), n, value)
     with pytest.raises(ValueError, match="family must be 'pi' or 'sigma', got 'Pi'"):
         module_of("Pi", 4, 1)
+
+
+def round_trips():
+    """Each way to copy an object whole: ``copy.copy``, ``copy.deepcopy``
+    and a pickle of every protocol."""
+    yield copy.copy
+    yield copy.deepcopy
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield lambda x, protocol=protocol: pickle.loads(pickle.dumps(x, protocol))
+
+
+def test_copies_and_pickles_keep_the_records():
+    # an enumerated member with all three records (its second character
+    # kept), a wire-read parameter with one, a user-built one with none,
+    # and the characters: each copy equals its original, field by field
+    # and record by record, and answers as it does
+    members = packets("pi", 6, 4)
+    member = members[-1]
+    char = rho_pi_general(member, 6, 4, 1)
+    wire = cli.param_from_json(cli.param_to_json(member))
+    user = user_copy(member)
+    assert None not in (recorded(member), route_record(member), kept_record(member))
+    assert recorded(wire) is not None and route_record(wire) is None
+    for trip in round_trips():
+        for psi in (member, wire, user):
+            got = trip(psi)
+            assert type(got) is ArthurParameter and got == psi and got is not psi
+            assert str(got) == str(psi) and hash(got) == hash(psi)
+            assert [getattr(got, name) for name in RECORDS] == [
+                getattr(psi, name) for name in RECORDS
+            ]
+            for delta in (1, -1):
+                assert fields(rho_pi_general(got, 6, 4, delta)) == fields(
+                    rho_pi_general(user_copy(psi), 6, 4, delta)
+                )
+        built = PacketCharacter(1, (UnipotentBlock(0, 1),), (1,))
+        for original in (char, kept_record(member), built):
+            got = trip(original)
+            assert type(got) is PacketCharacter and fields(got) == fields(original)
+
+
+def test_parameters_and_characters_hold_no_dict_and_stay_frozen():
+    # the fields and records are slots: no per-object dictionary.  Setting
+    # or deleting a field or a record raises FrozenInstanceError.  Another
+    # name is refused too; a slotted frozen dataclass's check names the
+    # class before its slots were added, so a parameter may raise
+    # TypeError there (CPython 3.11 does)
+    member = packets("pi", 6, 4)[-1]
+    char = rho_pi_general(member, 6, 4, 1)
+    built = (member, user_copy(member), char, kept_record(member), PacketCharacter(1, (), ()))
+    for obj in built:
+        assert not hasattr(obj, "__dict__"), obj
+        is_param = isinstance(obj, ArthurParameter)
+        for name in obj.__match_args__ + (RECORDS if is_param else ()) + ("extra",):
+            refused = dataclasses.FrozenInstanceError
+            if name == "extra" and is_param:
+                refused = (dataclasses.FrozenInstanceError, TypeError)
+            with pytest.raises(refused):
+                setattr(obj, name, None)
+            with pytest.raises(refused):
+                delattr(obj, name)

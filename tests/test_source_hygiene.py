@@ -20,10 +20,11 @@ And in every module, ``__init__.py`` included:
 * the route record of a packet member (the attribute ``_route``) is read
   only in ``membership.py`` and set only in ``params.py``, so the one lookup
   (``membership._decide_route``) stays the only reader of it;
-* the character a member keeps for its second token (the attribute
-  ``_kept_char``) is read and set only in ``characters.py``, past the class
-  default of ``params.ArthurParameter``: only in ``_rho_core``, which sets
-  it, and in the two functions that return it.
+* the character a member keeps for its second token (the slot
+  ``_kept_char``) is read and stored only in ``characters.py``: stored only
+  by ``_rho_core``, through the slot's setter, and read by the two functions
+  that return it.  ``params.py`` declares the slot and sets it only to None,
+  when ``__post_init__`` or ``_trusted_params`` builds a parameter.
 """
 
 import ast
@@ -225,6 +226,18 @@ def test_route_record_is_read_by_membership_and_set_by_params():
     assert {use for _, use in found["params.py"]} == {"set"}
 
 
+def _calls_naming(tree, part):
+    """(function, line, last argument node) of each call, in a function or
+    method of ``tree``, of a bare name that contains ``part``, in order."""
+    return sorted(
+        (node.name, call.args[-1].lineno, call.args[-1])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and part in call.func.id
+    )
+
+
 def test_kept_character_is_read_and_set_by_characters():
     found = {
         module: sorted(_record_uses(tree, "_kept_char"))
@@ -243,10 +256,20 @@ def test_kept_character_is_read_and_set_by_characters():
         for module, uses in found.items()
     }
     assert {module: uses for module, uses in strays.items() if uses} == {}
-    # the one class default, and the three functions that use the record
+    # params.py declares the slot; only its two constructors call the
+    # slot's setter, with None, as they build a parameter
     assert [use for _, use in found["params.py"]] == ["default"]
+    assert [
+        (function, ast.literal_eval(value))
+        for function, _, value in _calls_naming(TREES["params.py"], "kept_char")
+    ] == [("__post_init__", None), ("_trusted_params", None)]
+    # characters.py binds the setter once, at module level, and stores a
+    # character through it only in _rho_core; two functions return it
+    assert [use for _, use in found["characters.py"]].count("set") == 1
+    assert [
+        function for function, _, _ in _calls_naming(TREES["characters.py"], "kept_char")
+    ] == ["_rho_core"]
     assert _functions_using(TREES["characters.py"], "_kept_char") == {
-        ("_rho_core", "set"),
         ("rho_pi_general", "read"),
         ("rho_sigma_general", "read"),
     }
