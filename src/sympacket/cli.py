@@ -36,7 +36,6 @@ from .params import (
     RankBoundError,
     UnipotentBlock,
     _parameter_count,
-    _segment_entries,
     _trusted_params,
     char_from_name,
     char_name,
@@ -128,9 +127,9 @@ def param_from_json(obj: Any) -> ArthurParameter:
     """The parameter of a wire object, refused (``ValidationError``) unless
     it is well formed, valid and of rank at most ``MAX_REPORT_RANK``.
 
-    It is validated here, once: the parameter returned records its
-    infinitesimal character (``params._trusted_params``), so the deciders
-    and characters it is handed to do not validate it again.
+    It is validated here, once: the parameter returned is marked valid
+    (``params._trusted_params``), so the deciders and characters it is
+    handed to do not validate it again.
     """
     if not isinstance(obj, dict):
         raise ValidationError("parameter must be a JSON object", ["BLOCK_SHAPE"])
@@ -157,8 +156,7 @@ def param_from_json(obj: Any) -> ArthurParameter:
     if violations:
         raise ValidationError(f"invalid parameter: {violations}", violations)
     _check_report_rank(psi.n)
-    entries = _segment_entries(psi)
-    return _trusted_params(psi.n, (psi.unipotent,), psi.discrete, entries)[0]
+    return _trusted_params(psi.n, (psi.unipotent,), psi.discrete)[0]
 
 
 def _read_param_file(path: str) -> str:

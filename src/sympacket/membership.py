@@ -48,7 +48,9 @@ Every packet question (``decide_pi`` / ``decide_sigma``, the characters,
 the command line's ``rho``) passes the triple it was asked to the one
 lookup, ``_decide_route``: a member's recorded route answers there, and
 any other question is checked there and decided by ``_decide_core``.  No
-other module reads the record.  Route tags on verdicts are stable wire
+other module reads the record.  Every decider trusts a parameter through
+one check, ``params._require_valid``, which returns at once for a parameter
+marked valid where it was built.  Route tags on verdicts are stable wire
 strings.
 """
 
@@ -74,13 +76,11 @@ from .params import (
     _order_key,
     _require_valid,
     _unipotent_block,
-    _valid_inf_char,
     contains_block,
     inf_char_of_param,
     remove_discrete_block,
 )
 from .weights import (
-    InfinitesimalCharacter,
     Module,
     _inf_char_entries,
     _record,
@@ -182,14 +182,11 @@ def _decide_route(
     names its module.  Asked about that triple with ``int`` rank and value,
     or about one ``module_of`` resolves to it (sigma_{2k,k} records
     pi_{2k}(k+1)), the record answers, unchecked.  Any other question checks
-    the module, then the parameter (valid, unless it records its character;
-    of the module's rank), then the character, and decides.  Every
-    parameter's character is compared by segment edges (``_same_inf_char``),
-    with no entry listed: a recorded character (a member asked about another
-    module, a parameter read from the wire) is the one of its blocks, so the
-    record only spares the validation.  The characters keep a member's
-    second character only on a question its record answered, so that they
-    need not read the record themselves.
+    the module, then the parameter (valid, ``params._require_valid``, which
+    trusts a marked one; of the module's rank), then the character by
+    segment edges (``_same_inf_char``), with no entry listed, and decides.
+    The characters keep a member's second character only on a question its
+    record answered, so that they need not read the record themselves.
     """
     route = psi._route
     if route is not None and type(n) is type(value) is int and route.module == (family, n, value):
@@ -197,8 +194,7 @@ def _decide_route(
     module = module_of(family, n, value)
     if route is not None and route.module == module:  # sigma_{2k,k}
         return route, True
-    if psi._inf_char is None:
-        _require_valid(psi)
+    _require_valid(psi)
     if psi.n != module.n:
         raise ValueError("parameter rank does not match n")
     if not _same_inf_char(psi, module):
@@ -265,7 +261,8 @@ def decide_regular(psi: ArthurParameter, a: int) -> bool:
     2a + 1.  An index that is not an int, a bool or a float included, is
     refused.
     """
-    chi = InfinitesimalCharacter(_valid_inf_char(psi))
+    _require_valid(psi)
+    chi = inf_char_of_param(psi)
     if not chi.is_regular():
         raise ValueError("infinitesimal character is not regular")
     amax = regular_a_max(chi)
@@ -507,8 +504,8 @@ def _enumerate_packets(
     block.  THM71_I's covers have the one unipotent block R[1], so only a
     route of top 1, THM71_II_A1 at m = n, meets them, and only there are
     they left out.  Each parameter built is a member, by the route that
-    built it, so no decider runs; it records the module's character entries
-    and that route (``params._trusted_params``), so the members are sorted
+    built it, so no decider runs; it is marked valid and records that route
+    (``params._trusted_params``), so the members are sorted
     by ``params._order_key`` alone and each takes its verdict from its
     route.
     """
@@ -526,7 +523,7 @@ def _enumerate_packets(
                 disjoint = set(taken)
                 covers = [c for c in covers if c not in disjoint]
         for unip_dims, discrete in covers:
-            members += _cover_params(n, entries, unip_dims, discrete, route.char, route)
+            members += _cover_params(n, unip_dims, discrete, route.char, route)
     members.sort(key=_order_key)
     return [(psi, psi._route.verdict) for psi in members]
 

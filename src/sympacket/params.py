@@ -18,6 +18,11 @@ that multiset equality is tuple equality.  ``enumerate_params`` produces the
 complete duplicate-free list of valid parameters with a prescribed
 infinitesimal character by covering the character multiset with centered
 segments (unipotent) and mirrored off-center segments (discrete).
+
+A parameter is validated once.  The parameters built here, by the packet
+enumerators and by the wire reader (``_trusted_params``) carry a mark that
+says they are valid; ``_require_valid``, the one trust check of every
+decider, returns at once for them and validates any other.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import itertools
 import operator
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import NamedTuple
 
 from .weights import InfinitesimalCharacter
@@ -130,9 +135,9 @@ def _unip_key(block: UnipotentBlock) -> tuple[int, int]:
 
 
 def _record_slot():
-    """A record of ``ArthurParameter``: a slot that ``__init__``, ``==``,
-    ``hash``, the order and ``repr`` leave out, set to None by
-    ``__post_init__`` (or to a record by ``_trusted_params``)."""
+    """A mark or record of ``ArthurParameter``: a slot that ``__init__``,
+    ``==``, ``hash``, the order and ``repr`` leave out, set by
+    ``__post_init__`` and by ``_trusted_params``."""
     return field(init=False, repr=False, compare=False)
 
 
@@ -147,23 +152,24 @@ class ArthurParameter:
     n: int
     unipotent: tuple[UnipotentBlock, ...]
     discrete: tuple[DiscreteBlock, ...] = ()
-    # Records (``_record_slot``): the entries of the infinitesimal
-    # character, and the route of ``membership._routes`` that admitted an
-    # enumerated member, which ``_trusted_params`` records; and a member's
-    # character of the second token, which ``characters._rho_core`` keeps
-    # when its route record answered.  None reads as "no record": the
-    # constructor and ``dataclasses.replace`` make parameters without them.
-    _inf_char: tuple[int, ...] | None = _record_slot()
+    # The mark and the records (``_record_slot``): whether the parameter is
+    # known valid (``_require_valid`` reads it), and the route of
+    # ``membership._routes`` that admitted an enumerated member, both set by
+    # ``_trusted_params``; and a member's character of the second token,
+    # which ``characters._rho_core`` keeps when its route record answered.
+    # The constructor and ``dataclasses.replace`` make unmarked parameters
+    # (False), whose records are None.
+    _valid: bool = _record_slot()
     _route: tuple | None = _record_slot()
     _kept_char: object | None = _record_slot()  # a characters.PacketCharacter
 
     def __post_init__(self) -> None:
         # past the frozen __setattr__, through the slots' setters, as
-        # _trusted_params writes them: the blocks as tuples, and no records
-        _, set_unipotent, set_discrete, set_inf_char, set_route, set_kept_char = _SLOT_SETTERS
+        # _trusted_params writes them: the blocks as tuples, and unmarked
+        _, set_unipotent, set_discrete, set_valid, set_route, set_kept_char = _SLOT_SETTERS
         set_unipotent(self, tuple(self.unipotent))
         set_discrete(self, tuple(self.discrete))
-        set_inf_char(self, None)
+        set_valid(self, False)
         set_route(self, None)
         set_kept_char(self, None)
 
@@ -185,6 +191,21 @@ class ArthurParameter:
     def __str__(self) -> str:
         parts = [str(b) for b in self.discrete] + [str(b) for b in self.unipotent]
         return " ⊕ ".join(parts)
+
+
+# In place of the dataclass's own pair, which for a name that is not a field
+# calls ``super()`` with the class as it was before ``slots=True`` rebuilt
+# it, and so raises TypeError; the slots admit no other name anyway.
+def _refuse_set(self: ArthurParameter, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self: ArthurParameter, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+ArthurParameter.__setattr__ = _refuse_set
+ArthurParameter.__delattr__ = _refuse_delete
 
 
 def validate(psi: ArthurParameter) -> list[str]:
@@ -247,18 +268,11 @@ def validate(psi: ArthurParameter) -> list[str]:
 
 
 def inf_char_of_param(psi: ArthurParameter) -> InfinitesimalCharacter:
-    """Infinitesimal character of the packet attached to the parameter,
-    checked as every ``InfinitesimalCharacter`` is (``_segment_entries``)."""
-    return InfinitesimalCharacter(_segment_entries(psi))
-
-
-def _segment_entries(psi: ArthurParameter) -> tuple[int, ...]:
-    """The entries of the parameter's infinitesimal character, decreasing.
+    """Infinitesimal character of the packet attached to the parameter.
 
     Each unipotent block contributes the centered segment of its dimension,
-    each discrete block the segment [bottom, top] plus its mirror image.
-    The entries are sorted once and not checked: for a valid parameter they
-    are an infinitesimal character.
+    each discrete block the segment [bottom, top] plus its mirror image;
+    ``InfinitesimalCharacter`` sorts and checks them.
     """
     entries: list[int] = []
     for b in psi.unipotent:
@@ -268,8 +282,7 @@ def _segment_entries(psi: ArthurParameter) -> tuple[int, ...]:
         bottom, top = b.bottom, b.top
         entries += range(bottom, top + 1)
         entries += range(-top, 1 - bottom)
-    entries.sort(reverse=True)
-    return tuple(entries)
+    return InfinitesimalCharacter(entries)
 
 
 def a_psi(psi: ArthurParameter) -> int:
@@ -457,37 +470,34 @@ def _trusted_params(
     n: int,
     unipotents: Iterable[tuple[UnipotentBlock, ...]],
     discrete: tuple[DiscreteBlock, ...],
-    entries: tuple[int, ...],
     route: tuple | None = None,
 ) -> list[ArthurParameter]:
     """One ``ArthurParameter`` per tuple of unipotent blocks, all with these
     discrete blocks, from tuples in canonical order, with no frame or tuple
-    coercion of ``__post_init__`` each; each records the entries of its
-    infinitesimal character and, with ``route``, the route of
-    ``membership._routes`` that admits it to the packet of its module.
+    coercion of ``__post_init__`` each; each is marked valid and, with
+    ``route``, records the route of ``membership._routes`` that admits it
+    to the packet of its module.
 
-    The caller vouches that the blocks form valid parameters whose
-    infinitesimal character has exactly these (decreasing) ``entries``:
-    ``_valid_inf_char`` returns them, and ``membership._decide_route``
-    compares the blocks' segments without validating; and that the route
-    is the first of its module's table whose shape each has: the one lookup,
-    ``membership._decide_route``, returns it without deciding.  The records
-    are slots that ``==``, ``hash``, the order, ``repr`` and ``str`` ignore
-    (``_record_slot``).  Each of the six slots is written through its
-    descriptor's setter, bound once (``_SLOT_SETTERS``), past the frozen
-    ``__setattr__``; a slot has no class default, so ``_kept_char`` is set
-    to None here, as ``__post_init__`` sets all three records for any other
-    parameter.
+    The caller vouches that the blocks form valid parameters:
+    ``_require_valid`` trusts the mark without validating; and that the
+    route is the first of its module's table whose shape each has: the one
+    lookup, ``membership._decide_route``, returns it without deciding.  The
+    mark and records are slots that ``==``, ``hash``, the order, ``repr``
+    and ``str`` ignore (``_record_slot``).  Each of the six slots is written
+    through its descriptor's setter, bound once (``_SLOT_SETTERS``), past
+    the frozen ``__setattr__``; a slot has no class default, so
+    ``_kept_char`` is set to None here, as ``__post_init__`` sets it for
+    any other parameter.
     """
     new = object.__new__
-    set_n, set_unipotent, set_discrete, set_inf_char, set_route, set_kept_char = _SLOT_SETTERS
+    set_n, set_unipotent, set_discrete, set_valid, set_route, set_kept_char = _SLOT_SETTERS
     built = []
     for unipotent in unipotents:
         psi = new(ArthurParameter)
         set_n(psi, n)
         set_unipotent(psi, unipotent)
         set_discrete(psi, discrete)
-        set_inf_char(psi, entries)
+        set_valid(psi, True)
         set_route(psi, route)
         set_kept_char(psi, None)
         built.append(psi)
@@ -499,28 +509,15 @@ _SLOT_SETTERS = tuple(vars(ArthurParameter)[name].__set__ for name in ArthurPara
 
 
 def _require_valid(psi: ArthurParameter) -> None:
-    """Refuse a parameter with any ``validate`` violation."""
+    """Refuse a parameter with any ``validate`` violation (``ValueError``
+    naming the codes).  A parameter marked valid by ``_trusted_params``
+    returns at once: this is the one trust check of the deciders, and the
+    only reader of the mark."""
+    if psi._valid:
+        return
     codes = validate(psi)
     if codes:
         raise ValueError(f"invalid parameter {psi}: {codes}")
-
-
-def _valid_inf_char(psi: ArthurParameter) -> tuple[int, ...]:
-    """The entries of the infinitesimal character of a valid parameter.
-
-    A parameter from ``_trusted_params`` returns the entries it recorded,
-    unchecked.  Any other is validated first (``ValueError`` naming the
-    violation codes) and its entries read off its segments
-    (``_segment_entries``), with no ``InfinitesimalCharacter`` built.
-    ``membership.decide_regular`` reads it; the packet questions do not
-    (``membership._decide_route`` validates a user-built parameter and
-    compares segment edges, with no entry listed).
-    """
-    entries = psi._inf_char
-    if entries is None:
-        _require_valid(psi)
-        entries = _segment_entries(psi)
-    return entries
 
 
 @functools.lru_cache(maxsize=1024)
@@ -582,7 +579,11 @@ def _parameter_count(entries: tuple[int, ...]) -> int:
 
 
 def _check_rank(n: int, max_rank: int) -> None:
-    """Refuse a rank below 1 or above the enumeration cap ``max_rank``."""
+    """Refuse a rank that is not an ``int`` (a bool or float included, as
+    ``weights.module_of`` does), below 1 or above the enumeration cap
+    ``max_rank``."""
+    if type(n) is not int:
+        raise ValueError(f"rank must be int, got n={n!r}")
     if n < 1:
         raise ValueError("rank must be positive")
     if n > max_rank:
@@ -591,16 +592,15 @@ def _check_rank(n: int, max_rank: int) -> None:
 
 def _cover_params(
     n: int,
-    entries: tuple[int, ...],
     unip_dims: tuple[int, ...],
     discrete: tuple[DiscreteBlock, ...],
     top_char: int | None = None,
     route: tuple | None = None,
 ) -> list[ArthurParameter]:
     """The parameters of rank n on one cover (unipotent dims, discrete
-    blocks) of the character ``entries``, recording the entries (and
-    ``route``, see ``_trusted_params``); with ``top_char``, only those with
-    a block of the largest unipotent dimension and that character.
+    blocks), marked valid (and recording ``route``, see
+    ``_trusted_params``); with ``top_char``, only those with a block of the
+    largest unipotent dimension and that character.
 
     Each cover is canonical (_char_assignments yields unipotent blocks in
     _unip_key order), covers the 2n+1 entries with well-shaped blocks, and
@@ -611,14 +611,14 @@ def _cover_params(
     """
     parity = (2 * n + 1 - sum(unip_dims)) // 2 % 2
     unipotents = _char_assignments(unip_dims, parity, top_char)
-    return _trusted_params(n, unipotents, discrete, entries, route)
+    return _trusted_params(n, unipotents, discrete, route)
 
 
 def enumerate_params(
     chi: InfinitesimalCharacter, n: int, max_rank: int = MAX_ENUMERATION_RANK
 ) -> list[ArthurParameter]:
     """All valid parameters of rank n with inf. character chi, canonicalized,
-    each recording ``chi.entries`` (``_trusted_params``).
+    each marked valid (``_trusted_params``).
 
     The rank is capped by ``max_rank`` (default ``MAX_ENUMERATION_RANK``)
     since the cover search is combinatorial; raise the cap explicitly for
@@ -627,10 +627,9 @@ def enumerate_params(
     _check_rank(n, max_rank)
     if chi.rank != n:
         raise ValueError("character length must be 2n+1")
-    entries = chi.entries
     out: list[ArthurParameter] = []
-    for unip_dims, discrete in _all_segment_covers(entries):
-        out += _cover_params(n, entries, unip_dims, discrete)
+    for unip_dims, discrete in _all_segment_covers(chi.entries):
+        out += _cover_params(n, unip_dims, discrete)
     out.sort(key=_order_key)
     return out
 

@@ -229,8 +229,9 @@ def checked_inf_char_entries(psi: ArthurParameter) -> tuple[int, ...]:
 
 
 def valid_inf_char_by_copy(psi: ArthurParameter) -> tuple[int, ...]:
-    """``params._valid_inf_char`` of a parameter with no record: refused
-    with the codes of ``validate_by_copy``, else ``checked_inf_char_entries``."""
+    """The entries of ``params.inf_char_of_param`` of a parameter that
+    ``params._require_valid`` admits: refused with the codes of
+    ``validate_by_copy``, else ``checked_inf_char_entries``."""
     codes = validate_by_copy(psi)
     if codes:
         raise ValueError(f"invalid parameter {psi}: {codes}")

@@ -26,7 +26,6 @@ from sympacket.params import (
     _all_segment_covers,
     _cover_params,
     _parameter_count,
-    _valid_inf_char,
 )
 from sympacket.weights import InfinitesimalCharacter, inf_char_of_weight, pi_nm, sigma_nk
 
@@ -313,10 +312,10 @@ def test_top_character_filter():
     # block of the largest unipotent dimension with that character
     for n, chi in module_characters(7):
         for cover in _all_segment_covers(chi.entries):
-            every = list(_cover_params(n, chi.entries, *cover))
+            every = list(_cover_params(n, *cover))
             top = cover[0][0]
             for char in (CHAR_TRIV, CHAR_SGN):
-                assert list(_cover_params(n, chi.entries, *cover, char)) == [
+                assert list(_cover_params(n, *cover, char)) == [
                     psi for psi in every if UnipotentBlock(char, top) in psi.unipotent
                 ]
 
@@ -329,6 +328,18 @@ def test_enumeration_guard_rails():
         enumerate_params(chi, 5, max_rank=4)
     with pytest.raises(ValueError):
         enumerate_params(chi, 4)  # rank mismatch
+
+
+def test_enumeration_refuses_a_rank_that_is_not_an_int():
+    # True and 1.0 equal the rank 1 of this character; parameters of such a
+    # rank, which validate refuses (BLOCK_SHAPE), would be marked valid
+    chi = inf_char_of_weight(pi_nm(1, 1))
+    found = enumerate_params(chi, 1)
+    assert found and all(validate(psi) == [] for psi in found)
+    for bad in (True, 1.0):
+        assert validate(ArthurParameter(bad, found[0].unipotent, found[0].discrete))
+        with pytest.raises(ValueError, match=f"rank must be int, got n={bad!r}"):
+            enumerate_params(chi, bad)
 
 
 def test_enumeration_gapped_regular_character():
@@ -464,14 +475,19 @@ def outcome(fn, psi):
 @settings(max_examples=300, deadline=None)
 def test_boundary_agrees_with_the_canonical_copy_oracle(psi):
     # validate's neighbour comparison gives the codes that comparing with the
-    # canonical copy gives, and _valid_inf_char the checked character's
-    # entries, or the same refusal
+    # canonical copy gives, and _require_valid then inf_char_of_param the
+    # checked character's entries, or the same refusal
     assert validate(psi) == validate_by_copy(psi)
-    assert outcome(_valid_inf_char, psi) == outcome(valid_inf_char_by_copy, psi)
+    assert outcome(valid_inf_char, psi) == outcome(valid_inf_char_by_copy, psi)
+
+
+def valid_inf_char(psi):
+    params._require_valid(psi)
+    return inf_char_of_param(psi).entries
 
 
 def test_segment_entries_are_the_checked_characters(ranks_1_to_9):
-    # every parameter enumerated at ranks <= 8, stripped of its record, as a
+    # every parameter enumerated at ranks <= 8, stripped of its mark, as a
     # user would build it
     checked = 0
     for (_, n, _), found in ranks_1_to_9.items():
@@ -479,8 +495,8 @@ def test_segment_entries_are_the_checked_characters(ranks_1_to_9):
             continue
         for psi in found.params:
             copy = dataclasses.replace(psi)
-            assert copy._inf_char is None
-            assert _valid_inf_char(copy) == checked_inf_char_entries(copy), str(psi)
+            assert copy._valid is False
+            assert inf_char_of_param(copy).entries == checked_inf_char_entries(copy), str(psi)
             checked += 1
     assert checked
 

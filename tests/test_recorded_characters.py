@@ -1,14 +1,16 @@
-"""Parameters built by the enumerators record their infinitesimal character
-(``params._trusted_params``), and packet members also the route (which
-names its module) that admitted them; the one lookup of the public deciders
-and characters (``membership._decide_route``) reads the records instead of
-validating and deciding.  On a character question the route record
-answers, a member also keeps the character of the other Whittaker token
-(``_kept_char``), which answers the next question for that token.  The
-records must never lie, must be invisible to equality, hashing, order,
-printing and the wire format, and must give the same answers and refusals
-as a user-built copy of the same parameter, which carries no record and is
-validated and decided."""
+"""Parameters built by the enumerators and the wire reader are marked valid
+(``params._trusted_params``), and packet members also record the route
+(which names its module) that admitted them; the one trust check
+(``params._require_valid``) reads the mark instead of validating, and the
+one lookup of the public deciders and characters
+(``membership._decide_route``) reads the route instead of deciding.  On a
+character question the route record answers, a member also keeps the
+character of the other Whittaker token (``_kept_char``), which answers the
+next question for that token.  The mark and records must never lie, must
+be invisible to equality, hashing, order, printing and the wire format,
+and must give the same answers and refusals as a user-built copy of the
+same parameter, which is unmarked, carries no record and is validated and
+decided."""
 
 import copy
 import dataclasses
@@ -30,18 +32,17 @@ from sympacket.params import (
     ArthurParameter,
     UnipotentBlock,
     enumerate_params,
-    inf_char_of_param,
     validate,
 )
 from sympacket.weights import Module, inf_char_of_weight, module_of, pi_nm, sigma_nk
 
-RECORDS = ("_inf_char", "_route", "_kept_char")
+RECORDS = ("_valid", "_route", "_kept_char")
 DECIDE = {"pi": decide_pi, "sigma": decide_sigma}
 RHO = {"pi": rho_pi_general, "sigma": rho_sigma_general}
 
 
-def recorded(psi):
-    return psi._inf_char
+def marked(psi):
+    return psi._valid
 
 
 def route_record(psi):
@@ -73,17 +74,17 @@ def weight(family, n, value):
 
 
 def check_record(found):
-    """Each parameter is valid, records its own character and is, to every
-    observer but the record, its user-built copy."""
+    """Each parameter is marked valid, is valid, and is, to every observer
+    but the mark, its user-built copy, which is unmarked."""
     copies = [user_copy(psi) for psi in found]
     for psi, copy in zip(found, copies):
+        assert marked(psi) is True
         assert validate(psi) == []
-        assert recorded(psi) == inf_char_of_param(psi).entries
         assert copy == psi and psi == copy and hash(copy) == hash(psi)
         assert repr(copy) == repr(psi) and str(copy) == str(psi)
         assert cli.param_to_json(copy) == cli.param_to_json(psi)
         for other in (copy, dataclasses.replace(psi)):
-            assert [getattr(other, name) for name in RECORDS] == [None] * 3
+            assert [getattr(other, name) for name in RECORDS] == [False, None, None]
     assert sorted(copies) == found
     assert sorted(copies + found) == [p for psi in found for p in (psi, psi)]
 
@@ -94,8 +95,6 @@ def test_enumerated_parameters_record_their_character():
         found = enumerate_params(chi, n)
         assert found
         check_record(found)
-        # one enumeration shares one record
-        assert len({id(recorded(psi)) for psi in found}) == 1
 
 
 def test_packet_members_record_their_character():
@@ -110,7 +109,7 @@ def test_wire_parameters_record_their_character():
         for psi in packets(family, n, value):
             read = cli.param_from_json(cli.param_to_json(psi))
             assert read == psi
-            assert recorded(read) == recorded(psi)
+            check_record([read])
 
 
 def outcome(fn, *args):
@@ -128,7 +127,7 @@ def test_recorded_and_user_built_parameters_get_the_same_answers(ranks_1_to_9):
         members = {psi for psi, _ in found.members}
         for psi in found.params:
             copy = user_copy(psi)
-            assert recorded(psi) is not None and recorded(copy) is None
+            assert marked(psi) and not marked(copy)
             verdict = DECIDE[family](psi, n, value)
             assert verdict == DECIDE[family](copy, n, value)
             assert verdict.member == (psi in members)
@@ -219,8 +218,8 @@ def test_enumerated_members_are_not_decided_again(monkeypatch):
     # nor decided, and no character is read.  A user-built copy is validated
     # and decided once per question and compared by segment edges
     # (``membership._same_inf_char``): no entries of its own are listed
-    # (``params._segment_entries``, ``_valid_inf_char``) and none of the
-    # module's (``membership._module_inf_char``).  A member asked about
+    # (``inf_char_of_param``) and none of the module's
+    # (``membership._module_inf_char``).  A member asked about
     # pi_n(n+1-m), which shares the character of pi_n(m) (and is another
     # module unless n = 2m - 1), is not validated, and is compared by
     # segment edges and decided once.  No question builds a module's
@@ -242,11 +241,11 @@ def test_enumerated_members_are_not_decided_again(monkeypatch):
 
     membership._module_inf_char.cache_clear()
     for owner, attr, name in [
-        (membership, "_require_valid", "valid"),
+        (params, "validate", "valid"),
         (membership, "_decide_core", "core"),
         (membership, "_same_inf_char", "edges"),
-        (membership, "_valid_inf_char", "entries"),
-        (params, "_segment_entries", "entries"),
+        (membership, "inf_char_of_param", "entries"),
+        (params, "inf_char_of_param", "entries"),
         (membership, "_module_inf_char", "module"),
     ]:
         monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
@@ -277,6 +276,9 @@ def test_enumerated_members_are_not_decided_again(monkeypatch):
                 asked += 1
     assert asked
     assert built and max(built.values()) == 1, built
+    # the counters see a validation and a character listed
+    regular = ArthurParameter(1, (UnipotentBlock(0, 3),))
+    assert counts(membership.decide_regular, regular, 1) == (1, 0, 0, 1, 0, 0)
 
 
 def test_member_characters_are_built_once_unchecked(monkeypatch):
@@ -495,9 +497,9 @@ def counting_recipe(monkeypatch):
 
 
 def test_user_built_parameters_keep_no_character(monkeypatch):
-    # a user-built copy, and a parameter read from the wire (which records
-    # its character but no route), runs the one-token recipe on every ask,
-    # the same token asked twice included, and carries no third record
+    # a user-built copy, and a parameter read from the wire (which is
+    # marked valid but records no route), runs the one-token recipe on every
+    # ask, the same token asked twice included, and keeps no character
     runs = counting_recipe(monkeypatch)
     asked = 0
     for family, n, value in modules(6):
@@ -627,8 +629,8 @@ def round_trips():
 
 
 def test_copies_and_pickles_keep_the_records():
-    # an enumerated member with all three records (its second character
-    # kept), a wire-read parameter with one, a user-built one with none,
+    # an enumerated member marked and with both records (its second
+    # character kept), a wire-read parameter marked, a user-built one bare,
     # and the characters: each copy equals its original, field by field
     # and record by record, and answers as it does
     members = packets("pi", 6, 4)
@@ -636,8 +638,8 @@ def test_copies_and_pickles_keep_the_records():
     char = rho_pi_general(member, 6, 4, 1)
     wire = cli.param_from_json(cli.param_to_json(member))
     user = user_copy(member)
-    assert None not in (recorded(member), route_record(member), kept_record(member))
-    assert recorded(wire) is not None and route_record(wire) is None
+    assert marked(member) and None not in (route_record(member), kept_record(member))
+    assert marked(wire) and route_record(wire) is None
     for trip in round_trips():
         for psi in (member, wire, user):
             got = trip(psi)
@@ -657,11 +659,9 @@ def test_copies_and_pickles_keep_the_records():
 
 
 def test_parameters_and_characters_hold_no_dict_and_stay_frozen():
-    # the fields and records are slots: no per-object dictionary.  Setting
-    # or deleting a field or a record raises FrozenInstanceError.  Another
-    # name is refused too; a slotted frozen dataclass's check names the
-    # class before its slots were added, so a parameter may raise
-    # TypeError there (CPython 3.11 does)
+    # the fields, the mark and the records are slots: no per-object
+    # dictionary.  Setting or deleting a field, the mark, a record or any
+    # other name raises FrozenInstanceError
     member = packets("pi", 6, 4)[-1]
     char = rho_pi_general(member, 6, 4, 1)
     built = (member, user_copy(member), char, kept_record(member), PacketCharacter(1, (), ()))
@@ -669,10 +669,7 @@ def test_parameters_and_characters_hold_no_dict_and_stay_frozen():
         assert not hasattr(obj, "__dict__"), obj
         is_param = isinstance(obj, ArthurParameter)
         for name in obj.__match_args__ + (RECORDS if is_param else ()) + ("extra",):
-            refused = dataclasses.FrozenInstanceError
-            if name == "extra" and is_param:
-                refused = (dataclasses.FrozenInstanceError, TypeError)
-            with pytest.raises(refused):
+            with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, None)
-            with pytest.raises(refused):
+            with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(obj, name)

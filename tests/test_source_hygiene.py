@@ -24,7 +24,11 @@ And in every module, ``__init__.py`` included:
   ``_kept_char``) is read and stored only in ``characters.py``: stored only
   by ``_rho_core``, through the slot's setter, and read by the two functions
   that return it.  ``params.py`` declares the slot and sets it only to None,
-  when ``__post_init__`` or ``_trusted_params`` builds a parameter.
+  when ``__post_init__`` or ``_trusted_params`` builds a parameter;
+* the validity mark of a parameter (the slot ``_valid``) is read only by
+  ``params._require_valid``, the one trust check, and set only through its
+  slot's setter: to False in ``__post_init__``, to True in
+  ``_trusted_params``.
 """
 
 import ast
@@ -273,3 +277,16 @@ def test_kept_character_is_read_and_set_by_characters():
         ("rho_pi_general", "read"),
         ("rho_sigma_general", "read"),
     }
+
+
+def test_validity_mark_is_read_by_require_valid_and_set_by_constructors():
+    found = {module: sorted(_record_uses(tree, "_valid")) for module, tree in TREES.items()}
+    assert {module: uses for module, uses in found.items() if module != "params.py" and uses} == {}
+    # params.py declares the slot and reads it once, in _require_valid
+    assert [use for _, use in found["params.py"]] == ["default", "read"]
+    assert _functions_using(TREES["params.py"], "_valid") == {("_require_valid", "read")}
+    # only the two constructors call the slot's setter: False, then True
+    assert [
+        (function, ast.literal_eval(value))
+        for function, _, value in _calls_naming(TREES["params.py"], "set_valid")
+    ] == [("__post_init__", False), ("_trusted_params", True)]
