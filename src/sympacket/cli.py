@@ -184,7 +184,7 @@ def _load_param(spec: str) -> ArthurParameter:
         text = _read_param_file(spec)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ValidationError(
             f"parameter is not valid JSON: {exc}", ["PARAM_JSON"]
         ) from exc
@@ -230,7 +230,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         "parameters_with_inf_char": _parameter_count(entries),
         "packets": [
             {
-                "parameter": param_to_json(psi),
+                "parameter": psi,
                 "route": verdict.route,
                 "multiplicity": verdict.multiplicity,
             }
@@ -242,28 +242,19 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 def _cmd_decide(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     psi = _load_param(args.param)
-    inputs: dict[str, Any] = {"parameter": param_to_json(psi)}
+    inputs: dict[str, Any] = {"parameter": psi}
     if args.pi is not None:
         inputs["pi_m"] = args.pi
         verdict = membership.decide_pi(psi, psi.n, args.pi)
-        results = {
-            "member": verdict.member,
-            "route": verdict.route,
-            "multiplicity": verdict.multiplicity,
-            "oracle_agrees": membership.decide_pi_recursive(psi, psi.n, args.pi)
-            == verdict.member,
-        }
     elif args.sigma is not None:
         inputs["sigma_k"] = args.sigma
         verdict = membership.decide_sigma(psi, psi.n, args.sigma)
-        results = {
-            "member": verdict.member,
-            "route": verdict.route,
-            "multiplicity": verdict.multiplicity,
-        }
     else:
         inputs["regular_a"] = args.regular
-        results = {"member": membership.decide_regular(psi, args.regular)}
+        return _report("decide", inputs, {"member": membership.decide_regular(psi, args.regular)}), 0
+    results = {"member": verdict.member, "route": verdict.route, "multiplicity": verdict.multiplicity}
+    if args.pi is not None:
+        results["oracle_agrees"] = membership.decide_pi_recursive(psi, psi.n, args.pi) == verdict.member
     return _report("decide", inputs, results), 0
 
 
@@ -280,7 +271,7 @@ def _cmd_rho(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     psi = _load_param(args.param)
     delta = args.whittaker
     inputs = {
-        "parameter": param_to_json(psi),
+        "parameter": psi,
         "module": args.module,
         "whittaker": delta,
         label: value,
@@ -472,8 +463,9 @@ def _report(command: str, inputs: dict[str, Any], results: dict[str, Any]) -> di
 
 
 def _indented_json(value: Any) -> str:
-    """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives, built
-    in one list and joined once.
+    """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives, with
+    each ``ArthurParameter`` in it as its ``param_to_json`` object, built in
+    one list and joined once.
 
     CPython's C encoder does not take ``indent``, so ``json.dumps`` falls
     back to its generator-based Python encoder there; this walk takes less
@@ -484,17 +476,37 @@ def _indented_json(value: Any) -> str:
     are tested by identity (``1.0 == True``), containers with
     ``isinstance``, so a subclass of dict or list is walked as one.  A
     report is a tree, so no circular reference is looked for: one would
-    end in ``RecursionError``.
+    end in ``RecursionError``.  A parameter is written from its fields, and
+    each distinct block's text is built once per call and indentation.
     """
     parts: list[str] = []
     append = parts.append
     enc = _encode_str
     int_repr = int.__repr__
+    texts: dict[tuple, str] = {}  # this call's block texts
+
+    def blocks(items: tuple, nl: str) -> str:
+        inner = nl + "  "
+        out = []
+        for b in items:
+            # equal tuples may differ in kind or field type: (1, 2), (True, 2)
+            first, second = b
+            key = (b.__class__, b, inner, first.__class__, second.__class__)
+            text = texts.get(key)
+            if text is None:
+                start = len(parts)
+                write(_block_to_json(b), inner)
+                text = texts[key] = "".join(parts[start:])
+                del parts[start:]
+            out.append(text)
+        return f"[{inner}" + f",{inner}".join(out) + f"{nl}]" if out else "[]"
 
     def write(value: Any, nl: str) -> None:
         # the scalars of a container are written in its loop, with no call
         if isinstance(value, str):
             append(enc(value))
+        elif type(value) is int:  # a parameter's rank
+            append(int_repr(value))
         elif value is None:
             append("null")
         elif value is True:
@@ -537,6 +549,11 @@ def _indented_json(value: Any) -> str:
                     write(item, inner)
                 sep = "," + inner
             append(nl + "]")
+        elif isinstance(value, ArthurParameter):  # keys as param_to_json sorts them
+            inner = nl + "  "
+            append(f'{{{inner}"discrete": {blocks(value.discrete, inner)},{inner}"n": ')
+            write(value.n, inner)
+            append(f',{inner}"unipotent": {blocks(value.unipotent, inner)}{nl}}}')
         else:
             append(json.dumps(value))
 
@@ -553,28 +570,29 @@ def _json_key(key: Any) -> str:
     )
 
 
-# ``json.dumps(value, sort_keys=True)`` builds a new encoder on every call
-_compact_json = json.JSONEncoder(sort_keys=True).encode
+# ``json.dumps(value, sort_keys=True)`` builds a new encoder on every call; a
+# report's parameters inside containers are written as their wire objects
+_compact_json = json.JSONEncoder(sort_keys=True, default=param_to_json).encode
 
 
 def _print_report(report: dict, fmt: str) -> None:
     if fmt == "json":
         print(_indented_json(report))
         return
-    print(f"# {report['command']}")
+    lines = [f"# {report['command']}"]
     for section in ("inputs", "results"):
-        print(f"[{section}]")
-        for key, value in report[section].items():
-            print(f"  {key} = {_render_value(value)}")
+        lines.append(f"[{section}]")
+        lines += [f"  {key} = {_render_value(value)}" for key, value in report[section].items()]
+    print("\n".join(lines))
 
 
 def _render_value(value: Any) -> str:
-    if isinstance(value, dict) and {"n", "unipotent", "discrete"} <= set(value):
-        unip = [
-            f"{b['char']}⊠R[{b['dim']}]" for b in value["unipotent"]
-        ]
-        disc = [f"δ_{b['t']}⊠R[{b['a']}]" for b in value["discrete"]]
-        return " ⊕ ".join(disc + unip) + f"  (n={value['n']})"
+    if type(value) is str:
+        return _encode_str(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, ArthurParameter):
+        return f"{value}  (n={value.n})"
     return _compact_json(value)
 
 

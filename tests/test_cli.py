@@ -602,6 +602,59 @@ def test_deeply_nested_parameter_names_a_violation(capsys, tmp_path):
         assert payload["error"].startswith("parameter is nested too deeply")
 
 
+def test_overlong_integer_in_a_parameter_is_not_json(capsys, tmp_path):
+    # json.loads refuses an integer longer than the interpreter's digit limit
+    # (4,300 digits by default) with a plain ValueError, not JSONDecodeError
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    spec = '{"n": ' + "9" * (limit + 1) + ', "unipotent": []}'
+    path = tmp_path / "long.json"
+    path.write_text(spec, encoding="utf-8")
+    for param in (spec, str(path)):
+        code, out, err = run(capsys, ["decide", "--param", param, "--pi", "1"])
+        assert (code, out) == (2, "")
+        payload = json.loads(err)
+        assert payload["violations"] == ["PARAM_JSON"]
+        assert payload["error"].startswith("parameter is not valid JSON: ")
+
+
+def test_reports_write_parameters_from_the_records(capsys, monkeypatch):
+    # a report holds each parameter as it is; the writer builds the text of
+    # each distinct block once, from _block_to_json, and never the wire dict
+    # of a whole parameter (param_to_json)
+    wired, built = [], {}
+    param_to_json, block_to_json = cli.param_to_json, cli._block_to_json
+
+    def counted_param(psi):
+        wired.append(psi)
+        return param_to_json(psi)
+
+    def counted_block(block):
+        key = (type(block), block)
+        built[key] = built.get(key, 0) + 1
+        return block_to_json(block)
+
+    monkeypatch.setattr(cli, "param_to_json", counted_param)
+    monkeypatch.setattr(cli, "_block_to_json", counted_block)
+    for argv in (["enumerate-pi", "12", "12"], ["decide", "--param", WORKED_JSON, "--pi", "1"]):
+        built.clear()
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        report = json.loads(out)
+        if argv[0] == "decide":
+            written = [report["inputs"]["parameter"]]
+        else:
+            written = [packet["parameter"] for packet in report["results"]["packets"]]
+            assert len(written) == 2560
+        blocks = {json.dumps(b, sort_keys=True) for psi in written
+                  for b in psi["unipotent"] + psi["discrete"]}
+        # every parameter of a report sits at one indentation
+        assert len(built) == len(blocks), argv
+        assert set(built.values()) == {1}, argv
+    assert wired == []
+
+
 def test_parameter_is_validated_once(capsys, monkeypatch):
     # param_from_json validates; the parameter it returns records its
     # character, so the deciders and characters do not validate it again
@@ -666,17 +719,23 @@ def test_enumeration_cap_is_checked_before_any_work(capsys):
     assert cli_peak < 2**20 and library_peak < 2**20, (cli_peak, library_peak)
 
 
-def test_closed_stdout_exits_141_without_a_traceback():
-    # the report (~200 KB) outgrows a pipe buffer, so the reader's early
-    # close interrupts its write
+@pytest.mark.parametrize(
+    "argv, first",
+    [(["enumerate-pi", "10", "8"], b"{\n"),
+     (["--format", "text", "enumerate-pi", "11", "11"], b"# enumerate-pi\n")],
+    ids=["json", "text"],
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv, first):
+    # each report (~200 KB of JSON, ~330 KB of text) outgrows a pipe buffer,
+    # so the reader's early close interrupts its one write
     src = os.path.dirname(os.path.dirname(os.path.abspath(sympacket.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "sympacket", "enumerate-pi", "10", "8"],
+        [sys.executable, "-m", "sympacket", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:
-        assert proc.stdout.readline() == b"{\n"
+        assert proc.stdout.readline() == first
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141

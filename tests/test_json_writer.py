@@ -1,6 +1,7 @@
 """The command line's indented JSON writer (``cli._indented_json``) writes
 exactly what ``json.dumps(value, indent=2, sort_keys=True)`` writes, and
-refuses with ``TypeError`` what it refuses."""
+refuses with ``TypeError`` what it refuses.  A parameter anywhere in the
+tree is written as ``json.dumps`` writes its ``cli.param_to_json`` object."""
 
 import json
 import math
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sympacket import cli
+from sympacket import cli, membership
+from sympacket.params import ArthurParameter, DiscreteBlock, UnipotentBlock
 
 
 class Record(dict):
@@ -87,3 +89,57 @@ def test_writer_refuses_what_json_dumps_refuses(value):
         json.dumps(value, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         cli._indented_json(value)
+
+
+# every member of every pi_n(m) and sigma_{n,k} packet at ranks 1-7
+MEMBERS = sorted({
+    psi
+    for n in range(1, 8)
+    for packets in [membership.enumerate_packets_pi(n, m) for m in range(n + 1)]
+    + [membership.enumerate_packets_sigma(n, k) for k in range(1, n // 2 + 1)]
+    for psi, _ in packets
+})
+# user-built: any ints (bools too, which equal 1 and 0 as tuple fields), in
+# any number of blocks of each kind, the discrete part often empty
+FIELDS = st.one_of(st.integers(-3, 12), st.booleans())
+USER_BUILT = st.builds(
+    ArthurParameter,
+    st.integers(0, 12),
+    st.lists(st.builds(UnipotentBlock, FIELDS, FIELDS), max_size=4).map(tuple),
+    st.lists(st.builds(DiscreteBlock, FIELDS, FIELDS), max_size=3).map(tuple),
+)
+# enumerated members, the same members as the wire reader returns them, and
+# user-built parameters
+PARAMETERS = st.one_of(
+    st.sampled_from(MEMBERS),
+    st.sampled_from(MEMBERS).map(lambda psi: cli.param_from_json(cli.param_to_json(psi))),
+    USER_BUILT,
+)
+TREES = st.recursive(st.one_of(SCALARS, PARAMETERS), _containers, max_leaves=30)
+
+
+def _wire(value):
+    """The tree with each parameter replaced by its wire object."""
+    if isinstance(value, ArthurParameter):
+        return cli.param_to_json(value)
+    if isinstance(value, dict):
+        return {key: _wire(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_wire(item) for item in value]
+    return value
+
+
+SHARED = ArthurParameter(3, (UnipotentBlock(1, 3), UnipotentBlock(0, 1)), (DiscreteBlock(1, 2),))
+
+
+@given(TREES)
+@example(MEMBERS[0])
+@example([SHARED, [SHARED, {"deeper": [SHARED]}], {"a": SHARED}])
+@example(ArthurParameter(0, (UnipotentBlock(0, 1),)))
+@example([ArthurParameter(2, (UnipotentBlock(1, 1),), (DiscreteBlock(1, 2),)),
+          ArthurParameter(2, (UnipotentBlock(True, True),), (DiscreteBlock(True, 2),)),
+          ArthurParameter(2, (UnipotentBlock(1, 2),), (DiscreteBlock(1, 2),))])
+@settings(max_examples=200, deadline=None)
+def test_writer_writes_parameters_as_their_wire_objects(value):
+    expected = _outcome(lambda v: json.dumps(_wire(v), indent=2, sort_keys=True), value)
+    assert _outcome(cli._indented_json, value) == expected
