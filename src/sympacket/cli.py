@@ -35,7 +35,6 @@ from .params import (
     DiscreteBlock,
     RankBoundError,
     UnipotentBlock,
-    _parameter_count,
     _trusted_params,
     char_from_name,
     char_name,
@@ -227,7 +226,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     entries = membership._module_inf_char(module)
     results = {
         "inf_char": list(entries),
-        "parameters_with_inf_char": _parameter_count(entries),
+        "parameters_with_inf_char": membership._parameter_count(module),
         "packets": [
             {
                 "parameter": psi,

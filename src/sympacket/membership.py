@@ -43,7 +43,8 @@ infinitesimal character (``_module_inf_char``, built once per module, for
 the enumerators; a packet question compares a parameter's segments with the
 module's closed-form segments, ``_same_inf_char``) and its route
 table, and the table is the only statement of the criteria above: it builds
-the members, and it decides.
+the members, and it decides.  The command line's count of the parameters
+with the module's character is closed form too (``_parameter_count``).
 Every packet question (``decide_pi`` / ``decide_sigma``, the characters,
 the command line's ``rho``) passes the triple it was asked to the one
 lookup, ``_decide_route``: a member's recorded route answers there, and
@@ -230,6 +231,35 @@ def _same_inf_char(psi: ArthurParameter, module: Module) -> bool:
     rises.sort()
     ends.sort()
     return rises == ends
+
+
+def _parameter_count(module: Module) -> int:
+    """How many valid parameters have the module's infinitesimal character,
+    in closed form in (n, v), v its m or k: O(min(v-1, n-v)) integer steps,
+    with no cover searched and no parameter built.
+
+    pi_n(0)'s character holds 0, ±1, ..., ±n once each: 2^n parameters.
+    Any other module's segments (as in ``_same_inf_char``) hold 0 three
+    times, each j in 1..a twice and each j in a+1..b once, for
+    a = min(v-1, n-v) and b = max(v-1, n-v); sigma_{n,k} has pi_n(k)'s
+    character, and the twins pi_n(m), pi_n(n+1-m) exchange a and b.  The
+    count is D(a) when b = a and 2^(b-a-1) E(a) when b > a, where D starts
+    2, 10, 37 and E starts 6, 27, 98, and from index 3 on both follow
+    X(i) = 5 X(i-1) - 5 X(i-2).
+
+    This is verified, not proved: it equals the memoised cover walk
+    (``tests/oracles.py::parameter_count_by_walk``) for every pi_n(m) and
+    sigma_{n,k} at ranks 1-40, and ``tests/test_params.py`` checks it at
+    ranks 1-30.
+    """
+    n, v = module.n, module.value
+    if v == 0:
+        return 1 << n
+    a, b = sorted((v - 1, n - v))
+    xs = [2, 10, 37] if a == b else [6, 27, 98]
+    while len(xs) <= a:
+        xs.append(5 * xs[-1] - 5 * xs[-2])
+    return xs[a] if a == b else xs[a] << (b - a - 1)
 
 
 def _decide_core(psi: ArthurParameter, module: Module) -> _Route | None:

@@ -550,34 +550,6 @@ def _char_assignments(
     return tuple(out)
 
 
-def _parameter_count(entries: tuple[int, ...]) -> int:
-    """How many valid parameters have a character with these entries,
-    counted without building a cover or a parameter.
-
-    On a cover, ``_char_assignments`` gives the character multisets of one
-    parity.  The dimensions sum to an odd number, so some dimension occurs
-    an odd number c of times; exchanging k and c - k sign blocks there pairs
-    the two parities, so half of the prod(c + 1) choices have each, and the
-    count is half the sum of prod(c + 1) over the covers.  That sum is
-    taken on the walk of ``_all_segment_covers``, with the same memo key,
-    where a run of c equal dimensions contributes c + 1.
-    """
-    memo: dict[tuple, int] = {((), None): 1}
-
-    def weighted(half: tuple[int, ...], bound: int | None) -> int:
-        key = (half, bound)
-        total = memo.get(key)
-        if total is None:
-            total = 0
-            for low, rest, following in _first_steps(half, bound, None):
-                sub = weighted(rest, following)
-                total += sub if low is not None else (half[-1] + 1) * sub
-            memo[key] = total
-        return total
-
-    return weighted(_half_counts(entries), None) // 2
-
-
 def _check_rank(n: int, max_rank: int) -> None:
     """Refuse a rank that is not an ``int`` (a bool or float included, as
     ``weights.module_of`` does), below 1 or above the enumeration cap

@@ -35,6 +35,14 @@ canonical parameter.  It tests THM71_I's disjoint segments with
 ``segments_pairwise_disjoint_by_pairs``, the library's earlier test, which
 compares every pair of discrete segments.  The library sorts the segments
 once and compares neighbours.
+
+The count oracle ``parameter_count_by_walk`` is the library's earlier count
+of the parameters of a character, for the command line's
+``parameters_with_inf_char``: a memoised walk over the character's covers
+by ``params._first_steps``, weighting each cover by its character choices.
+The library counts in closed form in the module's rank and value
+(``membership._parameter_count``), and this walk is the reference that form
+is pinned to.
 """
 
 from __future__ import annotations
@@ -53,6 +61,8 @@ from sympacket.params import (
     ArthurParameter,
     DiscreteBlock,
     UnipotentBlock,
+    _first_steps,
+    _half_counts,
     a_psi_u,
     remove_discrete_block,
     validate,
@@ -302,3 +312,31 @@ def decide_core_by_sums(psi: ArthurParameter, module):
         elif top == route.top and UnipotentBlock(route.char, top) in psi.unipotent:
             return route
     return None
+
+
+def parameter_count_by_walk(entries: tuple[int, ...]) -> int:
+    """How many valid parameters have a character with these entries,
+    counted without building a cover or a parameter.
+
+    On a cover, ``params._char_assignments`` gives the character multisets
+    of one parity.  The dimensions sum to an odd number, so some dimension
+    occurs an odd number c of times; exchanging k and c - k sign blocks there
+    pairs the two parities, so half of the prod(c + 1) choices have each,
+    and the count is half the sum of prod(c + 1) over the covers.  That sum
+    is taken on the walk of ``params._all_segment_covers``, with the same
+    memo key, where a run of c equal dimensions contributes c + 1.
+    """
+    memo: dict[tuple, int] = {((), None): 1}
+
+    def weighted(half: tuple[int, ...], bound: int | None) -> int:
+        key = (half, bound)
+        total = memo.get(key)
+        if total is None:
+            total = 0
+            for low, rest, following in _first_steps(half, bound, None):
+                sub = weighted(rest, following)
+                total += sub if low is not None else (half[-1] + 1) * sub
+            memo[key] = total
+        return total
+
+    return weighted(_half_counts(entries), None) // 2

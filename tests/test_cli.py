@@ -461,6 +461,31 @@ def test_enumerate_counts_every_parameter_with_the_character(capsys):
                 ), (family, n, value)
 
 
+def test_enumerate_reports_search_covers_only_to_enumerate(capsys, monkeypatch):
+    # the report's parameter count is closed form, so the command takes as
+    # many cover-search steps as the enumerator does alone, for a pi and a
+    # sigma module
+    calls = []
+    first_steps = params._first_steps
+
+    def counted(*args):
+        calls.append(args)
+        return first_steps(*args)
+
+    monkeypatch.setattr(params, "_first_steps", counted)
+    for argv, enumerate_packets in (
+        (["enumerate-pi", "9", "5"], lambda: membership.enumerate_packets_pi(9, 5)),
+        (["enumerate-sigma", "8", "3"], lambda: membership.enumerate_packets_sigma(8, 3)),
+    ):
+        calls.clear()
+        enumerate_packets()
+        expected = len(calls)
+        calls.clear()
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert expected and len(calls) == expected, argv
+
+
 def test_repeated_calls_match_a_fresh_parser(capsys):
     # main builds its parser once per process; a sequence of calls, usage
     # errors among them, must print what a newly built parser prints

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from sympacket import params
 from sympacket.characters import rho_pi_general
-from sympacket.membership import decide_pi, enumerate_packets_pi
+from sympacket.membership import (
+    _module_inf_char,
+    _parameter_count,
+    decide_pi,
+    enumerate_packets_pi,
+)
 from sympacket.params import (
     CHAR_SGN,
     CHAR_TRIV,
@@ -25,13 +30,19 @@ from sympacket.params import (
     validate,
     _all_segment_covers,
     _cover_params,
-    _parameter_count,
 )
-from sympacket.weights import InfinitesimalCharacter, inf_char_of_weight, pi_nm, sigma_nk
+from sympacket.weights import (
+    InfinitesimalCharacter,
+    inf_char_of_weight,
+    module_of,
+    pi_nm,
+    sigma_nk,
+)
 
 from oracles import (
     brute_force_params,
     checked_inf_char_entries,
+    parameter_count_by_walk,
     set_segment_covers,
     valid_inf_char_by_copy,
     validate_by_copy,
@@ -246,10 +257,33 @@ def test_topped_search_finds_the_covers_with_that_top():
             assert set(topped) == {c for c in full if c[0][0] == top}, (n, chi, top)
 
 
+def modules(ranks):
+    """Every pi_n(m) and sigma_{n,k} at these ranks, as ``module_of`` gives
+    them (sigma_{2k,k} as pi_{2k}(k+1))."""
+    return [
+        module_of(family, n, value)
+        for n in ranks
+        for family, values in (("pi", range(n + 1)), ("sigma", range(1, n // 2 + 1)))
+        for value in values
+    ]
+
+
+def test_parameter_count_closed_form_agrees_with_the_oracle_walk():
+    # the closed form is verified, not proved: it must equal the memoised
+    # cover walk for every pi_n(m) and sigma_{n,k} at ranks 1-30; twins
+    # share a character, so each character is walked once
+    walked = {}
+    for module in modules(range(1, 31)):
+        entries = _module_inf_char(module)
+        if entries not in walked:
+            walked[entries] = parameter_count_by_walk(entries)
+        assert _parameter_count(module) == walked[entries], module
+
+
 def test_parameter_count_at_ranks_12_and_13_agrees_with_the_covers():
-    # the count recursion builds no cover; tests/test_cli.py checks it
-    # against enumerate_params up to rank 11, this against the full cover
-    # search above the enumeration cap
+    # the closed form builds no cover; tests/test_cli.py checks it against
+    # enumerate_params up to rank 11, this against the full cover search
+    # above the enumeration cap
     def by_covers(entries):
         total = 0
         for unip_dims, _ in _all_segment_covers(entries):
@@ -260,11 +294,11 @@ def test_parameter_count_at_ranks_12_and_13_agrees_with_the_covers():
         return total
 
     for n in (12, 13):
-        weights = [pi_nm(n, m) for m in sorted({0, 1, n // 2, n})]
-        weights += [sigma_nk(n, k) for k in range(1, n // 2 + 1)]
-        for weight in weights:
-            entries = inf_char_of_weight(weight).entries
-            assert _parameter_count(entries) == by_covers(entries), weight
+        chosen = [module_of("pi", n, m) for m in sorted({0, 1, n // 2, n})]
+        chosen += [module_of("sigma", n, k) for k in range(1, n // 2 + 1)]
+        for module in chosen:
+            entries = _module_inf_char(module)
+            assert _parameter_count(module) == by_covers(entries), module
 
 
 def distinct_characters(ranks):
@@ -297,14 +331,15 @@ def test_cover_search_matches_the_set_based_oracle():
 def test_parameter_count_at_ranks_12_and_13_agrees_with_the_oracle_covers():
     # every character at ranks 12-13, counted over the set-based search's
     # covers: half of prod(c + 1) on each
-    for _, entries in distinct_characters((12, 13)):
+    distinct = {_module_inf_char(module): module for module in modules((12, 13))}
+    for entries, module in distinct.items():
         total = 0
         for unip_dims, _ in set_segment_covers(entries):
             choices = 1
             for dim in set(unip_dims):
                 choices *= unip_dims.count(dim) + 1
             total += choices // 2
-        assert _parameter_count(entries) == total, entries
+        assert _parameter_count(module) == total, entries
 
 
 def test_top_character_filter():
