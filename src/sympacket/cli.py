@@ -108,6 +108,16 @@ def _wire_int(obj: dict, key: str) -> int:
     return value
 
 
+def _block_list(obj: dict, kind: str) -> list:
+    """A wire parameter's list of ``kind`` blocks, empty when it is absent."""
+    blocks = obj.get(kind, [])
+    if not isinstance(blocks, list):
+        raise ValidationError(
+            f"malformed parameter: {kind} must be a list of blocks", ["BLOCK_SHAPE"]
+        )
+    return blocks
+
+
 def _int(text: str) -> int:
     """An integer argument, taken only as JSON writes one: digits, with a
     minus sign if negative.  ``int()`` also takes a ``+`` sign, surrounding
@@ -133,23 +143,39 @@ def param_from_json(obj: Any) -> ArthurParameter:
     if not isinstance(obj, dict):
         raise ValidationError("parameter must be a JSON object", ["BLOCK_SHAPE"])
     _strict_keys(obj, {"n", "unipotent", "discrete"}, "parameter")
+    # every block's fields are read before any block's unknown fields are
+    # named; a block whose fields were read and that has two keys has no other
+    unip, disc, other = [], [], []
+    where = "unipotent block"  # what a missing field is missing from
     try:
-        unip = tuple(
-            UnipotentBlock(char_from_name(b["char"]), _wire_int(b, "dim"))
-            for b in obj.get("unipotent", ())
-        )
-        disc = tuple(
-            DiscreteBlock(_wire_int(b, "t"), _wire_int(b, "a"))
-            for b in obj.get("discrete", ())
-        )
-        for b in obj.get("unipotent", ()):
-            _strict_keys(b, {"char", "dim"}, "unipotent block")
-        for b in obj.get("discrete", ()):
-            _strict_keys(b, {"t", "a"}, "discrete block")
+        for b in _block_list(obj, "unipotent"):
+            if not isinstance(b, dict):
+                raise ValidationError(
+                    f"malformed parameter: {where} must be a JSON object", ["BLOCK_SHAPE"]
+                )
+            unip.append(UnipotentBlock(char_from_name(b["char"]), _wire_int(b, "dim")))
+            if len(b) != 2:
+                other.append((b, {"char", "dim"}, where))
+        where = "discrete block"
+        for b in _block_list(obj, "discrete"):
+            if not isinstance(b, dict):
+                raise ValidationError(
+                    f"malformed parameter: {where} must be a JSON object", ["BLOCK_SHAPE"]
+                )
+            disc.append(DiscreteBlock(_wire_int(b, "t"), _wire_int(b, "a")))
+            if len(b) != 2:
+                other.append((b, {"t", "a"}, where))
+        for b, fields, kind in other:
+            _strict_keys(b, fields, kind)
+        where = "parameter"
         psi = ArthurParameter(_wire_int(obj, "n"), unip, disc)
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ValidationError(
+            f"malformed parameter: missing field {exc.args[0]} in {where}", ["BLOCK_SHAPE"]
+        ) from exc
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed parameter: {exc}", ["BLOCK_SHAPE"]) from exc
     violations = validate(psi)
     if violations:
@@ -279,7 +305,7 @@ def _cmd_rho(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if route is None:
         raise ValidationError(characters._not_member(args.module, psi.n, value), ["NOT_MEMBER"])
     char = characters._rho_core(psi, delta, route)
-    results: dict[str, Any] = {"character": _character_to_json(char)}
+    results: dict[str, Any] = {"character": char}
     code = 0
     if not psi.discrete and len(psi.unipotent) == 3:
         # the printed column: THM71_II_A1 members house the pi_star lift, the
@@ -290,7 +316,7 @@ def _cmd_rho(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         if found is not None and not found[1].flags and not char.flags:
             row = found[1]
             agrees = characters.char_equivalent(char, row)
-            results["table_row"] = _character_to_json(row)
+            results["table_row"] = row
             results["table_row_which"] = which
             results["table_agrees"] = agrees
             if not agrees:
@@ -461,58 +487,79 @@ def _report(command: str, inputs: dict[str, Any], results: dict[str, Any]) -> di
     }
 
 
+# what ``_indented_json`` writes a value of another class as: the first of
+# these it is an instance of
+_WRITTEN_AS = (str, dict, list, tuple, ArthurParameter, characters.PacketCharacter)
+# the classes it dispatches on as they are
+_WRITTEN = frozenset((int, *_WRITTEN_AS))
+
+
 def _indented_json(value: Any) -> str:
     """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives, with
-    each ``ArthurParameter`` in it as its ``param_to_json`` object, built in
-    one list and joined once.
+    each ``ArthurParameter`` in it as its ``param_to_json`` object and each
+    ``PacketCharacter`` as its ``_character_to_json`` object, built in one
+    list and joined once.
 
     CPython's C encoder does not take ``indent``, so ``json.dumps`` falls
     back to its generator-based Python encoder there; this walk takes less
-    than half of its time on a large report.  Strings go through json's
-    ``encode_basestring_ascii``, exact ints through ``int.__repr__``, and
+    than half of its time on a large report.  A value is dispatched on its
+    exact class; strings go through json's ``encode_basestring_ascii``,
+    exact ints through ``int.__repr__``.  Any other value takes json's own
+    tests: ``True``, ``False`` and ``None`` by identity (``1.0 == True``),
+    then ``isinstance``, so a subclass of dict or list is walked as one, and
     any other scalar is written, or refused with ``TypeError``, as
-    ``json.dumps`` writes or refuses it.  ``True``, ``False`` and ``None``
-    are tested by identity (``1.0 == True``), containers with
-    ``isinstance``, so a subclass of dict or list is walked as one.  A
-    report is a tree, so no circular reference is looked for: one would
-    end in ``RecursionError``.  A parameter is written from its fields, and
-    each distinct block's text is built once per call and indentation.
+    ``json.dumps`` writes or refuses it.  A report is a tree, so no circular
+    reference is looked for: one would end in ``RecursionError``.  A block
+    of exactly ``UnipotentBlock`` or ``DiscreteBlock`` whose fields are
+    exact ints is written from them once per call and indentation; any other
+    goes through ``_block_to_json``, as ``(1, 2) == (True, 2)``.
     """
     parts: list[str] = []
     append = parts.append
     enc = _encode_str
     int_repr = int.__repr__
-    texts: dict[tuple, str] = {}  # this call's block texts
+    memo: dict[str, dict[tuple, str]] = {}  # this call's block texts, by indentation
 
     def blocks(items: tuple, nl: str) -> str:
         inner = nl + "  "
+        field = inner + "  "
+        texts = memo.setdefault(inner, {})
         out = []
         for b in items:
-            # equal tuples may differ in kind or field type: (1, 2), (True, 2)
+            kind = type(b)
             first, second = b
-            key = (b.__class__, b, inner, first.__class__, second.__class__)
-            text = texts.get(key)
-            if text is None:
+            if (type(first) is int and type(second) is int
+                    and (kind is UnipotentBlock or kind is DiscreteBlock)):
+                key = (kind, b)
+                text = texts.get(key)
+                if text is None:
+                    text = texts[key] = (
+                        f'{{{field}"char": "{char_name(first)}",{field}"dim": {second}{inner}}}'
+                        if kind is UnipotentBlock
+                        else f'{{{field}"a": {second},{field}"t": {first}{inner}}}'
+                    )
+            else:
                 start = len(parts)
                 write(_block_to_json(b), inner)
-                text = texts[key] = "".join(parts[start:])
+                text = "".join(parts[start:])
                 del parts[start:]
             out.append(text)
         return f"[{inner}" + f",{inner}".join(out) + f"{nl}]" if out else "[]"
 
     def write(value: Any, nl: str) -> None:
         # the scalars of a container are written in its loop, with no call
-        if isinstance(value, str):
-            append(enc(value))
-        elif type(value) is int:  # a parameter's rank
-            append(int_repr(value))
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif isinstance(value, dict):
+        kind = type(value)
+        if kind not in _WRITTEN:
+            if value is None or value is True or value is False:
+                append("null" if value is None else "true" if value else "false")
+                return
+            for kind in _WRITTEN_AS:
+                if isinstance(value, kind):
+                    break
+            else:
+                append(json.dumps(value))
+                return
+        if kind is dict:
             if not value:
                 append("{}")
                 return
@@ -531,7 +578,7 @@ def _indented_json(value: Any) -> str:
                     write(item, inner)
                 sep = "," + inner
             append(nl + "}")
-        elif isinstance(value, (list, tuple)):
+        elif kind is list or kind is tuple:
             if not value:
                 append("[]")
                 return
@@ -548,13 +595,24 @@ def _indented_json(value: Any) -> str:
                     write(item, inner)
                 sep = "," + inner
             append(nl + "]")
-        elif isinstance(value, ArthurParameter):  # keys as param_to_json sorts them
+        elif kind is ArthurParameter:  # keys as param_to_json sorts them
             inner = nl + "  "
             append(f'{{{inner}"discrete": {blocks(value.discrete, inner)},{inner}"n": ')
             write(value.n, inner)
             append(f',{inner}"unipotent": {blocks(value.unipotent, inner)}{nl}}}')
-        else:
-            append(json.dumps(value))
+        elif kind is str:
+            append(enc(value))
+        elif kind is int:  # a parameter's rank, a character's token
+            append(int_repr(value))
+        else:  # a character, keys as _character_to_json sorts them
+            inner = nl + "  "
+            append(f'{{{inner}"blocks": {blocks(value.blocks, inner)},{inner}"flags": ')
+            write(value.flags, inner)
+            append(f',{inner}"signs": ')
+            write(value.signs, inner)
+            append(f',{inner}"whittaker": ')
+            write(value.whittaker, inner)
+            append(nl + "}")
 
     write(value, "\n")
     return "".join(parts)
@@ -569,9 +627,17 @@ def _json_key(key: Any) -> str:
     )
 
 
+def _wire_object(value: Any) -> dict[str, Any]:
+    """The wire object of a report's parameter or character."""
+    if isinstance(value, characters.PacketCharacter):
+        return _character_to_json(value)
+    return param_to_json(value)
+
+
 # ``json.dumps(value, sort_keys=True)`` builds a new encoder on every call; a
-# report's parameters inside containers are written as their wire objects
-_compact_json = json.JSONEncoder(sort_keys=True, default=param_to_json).encode
+# report's characters, and its parameters inside containers, are written as
+# their wire objects
+_compact_json = json.JSONEncoder(sort_keys=True, default=_wire_object).encode
 
 
 def _print_report(report: dict, fmt: str) -> None:
@@ -823,9 +889,9 @@ def _table_parse(table: _Table, argv: list[str]) -> argparse.Namespace | None:
         return None
     # argparse's order: the top level's defaults and options, the subcommand,
     # then the subcommand's defaults and values
-    return argparse.Namespace(
-        **{**top.start, **top_values, dest: name, **command.start, **values}
-    )
+    namespace = argparse.Namespace()
+    namespace.__dict__.update({**top.start, **top_values, dest: name, **command.start, **values})
+    return namespace
 
 
 class _CommandLineParser(_Parser):

@@ -645,39 +645,33 @@ def test_overlong_integer_in_a_parameter_is_not_json(capsys, tmp_path):
 
 
 def test_reports_write_parameters_from_the_records(capsys, monkeypatch):
-    # a report holds each parameter as it is; the writer builds the text of
-    # each distinct block once, from _block_to_json, and never the wire dict
-    # of a whole parameter (param_to_json)
-    wired, built = [], {}
-    param_to_json, block_to_json = cli.param_to_json, cli._block_to_json
+    # a report holds each parameter and character as it is; the writer
+    # writes them, and each of their blocks, from their fields, and never
+    # builds a wire dict: of a parameter, a character or a block
+    built = []
 
-    def counted_param(psi):
-        wired.append(psi)
-        return param_to_json(psi)
+    def counted(to_json):
+        def wrapper(value):
+            built.append((to_json.__name__, value))
+            return to_json(value)
+        return wrapper
 
-    def counted_block(block):
-        key = (type(block), block)
-        built[key] = built.get(key, 0) + 1
-        return block_to_json(block)
-
-    monkeypatch.setattr(cli, "param_to_json", counted_param)
-    monkeypatch.setattr(cli, "_block_to_json", counted_block)
-    for argv in (["enumerate-pi", "12", "12"], ["decide", "--param", WORKED_JSON, "--pi", "1"]):
-        built.clear()
+    for name in ("param_to_json", "_character_to_json", "_block_to_json"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    for argv in (
+        ["enumerate-pi", "12", "12"],
+        ["decide", "--param", WORKED_JSON, "--pi", "1"],
+        # a three-block member with a printed table row
+        ["rho", "--param", WORKED_JSON, "--module", "pi", "--m", "1"],
+    ):
         code, out, _ = run(capsys, argv)
         assert code == 0
-        report = json.loads(out)
-        if argv[0] == "decide":
-            written = [report["inputs"]["parameter"]]
-        else:
-            written = [packet["parameter"] for packet in report["results"]["packets"]]
-            assert len(written) == 2560
-        blocks = {json.dumps(b, sort_keys=True) for psi in written
-                  for b in psi["unipotent"] + psi["discrete"]}
-        # every parameter of a report sits at one indentation
-        assert len(built) == len(blocks), argv
-        assert set(built.values()) == {1}, argv
-    assert wired == []
+        results = json.loads(out)["results"]
+        if argv[0] == "enumerate-pi":
+            assert len(results["packets"]) == 2560
+        if argv[0] == "rho":
+            assert results["table_row"]["blocks"] == results["character"]["blocks"]
+    assert built == []
 
 
 def test_parameter_is_validated_once(capsys, monkeypatch):

@@ -332,6 +332,32 @@ GRIDS = {
         ["rho", "--param", json.dumps(DISCRETE), "--module", "pi", "--m", "1"],
         ["cohind", "4", "1", "2", "--t", "3", "--weight", "1,x"],
     ],
+    # a block list, a block or a field that is not there or not of its JSON
+    # type, refused in the reader's words on every Python; a block's fields
+    # are read before any block's unknown fields are named
+    "block-shape": lambda: [
+        ["decide", "--param", json.dumps(bad), "--pi", "1"]
+        for bad in (
+            {"n": 1, "unipotent": ["x"]},
+            {**WORKED, "unipotent": "x"},
+            {**WORKED, "unipotent": None},
+            {**WORKED, "unipotent": {}},
+            {"n": 1, "unipotent": [{"char": "triv", "dim": 3}], "discrete": {}},
+            {**DISCRETE, "discrete": 3},
+            {**WORKED, "unipotent": [[1, 3]]},
+            {**WORKED, "unipotent": [None]},
+            {**DISCRETE, "discrete": ["t"]},
+            {**WORKED, "unipotent": [{"char": "sgn"}]},
+            {**WORKED, "unipotent": [{"dim": 3}]},
+            {**DISCRETE, "discrete": [{"t": 1}]},
+            {**DISCRETE, "discrete": [{"a": 2}]},
+            {"unipotent": WORKED["unipotent"], "discrete": []},
+            {**WORKED, "unipotent": [{"char": "sgn", "dim": 3, "x": 1}, {"char": "sgn\u00e9"}]},
+            {**DISCRETE, "unipotent": [{"char": "triv", "dim": 1, "x": 1}], "discrete": [{"t": 1}]},
+            {**DISCRETE, "unipotent": [{"char": "triv", "dim": 1, "x": 1}],
+             "discrete": [{"t": 1, "a": 2, "y": 1}]},
+        )
+    ],
     # argvs that only argparse reads (abbreviations, ``=`` forms, intermixed
     # positionals, a repeated option, ``--``, an option after the subcommand),
     # and usage errors, among them integers not written as JSON writes them
@@ -384,6 +410,8 @@ REPORT_DIGESTS = {
     ("exit-1", "text"): "7f54b4ee28437aaf45c69e81b9e28a2e9ff4ca4c1d23f9baf94ac577435f7d91",
     ("exit-2", "json"): "8c717939c1925a68ec955de8da5a0dd95c8d521f0be7e37fc44e3cdb1e2480a1",
     ("exit-2", "text"): "680cdaf174c28c6b18eef7e881ce870885b92a055dfe8157362c23450d9b72b4",
+    ("block-shape", "json"): "1cb9ccb9d6a5cd2a59e9a6f15f6236ee2476923b71d2c46a10d1a5c3f92350b7",
+    ("block-shape", "text"): "751fbc0c0c1f7605df8791242058a62e41df695711d5b16cfb42ffd1f1efa91e",
     ("argparse-only", "json"): "8588cfbfa7103c0e1de32b1cf9b4a9d11c17c29746f7954f1f1319d74717e9b7",
     ("argparse-only", "text"): "6ac052b7e1c7da87ee9b573bbd16a61c405b2c1dc38f5691cf23e8c2dbc7a06b",
 }

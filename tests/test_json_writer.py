@@ -1,7 +1,8 @@
 """The command line's indented JSON writer (``cli._indented_json``) writes
 exactly what ``json.dumps(value, indent=2, sort_keys=True)`` writes, and
 refuses with ``TypeError`` what it refuses.  A parameter anywhere in the
-tree is written as ``json.dumps`` writes its ``cli.param_to_json`` object."""
+tree is written as ``json.dumps`` writes its ``cli.param_to_json`` object,
+and a character as it writes the object of its four fields."""
 
 import json
 import math
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sympacket import cli, membership
+from sympacket import characters, cli, membership
+from sympacket.characters import PacketCharacter
 from sympacket.params import ArthurParameter, DiscreteBlock, UnipotentBlock
 
 
@@ -115,13 +117,57 @@ PARAMETERS = st.one_of(
     st.sampled_from(MEMBERS).map(lambda psi: cli.param_from_json(cli.param_to_json(psi))),
     USER_BUILT,
 )
-TREES = st.recursive(st.one_of(SCALARS, PARAMETERS), _containers, max_leaves=30)
+# both characters of every member at ranks 1-6
+MEMBER_CHARACTERS = [
+    rho(psi, n, v, delta)
+    for n in range(1, 7)
+    for rho, enumerate_packets, values in (
+        (characters.rho_pi_general, membership.enumerate_packets_pi, range(n + 1)),
+        (characters.rho_sigma_general, membership.enumerate_packets_sigma, range(1, n // 2 + 1)),
+    )
+    for v in values
+    for psi, _ in enumerate_packets(n, v)
+    for delta in (1, -1)
+]
+# every printed row at ranks 1-6, VANISHING ones among them
+TABLE_ROWS = [
+    characters.rho_unipotent_table(form, n, m, which, delta)
+    for form in characters.TABLE_FORMS
+    for which in characters.TABLE_COLUMNS
+    for n in range(1, 7)
+    for m in range(1, n + 1)
+    for delta in (1, -1)
+]
+# user-built: blocks of either class with any int or bool fields, so that
+# equal blocks differ in class or field type
+USER_CHARACTERS = st.lists(
+    st.one_of(st.builds(UnipotentBlock, FIELDS, FIELDS), st.builds(DiscreteBlock, FIELDS, FIELDS)),
+    max_size=4,
+).flatmap(lambda blocks: st.builds(
+    PacketCharacter,
+    st.sampled_from([1, -1]),
+    st.just(tuple(blocks)),
+    st.lists(st.sampled_from([1, -1]), min_size=len(blocks), max_size=len(blocks)).map(tuple),
+    st.lists(TEXT, max_size=2).map(tuple),
+))
+CHARACTERS = st.one_of(
+    st.sampled_from(MEMBER_CHARACTERS), st.sampled_from(TABLE_ROWS), USER_CHARACTERS
+)
+TREES = st.recursive(st.one_of(SCALARS, PARAMETERS, CHARACTERS), _containers, max_leaves=30)
 
 
 def _wire(value):
-    """The tree with each parameter replaced by its wire object."""
+    """The tree with each parameter and character replaced by its wire
+    object."""
     if isinstance(value, ArthurParameter):
         return cli.param_to_json(value)
+    if isinstance(value, PacketCharacter):
+        return {
+            "whittaker": value.whittaker,
+            "blocks": [cli._block_to_json(b) for b in value.blocks],
+            "signs": list(value.signs),
+            "flags": list(value.flags),
+        }
     if isinstance(value, dict):
         return {key: _wire(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -130,6 +176,11 @@ def _wire(value):
 
 
 SHARED = ArthurParameter(3, (UnipotentBlock(1, 3), UnipotentBlock(0, 1)), (DiscreteBlock(1, 2),))
+VANISHING = [row for row in TABLE_ROWS if row.flags]
+
+
+def _character(*blocks):
+    return PacketCharacter(1, blocks, (1,) * len(blocks))
 
 
 @given(TREES)
@@ -139,6 +190,10 @@ SHARED = ArthurParameter(3, (UnipotentBlock(1, 3), UnipotentBlock(0, 1)), (Discr
 @example([ArthurParameter(2, (UnipotentBlock(1, 1),), (DiscreteBlock(1, 2),)),
           ArthurParameter(2, (UnipotentBlock(True, True),), (DiscreteBlock(True, 2),)),
           ArthurParameter(2, (UnipotentBlock(1, 2),), (DiscreteBlock(1, 2),))])
+@example([_character(UnipotentBlock(1, 1), DiscreteBlock(1, 2)),
+          _character(UnipotentBlock(True, True), DiscreteBlock(True, 2))])
+@example([_character(UnipotentBlock(1, 3)), _character(DiscreteBlock(1, 3)),
+          {"rows": [MEMBER_CHARACTERS[-1], VANISHING[0]]}])
 @settings(max_examples=200, deadline=None)
 def test_writer_writes_parameters_as_their_wire_objects(value):
     expected = _outcome(lambda v: json.dumps(_wire(v), indent=2, sort_keys=True), value)
