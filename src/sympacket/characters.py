@@ -43,6 +43,8 @@ __all__ = [
 Block = UnipotentBlock | DiscreteBlock
 
 VANISHING = "VANISHING"
+# the flags of a flagged character, one shared tuple
+_VANISHING_FLAGS = (VANISHING,)
 
 TABLE_FORMS = ("first", "second")
 TABLE_COLUMNS = ("pi", "sigma", "pi_star", "sigma_star")
@@ -242,7 +244,7 @@ def rho_unipotent_table(
     e3 = _sign_pow(fm)
     row = PacketCharacter(delta, blocks, (e1, e2, e3))
     if row.sign_map() is None:
-        row = PacketCharacter(delta, blocks, row.signs, (VANISHING,))
+        row = PacketCharacter(delta, blocks, row.signs, _VANISHING_FLAGS)
     return row
 
 
@@ -327,55 +329,69 @@ def _rho_core(
     gives the big block and the e2 e3 rule.
 
     One pass over the discrete blocks carries the token, changing its sign
-    after each block with odd a, signs each block, counts the -1 signs and
-    compares each block with its neighbour (canonical order puts equal
-    blocks next to each other); the three unipotent slots are compared
-    pairwise.  These comparisons are ``PacketCharacter.sign_map``'s rule,
-    made inline so that no dict is built per character.  The two unipotent
-    slots besides the big block are read off the canonical order, small
-    dimension first; when both have dimension one the roles are immaterial,
-    as the two readings give the same character.  The free simultaneous
-    flip of the unipotent signs is fixed so that the product over all listed
-    blocks is +1, an even number of -1 signs; the number of unipotent slots
-    is odd, so the flip always reaches it.  With e3 = +1 that product would be
-    (-1)^(discrete -1 count) e1 e2, so e3 takes that value.  The signs are
-    +1 or -1 by construction, so each character is built once, unchecked:
-    ``object.__new__``, then each slot written through its descriptor's
-    setter, bound once (``_SLOT_SETTERS``), past the frozen ``__setattr__``;
-    the kept character goes to psi's ``_kept_char`` slot the same way.
+    after each block with odd a, signs each block off the bits of a
+    ((-1)^floor(token a / 2) is -1 where a & 2, times the token where a is
+    odd), multiplies the signs and compares each block with its neighbour
+    (canonical order puts equal blocks next to each other); the three
+    unipotent slots are compared pairwise.  These comparisons are
+    ``PacketCharacter.sign_map``'s rule, made inline so that no dict is
+    built per character.  A single unipotent block takes its own branch:
+    its sign is the discrete product.  Otherwise the two unipotent slots
+    besides the big block are read off the canonical order, small dimension
+    first; when both have dimension one the roles are immaterial, as the
+    two readings give the same character.  The free simultaneous flip of the
+    unipotent signs is fixed so that the product over all listed blocks is
+    +1; the number of unipotent slots is odd, so the flip always reaches
+    it.  With e3 = +1 that product would be (discrete product) e1 e2, so e3
+    takes that value.  The signs are +1 or -1 by construction, so each
+    character is built once, unchecked: ``object.__new__``, then each slot
+    written through its descriptor's setter, bound once
+    (``_SLOT_SETTERS``), past the frozen ``__setattr__``; the kept
+    character goes to psi's ``_kept_char`` slot the same way.  A flagged
+    character shares the one ``_VANISHING_FLAGS`` tuple.
 
-    With ``keep`` the same pass also builds the character of the token
-    -delta and keeps it on psi as ``_kept_char``.  floor(x/2) and
-    floor(-x/2) differ in parity exactly for odd x, so its discrete blocks
-    with odd a change sign and its delta' is the negated token; the e2 e3
-    rule runs once for each token, and the two characters share one
-    ``blocks`` tuple.  Equal blocks have equal a, so the discrete
-    comparisons hold for both.
+    With ``keep`` the same pass also signs the blocks for the token -delta,
+    and the character of -delta is kept on psi as ``_kept_char``; without
+    it those signs are not built.  floor(x/2) and floor(-x/2) differ in
+    parity exactly for odd x, so its discrete blocks with odd a change sign
+    and its delta' is the negated token; the e2 e3 rule runs once for each
+    token, and the two characters share one ``blocks`` tuple.  Equal blocks
+    have equal a, so the discrete comparisons hold for both.
     """
     discrete = psi.discrete
+    # the signs of delta and, with keep, of -delta, grown in place by ``+=``,
+    # which makes no call (``append`` would be one per block)
     signs = []
-    flipped = []  # with keep, the discrete signs of -delta
-    minus = 0
+    flipped = []
+    product = 1  # of the discrete signs of delta
     vanishing = False
     token = delta
     previous = last = None
     for block in discrete:
         a = block.a
-        sign = -1 if token * a // 2 % 2 else 1
-        if sign < 0:
-            minus += 1
+        # (-1)^floor(token a / 2): bit 1 of a, times the token where a is odd
+        if a & 1:
+            sign = -token if a & 2 else token
+            token = -token
+        else:
+            sign = -1 if a & 2 else 1
         if sign != last and block == previous:
             vanishing = True
-        if a % 2:
-            token = -token
-        signs.append(sign)
+        signs += (sign,)
+        product *= sign
         if keep:
-            flipped += (-sign if a % 2 else sign,)
+            flipped += (-sign if a & 1 else sign,)
         previous, last = block, sign
     unipotent = psi.unipotent
-    single = len(unipotent) == 1
-    if single:
-        slots = unipotent
+    if len(unipotent) == 1:
+        # the product over the listed blocks is +1: the one unipotent sign is
+        # the discrete product, and the -delta product differs where an odd
+        # number of blocks has odd a, that is where the token ended changed
+        blocks = discrete + unipotent
+        signs += (product,)
+        flags = kept_flags = _VANISHING_FLAGS if vanishing else ()
+        if keep:
+            flipped += (product if token == delta else -product,)
     else:
         # the big block is char ⊠ R[top]; the first block equal to it is it
         key = route.char, route.top
@@ -388,26 +404,21 @@ def _rho_core(
             eta1, eta2 = x, y
         else:
             eta1, eta2 = y, x
+        blocks = discrete + (eta1, eta2, big)
         a = (eta2.dim + 1) // 2
         same = eta2.char == route.char
-        slots = eta1, eta2, big
-    blocks = discrete + slots
-    parity = minus % 2  # of the discrete -1 signs
-    new = object.__new__
-    set_whittaker, set_blocks, set_signs, set_flags = _SLOT_SETTERS
-    for whittaker in (delta, -delta) if keep else (delta,):
-        if whittaker != delta:
-            # the -delta pass ends with the negated token, and its parity
-            # differs where an odd number of blocks has odd a, that is where
-            # the token ended changed
-            token, parity, signs = -token, parity ^ (token != delta), flipped
-        if single:
-            flagged = vanishing
-            signs += (-1 if parity else 1,)
-        else:
-            e1e2 = -1 if token * a // 2 % 2 else 1  # token is now delta'
-            e3 = -e1e2 if parity else e1e2
-            e2 = route.e2e3(same, a, whittaker, token) * e3
+        rule = route.e2e3
+        for whittaker in (delta, -delta) if keep else (delta,):
+            if whittaker != delta:
+                # the -delta pass ends with the negated token, and its
+                # product differs where the token ended changed
+                token, product = -token, (product if token == delta else -product)
+            # e1 e2 = (-1)^floor(delta' a / 2); the token is now delta'
+            e1e2 = -1 if a & 2 else 1
+            if a & 1:
+                e1e2 *= token
+            e3 = e1e2 * product
+            e2 = rule(same, a, whittaker, token) * e3
             e1 = e1e2 * e2
             flagged = (
                 vanishing
@@ -415,17 +426,27 @@ def _rho_core(
                 or (e1 != e3 and eta1 == big)
                 or (e2 != e3 and eta2 == big)
             )
-            signs += e1, e2, e3
-        char = new(PacketCharacter)
-        set_whittaker(char, whittaker)
-        set_blocks(char, blocks)
-        set_signs(char, tuple(signs))
-        set_flags(char, (VANISHING,) if flagged else ())
-        if whittaker == delta:
-            asked = char
-        else:
-            _set_kept_char(psi, char)
-    return asked
+            if whittaker == delta:
+                signs += (e1, e2, e3)
+                flags = _VANISHING_FLAGS if flagged else ()
+            else:
+                flipped += (e1, e2, e3)
+                kept_flags = _VANISHING_FLAGS if flagged else ()
+    new = object.__new__
+    set_whittaker, set_blocks, set_signs, set_flags = _SLOT_SETTERS
+    char = new(PacketCharacter)
+    set_whittaker(char, delta)
+    set_blocks(char, blocks)
+    set_signs(char, tuple(signs))
+    set_flags(char, flags)
+    if keep:
+        kept = new(PacketCharacter)
+        set_whittaker(kept, -delta)
+        set_blocks(kept, blocks)
+        set_signs(kept, tuple(flipped))
+        set_flags(kept, kept_flags)
+        _set_kept_char(psi, kept)
+    return char
 
 
 # The setters of ``PacketCharacter``'s slots, in field order, and of the

@@ -40,7 +40,7 @@ from .params import (
     char_name,
     validate,
 )
-from .weights import HighestWeight, module_of
+from .weights import HighestWeight, _echo, module_of
 
 SCHEMA_VERSION = 1
 
@@ -98,11 +98,12 @@ def _strict_keys(obj: dict, allowed: set[str], where: str) -> None:
 
 
 def _wire_int(obj: dict, key: str) -> int:
-    """A JSON integer field, taken as it is: no bool, float or string."""
+    """A JSON integer field, taken as it is: no bool, float or string; a
+    refused value is echoed cut short (``weights._echo``)."""
     value = obj[key]
     if type(value) is not int:
         raise ValidationError(
-            f"malformed parameter: {key} must be an integer, got {value!r}",
+            f"malformed parameter: {key} must be an integer, got {_echo(value)}",
             ["BLOCK_SHAPE"],
         )
     return value
@@ -492,6 +493,7 @@ def _report(command: str, inputs: dict[str, Any], results: dict[str, Any]) -> di
 _WRITTEN_AS = (str, dict, list, tuple, ArthurParameter, characters.PacketCharacter)
 # the classes it dispatches on as they are
 _WRITTEN = frozenset((int, *_WRITTEN_AS))
+_int_repr = int.__repr__
 
 
 def _indented_json(value: Any) -> str:
@@ -501,121 +503,148 @@ def _indented_json(value: Any) -> str:
     list and joined once.
 
     CPython's C encoder does not take ``indent``, so ``json.dumps`` falls
-    back to its generator-based Python encoder there; this walk takes less
-    than half of its time on a large report.  A value is dispatched on its
-    exact class; strings go through json's ``encode_basestring_ascii``,
-    exact ints through ``int.__repr__``.  Any other value takes json's own
-    tests: ``True``, ``False`` and ``None`` by identity (``1.0 == True``),
-    then ``isinstance``, so a subclass of dict or list is walked as one, and
-    any other scalar is written, or refused with ``TypeError``, as
-    ``json.dumps`` writes or refuses it.  A report is a tree, so no circular
-    reference is looked for: one would end in ``RecursionError``.  A block
-    of exactly ``UnipotentBlock`` or ``DiscreteBlock`` whose fields are
-    exact ints is written from them once per call and indentation; any other
-    goes through ``_block_to_json``, as ``(1, 2) == (True, 2)``.
+    back to its generator-based Python encoder there; this walk
+    (``_write``) takes less than half of its time on a large report.  A
+    value is dispatched on its exact class; strings go through json's
+    ``encode_basestring_ascii``, exact ints through ``int.__repr__``.  Any
+    other value takes json's own tests: ``True``, ``False`` and ``None`` by
+    identity (``1.0 == True``), then ``isinstance``, so a subclass of dict
+    or list is walked as one, and any other scalar is written, or refused
+    with ``TypeError``, as ``json.dumps`` writes or refuses it.  A report is
+    a tree, so no circular reference is looked for: one would end in
+    ``RecursionError``.  The text of a record's block tuple is written once
+    per call and indentation (``_blocks``).
     """
     parts: list[str] = []
-    append = parts.append
-    enc = _encode_str
-    int_repr = int.__repr__
-    memo: dict[str, dict[tuple, str]] = {}  # this call's block texts, by indentation
+    _write(value, "\n", parts, {})
+    return "".join(parts)
 
-    def blocks(items: tuple, nl: str) -> str:
+
+def _write(value: Any, nl: str, parts: list[str], memo: dict) -> None:
+    """Append the text of ``value`` at indentation ``nl`` to ``parts``, for
+    ``_indented_json``, with ``memo`` its call's block texts (``_blocks``).
+
+    The writer is module-level and is handed its list and memo: nested
+    closures that call each other refer to each other through their cells,
+    so each call would leave them and its memo behind as cyclic garbage.
+    The scalars of a container are written in its loop, with no call.
+    """
+    kind = type(value)
+    if kind not in _WRITTEN:
+        if value is None or value is True or value is False:
+            parts.append("null" if value is None else "true" if value else "false")
+            return
+        for kind in _WRITTEN_AS:
+            if isinstance(value, kind):
+                break
+        else:
+            parts.append(json.dumps(value))
+            return
+    if kind is dict:
+        if not value:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                key = _json_key(key)
+            kind = type(item)
+            if kind is str:
+                parts.append(f"{sep}{_encode_str(key)}: {_encode_str(item)}")
+            elif kind is int:
+                parts.append(f"{sep}{_encode_str(key)}: {_int_repr(item)}")
+            else:
+                parts.append(f"{sep}{_encode_str(key)}: ")
+                _write(item, inner, parts, memo)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                parts.append(sep + _encode_str(item))
+            elif kind is int:
+                parts.append(sep + _int_repr(item))
+            else:
+                parts.append(sep)
+                _write(item, inner, parts, memo)
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif kind is ArthurParameter:  # keys as param_to_json sorts them
+        inner = nl + "  "
+        parts.append(f'{{{inner}"discrete": {_blocks(value.discrete, inner, memo)},{inner}"n": ')
+        _write(value.n, inner, parts, memo)
+        parts.append(f',{inner}"unipotent": {_blocks(value.unipotent, inner, memo)}{nl}}}')
+    elif kind is str:
+        parts.append(_encode_str(value))
+    elif kind is int:  # a parameter's rank, a character's token
+        parts.append(_int_repr(value))
+    else:  # a character, keys as _character_to_json sorts them
+        inner = nl + "  "
+        parts.append(f'{{{inner}"blocks": {_blocks(value.blocks, inner, memo)},{inner}"flags": ')
+        _write(value.flags, inner, parts, memo)
+        parts.append(f',{inner}"signs": ')
+        _write(value.signs, inner, parts, memo)
+        parts.append(f',{inner}"whittaker": ')
+        _write(value.whittaker, inner, parts, memo)
+        parts.append(nl + "}")
+
+
+def _blocks(items: tuple, nl: str, memo: dict) -> str:
+    """The text of a record's block tuple at indentation ``nl``, written once
+    per ``_indented_json`` call: ``memo`` keeps it by the tuple's ``id``,
+    and keeps each block's text by indentation.
+
+    The enumerators share block tuples among parameters (a cover's discrete
+    blocks, a character choice's unipotent blocks), and a member's two
+    characters share theirs.  The tuple is keyed by identity, not by value:
+    ``(UnipotentBlock(True, 3),) == (UnipotentBlock(1, 3),)``, and both hash
+    alike.  The memo holds each tuple beside its text, so no id is reused
+    within the call.  A block of exactly ``UnipotentBlock`` or
+    ``DiscreteBlock`` whose fields are exact ints is written from them once,
+    keyed with its class (``UnipotentBlock(1, 3) == DiscreteBlock(1, 3)``);
+    any other goes through ``_block_to_json``.
+    """
+    key = (id(items), nl)
+    found = memo.get(key)
+    if found is not None:
+        return found[1]
+    if not items:
+        text = "[]"
+    else:
         inner = nl + "  "
         field = inner + "  "
-        texts = memo.setdefault(inner, {})
+        texts = memo.get(inner)  # the block texts at this indentation
+        if texts is None:
+            texts = memo[inner] = {}
         out = []
         for b in items:
             kind = type(b)
             first, second = b
             if (type(first) is int and type(second) is int
                     and (kind is UnipotentBlock or kind is DiscreteBlock)):
-                key = (kind, b)
-                text = texts.get(key)
-                if text is None:
-                    text = texts[key] = (
+                block = (kind, b)
+                found = texts.get(block)
+                if found is None:
+                    found = texts[block] = (
                         f'{{{field}"char": "{char_name(first)}",{field}"dim": {second}{inner}}}'
                         if kind is UnipotentBlock
                         else f'{{{field}"a": {second},{field}"t": {first}{inner}}}'
                     )
+                out += (found,)
             else:
-                start = len(parts)
-                write(_block_to_json(b), inner)
-                text = "".join(parts[start:])
-                del parts[start:]
-            out.append(text)
-        return f"[{inner}" + f",{inner}".join(out) + f"{nl}]" if out else "[]"
-
-    def write(value: Any, nl: str) -> None:
-        # the scalars of a container are written in its loop, with no call
-        kind = type(value)
-        if kind not in _WRITTEN:
-            if value is None or value is True or value is False:
-                append("null" if value is None else "true" if value else "false")
-                return
-            for kind in _WRITTEN_AS:
-                if isinstance(value, kind):
-                    break
-            else:
-                append(json.dumps(value))
-                return
-        if kind is dict:
-            if not value:
-                append("{}")
-                return
-            inner = nl + "  "
-            sep = "{" + inner
-            for key, item in sorted(value.items()):
-                if not isinstance(key, str):
-                    key = _json_key(key)
-                kind = type(item)
-                if kind is str:
-                    append(f"{sep}{enc(key)}: {enc(item)}")
-                elif kind is int:
-                    append(f"{sep}{enc(key)}: {int_repr(item)}")
-                else:
-                    append(f"{sep}{enc(key)}: ")
-                    write(item, inner)
-                sep = "," + inner
-            append(nl + "}")
-        elif kind is list or kind is tuple:
-            if not value:
-                append("[]")
-                return
-            inner = nl + "  "
-            sep = "[" + inner
-            for item in value:
-                kind = type(item)
-                if kind is str:
-                    append(sep + enc(item))
-                elif kind is int:
-                    append(sep + int_repr(item))
-                else:
-                    append(sep)
-                    write(item, inner)
-                sep = "," + inner
-            append(nl + "]")
-        elif kind is ArthurParameter:  # keys as param_to_json sorts them
-            inner = nl + "  "
-            append(f'{{{inner}"discrete": {blocks(value.discrete, inner)},{inner}"n": ')
-            write(value.n, inner)
-            append(f',{inner}"unipotent": {blocks(value.unipotent, inner)}{nl}}}')
-        elif kind is str:
-            append(enc(value))
-        elif kind is int:  # a parameter's rank, a character's token
-            append(int_repr(value))
-        else:  # a character, keys as _character_to_json sorts them
-            inner = nl + "  "
-            append(f'{{{inner}"blocks": {blocks(value.blocks, inner)},{inner}"flags": ')
-            write(value.flags, inner)
-            append(f',{inner}"signs": ')
-            write(value.signs, inner)
-            append(f',{inner}"whittaker": ')
-            write(value.whittaker, inner)
-            append(nl + "}")
-
-    write(value, "\n")
-    return "".join(parts)
+                parts: list[str] = []
+                _write(_block_to_json(b), inner, parts, memo)
+                out += ("".join(parts),)
+        text = f"[{inner}" + f",{inner}".join(out) + f"{nl}]"
+    memo[key] = items, text
+    return text
 
 
 def _json_key(key: Any) -> str:

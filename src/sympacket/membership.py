@@ -85,7 +85,6 @@ from .weights import (
     Module,
     _inf_char_entries,
     _record,
-    _sign_pow,
     module_of,
     pi_nm,
     regular_a_max,
@@ -414,17 +413,21 @@ def decide_pi_recursive(psi: ArthurParameter, n: int, m: int) -> bool:
 
 # The e2 e3 rules of the character recipe (``characters.rho_pi_general`` and
 # ``rho_sigma_general``): from whether eta_2 carries the character of the big
-# block, a = (dim eta_2 + 1)/2, delta and delta' to the product e2 e3.
+# block, a = (dim eta_2 + 1)/2, delta and delta' to the product e2 e3.  The
+# sign powers are read off the parity of a or k, with no call.
 def _e2e3_exact(same: bool, a: int, delta: int, delta_prime: int) -> int:
-    return 1 if same else delta_prime * _sign_pow(a + 1)
+    # delta' (-1)^(a+1)
+    return 1 if same else delta_prime if a & 1 else -delta_prime
 
 
 def _e2e3_shifted(same: bool, a: int, delta: int, delta_prime: int) -> int:
-    return -1 if same else delta_prime * _sign_pow(a)
+    # delta' (-1)^a
+    return -1 if same else -delta_prime if a & 1 else delta_prime
 
 
 def _e2e3_sigma(k: int, same: bool, a: int, delta: int, delta_prime: int) -> int:
-    return -1 if same else delta * _sign_pow(k)
+    # delta (-1)^k
+    return -1 if same else -delta if k & 1 else delta
 
 
 class _Route(NamedTuple):

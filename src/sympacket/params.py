@@ -35,7 +35,7 @@ from collections.abc import Iterable
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import NamedTuple
 
-from .weights import InfinitesimalCharacter
+from .weights import InfinitesimalCharacter, _echo
 
 __all__ = [
     "CHAR_TRIV",
@@ -84,7 +84,7 @@ def char_from_name(name: str) -> int:
     try:
         return {"triv": CHAR_TRIV, "sgn": CHAR_SGN}[name]
     except KeyError:
-        raise ValueError(f"unknown character {name!r}") from None
+        raise ValueError(f"unknown character {_echo(name)}") from None
 
 
 class UnipotentBlock(NamedTuple):
@@ -440,30 +440,44 @@ def _all_segment_covers(
             return []
         half = _cut([c - 1 for c in half[:size]] + list(half[size:]))
         lead = (top,)
+    # the memo is a local that nothing else refers to, so it is freed by
+    # refcount when the search returns or raises (``_walk``)
     memo: dict[tuple, list[_Cover]] = {((), None): [((), ())]}
-
-    def walk(half: tuple[int, ...], bound: int | None) -> list[_Cover]:
-        key = (half, bound)
-        found = memo.get(key)
-        if found is None:
-            found = []
-            high = len(half) - 1
-            for low, rest, following in _first_steps(half, bound, top):
-                sub = walk(rest, following)
-                if low is None:
-                    run = (2 * high + 1,) * half[high]
-                    found += [(run + unip, disc) for unip, disc in sub]
-                else:
-                    block = _discrete_block(high + low, high - low + 1)
-                    found += [(unip, (block,) + disc) for unip, disc in sub]
-            memo[key] = found
-        return found
-
     # blocks decreasing as (t, a), which is canonical (-t, -a)
     return [
         (lead + unip, tuple(sorted(disc, reverse=True)))
-        for unip, disc in walk(half, None)
+        for unip, disc in _walk(half, None, top, memo)
     ]
+
+
+def _walk(
+    half: tuple[int, ...], bound: int | None, cap: int | None, memo: dict
+) -> list[_Cover]:
+    """The covers of the half-count ``half`` whose first mirrored pair has
+    low at most ``bound`` (None: any) and whose centered segments have
+    dimension at most ``cap`` (None: any), each with its unipotent
+    dimensions non-increasing and its discrete blocks unsorted, kept in
+    ``memo`` by (half, bound).
+
+    A module-level function that is handed its memo: a nested closure that
+    calls itself refers to itself through its own cell, so each search
+    would leave its whole memo behind as cyclic garbage.
+    """
+    key = (half, bound)
+    found = memo.get(key)
+    if found is None:
+        found = []
+        high = len(half) - 1
+        for low, rest, following in _first_steps(half, bound, cap):
+            sub = _walk(rest, following, cap, memo)
+            if low is None:
+                run = (2 * high + 1,) * half[high]
+                found += [(run + unip, disc) for unip, disc in sub]
+            else:
+                block = _discrete_block(high + low, high - low + 1)
+                found += [(unip, (block,) + disc) for unip, disc in sub]
+        memo[key] = found
+    return found
 
 
 def _trusted_params(

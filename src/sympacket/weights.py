@@ -21,7 +21,8 @@ Everything is integer arithmetic; half-integers are avoided by doubling.
 
 At the bottom of the package's imports, it also holds what every module
 shares: ``_record``, the frozen record decorator the records use in place
-of ``@dataclass``, and the sign power ``_sign_pow``.
+of ``@dataclass``, the sign power ``_sign_pow``, and ``_echo``, a value as
+a refusal names it.
 """
 
 from __future__ import annotations
@@ -158,6 +159,25 @@ def _bind(qualname, names, defaults, args, kwargs):
 def _sign_pow(k: int) -> int:
     """(-1)**k for possibly negative k."""
     return -1 if k % 2 else 1
+
+
+# the longest ``repr`` of a value that a refusal echoes whole
+_ECHO_LIMIT = 80
+
+
+def _echo(value: object) -> str:
+    """``repr(value)`` for a refusal, whole when it has at most
+    ``_ECHO_LIMIT`` characters; a longer one is cut there and followed by the
+    value's type and length (of its ``repr`` where the value has no
+    ``len``), so a hostile value cannot inflate the message."""
+    text = repr(value)
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    try:
+        size = len(value)
+    except TypeError:
+        size = len(text)
+    return f"{text[:_ECHO_LIMIT]}... ({type(value).__name__} of length {size})"
 
 
 def _not_integer(values: tuple) -> ValueError:

@@ -420,13 +420,10 @@ def test_recorded_member_character_profiler_events():
         "rho_pi_general",
         "_decide_route",
         "_rho_core",
-        "append",
         "len",
         "_e2e3_exact",
-        "_sign_pow",
-        "__new__",
         "_e2e3_exact",
-        "_sign_pow",
+        "__new__",
         "__new__",
     ]
     other, events = profiler_events(rho_pi_general, psi, 6, 4, -1)
@@ -437,7 +434,7 @@ def test_recorded_member_character_profiler_events():
         _, events = profiler_events(rho_pi_general, user_copy(psi), 6, 4, delta)
         assert "_decide_core" in events
         recipe = events[events.index("_rho_core"):]
-        assert recipe == ["_rho_core", "append", "len", "_e2e3_exact", "_sign_pow", "__new__"]
+        assert recipe == ["_rho_core", "len", "_e2e3_exact", "__new__"]
 
 
 def kept_record(psi):
