@@ -40,14 +40,14 @@ from .params import (
     char_name,
     validate,
 )
-from .weights import HighestWeight, _echo, module_of
+from .weights import _ECHO_LIMIT, HighestWeight, _echo, module_of
 
 SCHEMA_VERSION = 1
 
 # Largest rank accepted by ``standard``, ``howe``, ``tableau`` and ``cohind``,
 # and of a ``--param``: their reports and the infinitesimal characters of
-# ``decide`` and ``rho`` grow with n (cohomology.rho_vectors quadratically),
-# and no computation here uses a rank anywhere near it.
+# ``decide`` and ``rho`` grow with n, and no computation here uses a rank
+# anywhere near it.
 MAX_REPORT_RANK = 64
 
 # Largest ``--param`` file read, in bytes.  A rank-64 parameter of 129
@@ -89,11 +89,16 @@ def param_to_json(psi: ArthurParameter) -> dict[str, Any]:
 
 
 def _strict_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+    """Refuse fields outside ``allowed``, each echoed in the message
+    (``weights._echo``) and named in an ``UNKNOWN_FIELD:`` code: whole if its
+    ``repr`` fits ``_ECHO_LIMIT``, else as its first ``_ECHO_LIMIT``
+    characters and ``...``, which no name given whole can spell."""
+    unknown = sorted(set(obj) - allowed)
     if unknown:
+        names = [k if len(repr(k)) <= _ECHO_LIMIT else f"{k[:_ECHO_LIMIT]}..." for k in unknown]
         raise ValidationError(
-            f"unknown fields in {where}: {sorted(unknown)}",
-            [f"UNKNOWN_FIELD:{k}" for k in sorted(unknown)],
+            f"unknown fields in {where}: [{', '.join(map(_echo, unknown))}]",
+            [f"UNKNOWN_FIELD:{k}" for k in names],
         )
 
 

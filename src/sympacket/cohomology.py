@@ -75,17 +75,6 @@ class HalfIntVector:
         return all(x % 2 == 0 for x in self.doubled)
 
 
-def _zero(n: int) -> list[int]:
-    return [0] * n
-
-
-def _add_root(vec: list[int], i: int, j: int | None, si: int, sj: int) -> None:
-    # accumulate si*e_i (+ sj*e_j), 0-based indices
-    vec[i] += si
-    if j is not None:
-        vec[j] += sj
-
-
 @_record
 class RhoVectors:
     """Half-sums of roots attached to the pair (p, q), plus S = dim(u ∩ k)."""
@@ -99,72 +88,32 @@ class RhoVectors:
 
 
 def rho_vectors(n: int, p: int, q: int) -> RhoVectors:
-    """Half-sums of the root sets of the (p, q) parabolic pair, by direct
-    enumeration of the roots.
+    """Half-sums of the root sets of the (p, q) parabolic pair, in closed form.
 
     The positive system on the Levi is the one adapted to holomorphic
     induction: reversed on the first p coordinates, standard on the last q,
-    and negated long/short sums on the middle symplectic factor.
+    and negated long/short sums on the middle symplectic factor.  With
+    r = n - p - q and s the 0-based position of a coordinate in its run
+    (first p, middle r, last q), the doubled half-sums are
+
+        2 delta_l     = (2s - p - q + 1 | -2s - 2 | q - p - 1 - 2s),
+        2 delta_{u∩p} = ((n - q + 1)^p, (p - q)^r, (-(n - p + 1))^q),
+        2 delta_{u∩k} = ((n - p)^p, (q - p)^r, (-(n - q))^q),
+
+    and S = p(n - p) + rq.
     """
     if p < 0 or q < 0 or p + q > n:
         raise ValueError("need p, q >= 0 and p + q <= n")
-    first = range(0, p)
-    middle = range(p, n - q)
-    last = range(n - q, n)
-
-    two_delta_l = _zero(n)
-    for i in first:
-        for j in first:
-            if i < j:
-                _add_root(two_delta_l, i, j, -1, +1)  # -(e_i - e_j)
-    for i in last:
-        for j in last:
-            if i < j:
-                _add_root(two_delta_l, i, j, +1, -1)  # e_i - e_j
-    for i in middle:
-        for j in middle:
-            if i < j:
-                _add_root(two_delta_l, i, j, +1, -1)  # e_i - e_j
-                _add_root(two_delta_l, i, j, -1, -1)  # -(e_i + e_j)
-        _add_root(two_delta_l, i, None, -2, 0)  # -2 e_i
-    for i in first:
-        for j in last:
-            _add_root(two_delta_l, i, j, -1, -1)  # -(e_i + e_j)
-
-    two_delta_up = _zero(n)
-    for i in first:
-        for j in first:
-            if i < j:
-                _add_root(two_delta_up, i, j, +1, +1)  # e_i + e_j
-        _add_root(two_delta_up, i, None, +2, 0)  # 2 e_i
-    for i in last:
-        for j in last:
-            if i < j:
-                _add_root(two_delta_up, i, j, -1, -1)  # -(e_i + e_j)
-        _add_root(two_delta_up, i, None, -2, 0)  # -2 e_i
-    for i in first:
-        for j in middle:
-            _add_root(two_delta_up, i, j, +1, +1)  # e_i + e_j
-    for i in middle:
-        for j in last:
-            _add_root(two_delta_up, i, j, -1, -1)  # -(e_i + e_j)
-
-    two_delta_uk = _zero(n)
-    count_uk = 0
-    for i in first:
-        for j in range(p, n):
-            _add_root(two_delta_uk, i, j, +1, -1)  # e_i - e_j
-            count_uk += 1
-    for i in middle:
-        for j in last:
-            _add_root(two_delta_uk, i, j, +1, -1)  # e_i - e_j
-            count_uk += 1
-
-    delta_l = HalfIntVector(tuple(two_delta_l))
-    delta_up = HalfIntVector(tuple(two_delta_up))
-    delta_uk = HalfIntVector(tuple(two_delta_uk))
+    r = n - p - q
+    delta_l = HalfIntVector(
+        tuple(2 * s - p - q + 1 for s in range(p))
+        + tuple(-2 * s - 2 for s in range(r))
+        + tuple(q - p - 1 - 2 * s for s in range(q))
+    )
+    delta_up = HalfIntVector((n - q + 1,) * p + (p - q,) * r + (-(n - p + 1),) * q)
+    delta_uk = HalfIntVector((n - p,) * p + (q - p,) * r + (-(n - q),) * q)
     delta_u = delta_up + delta_uk
-    return RhoVectors(delta_l, delta_up, delta_uk, delta_u, delta_l + delta_u, count_uk)
+    return RhoVectors(delta_l, delta_up, delta_uk, delta_u, delta_l + delta_u, p * (n - p) + r * q)
 
 
 def lambda_of(n: int, p: int, q: int, t: int) -> HalfIntVector:

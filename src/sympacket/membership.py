@@ -71,11 +71,12 @@ from .params import (
     DiscreteBlock,
     UnipotentBlock,
     a_psi_u,
+    _char_assignments,
     _check_rank,
-    _cover_params,
     _discrete_block,
     _order_key,
     _require_valid,
+    _trusted_params,
     _unipotent_block,
     contains_block,
     inf_char_of_param,
@@ -556,7 +557,8 @@ def _enumerate_packets(
                 disjoint = set(taken)
                 covers = [c for c in covers if c not in disjoint]
         for unip_dims, discrete in covers:
-            members += _cover_params(n, unip_dims, discrete, route.char, route)
+            unipotents = _char_assignments(n, unip_dims, route.char)
+            members += _trusted_params(n, unipotents, discrete, route)
     members.sort(key=_order_key)
     return [(psi, psi._route.verdict) for psi in members]
 

@@ -536,16 +536,21 @@ def _require_valid(psi: ArthurParameter) -> None:
 
 @functools.lru_cache(maxsize=1024)
 def _char_assignments(
-    dims: tuple[int, ...], parity: int, top_char: int | None = None
+    n: int, dims: tuple[int, ...], top_char: int | None = None
 ) -> tuple[tuple[UnipotentBlock, ...], ...]:
-    """Character multisets on unipotent blocks with prescribed sign parity.
+    """Character multisets on unipotent blocks of these dimensions with the
+    sign parity the determinant condition needs at rank n: that of the sum
+    of the discrete a, (2n+1 - sum of the dimensions) / 2.
 
     Blocks come out in canonical order: dimensions decreasing, and within a
     dimension trivial before sign, as shared instances.  With ``top_char``,
     only the multisets in which some block of the largest dimension carries
     that character.  Covers share few dimension multisets (the packets of
-    every module at ranks 4-9 need 62 keys), so the answers are kept.
+    every module at ranks 4-9 need 127 keys), so the answers are kept.
+    Distinct covers and multisets give distinct canonical parameters, so
+    the enumerators' ``_trusted_params`` validate or deduplicate nothing.
     """
+    parity = (2 * n + 1 - sum(dims)) // 2 % 2
     groups = sorted(Counter(dims).items(), reverse=True)
     choices = [range(c + 1) for _, c in groups]
     if top_char is not None:
@@ -576,30 +581,6 @@ def _check_rank(n: int, max_rank: int) -> None:
         raise RankBoundError(f"rank {n} exceeds the enumeration cap {max_rank}")
 
 
-def _cover_params(
-    n: int,
-    unip_dims: tuple[int, ...],
-    discrete: tuple[DiscreteBlock, ...],
-    top_char: int | None = None,
-    route: tuple | None = None,
-) -> list[ArthurParameter]:
-    """The parameters of rank n on one cover (unipotent dims, discrete
-    blocks), marked valid (and recording ``route``, see
-    ``_trusted_params``); with ``top_char``, only those with a block of the
-    largest unipotent dimension and that character.
-
-    Each cover is canonical (_char_assignments yields unipotent blocks in
-    _unip_key order), covers the 2n+1 entries with well-shaped blocks, and
-    gets only characters of the parity the determinant condition needs: that
-    of the sum of the discrete a, (2n+1 - sum of the unipotent dims) / 2.
-    Distinct covers and assignments give distinct parameters, so nothing is
-    canonicalized, validated or deduplicated again.
-    """
-    parity = (2 * n + 1 - sum(unip_dims)) // 2 % 2
-    unipotents = _char_assignments(unip_dims, parity, top_char)
-    return _trusted_params(n, unipotents, discrete, route)
-
-
 def enumerate_params(
     chi: InfinitesimalCharacter, n: int, max_rank: int = MAX_ENUMERATION_RANK
 ) -> list[ArthurParameter]:
@@ -615,7 +596,7 @@ def enumerate_params(
         raise ValueError("character length must be 2n+1")
     out: list[ArthurParameter] = []
     for unip_dims, discrete in _all_segment_covers(chi.entries):
-        out += _cover_params(n, unip_dims, discrete)
+        out += _trusted_params(n, _char_assignments(n, unip_dims), discrete)
     out.sort(key=_order_key)
     return out
 

@@ -43,6 +43,11 @@ by ``params._first_steps``, weighting each cover by its character choices.
 The library counts in closed form in the module's rank and value
 (``membership._parameter_count``), and this walk is the reference that form
 is pinned to.
+
+The half-sum oracle ``rho_vectors_by_roots`` is the library's earlier
+``cohomology.rho_vectors``: it lists the roots of the Levi, of u ∩ p and of
+u ∩ k of the (p, q) pair one by one and adds them up.  The library writes
+each sum in closed form.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
+from sympacket.cohomology import HalfIntVector, RhoVectors
 from sympacket.membership import (
     _routes,
     decide_pi_recursive,
@@ -340,3 +346,75 @@ def parameter_count_by_walk(entries: tuple[int, ...]) -> int:
         return total
 
     return weighted(_half_counts(entries), None) // 2
+
+
+def _add_root(vec: list[int], i: int, j: int | None, si: int, sj: int) -> None:
+    # accumulate si*e_i (+ sj*e_j), 0-based indices
+    vec[i] += si
+    if j is not None:
+        vec[j] += sj
+
+
+def rho_vectors_by_roots(n: int, p: int, q: int) -> RhoVectors:
+    """Half-sums of the root sets of the (p, q) parabolic pair, by direct
+    enumeration of the roots, for the positive system of
+    ``cohomology.rho_vectors``: reversed on the first p coordinates,
+    standard on the last q, and negated long/short sums on the middle
+    symplectic factor."""
+    first = range(0, p)
+    middle = range(p, n - q)
+    last = range(n - q, n)
+
+    two_delta_l = [0] * n
+    for i in first:
+        for j in first:
+            if i < j:
+                _add_root(two_delta_l, i, j, -1, +1)  # -(e_i - e_j)
+    for i in last:
+        for j in last:
+            if i < j:
+                _add_root(two_delta_l, i, j, +1, -1)  # e_i - e_j
+    for i in middle:
+        for j in middle:
+            if i < j:
+                _add_root(two_delta_l, i, j, +1, -1)  # e_i - e_j
+                _add_root(two_delta_l, i, j, -1, -1)  # -(e_i + e_j)
+        _add_root(two_delta_l, i, None, -2, 0)  # -2 e_i
+    for i in first:
+        for j in last:
+            _add_root(two_delta_l, i, j, -1, -1)  # -(e_i + e_j)
+
+    two_delta_up = [0] * n
+    for i in first:
+        for j in first:
+            if i < j:
+                _add_root(two_delta_up, i, j, +1, +1)  # e_i + e_j
+        _add_root(two_delta_up, i, None, +2, 0)  # 2 e_i
+    for i in last:
+        for j in last:
+            if i < j:
+                _add_root(two_delta_up, i, j, -1, -1)  # -(e_i + e_j)
+        _add_root(two_delta_up, i, None, -2, 0)  # -2 e_i
+    for i in first:
+        for j in middle:
+            _add_root(two_delta_up, i, j, +1, +1)  # e_i + e_j
+    for i in middle:
+        for j in last:
+            _add_root(two_delta_up, i, j, -1, -1)  # -(e_i + e_j)
+
+    two_delta_uk = [0] * n
+    count_uk = 0
+    for i in first:
+        for j in range(p, n):
+            _add_root(two_delta_uk, i, j, +1, -1)  # e_i - e_j
+            count_uk += 1
+    for i in middle:
+        for j in last:
+            _add_root(two_delta_uk, i, j, +1, -1)  # e_i - e_j
+            count_uk += 1
+
+    # the sums entry by entry, not through ``HalfIntVector.__add__``
+    two_delta_u = [a + b for a, b in zip(two_delta_up, two_delta_uk)]
+    two_delta_pq = [a + b for a, b in zip(two_delta_l, two_delta_u)]
+    doubled = (two_delta_l, two_delta_up, two_delta_uk, two_delta_u, two_delta_pq)
+    return RhoVectors(*(HalfIntVector(tuple(v)) for v in doubled), count_uk)

@@ -112,6 +112,48 @@ def test_malformed_parameter_exits_2(capsys):
     assert "ORDER" in json.loads(err)["violations"]
 
 
+def test_over_long_unknown_fields_are_named_cut_short(capsys):
+    # a field name is kept whole in the message and in its UNKNOWN_FIELD
+    # code while its repr has at most 80 characters; a longer one is echoed
+    # as weights._echo writes it, and its code keeps its first 80
+    # characters followed by "...", which no name given whole can spell
+    def refusal(blob):
+        code, out, err = run(capsys, ["decide", "--param", json.dumps(blob), "--pi", "0"])
+        assert (code, out) == (2, "")
+        assert len(err.encode()) <= 1024
+        return json.loads(err)
+
+    base = {"n": 1, "unipotent": [{"char": "triv", "dim": 3}], "discrete": []}
+    long_name, cut = "x" * 300_000, "x" * 80 + "..."
+    echo = f"'{'x' * 79}... (str of length 300000)"
+    report = refusal({**base, long_name: 1})
+    assert report["violations"] == [f"UNKNOWN_FIELD:{cut}"]
+    assert report["error"] == f"unknown fields in parameter: [{echo}]"
+    # the cut: 78 characters (a repr of 80) whole, 79 and more cut, and a
+    # name with escapes by its repr but cut by its characters
+    for name, code in [
+        ("x" * 78, "x" * 78),
+        ("x" * 79, "x" * 79 + "..."),
+        ("x" * 81, "x" * 80 + "..."),
+        ("\n" * 40, "\n" * 40 + "..."),
+    ]:
+        assert refusal({**base, name: 1})["violations"] == ["UNKNOWN_FIELD:" + code]
+    # in a block, and next to short names, which keep the message's bytes
+    short = ["bogus", "é", 'say "hi"', "it's"]
+    block = {"char": "triv", "dim": 3, **dict.fromkeys(short + [long_name], 1)}
+    report = refusal({**base, "unipotent": [block]})
+    names = sorted(short + [long_name])
+    assert report["violations"] == [
+        f"UNKNOWN_FIELD:{cut if k == long_name else k}" for k in names
+    ]
+    assert report["error"] == "unknown fields in unipotent block: [{}]".format(
+        ", ".join(echo if k == long_name else repr(k) for k in names)
+    )
+    assert refusal({**base, **dict.fromkeys(short, 1)})["error"] == (
+        f"unknown fields in parameter: {sorted(short)}"
+    )
+
+
 def test_usage_error_exits_1(capsys):
     assert cli.main(["decide", "--param", WORKED_JSON]) == 1
     assert cli.main(["nonsense"]) == 1

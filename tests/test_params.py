@@ -29,7 +29,8 @@ from sympacket.params import (
     twist_sgn,
     validate,
     _all_segment_covers,
-    _cover_params,
+    _char_assignments,
+    _trusted_params,
 )
 from sympacket.weights import (
     InfinitesimalCharacter,
@@ -346,11 +347,11 @@ def test_top_character_filter():
     # with a top character, a cover yields exactly its parameters holding a
     # block of the largest unipotent dimension with that character
     for n, chi in module_characters(7):
-        for cover in _all_segment_covers(chi.entries):
-            every = list(_cover_params(n, *cover))
-            top = cover[0][0]
+        for dims, discrete in _all_segment_covers(chi.entries):
+            every = _trusted_params(n, _char_assignments(n, dims), discrete)
+            top = dims[0]
             for char in (CHAR_TRIV, CHAR_SGN):
-                assert list(_cover_params(n, *cover, char)) == [
+                assert _trusted_params(n, _char_assignments(n, dims, char), discrete) == [
                     psi for psi in every if UnipotentBlock(char, top) in psi.unipotent
                 ]
 
