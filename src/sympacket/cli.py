@@ -88,18 +88,26 @@ def param_to_json(psi: ArthurParameter) -> dict[str, Any]:
     }
 
 
+# The most unknown fields a refusal names.
+MAX_UNKNOWN_NAMED = 16
+
+
 def _strict_keys(obj: dict, allowed: set[str], where: str) -> None:
-    """Refuse fields outside ``allowed``, each echoed in the message
-    (``weights._echo``) and named in an ``UNKNOWN_FIELD:`` code: whole if its
-    ``repr`` fits ``_ECHO_LIMIT``, else as its first ``_ECHO_LIMIT``
-    characters and ``...``, which no name given whole can spell."""
+    """Refuse fields outside ``allowed``.  The first ``MAX_UNKNOWN_NAMED``
+    in sorted order are each echoed in the message (``weights._echo``) and
+    named in an ``UNKNOWN_FIELD:`` code: whole if its ``repr`` fits
+    ``_ECHO_LIMIT``, else as its first ``_ECHO_LIMIT`` characters and
+    ``...``, which no name given whole can spell.  The message ends
+    ``and K more`` when K more are unknown, so a refusal stays short however
+    many fields a parameter has."""
     unknown = sorted(set(obj) - allowed)
     if unknown:
-        names = [k if len(repr(k)) <= _ECHO_LIMIT else f"{k[:_ECHO_LIMIT]}..." for k in unknown]
-        raise ValidationError(
-            f"unknown fields in {where}: [{', '.join(map(_echo, unknown))}]",
-            [f"UNKNOWN_FIELD:{k}" for k in names],
-        )
+        named = unknown[:MAX_UNKNOWN_NAMED]
+        message = f"unknown fields in {where}: [{', '.join(map(_echo, named))}]"
+        if len(unknown) > len(named):
+            message += f" and {len(unknown) - len(named)} more"
+        codes = [k if len(repr(k)) <= _ECHO_LIMIT else f"{k[:_ECHO_LIMIT]}..." for k in named]
+        raise ValidationError(message, [f"UNKNOWN_FIELD:{k}" for k in codes])
 
 
 def _wire_int(obj: dict, key: str) -> int:

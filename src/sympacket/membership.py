@@ -27,21 +27,24 @@ The central decision procedures:
   containing the module, built from the route table (``_routes``).  Each
   route states the largest unipotent dimension of its members, the character
   of that block, the shape of their covers and the verdict it implies.
-  THM71_I members are built directly as interval compositions; every other
-  route searches only the covers with its top and builds only the character
-  choices holding its block.  So every parameter built is a member and gets
-  its route's verdict without a decider call.  Both, and the command line's
-  ``enumerate-*``, run the one enumerator ``_enumerate_packets``, a pass
-  over the route table.  Every cover has one shape, (unipotent dimensions,
-  non-increasing; discrete blocks, in canonical order), as
-  ``params._all_segment_covers`` gives it: one walk over the symmetric
-  half of the character, which reaches each cover once.
+  Once the route's block is taken away, what is left of the character
+  holds 0 twice and each positive value at most once, so each route's
+  covers are built directly (``_route_covers``): a piece that holds the
+  zeros, and consecutive segments above it.  No cover is searched, and
+  only the character choices holding the route's block are built.  So
+  every parameter built is a member and gets its route's verdict without a
+  decider call.  Both, and the command line's ``enumerate-*``, run the one
+  enumerator ``_enumerate_packets``, a pass over the route table.  Every
+  cover has one shape, (unipotent dimensions, non-increasing; discrete
+  blocks, in canonical order), the one ``params._all_segment_covers``
+  gives ``enumerate_params``.
 
 Both families reach one record, ``weights.Module`` from ``module_of``,
 which turns sigma_{2k,k} into pi_{2k}(k+1).  The module keys its
 infinitesimal character (``_module_inf_char``, built once per module, for
-the enumerators; a packet question compares a parameter's segments with the
-module's closed-form segments, ``_same_inf_char``) and its route
+the command line's ``inf_char`` field; a packet question compares a
+parameter's segments with the module's closed-form segments,
+``_same_inf_char``) and its route
 table, and the table is the only statement of the criteria above: it builds
 the members, and it decides.  The command line's count of the parameters
 with the module's character is closed form too (``_parameter_count``).
@@ -62,7 +65,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
-from . import params
 from .params import (
     CHAR_SGN,
     CHAR_TRIV,
@@ -484,9 +486,10 @@ def _module_inf_char(module: Module) -> tuple[int, ...]:
     """``module.inf_char()``, built once per module and kept, like
     ``_routes``, for the last 256 modules asked.
 
-    Only the enumerators (``_enumerate_packets``, the command line's
-    ``enumerate-*``) read it.  A packet question compares segment edges
-    (``_same_inf_char``) and never builds or keeps these O(n) entries.
+    Only the command line's ``enumerate-*`` reads it, for its report's
+    ``inf_char`` field: the enumerator builds its covers without the
+    entries (``_route_covers``), and a packet question compares segment
+    edges (``_same_inf_char``) and never builds or keeps them.
     Pass only what ``module_of`` returns: ``Module("pi", 3.0, 1)``
     equals and hashes like ``Module("pi", 3, 1)`` and would read its
     entries, where its own ``inf_char()``, left uncached, refuses it.
@@ -494,34 +497,79 @@ def _module_inf_char(module: Module) -> tuple[int, ...]:
     return module.inf_char()
 
 
-def _compositions(low: int, high: int) -> list[tuple[DiscreteBlock, ...]]:
-    """The ways to cut the integers low..high into consecutive segments, each
+def _compositions(low: int, high: int) -> list:
+    """The ways to cut the integers s..high into consecutive segments, for
+    each start s in low..high+1, at index s (below low, None): each segment
     as the discrete block (t, a) = (l + h, h - l + 1), highest segment
-    first, as shared instances (``params._discrete_block``)."""
-    if low > high:
-        return [()]
-    return [
-        (_discrete_block(cut + high, high - cut + 1),) + rest
-        for cut in range(high, low - 1, -1)
-        for rest in _compositions(low, cut - 1)
-    ]
+    first, as shared instances (``params._discrete_block``).
 
-
-def _disjoint_covers(n: int, m: int) -> list[tuple]:
-    """The covers of the THM71_I members of pi_n(m), 2m > n+1, in the shape
-    ``params._all_segment_covers`` gives them.
-
-    A member has one unipotent block, R[1], and pairwise disjoint segments.
-    The character holds 0 three times and the positive entries 1..m-1 and
-    1..n-m, so one discrete block holds 0, on [-(n-m), tau] for some tau in
-    n-m+1..m-1, and consecutive segments compose tau+1..m-1: 2^(2m-n-2)
-    covers.
+    Built bottom-up, each cut once: a cut of s..high is its lowest segment
+    [s, c] under a cut of c+1..high, so the cuts of every start share the
+    cuts above them.
     """
+    by_start: list = [None] * (high + 2)
+    by_start[high + 1] = [()]
+    for s in range(high, low - 1, -1):
+        cuts = []
+        for c in range(s, high + 1):
+            lowest = (_discrete_block(s + c, c - s + 1),)
+            cuts += [rest + lowest for rest in by_start[c + 1]]
+        by_start[s] = cuts
+    return by_start
+
+
+def _route_covers(module: Module, route: _Route) -> list[tuple]:
+    """The covers of the route's members, in the shape
+    ``params._all_segment_covers(module.inf_char(), route.top)`` gives them,
+    built directly: (unipotent dimensions, non-increasing; discrete blocks,
+    in canonical order), each once, with no search and no sort.
+
+    A top of 2n+1 (TRIVIAL) is the whole parameter.  Any other module's
+    character holds 0 three times, each of 1..a twice and each of a+1..b
+    once, for a = min(v-1, n-v) and b = max(v-1, n-v), v its m or k.  A
+    topped route's block R[2h+1], h >= a, takes one copy of each of
+    -h..h, so what is left holds 0 twice and each of ±1..±b at most once:
+    none of a+1..min(h, b), which is a gap when a < h < b (THM71_II_A3
+    with 2m > n+2).  The two zeros are then held in one of two ways: by
+    R[1] + R[2j+1] with 2j+1 <= top and 1..j left (two centered blocks of
+    dimension above 1 would both hold 1), or by the one pair
+    [0, j] ∪ [-j, 0], delta_j ⊠ R[j+1], with 1..j left (a pair reaching
+    below 0 holds 1 twice).  The values above are cut into consecutive
+    segments, on each side of the gap (``_compositions``).  Segments above
+    the zero piece have larger t, and those above the gap larger t again,
+    so the blocks come out in canonical order.  At a top of 1, THM71_II_A1
+    at m = n, the pairs are THM71_I's covers, which that route takes
+    first, so they are left out.
+
+    THM71_I has the one block R[1] and pairwise disjoint segments, so one
+    block [-(n-m), tau], tau in n-m+1..m-1, holds the doubled 0..n-m, and
+    consecutive segments cut tau+1..m-1: 2^(2m-n-2) covers.
+    """
+    n, v, top = module.n, module.value, route.top
+    if top == 2 * n + 1:
+        return [((top,), ())]
+    a, b = sorted((v - 1, n - v))
+    if route.char is None:  # THM71_I
+        cuts = _compositions(n - v + 2, b)
+        return [
+            ((1,), upper + (_discrete_block(tau - (n - v), tau + (n - v) + 1),))
+            for tau in range(n - v + 1, v)
+            for upper in cuts[tau + 1]
+        ]
+    h = top // 2
+    end = a if h > a else b  # the values left: 1..end, then h+1..b
+    below = _compositions(1, end)
+    above = _compositions(h + 1, b)[h + 1] if a < h < b else [()]
     covers = []
-    for tau in range(n - m + 1, m):
-        crossing = _discrete_block(tau - (n - m), tau + (n - m) + 1)
-        for upper in _compositions(tau + 1, m - 1):
-            covers.append(((1,), upper + (crossing,)))
+    for j in range(min(h, end) + 1):
+        dims = (top, 2 * j + 1, 1)
+        covers += [(dims, upper + lower) for upper in above for lower in below[j + 1]]
+    if top > 1:
+        for j in range(1, end + 1):
+            pair = (_discrete_block(j, j + 1),)
+            covers += [
+                ((top,), upper + lower + pair) for upper in above for lower in below[j + 1]
+            ]
     return covers
 
 
@@ -531,32 +579,19 @@ def _enumerate_packets(
     """The packets containing the module, in ``enumerate_params`` order,
     each with the verdict of its route: one pass over ``_routes(module)``.
 
-    THM71_I, first where it applies, builds its members from
-    ``_disjoint_covers``.  Every other route searches only the covers whose
-    largest unipotent dimension is its top (``params._all_segment_covers``
-    with that top) and builds on them the character choices that hold its
-    block.  THM71_I's covers have the one unipotent block R[1], so only a
-    route of top 1, THM71_II_A1 at m = n, meets them, and only there are
-    they left out.  Each parameter built is a member, by the route that
-    built it, so no decider runs; it is marked valid and records that route
-    (``params._trusted_params``), so the members are sorted
-    by ``params._order_key`` alone and each takes its verdict from its
-    route.
+    Each route's covers are built directly (``_route_covers``), with no
+    cover search and no character entries listed, and on each are built
+    the character choices that hold the route's block.  The routes' covers
+    are disjoint, so each parameter built is a member, by the route that
+    built it, and no decider runs; it is marked valid and records that
+    route (``params._trusted_params``), so the members are sorted by
+    ``params._order_key`` alone and each takes its verdict from its route.
     """
     _check_rank(module.n, max_rank)
-    n, entries = module.n, _module_inf_char(module)
+    n = module.n
     members: list[ArthurParameter] = []
-    taken: list[tuple] = []
     for route in _routes(module):
-        if route.char is None:  # THM71_I
-            covers = taken = _disjoint_covers(n, module.value)
-        else:
-            # through the module, so that a wrapper on the search sees it
-            covers = params._all_segment_covers(entries, route.top)
-            if route.top == 1 and taken:  # THM71_II_A1 at m = n
-                disjoint = set(taken)
-                covers = [c for c in covers if c not in disjoint]
-        for unip_dims, discrete in covers:
+        for unip_dims, discrete in _route_covers(module, route):
             unipotents = _char_assignments(n, unip_dims, route.char)
             members += _trusted_params(n, unipotents, discrete, route)
     members.sort(key=_order_key)

@@ -154,6 +154,35 @@ def test_over_long_unknown_fields_are_named_cut_short(capsys):
     )
 
 
+def test_an_unknown_field_refusal_names_at_most_16_fields(capsys, tmp_path):
+    # the first 16 unknown fields in sorted order are named, in the message
+    # and in their UNKNOWN_FIELD codes; the message counts the rest
+    def refusal(argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        return err, json.loads(err)
+
+    base = {"n": 1, "unipotent": [{"char": "triv", "dim": 3}], "discrete": []}
+    for count in (16, 17):
+        names = sorted(f"k{i}" for i in range(count))
+        err, report = refusal(
+            ["decide", "--param", json.dumps({**base, **dict.fromkeys(names, 1)}), "--pi", "0"]
+        )
+        assert report["violations"] == [f"UNKNOWN_FIELD:{k}" for k in names[:16]]
+        listed = f"unknown fields in parameter: {names[:16]}"
+        assert report["error"] == (listed if count == 16 else listed + " and 1 more")
+    # 80,000 short keys fill most of the 1 MiB --param cap
+    path = tmp_path / "manykeys.json"
+    path.write_text(json.dumps({**base, **{f"k{i}": 1 for i in range(80_000)}}))
+    assert path.stat().st_size <= cli.MAX_PARAM_BYTES
+    names = sorted(f"k{i}" for i in range(80_000))[:16]
+    for fmt in ("json", "text"):
+        err, report = refusal(["--format", fmt, "decide", "--param", str(path), "--pi", "1"])
+        assert len(err.encode()) <= 1024
+        assert report["violations"] == [f"UNKNOWN_FIELD:{k}" for k in names]
+        assert report["error"] == f"unknown fields in parameter: {names} and 79984 more"
+
+
 def test_usage_error_exits_1(capsys):
     assert cli.main(["decide", "--param", WORKED_JSON]) == 1
     assert cli.main(["nonsense"]) == 1
@@ -503,10 +532,10 @@ def test_enumerate_counts_every_parameter_with_the_character(capsys):
                 ), (family, n, value)
 
 
-def test_enumerate_reports_search_covers_only_to_enumerate(capsys, monkeypatch):
-    # the report's parameter count is closed form, so the command takes as
-    # many cover-search steps as the enumerator does alone, for a pi and a
-    # sigma module
+def test_enumerate_searches_no_covers(capsys, monkeypatch):
+    # the enumerator builds each route's covers directly and the report's
+    # parameter count is closed form, so the command takes no cover-search
+    # step, as the enumerator takes none, for a pi and a sigma module
     calls = []
     first_steps = params._first_steps
 
@@ -519,13 +548,14 @@ def test_enumerate_reports_search_covers_only_to_enumerate(capsys, monkeypatch):
         (["enumerate-pi", "9", "5"], lambda: membership.enumerate_packets_pi(9, 5)),
         (["enumerate-sigma", "8", "3"], lambda: membership.enumerate_packets_sigma(8, 3)),
     ):
-        calls.clear()
-        enumerate_packets()
-        expected = len(calls)
-        calls.clear()
+        assert enumerate_packets()
+        assert calls == [], argv
         assert cli.main(argv) == 0
         capsys.readouterr()
-        assert expected and len(calls) == expected, argv
+        assert calls == [], argv
+    # the counter sees a search
+    params._all_segment_covers(membership._module_inf_char(membership.module_of("pi", 3, 1)))
+    assert calls
 
 
 def test_repeated_calls_match_a_fresh_parser(capsys):

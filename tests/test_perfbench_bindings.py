@@ -3,9 +3,11 @@
 traced run fail, or leave a layer silently unmeasured; so every name it
 binds must resolve in the library.  And the benchmark's correctness checks
 must still accept the library's outputs and reject corrupted ones
-(``perfbench/selftest.py``).  The enumerators must reach the cover search
-through the name the tracer wraps, and the command line's table of
-well-formed argvs must stay in use while ``parse_args`` is traced."""
+(``perfbench/selftest.py``).  The packet enumerators build each route's
+covers directly (``membership._route_covers``) and call no cover search, so
+the layer the tracer times on ``params._all_segment_covers`` reads 0 on
+them by design.  The command line's table of well-formed argvs must stay in
+use while ``parse_args`` is traced."""
 
 import argparse
 import importlib
@@ -15,7 +17,7 @@ import subprocess
 import sys
 
 from sympacket import cli, membership, params
-from sympacket.weights import module_of
+from sympacket.weights import InfinitesimalCharacter, module_of
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
@@ -56,29 +58,38 @@ def test_benchmark_selftest_passes():
     assert "selftest: ok" in done.stdout
 
 
-def test_each_topped_route_calls_the_traced_cover_search_once(monkeypatch):
+def test_the_packet_enumerators_call_no_cover_search(capsys, monkeypatch):
     # the tracer times params.covers by wrapping params._all_segment_covers;
-    # an enumerator that reached the search some other way would leave that
-    # layer reading 0, as it read before
+    # the walk under it (_walk, _first_steps) serves enumerate_params alone:
+    # no packet enumerator, nor the command line's enumerate-*, reaches it
     assert _tracing().SPAN_LAYERS["params.covers"] == ("params", ["_all_segment_covers"])
     calls = []
-    search = params._all_segment_covers
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return search(*args, **kwargs)
+    def counted(name):
+        search = getattr(params, name)
 
-    monkeypatch.setattr(params, "_all_segment_covers", counted)
-    for family, n, value in (("pi", 9, 5), ("sigma", 9, 2), ("pi", 9, 8)):
-        calls.clear()
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return search(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_all_segment_covers", "_walk", "_first_steps"):
+        monkeypatch.setattr(params, name, counted(name))
+    modules = (("pi", 9, 0), ("pi", 9, 5), ("sigma", 9, 2), ("pi", 9, 8), ("pi", 9, 9))
+    for family, n, value in modules:
+        routes = membership._routes(module_of(family, n, value))
         if family == "pi":
             packets = membership.enumerate_packets_pi(n, value)
         else:
             packets = membership.enumerate_packets_sigma(n, value)
-        assert packets
-        routes = membership._routes(module_of(family, n, value))
-        topped = [route for route in routes if route.char is not None]
-        assert len(calls) == len(topped), (family, n, value, calls)
+        assert {psi._route for psi, _ in packets} == set(routes)
+        assert cli.main([f"enumerate-{family}", str(n), str(value)]) == 0
+        capsys.readouterr()
+        assert calls == [], (family, n, value)
+    # the counters see a search
+    params.enumerate_params(InfinitesimalCharacter(module_of("pi", 3, 1).inf_char()), 3)
+    assert set(calls) == {"_all_segment_covers", "_walk", "_first_steps"}
 
 
 def test_the_parse_table_stays_in_use_under_the_tracer(capsys, monkeypatch):
