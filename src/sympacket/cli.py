@@ -195,7 +195,7 @@ def param_from_json(obj: Any) -> ArthurParameter:
     if violations:
         raise ValidationError(f"invalid parameter: {violations}", violations)
     _check_report_rank(psi.n)
-    return _trusted_params(psi.n, (psi.unipotent,), psi.discrete)[0]
+    return _trusted_params(psi.n, psi.unipotent, (psi.discrete,))[0]
 
 
 def _read_param_file(path: str) -> str:

@@ -30,14 +30,17 @@ The central decision procedures:
   Once the route's block is taken away, what is left of the character
   holds 0 twice and each positive value at most once, so each route's
   covers are built directly (``_route_covers``): a piece that holds the
-  zeros, and consecutive segments above it.  No cover is searched, and
-  only the character choices holding the route's block are built.  So
-  every parameter built is a member and gets its route's verdict without a
-  decider call.  Both, and the command line's ``enumerate-*``, run the one
-  enumerator ``_enumerate_packets``, a pass over the route table.  Every
-  cover has one shape, (unipotent dimensions, non-increasing; discrete
-  blocks, in canonical order), the one ``params._all_segment_covers``
-  gives ``enumerate_params``.
+  zeros, and consecutive segments above it, grouped by unipotent
+  dimensions.  No cover is searched, and only the character choices
+  holding the route's block are built.  So every parameter built is a
+  member and gets its route's verdict without a decider call.  Both, and
+  the command line's ``enumerate-*``, run the one enumerator
+  ``_enumerate_packets``, a pass over the route table.  Every cover has
+  one shape, (unipotent dimensions, non-increasing; discrete blocks, in
+  canonical order), the one ``params._all_segment_covers`` gives
+  ``enumerate_params``, and both enumerators build their output in order,
+  one unipotent tuple at a time, with no sort of it
+  (``params._params_in_order``).
 
 Both families reach one record, ``weights.Module`` from ``module_of``,
 which turns sigma_{2k,k} into pi_{2k}(k+1).  The module keys its
@@ -73,12 +76,10 @@ from .params import (
     DiscreteBlock,
     UnipotentBlock,
     a_psi_u,
-    _char_assignments,
     _check_rank,
     _discrete_block,
-    _order_key,
+    _params_in_order,
     _require_valid,
-    _trusted_params,
     _unipotent_block,
     contains_block,
     inf_char_of_param,
@@ -519,10 +520,14 @@ def _compositions(low: int, high: int) -> list:
 
 
 def _route_covers(module: Module, route: _Route) -> list[tuple]:
-    """The covers of the route's members, in the shape
-    ``params._all_segment_covers(module.inf_char(), route.top)`` gives them,
-    built directly: (unipotent dimensions, non-increasing; discrete blocks,
-    in canonical order), each once, with no search and no sort.
+    """The covers of the route's members, the ones
+    ``params._all_segment_covers(module.inf_char(), route.top)`` gives,
+    built directly and grouped by unipotent dimensions: (dimensions,
+    non-increasing; the list of discrete tuples, blocks in canonical
+    order), each cover once, with no search and no sort.  Each group has
+    its own dimensions: TRIVIAL's and THM71_I's one group, and a topped
+    route's one group per j of R[1] + R[2j+1] and one for all its pairs,
+    when it has any.
 
     A top of 2n+1 (TRIVIAL) is the whole parameter.  Any other module's
     character holds 0 three times, each of 1..a twice and each of a+1..b
@@ -547,30 +552,31 @@ def _route_covers(module: Module, route: _Route) -> list[tuple]:
     """
     n, v, top = module.n, module.value, route.top
     if top == 2 * n + 1:
-        return [((top,), ())]
+        return [((top,), [()])]
     a, b = sorted((v - 1, n - v))
     if route.char is None:  # THM71_I
         cuts = _compositions(n - v + 2, b)
-        return [
-            ((1,), upper + (_discrete_block(tau - (n - v), tau + (n - v) + 1),))
+        discretes = [
+            upper + (_discrete_block(tau - (n - v), tau + (n - v) + 1),)
             for tau in range(n - v + 1, v)
             for upper in cuts[tau + 1]
         ]
+        return [((1,), discretes)]
     h = top // 2
     end = a if h > a else b  # the values left: 1..end, then h+1..b
     below = _compositions(1, end)
     above = _compositions(h + 1, b)[h + 1] if a < h < b else [()]
-    covers = []
-    for j in range(min(h, end) + 1):
-        dims = (top, 2 * j + 1, 1)
-        covers += [(dims, upper + lower) for upper in above for lower in below[j + 1]]
-    if top > 1:
+    groups = [
+        ((top, 2 * j + 1, 1), [upper + lower for upper in above for lower in below[j + 1]])
+        for j in range(min(h, end) + 1)
+    ]
+    if top > 1 and end:
+        pairs = []
         for j in range(1, end + 1):
             pair = (_discrete_block(j, j + 1),)
-            covers += [
-                ((top,), upper + lower + pair) for upper in above for lower in below[j + 1]
-            ]
-    return covers
+            pairs += [upper + lower + pair for upper in above for lower in below[j + 1]]
+        groups.append(((top,), pairs))
+    return groups
 
 
 def _enumerate_packets(
@@ -579,23 +585,26 @@ def _enumerate_packets(
     """The packets containing the module, in ``enumerate_params`` order,
     each with the verdict of its route: one pass over ``_routes(module)``.
 
-    Each route's covers are built directly (``_route_covers``), with no
-    cover search and no character entries listed, and on each are built
-    the character choices that hold the route's block.  The routes' covers
-    are disjoint, so each parameter built is a member, by the route that
-    built it, and no decider runs; it is marked valid and records that
-    route (``params._trusted_params``), so the members are sorted by
-    ``params._order_key`` alone and each takes its verdict from its route.
+    Each route's covers are built directly, grouped by unipotent dimensions
+    (``_route_covers``), with no cover search and no character entries
+    listed, and on each group are built the character choices that hold the
+    route's block.  The routes' covers are disjoint, so each parameter built
+    is a member, by the route that built it, and no decider runs; it is
+    marked valid and records that route.  The members come out in order
+    one unipotent tuple at a time (``params._params_in_order``): that needs
+    no two groups of the module to share dimensions, and they do not.  A
+    route's groups differ in their second dimension or in having one
+    block; different routes have different tops, except at m = n, where
+    THM71_I's (1,) and THM71_II_A1's (1, 1, 1) both have top 1.  No member
+    is compared with another.
     """
     _check_rank(module.n, max_rank)
-    n = module.n
-    members: list[ArthurParameter] = []
-    for route in _routes(module):
-        for unip_dims, discrete in _route_covers(module, route):
-            unipotents = _char_assignments(n, unip_dims, route.char)
-            members += _trusted_params(n, unipotents, discrete, route)
-    members.sort(key=_order_key)
-    return [(psi, psi._route.verdict) for psi in members]
+    groups = [
+        (dims, discretes, route.char, route)
+        for route in _routes(module)
+        for dims, discretes in _route_covers(module, route)
+    ]
+    return [(psi, psi._route.verdict) for psi in _params_in_order(module.n, groups)]
 
 
 def enumerate_packets_pi(

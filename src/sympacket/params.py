@@ -482,15 +482,15 @@ def _walk(
 
 def _trusted_params(
     n: int,
-    unipotents: Iterable[tuple[UnipotentBlock, ...]],
-    discrete: tuple[DiscreteBlock, ...],
+    unipotent: tuple[UnipotentBlock, ...],
+    discretes: Iterable[tuple[DiscreteBlock, ...]],
     route: tuple | None = None,
 ) -> list[ArthurParameter]:
-    """One ``ArthurParameter`` per tuple of unipotent blocks, all with these
-    discrete blocks, from tuples in canonical order, with no frame or tuple
-    coercion of ``__post_init__`` each; each is marked valid and, with
-    ``route``, records the route of ``membership._routes`` that admits it
-    to the packet of its module.
+    """One ``ArthurParameter`` per tuple of discrete blocks, all with these
+    unipotent blocks, from tuples in canonical order and in the order given,
+    with no frame or tuple coercion of ``__post_init__`` each; each is
+    marked valid and, with ``route``, records the route of
+    ``membership._routes`` that admits it to the packet of its module.
 
     The caller vouches that the blocks form valid parameters:
     ``_require_valid`` trusts the mark without validating; and that the
@@ -506,7 +506,7 @@ def _trusted_params(
     new = object.__new__
     set_n, set_unipotent, set_discrete, set_valid, set_route, set_kept_char = _SLOT_SETTERS
     built = []
-    for unipotent in unipotents:
+    for discrete in discretes:
         psi = new(ArthurParameter)
         set_n(psi, n)
         set_unipotent(psi, unipotent)
@@ -570,22 +570,65 @@ def _char_assignments(
 
 
 def _check_rank(n: int, max_rank: int) -> None:
-    """Refuse a rank that is not an ``int`` (a bool or float included, as
-    ``weights.module_of`` does), below 1 or above the enumeration cap
-    ``max_rank``."""
+    """Refuse a rank or an enumeration cap ``max_rank`` that is not an
+    ``int`` (a bool or float included, as ``weights.module_of`` does; a NaN
+    or infinite cap would lift the cap, and True would be the cap 1), a
+    rank below 1 and a rank above the cap."""
     if type(n) is not int:
         raise ValueError(f"rank must be int, got n={n!r}")
+    if type(max_rank) is not int:
+        raise ValueError(f"max_rank must be int, got max_rank={max_rank!r}")
     if n < 1:
         raise ValueError("rank must be positive")
     if n > max_rank:
         raise RankBoundError(f"rank {n} exceeds the enumeration cap {max_rank}")
 
 
+def _params_in_order(n: int, groups: Iterable[tuple]) -> list[ArthurParameter]:
+    """The parameters of rank n on the groups, in the dataclass
+    ``order=True`` order, with no parameter compared: the one builder and
+    the one ordering rule of both enumerators.
+
+    A group is (unipotent dimensions, its discrete tuples, top character,
+    route): its parameters are every character multiset of
+    ``_char_assignments(n, dims, top_char)`` on every one of its discrete
+    tuples, each recording the route (``_trusted_params``, called once per
+    multiset).  The caller vouches that no two groups share dimensions and
+    that no group repeats a discrete tuple, and hands over its lists of
+    discrete tuples, which are sorted in place.
+
+    Why this is the sorted order: parameters of one rank compare by their
+    unipotent tuple first, then their discrete tuple.  A unipotent tuple
+    fixes its dimensions, so it heads exactly one group, and the multisets
+    of one group are distinct.  So the (unipotent tuple, discrete tuples)
+    pairs, sorted by the unipotent tuple alone, each with its discrete
+    tuples sorted once as plain tuples, list every parameter in order.
+    What is sorted is one entry per unipotent tuple and the covers of each
+    group, never the parameters.
+    """
+    order = []
+    append = order.append
+    for dims, discretes, top_char, route in groups:
+        discretes.sort()
+        for unipotent in _char_assignments(n, dims, top_char):
+            append((unipotent, discretes, route))
+    order.sort(key=_unipotent_of)
+    built: list[ArthurParameter] = []
+    for unipotent, discretes, route in order:
+        built += _trusted_params(n, unipotent, discretes, route)
+    return built
+
+
+# the unipotent tuple of an entry of ``_params_in_order``
+_unipotent_of = operator.itemgetter(0)
+
+
 def enumerate_params(
     chi: InfinitesimalCharacter, n: int, max_rank: int = MAX_ENUMERATION_RANK
 ) -> list[ArthurParameter]:
     """All valid parameters of rank n with inf. character chi, canonicalized,
-    each marked valid (``_trusted_params``).
+    each marked valid, in the dataclass order (``_params_in_order``, on the
+    covers of ``_all_segment_covers`` grouped by unipotent dimensions).
 
     The rank is capped by ``max_rank`` (default ``MAX_ENUMERATION_RANK``)
     since the cover search is combinatorial; raise the cap explicitly for
@@ -594,14 +637,9 @@ def enumerate_params(
     _check_rank(n, max_rank)
     if chi.rank != n:
         raise ValueError("character length must be 2n+1")
-    out: list[ArthurParameter] = []
+    groups: dict[tuple[int, ...], list[tuple[DiscreteBlock, ...]]] = {}
     for unip_dims, discrete in _all_segment_covers(chi.entries):
-        out += _trusted_params(n, _char_assignments(n, unip_dims), discrete)
-    out.sort(key=_order_key)
-    return out
-
-
-# The dataclass ``order=True`` order of parameters of one rank.  Blocks are
-# tuples of their fields, so the block tuples themselves are the key, taken
-# with no Python frame and compared in C.
-_order_key = operator.attrgetter("unipotent", "discrete")
+        groups.setdefault(unip_dims, []).append(discrete)
+    return _params_in_order(
+        n, [(dims, discretes, None, None) for dims, discretes in groups.items()]
+    )

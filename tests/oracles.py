@@ -48,12 +48,19 @@ The half-sum oracle ``rho_vectors_by_roots`` is the library's earlier
 ``cohomology.rho_vectors``: it lists the roots of the Levi, of u ∩ p and of
 u ∩ k of the (p, q) pair one by one and adds them up.  The library writes
 each sum in closed form.
+
+The order oracle ``parameter_order`` is the library's earlier sort key of
+the enumerators, ``params._order_key``: the dataclass ``order=True`` order
+of parameters of one rank, their unipotent tuple, then their discrete
+tuple.  The library sorts no parameter; it builds them in that order one
+unipotent tuple at a time (``params._params_in_order``).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import attrgetter
 
 from sympacket.cohomology import HalfIntVector, RhoVectors
 from sympacket.membership import (
@@ -74,6 +81,10 @@ from sympacket.params import (
     validate,
 )
 from sympacket.weights import InfinitesimalCharacter, _inf_char_entries, module_of
+
+
+# the dataclass order of parameters of one rank, as a sort key
+parameter_order = attrgetter("unipotent", "discrete")
 
 
 def _unip_segment(dim: int) -> Counter:

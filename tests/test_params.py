@@ -12,6 +12,7 @@ from sympacket.membership import (
     _parameter_count,
     decide_pi,
     enumerate_packets_pi,
+    enumerate_packets_sigma,
 )
 from sympacket.params import (
     CHAR_SGN,
@@ -348,10 +349,19 @@ def test_top_character_filter():
     # block of the largest unipotent dimension with that character
     for n, chi in module_characters(7):
         for dims, discrete in _all_segment_covers(chi.entries):
-            every = _trusted_params(n, _char_assignments(n, dims), discrete)
+
+            def built(char=None):
+                # one _trusted_params call per character multiset
+                return [
+                    psi
+                    for unipotent in _char_assignments(n, dims, char)
+                    for psi in _trusted_params(n, unipotent, (discrete,))
+                ]
+
+            every = built()
             top = dims[0]
             for char in (CHAR_TRIV, CHAR_SGN):
-                assert _trusted_params(n, _char_assignments(n, dims, char), discrete) == [
+                assert built(char) == [
                     psi for psi in every if UnipotentBlock(char, top) in psi.unipotent
                 ]
 
@@ -376,6 +386,24 @@ def test_enumeration_refuses_a_rank_that_is_not_an_int():
         assert validate(ArthurParameter(bad, found[0].unipotent, found[0].discrete))
         with pytest.raises(ValueError, match=f"rank must be int, got n={bad!r}"):
             enumerate_params(chi, bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "12", None, True, 12.0])
+def test_enumeration_refuses_a_cap_that_is_not_an_int(bad):
+    # n > nan and n > inf are always False, so either would lift the cap;
+    # "12" and None would fail the comparison with a TypeError; True would
+    # be the cap 1.  Each is refused before anything is built, at rank 2,
+    # under any cap that would admit it, and at rank 13, over the default.
+    for n in (2, 13):
+        with pytest.raises(ValueError, match="max_rank must be int") as refused:
+            enumerate_params(inf_char_of_weight(pi_nm(n, 1)), n, max_rank=bad)
+        assert type(refused.value) is ValueError
+        with pytest.raises(ValueError, match="max_rank must be int") as refused:
+            enumerate_packets_pi(n, 1, max_rank=bad)
+        assert type(refused.value) is ValueError
+        with pytest.raises(ValueError, match="max_rank must be int") as refused:
+            enumerate_packets_sigma(n, 1, max_rank=bad)
+        assert type(refused.value) is ValueError
 
 
 def test_enumeration_gapped_regular_character():

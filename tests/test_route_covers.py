@@ -1,10 +1,13 @@
 """The packet enumerators build each route's covers directly
-(``membership._route_covers``), with no cover search.  Those covers must be
-exactly the ones the memoised walk finds with the route's top
-(``params._all_segment_covers(module.inf_char(), route.top)``), less the
-THM71_I covers where THM71_I comes first; THM71_I's must be the interval
-compositions of its closed form.  Every cover is built once, from shared
-block instances, with its discrete blocks already in canonical order."""
+(``membership._route_covers``), with no cover search, grouped by unipotent
+dimensions.  Those covers must be exactly the ones the memoised walk finds
+with the route's top (``params._all_segment_covers(module.inf_char(),
+route.top)``), less the THM71_I covers where THM71_I comes first; THM71_I's
+must be the interval compositions of its closed form.  Every cover is built
+once, from shared block instances, with its discrete blocks already in
+canonical order.  The members come out in order with no sort of them
+(``params._params_in_order``) because no two groups of a module share
+dimensions and no group repeats a discrete tuple."""
 
 import itertools
 import operator
@@ -54,7 +57,11 @@ def test_route_covers_are_the_walks_at_ranks_1_to_16():
         entries = module.inf_char()
         first = set()  # THM71_I's covers, which the later routes leave out
         for route in _routes(module):
-            built = _route_covers(module, route)
+            built = [
+                (dims, discrete)
+                for dims, discretes in _route_covers(module, route)
+                for discrete in discretes
+            ]
             covers = set(built)
             assert len(covers) == len(built), (module, route.verdict.route)
             discretes = [discrete for _, discrete in built]
@@ -75,3 +82,19 @@ def test_route_covers_are_the_walks_at_ranks_1_to_16():
                 assert covers == walked, (module, route.verdict.route)
             checked += len(built)
     assert checked == 205_324
+
+
+def test_route_cover_groups_are_distinct_at_ranks_1_to_16():
+    groups = 0
+    for module in _modules(16):
+        dims_seen = []
+        for route in _routes(module):
+            for dims, discretes in _route_covers(module, route):
+                assert discretes, (module, route.verdict.route, dims)
+                # no group repeats a discrete tuple
+                assert len(set(discretes)) == len(discretes), (module, dims)
+                dims_seen.append(dims)
+        # no two groups across the module's routes share dimensions
+        assert len(set(dims_seen)) == len(dims_seen), (module, dims_seen)
+        groups += len(dims_seen)
+    assert groups == 1_092  # over 208 modules
