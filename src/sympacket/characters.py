@@ -101,6 +101,9 @@ class PacketCharacter:
     def __init__(self, whittaker: int, blocks: tuple, signs: tuple, flags: tuple = ()) -> None:
         if type(whittaker) is not int or whittaker not in (1, -1):
             raise ValueError("whittaker token must be +1 or -1")
+        # stored as tuples, as ``ArthurParameter`` stores its blocks, so that
+        # a character built from lists hashes and equals its tuple-built twin
+        blocks, signs, flags = tuple(blocks), tuple(signs), tuple(flags)
         if len(blocks) != len(signs):
             raise ValueError("one sign per block required")
         for sign in signs:
@@ -211,6 +214,16 @@ def rho_theta(
     return (e1, e1 * e3, e3)
 
 
+def _check_column(which: str, delta: int) -> None:
+    """Refuse a column of the printed tables or a token they have no row
+    for; the one statement of both checks of ``rho_unipotent_table`` and
+    ``table_row``."""
+    if which not in TABLE_COLUMNS:
+        raise ValueError(f"which must be one of {TABLE_COLUMNS}")
+    if type(delta) is not int or delta not in (1, -1):
+        raise ValueError("delta must be +1 or -1")
+
+
 def rho_unipotent_table(
     form: str, n: int, m: int, which: str, delta: int
 ) -> PacketCharacter:
@@ -225,10 +238,7 @@ def rho_unipotent_table(
     """
     if form not in TABLE_FORMS:
         raise ValueError("form must be 'first' or 'second'")
-    if which not in TABLE_COLUMNS:
-        raise ValueError(f"which must be one of {TABLE_COLUMNS}")
-    if type(delta) is not int or delta not in (1, -1):
-        raise ValueError("delta must be +1 or -1")
+    _check_column(which, delta)
     tau_prime = 0 if form == "first" else 1
     blocks = rho_theta_parameter(n, m, tau_prime)  # refuses n and m
     starred = which.endswith("_star")
@@ -462,7 +472,9 @@ def table_row(
     form and character (``rho_unipotent_table``), or None when the
     parameter's blocks are those of neither form.  The blocks are compared
     in canonical order, both lists sorted, so a parameter out of that order
-    is matched too."""
+    is matched too.  ``which`` and ``delta`` are checked first
+    (``_check_column``), whether or not a form matches."""
+    _check_column(which, delta)
     blocks = sorted(psi.unipotent, key=_unip_key)
     for form, tau_prime in (("first", 0), ("second", 1)):
         expected = rho_theta_parameter(psi.n, m_table, tau_prime)

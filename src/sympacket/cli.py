@@ -263,9 +263,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     label = _LABELS[args.family]
     module = module_of(args.family, n, value)
     packets = membership._enumerate_packets(module)  # refuses a rank past the cap
-    entries = membership._module_inf_char(module)
     results = {
-        "inf_char": list(entries),
+        "inf_char": list(module.inf_char()),
         "parameters_with_inf_char": membership._parameter_count(module),
         "packets": [
             {

@@ -43,14 +43,14 @@ The central decision procedures:
   (``params._params_in_order``).
 
 Both families reach one record, ``weights.Module`` from ``module_of``,
-which turns sigma_{2k,k} into pi_{2k}(k+1).  The module keys its
-infinitesimal character (``_module_inf_char``, built once per module, for
-the command line's ``inf_char`` field; a packet question compares a
-parameter's segments with the module's closed-form segments,
-``_same_inf_char``) and its route
+which turns sigma_{2k,k} into pi_{2k}(k+1).  The module keys its route
 table, and the table is the only statement of the criteria above: it builds
-the members, and it decides.  The command line's count of the parameters
-with the module's character is closed form too (``_parameter_count``).
+the members, and it decides.  No question lists the module's infinitesimal
+character: a packet question compares a parameter's segments with the
+module's closed-form segments (``_same_inf_char``), and only the command
+line's ``inf_char`` field builds the entries (``Module.inf_char``).  The
+command line's count of the parameters with the module's character is
+closed form too (``_parameter_count``).
 Every packet question (``decide_pi`` / ``decide_sigma``, the characters,
 the command line's ``rho``) passes the triple it was asked to the one
 lookup, ``_decide_route``: a member's recorded route answers there, and
@@ -482,22 +482,6 @@ def _routes(module: Module) -> tuple[_Route, ...]:
     )
 
 
-@functools.lru_cache(maxsize=256)
-def _module_inf_char(module: Module) -> tuple[int, ...]:
-    """``module.inf_char()``, built once per module and kept, like
-    ``_routes``, for the last 256 modules asked.
-
-    Only the command line's ``enumerate-*`` reads it, for its report's
-    ``inf_char`` field: the enumerator builds its covers without the
-    entries (``_route_covers``), and a packet question compares segment
-    edges (``_same_inf_char``) and never builds or keeps them.
-    Pass only what ``module_of`` returns: ``Module("pi", 3.0, 1)``
-    equals and hashes like ``Module("pi", 3, 1)`` and would read its
-    entries, where its own ``inf_char()``, left uncached, refuses it.
-    """
-    return module.inf_char()
-
-
 def _compositions(low: int, high: int) -> list:
     """The ways to cut the integers s..high into consecutive segments, for
     each start s in low..high+1, at index s (below low, None): each segment
@@ -520,11 +504,13 @@ def _compositions(low: int, high: int) -> list:
 
 
 def _route_covers(module: Module, route: _Route) -> list[tuple]:
-    """The covers of the route's members, the ones
-    ``params._all_segment_covers(module.inf_char(), route.top)`` gives,
-    built directly and grouped by unipotent dimensions: (dimensions,
-    non-increasing; the list of discrete tuples, blocks in canonical
-    order), each cover once, with no search and no sort.  Each group has
+    """The covers of the route's members, those of the module's character
+    whose largest unipotent dimension is the route's top (the reference is
+    ``tests/oracles.py::topped_covers``, on the full walk of
+    ``params._all_segment_covers``), built directly and grouped by
+    unipotent dimensions: (dimensions, non-increasing; the list of discrete
+    tuples, blocks in canonical order), each cover once, with no search and
+    no sort.  Each group has
     its own dimensions: TRIVIAL's and THM71_I's one group, and a topped
     route's one group per j of R[1] + R[2j+1] and one for all its pairs,
     when it has any.

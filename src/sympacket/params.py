@@ -68,7 +68,8 @@ BLOCK_SHAPE = "BLOCK_SHAPE"
 ORDER = "ORDER"
 
 
-# the default ``max_rank`` of the enumerators: the cover search is combinatorial
+# the default ``max_rank`` of the enumerators: the parameters of a character,
+# and the members of a packet, grow exponentially with the rank
 MAX_ENUMERATION_RANK = 12
 
 
@@ -387,7 +388,7 @@ def _cut(counts: list[int]) -> tuple[int, ...]:
     return tuple(counts[:end])
 
 
-def _first_steps(half: tuple[int, ...], bound: int | None, cap: int | None) -> list:
+def _first_steps(half: tuple[int, ...], bound: int | None) -> list:
     """The segments that can top the maximum M of the half-count, in the
     order that reaches each cover once, as (low, half-count left, bound).
 
@@ -395,14 +396,14 @@ def _first_steps(half: tuple[int, ...], bound: int | None, cap: int | None) -> l
     [-M, -low] (M + low >= 1), by non-increasing low, so a pair is a step
     only with low <= ``bound`` (None: any) and its low bounds the next pair
     at M; then every copy left, as a run of half[M] centered segments of
-    dimension 2M + 1 (low None), if 2M + 1 <= ``cap`` (None: no cap).  A
-    pair grows by low and -low as low falls, one count of |low| (two of 0),
-    so one copy of the counts loses them step by step until one runs out.
+    dimension 2M + 1 (low None).  A pair grows by low and -low as low
+    falls, one count of |low| (two of 0), so one copy of the counts loses
+    them step by step until one runs out.
     """
     high = len(half) - 1
     copies = half[high]
     steps = []
-    if (cap is None or 2 * high < cap) and min(half) >= copies:
+    if min(half) >= copies:
         steps.append((None, _cut([c - copies for c in half[:high]]), None))
     rest = list(half)
     for low in range(high, -high, -1):
@@ -419,45 +420,30 @@ def _first_steps(half: tuple[int, ...], bound: int | None, cap: int | None) -> l
     return steps
 
 
-def _all_segment_covers(
-    entries: tuple[int, ...], top: int | None = None
-) -> list[_Cover]:
+def _all_segment_covers(entries: tuple[int, ...]) -> list[_Cover]:
     """All ways of writing the multiset as segments of the two block kinds.
 
     A cover is a pair (unipotent dimensions, non-increasing; discrete
     blocks, shared instances (``_discrete_block``) in canonical order).  The
     search walks the half-count (``_half_counts``) down from its maximum by
     the steps of ``_first_steps``, so it reaches each cover once, and sorts
-    each finished cover's discrete blocks once.  With ``top``, only the
-    covers whose largest unipotent dimension is ``top``: its centered
-    segment, then the rest searched with unipotent dimensions at most top.
+    each finished cover's discrete blocks once.
     """
-    half = _half_counts(entries)
-    lead: tuple[int, ...] = ()
-    if top is not None:
-        size = (top + 1) // 2  # the centered segment of top holds 0..size-1
-        if len(half) < size or min(half[:size]) < 1:
-            return []
-        half = _cut([c - 1 for c in half[:size]] + list(half[size:]))
-        lead = (top,)
     # the memo is a local that nothing else refers to, so it is freed by
     # refcount when the search returns or raises (``_walk``)
     memo: dict[tuple, list[_Cover]] = {((), None): [((), ())]}
     # blocks decreasing as (t, a), which is canonical (-t, -a)
     return [
-        (lead + unip, tuple(sorted(disc, reverse=True)))
-        for unip, disc in _walk(half, None, top, memo)
+        (unip, tuple(sorted(disc, reverse=True)))
+        for unip, disc in _walk(_half_counts(entries), None, memo)
     ]
 
 
-def _walk(
-    half: tuple[int, ...], bound: int | None, cap: int | None, memo: dict
-) -> list[_Cover]:
+def _walk(half: tuple[int, ...], bound: int | None, memo: dict) -> list[_Cover]:
     """The covers of the half-count ``half`` whose first mirrored pair has
-    low at most ``bound`` (None: any) and whose centered segments have
-    dimension at most ``cap`` (None: any), each with its unipotent
-    dimensions non-increasing and its discrete blocks unsorted, kept in
-    ``memo`` by (half, bound).
+    low at most ``bound`` (None: any), each with its unipotent dimensions
+    non-increasing and its discrete blocks unsorted, kept in ``memo`` by
+    (half, bound).
 
     A module-level function that is handed its memo: a nested closure that
     calls itself refers to itself through its own cell, so each search
@@ -468,8 +454,8 @@ def _walk(
     if found is None:
         found = []
         high = len(half) - 1
-        for low, rest, following in _first_steps(half, bound, cap):
-            sub = _walk(rest, following, cap, memo)
+        for low, rest, following in _first_steps(half, bound):
+            sub = _walk(rest, following, memo)
             if low is None:
                 run = (2 * high + 1,) * half[high]
                 found += [(run + unip, disc) for unip, disc in sub]

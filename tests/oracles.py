@@ -11,6 +11,13 @@ counts that covers it either way, re-sorts every partial cover and
 deduplicates through sets.  The library's search walks the symmetric half
 of the multiset and reaches each cover once.
 
+The route-cover oracle ``topped_covers`` gives the covers with a given
+largest unipotent dimension from the library's full walk
+(``params._all_segment_covers``): the top's centered segment taken out, the
+rest walked, and the covers kept whose dimensions do not exceed the top.
+The library builds each route's covers directly
+(``membership._route_covers``), with no walk.
+
 The boundary oracles ``validate_by_copy`` and ``checked_inf_char_entries``
 are the library's earlier statements of a user-built parameter's checks:
 ``ORDER`` when the parameter differs from its canonical copy, and the
@@ -74,6 +81,7 @@ from sympacket.params import (
     ArthurParameter,
     DiscreteBlock,
     UnipotentBlock,
+    _all_segment_covers,
     _first_steps,
     _half_counts,
     a_psi_u,
@@ -180,10 +188,9 @@ def _sub_multiset(cnt: dict[int, int], seg) -> dict[int, int] | None:
     return out
 
 
-def set_segment_covers(entries: tuple[int, ...], cap: int | None = None) -> frozenset:
+def set_segment_covers(entries: tuple[int, ...]) -> frozenset:
     """Every cover of the multiset as (unipotent dimensions decreasing,
-    discrete blocks in canonical order), with unipotent dimensions at most
-    ``cap`` when it is given.
+    discrete blocks in canonical order).
 
     The search covers the current maximum M either by the centered segment
     topped there or by a mirrored pair [l, M] ∪ [-M, -l] with l > -M, sorts
@@ -200,7 +207,7 @@ def set_segment_covers(entries: tuple[int, ...], cap: int | None = None) -> froz
         top = max(cnt)
         found: set = set()
         dim = 2 * top + 1
-        if top >= 0 and (cap is None or dim <= cap):
+        if top >= 0:
             rest = _sub_multiset(cnt, range(-top, top + 1))
             if rest is not None:
                 for unip, disc in rec(rest):
@@ -216,6 +223,25 @@ def set_segment_covers(entries: tuple[int, ...], cap: int | None = None) -> froz
         return memo[key]
 
     return rec(dict(Counter(entries)))
+
+
+def topped_covers(entries: tuple[int, ...], top: int) -> list:
+    """The covers of the multiset whose largest unipotent dimension is
+    ``top``, in the shape of ``params._all_segment_covers``.
+
+    Top's centered segment is taken out of the entries (no covers if an
+    entry runs out), the rest is walked in full, and the covers whose
+    unipotent dimensions are all at most top are kept, top put first.
+    """
+    rest = Counter(entries)
+    rest.subtract(range(-(top // 2), top // 2 + 1))
+    if min(rest.values()) < 0:
+        return []
+    return [
+        ((top,) + dims, discrete)
+        for dims, discrete in _all_segment_covers(tuple(rest.elements()))
+        if max(dims, default=0) <= top
+    ]
 
 
 def validate_by_copy(psi: ArthurParameter) -> list[str]:
@@ -350,7 +376,7 @@ def parameter_count_by_walk(entries: tuple[int, ...]) -> int:
         total = memo.get(key)
         if total is None:
             total = 0
-            for low, rest, following in _first_steps(half, bound, None):
+            for low, rest, following in _first_steps(half, bound):
                 sub = weighted(rest, following)
                 total += sub if low is not None else (half[-1] + 1) * sub
             memo[key] = total

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import sys
 from collections import Counter
 
@@ -173,6 +175,21 @@ def test_table_row_matches_blocks_in_any_order():
     assert table_row(twice, "pi", 1, 1) is None
 
 
+def test_table_row_refuses_a_bad_column_or_token_on_any_parameter():
+    # refused as rho_unipotent_table refuses them, whether or not the
+    # parameter's blocks are those of a printed form
+    matching = ArthurParameter(4, rho_theta_parameter(4, 2, 0))
+    other = ArthurParameter(2, (UnipotentBlock(0, 5),))
+    assert table_row(matching, "pi", 2, 1) is not None
+    assert table_row(other, "pi", 2, 1) is None
+    for psi in (matching, other):
+        with pytest.raises(ValueError, match="which must be one of"):
+            table_row(psi, "bogus", 2, 1)
+        for delta in (5, 1.0, True, 0):
+            with pytest.raises(ValueError, match="delta must be"):
+                table_row(psi, "pi", 2, delta)
+
+
 def test_rho_unipotent_table_examples():
     assert rho_unipotent_table("first", 4, 2, "pi", 1).signs == (1, -1, -1)
     assert rho_unipotent_table("first", 4, 2, "pi_star", 1).signs == (1, -1, -1)
@@ -268,6 +285,19 @@ def test_public_constructor_checks_its_character():
         PacketCharacter(1, blocks, (1, 1))
     with pytest.raises(ValueError, match="signs must be"):
         PacketCharacter(1, blocks, (1, 0, 1))
+
+
+def test_public_constructor_stores_tuples():
+    # lists are stored as tuples, as ArthurParameter stores its blocks, so a
+    # character built from lists hashes, and equals its tuple-built twin
+    built = PacketCharacter(1, [UnipotentBlock(0, 1)], [1], ["x"])
+    twin = PacketCharacter(1, (UnipotentBlock(0, 1),), (1,), ("x",))
+    assert type(built.blocks) is type(built.signs) is type(built.flags) is tuple
+    assert built == twin and hash(built) == hash(twin)
+    assert len({built, twin}) == 1
+    for again in (copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+        assert again == twin and hash(again) == hash(twin)
+        assert type(again.blocks) is type(again.signs) is tuple
 
 
 def test_public_constructor_runs_in_one_frame():

@@ -539,9 +539,9 @@ def test_enumerate_searches_no_covers(capsys, monkeypatch):
     calls = []
     first_steps = params._first_steps
 
-    def counted(*args):
-        calls.append(args)
-        return first_steps(*args)
+    def counted(half, bound):
+        calls.append((half, bound))
+        return first_steps(half, bound)
 
     monkeypatch.setattr(params, "_first_steps", counted)
     for argv, enumerate_packets in (
@@ -554,7 +554,7 @@ def test_enumerate_searches_no_covers(capsys, monkeypatch):
         capsys.readouterr()
         assert calls == [], argv
     # the counter sees a search
-    params._all_segment_covers(membership._module_inf_char(membership.module_of("pi", 3, 1)))
+    params._all_segment_covers(membership.module_of("pi", 3, 1).inf_char())
     assert calls
 
 

@@ -19,7 +19,6 @@ from sympacket.membership import (
     peel_step,
     _decide_core,
     _enumerate_packets,
-    _module_inf_char,
     _routes,
 )
 from sympacket.params import (
@@ -474,39 +473,37 @@ def all_modules(max_n):
             yield module_of("sigma", n, k)
 
 
-def test_module_character_memo_is_the_definition():
-    _module_inf_char.cache_clear()
-    for module in all_modules(12):
-        assert _module_inf_char(module) == _inf_char_entries(module.weight()), module
-
-
-def test_module_character_memo_leaves_the_definition_uncached():
+def test_module_character_is_the_character_of_its_weight():
+    for n in range(1, 13):
+        for family, weight, values in (
+            ("pi", pi_nm, range(n + 1)),
+            ("sigma", sigma_nk, range(1, n // 2 + 1)),
+        ):
+            for value in values:
+                module = module_of(family, n, value)
+                assert module.inf_char() == inf_char_of_weight(weight(n, value)).entries, module
     # a hand-built module with a float value equals and hashes like pi_3(1),
-    # but its own inf_char() still refuses it once pi_3(1) is in the memo
+    # but its own inf_char() refuses it, even once pi_3(1) has been asked
     assert decide_pi(P(3, [(CHAR_SGN, 5), (CHAR_TRIV, 1), (CHAR_SGN, 1)]), 3, 1).member
-    hits = _module_inf_char.cache_info().hits
-    _module_inf_char(module_of("pi", 3, 1))
-    assert _module_inf_char.cache_info().hits == hits + 1  # pi_3(1) is kept
     hand_built = Module("pi", 3.0, 1)
     assert hand_built == module_of("pi", 3, 1) and hash(hand_built) == hash(module_of("pi", 3, 1))
     with pytest.raises(TypeError):
         hand_built.inf_char()
 
 
-def test_module_character_memo_is_bounded():
-    bound = _module_inf_char.cache_info().maxsize
-    assert bound == _routes.cache_info().maxsize == 256
+def test_route_table_memo_is_bounded():
+    assert _routes.cache_info().maxsize == 256
     asked = list(all_modules(30))
     for module in asked:
-        _module_inf_char(module)
-    assert len(asked) > bound
-    assert _module_inf_char.cache_info().currsize == bound
+        _routes(module)
+    assert len(asked) > 256
+    assert _routes.cache_info().currsize == 256
 
 
 def test_user_built_question_above_the_enumeration_cap():
     # rank 40, past MAX_ENUMERATION_RANK: the closed-form segments of the
     # module test the character, and the route table decides as at small
-    # rank; the memo of the module's entries serves there too
+    # rank
     n = 40
     trivial = P(n, [(CHAR_TRIV, 2 * n + 1)])
     assert decide_pi(trivial, n, 0).route == ROUTE_TRIVIAL
@@ -520,7 +517,7 @@ def test_user_built_question_above_the_enumeration_cap():
     assert not decide_sigma(near, n, 4).member
     for psi, m in ((trivial, 0), (trivial, 1), (disjoint, 30), (disjoint, 29)):
         assert decide_pi(psi, n, m).member == decide_pi_recursive(psi, n, m)
-    assert _module_inf_char(module_of("pi", n, 30)) == _inf_char_entries((30,) * n)
+    assert module_of("pi", n, 30).inf_char() == _inf_char_entries((30,) * n)
 
 
 def test_multiplicity_one_for_members(ranks_1_to_9):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sympacket import params
 from sympacket.characters import rho_pi_general
 from sympacket.membership import (
-    _module_inf_char,
     _parameter_count,
     decide_pi,
     enumerate_packets_pi,
@@ -46,6 +45,7 @@ from oracles import (
     checked_inf_char_entries,
     parameter_count_by_walk,
     set_segment_covers,
+    topped_covers,
     valid_inf_char_by_copy,
     validate_by_copy,
 )
@@ -248,13 +248,14 @@ def test_enumeration_roundtrip_and_validity():
 
 
 def test_topped_search_finds_the_covers_with_that_top():
-    # the enumerators search each route's top on its own: its centered
-    # segment removed, the rest covered with unipotent dimensions at most
-    # the top; that must give exactly the full search's covers with that top
+    # the route covers' reference (``oracles.topped_covers``) takes top's
+    # centered segment out and walks the rest with unipotent dimensions at
+    # most the top; that must give exactly the full search's covers with
+    # that top
     for n, chi in module_characters(8):
         full = _all_segment_covers(chi.entries)
         for top in range(1, 2 * n + 2, 2):
-            topped = _all_segment_covers(chi.entries, top)
+            topped = topped_covers(chi.entries, top)
             assert len(set(topped)) == len(topped)
             assert set(topped) == {c for c in full if c[0][0] == top}, (n, chi, top)
 
@@ -276,7 +277,7 @@ def test_parameter_count_closed_form_agrees_with_the_oracle_walk():
     # share a character, so each character is walked once
     walked = {}
     for module in modules(range(1, 31)):
-        entries = _module_inf_char(module)
+        entries = module.inf_char()
         if entries not in walked:
             walked[entries] = parameter_count_by_walk(entries)
         assert _parameter_count(module) == walked[entries], module
@@ -299,7 +300,7 @@ def test_parameter_count_at_ranks_12_and_13_agrees_with_the_covers():
         chosen = [module_of("pi", n, m) for m in sorted({0, 1, n // 2, n})]
         chosen += [module_of("sigma", n, k) for k in range(1, n // 2 + 1)]
         for module in chosen:
-            entries = _module_inf_char(module)
+            entries = module.inf_char()
             assert _parameter_count(module) == by_covers(entries), module
 
 
@@ -318,14 +319,15 @@ def distinct_characters(ranks):
 def test_cover_search_matches_the_set_based_oracle():
     # the search walks the symmetric half and reaches each cover once, so it
     # keeps no set: it must give the earlier set-based search's covers, in
-    # the same shape, each once, in full and for every top
+    # the same shape, each once, in full, and so must the route covers'
+    # reference (``oracles.topped_covers``) for every top
     for n, entries in distinct_characters(range(1, 12)):
         expected = set_segment_covers(entries)
         covers = _all_segment_covers(entries)
         assert len(covers) == len(set(covers)), entries
         assert set(covers) == expected, entries
         for top in range(1, 2 * n + 2, 2):
-            topped = _all_segment_covers(entries, top)
+            topped = topped_covers(entries, top)
             assert len(topped) == len(set(topped)), (entries, top)
             assert set(topped) == {c for c in expected if c[0][0] == top}, (entries, top)
 
@@ -333,7 +335,7 @@ def test_cover_search_matches_the_set_based_oracle():
 def test_parameter_count_at_ranks_12_and_13_agrees_with_the_oracle_covers():
     # every character at ranks 12-13, counted over the set-based search's
     # covers: half of prod(c + 1) on each
-    distinct = {_module_inf_char(module): module for module in modules((12, 13))}
+    distinct = {module.inf_char(): module for module in modules((12, 13))}
     for entries, module in distinct.items():
         total = 0
         for unip_dims, _ in set_segment_covers(entries):

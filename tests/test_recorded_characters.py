@@ -219,13 +219,13 @@ def test_enumerated_members_are_not_decided_again(monkeypatch):
     # and decided once per question and compared by segment edges
     # (``membership._same_inf_char``): no entries of its own are listed
     # (``inf_char_of_param``) and none of the module's
-    # (``membership._module_inf_char``).  A member asked about
+    # (``Module.inf_char``).  A member asked about
     # pi_n(n+1-m), which shares the character of pi_n(m) (and is another
     # module unless n = 2m - 1), is not validated, and is compared by
     # segment edges and decided once.  No question builds a module's
     # character entries, and neither does the enumeration, which builds
     # each route's covers directly (``membership._route_covers``).
-    calls = dict.fromkeys(("valid", "core", "edges", "entries", "module"), 0)
+    calls = dict.fromkeys(("valid", "core", "edges", "entries"), 0)
     built = {}
     inf_char = Module.inf_char
 
@@ -240,14 +240,12 @@ def test_enumerated_members_are_not_decided_again(monkeypatch):
         built[module] = built.get(module, 0) + 1
         return inf_char(module)
 
-    membership._module_inf_char.cache_clear()
     for owner, attr, name in [
         (params, "validate", "valid"),
         (membership, "_decide_core", "core"),
         (membership, "_same_inf_char", "edges"),
         (membership, "inf_char_of_param", "entries"),
         (params, "inf_char_of_param", "entries"),
-        (membership, "_module_inf_char", "module"),
     ]:
         monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
     monkeypatch.setattr(Module, "inf_char", counted_inf_char)
@@ -269,17 +267,17 @@ def test_enumerated_members_are_not_decided_again(monkeypatch):
                 ]
                 for fn, *args in questions:
                     where = (family, n, value, str(psi))
-                    assert counts(fn, psi, *args) == (0, 0, 0, 0, 0, 0), where
-                    assert counts(fn, copy, *args) == (1, 1, 1, 0, 0, 0), where
+                    assert counts(fn, psi, *args) == (0, 0, 0, 0, 0), where
+                    assert counts(fn, copy, *args) == (1, 1, 1, 0, 0), where
             twin = n + 1 - value
             if family == "pi" and value >= 1 and twin != value:
-                assert counts(decide_pi, psi, n, twin) == (0, 1, 1, 0, 0, 0)
+                assert counts(decide_pi, psi, n, twin) == (0, 1, 1, 0, 0)
                 asked += 1
     assert asked
     assert not built, built
     # the counters see a validation and a character listed
     regular = ArthurParameter(1, (UnipotentBlock(0, 3),))
-    assert counts(membership.decide_regular, regular, 1) == (1, 0, 0, 1, 0, 0)
+    assert counts(membership.decide_regular, regular, 1) == (1, 0, 0, 1, 0)
 
 
 def test_member_characters_are_built_once_unchecked(monkeypatch):

@@ -1,9 +1,9 @@
 """The packet enumerators build each route's covers directly
 (``membership._route_covers``), with no cover search, grouped by unipotent
-dimensions.  Those covers must be exactly the ones the memoised walk finds
-with the route's top (``params._all_segment_covers(module.inf_char(),
-route.top)``), less the THM71_I covers where THM71_I comes first; THM71_I's
-must be the interval compositions of its closed form.  Every cover is built
+dimensions.  Those covers must be exactly the full walk's covers with the
+route's top (``oracles.topped_covers(module.inf_char(), route.top)``), less
+the THM71_I covers where THM71_I comes first; THM71_I's must be the
+interval compositions of its closed form.  Every cover is built
 once, from shared block instances, with its discrete blocks already in
 canonical order.  The members come out in order with no sort of them
 (``params._params_in_order``) because no two groups of a module share
@@ -13,8 +13,10 @@ import itertools
 import operator
 
 from sympacket.membership import ROUTE_I, _route_covers, _routes
-from sympacket.params import DiscreteBlock, _all_segment_covers, _discrete_block
+from sympacket.params import DiscreteBlock, _discrete_block
 from sympacket.weights import module_of
+
+from oracles import topped_covers
 
 
 def _modules(max_n):
@@ -77,7 +79,7 @@ def test_route_covers_are_the_walks_at_ranks_1_to_16():
                 assert len(built) == 2 ** (2 * module.value - module.n - 2), module
                 first = covers
             else:
-                walked = set(_all_segment_covers(entries, route.top))
+                walked = set(topped_covers(entries, route.top))
                 walked -= first
                 assert covers == walked, (module, route.verdict.route)
             checked += len(built)
