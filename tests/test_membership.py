@@ -473,7 +473,11 @@ def all_modules(max_n):
             yield module_of("sigma", n, k)
 
 
-def test_module_character_is_the_character_of_its_weight():
+def test_module_character_memo_is_the_definition():
+    # Module.inf_char, which the enumerate-* reports call with no memo in
+    # between, is the character of the module's weight
+    for module in all_modules(12):
+        assert module.inf_char() == _inf_char_entries(module.weight()), module
     for n in range(1, 13):
         for family, weight, values in (
             ("pi", pi_nm, range(n + 1)),
@@ -482,9 +486,15 @@ def test_module_character_is_the_character_of_its_weight():
             for value in values:
                 module = module_of(family, n, value)
                 assert module.inf_char() == inf_char_of_weight(weight(n, value)).entries, module
+
+
+def test_module_character_memo_leaves_the_definition_uncached():
     # a hand-built module with a float value equals and hashes like pi_3(1),
-    # but its own inf_char() refuses it, even once pi_3(1) has been asked
+    # but its own inf_char() still refuses it once pi_3(1) is in the route memo
     assert decide_pi(P(3, [(CHAR_SGN, 5), (CHAR_TRIV, 1), (CHAR_SGN, 1)]), 3, 1).member
+    hits = _routes.cache_info().hits
+    _routes(module_of("pi", 3, 1))
+    assert _routes.cache_info().hits == hits + 1  # pi_3(1) is kept
     hand_built = Module("pi", 3.0, 1)
     assert hand_built == module_of("pi", 3, 1) and hash(hand_built) == hash(module_of("pi", 3, 1))
     with pytest.raises(TypeError):
