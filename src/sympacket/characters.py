@@ -14,7 +14,11 @@ lift degenerates) instead of being repaired.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from collections import Counter
+from collections.abc import Callable
 
 from .membership import _decide_route, _Route
 from .params import (
@@ -342,18 +346,16 @@ def _rho_core(
     after each block with odd a, signs each block off the bits of a
     ((-1)^floor(token a / 2) is -1 where a & 2, times the token where a is
     odd), multiplies the signs and compares each block with its neighbour
-    (canonical order puts equal blocks next to each other); the three
-    unipotent slots are compared pairwise.  These comparisons are
-    ``PacketCharacter.sign_map``'s rule, made inline so that no dict is
-    built per character.  A single unipotent block takes its own branch:
-    its sign is the discrete product.  Otherwise the two unipotent slots
-    besides the big block are read off the canonical order, small dimension
-    first; when both have dimension one the roles are immaterial, as the
-    two readings give the same character.  The free simultaneous flip of the
-    unipotent signs is fixed so that the product over all listed blocks is
-    +1; the number of unipotent slots is odd, so the flip always reaches
-    it.  With e3 = +1 that product would be (discrete product) e1 e2, so e3
-    takes that value.  The signs are +1 or -1 by construction, so each
+    (canonical order puts equal blocks next to each other).  These
+    comparisons are ``PacketCharacter.sign_map``'s rule, made inline so that
+    no dict is built per character.  A single unipotent block takes its own
+    branch: its sign is the discrete product, which makes the product over
+    all listed blocks +1.  Otherwise the unipotent half is read from the
+    table of the route's shape and the unipotent tuple
+    (``_unipotent_signs``): the order of the three slots, and the signs and
+    flags of the slots for the token, the token the discrete pass ends with
+    and the discrete product.  The slots are the parameter's own blocks,
+    picked by position.  The signs are +1 or -1 by construction, so each
     character is built once, unchecked: ``object.__new__``, then each slot
     written through its descriptor's setter, bound once
     (``_SLOT_SETTERS``), past the frozen ``__setattr__``; the kept
@@ -363,9 +365,10 @@ def _rho_core(
     With ``keep`` the same pass also signs the blocks for the token -delta,
     and the character of -delta is kept on psi as ``_kept_char``; without
     it those signs are not built.  floor(x/2) and floor(-x/2) differ in
-    parity exactly for odd x, so its discrete blocks with odd a change sign
-    and its delta' is the negated token; the e2 e3 rule runs once for each
-    token, and the two characters share one ``blocks`` tuple.  Equal blocks
+    parity exactly for odd x, so its discrete blocks with odd a change sign,
+    its pass ends with the negated token, and its product differs where the
+    token ended changed; its unipotent half is a second read of the same
+    table, and the two characters share one ``blocks`` tuple.  Equal blocks
     have equal a, so the discrete comparisons hold for both.
     """
     discrete = psi.discrete
@@ -399,49 +402,22 @@ def _rho_core(
         # number of blocks has odd a, that is where the token ended changed
         blocks = discrete + unipotent
         signs += (product,)
-        flags = kept_flags = _VANISHING_FLAGS if vanishing else ()
+        flags = kept_flags = ()
         if keep:
             flipped += (product if token == delta else -product,)
     else:
-        # the big block is char ⊠ R[top]; the first block equal to it is it
-        key = route.char, route.top
-        x, y, big = unipotent
-        if x == key:
-            x, y, big = y, big, x
-        elif y == key:
-            y, big = big, y
-        if x.dim == y.dim:
-            eta1, eta2 = x, y
-        else:
-            eta1, eta2 = y, x
-        blocks = discrete + (eta1, eta2, big)
-        a = (eta2.dim + 1) // 2
-        same = eta2.char == route.char
-        rule = route.e2e3
-        for whittaker in (delta, -delta) if keep else (delta,):
-            if whittaker != delta:
-                # the -delta pass ends with the negated token, and its
-                # product differs where the token ended changed
-                token, product = -token, (product if token == delta else -product)
-            # e1 e2 = (-1)^floor(delta' a / 2); the token is now delta'
-            e1e2 = -1 if a & 2 else 1
-            if a & 1:
-                e1e2 *= token
-            e3 = e1e2 * product
-            e2 = rule(same, a, whittaker, token) * e3
-            e1 = e1e2 * e2
-            flagged = (
-                vanishing
-                or (e1 != e2 and eta1 == eta2)
-                or (e1 != e3 and eta1 == big)
-                or (e2 != e3 and eta2 == big)
-            )
-            if whittaker == delta:
-                signs += (e1, e2, e3)
-                flags = _VANISHING_FLAGS if flagged else ()
-            else:
-                flipped += (e1, e2, e3)
-                kept_flags = _VANISHING_FLAGS if flagged else ()
+        pick, table = _unipotent_signs(route.char, route.top, route.e2e3, unipotent)
+        blocks = discrete + pick(unipotent)
+        slot_signs, flags = table[4 * delta + 2 * token + product]
+        signs += slot_signs
+        if keep:
+            # the -delta pass ends with the negated token, and its product
+            # differs where the token ended changed
+            other = product if token == delta else -product
+            slot_signs, kept_flags = table[-4 * delta - 2 * token + other]
+            flipped += slot_signs
+    if vanishing:
+        flags = kept_flags = _VANISHING_FLAGS
     new = object.__new__
     set_whittaker, set_blocks, set_signs, set_flags = _SLOT_SETTERS
     char = new(PacketCharacter)
@@ -457,6 +433,59 @@ def _rho_core(
         set_flags(kept, kept_flags)
         _set_kept_char(psi, kept)
     return char
+
+
+@functools.lru_cache(maxsize=1024)
+def _unipotent_signs(
+    char: int, top: int, rule: Callable[..., int], unipotent: tuple[UnipotentBlock, ...]
+) -> tuple[Callable[[tuple], tuple], dict[int, tuple[tuple[int, ...], tuple[str, ...]]]]:
+    """The unipotent half of the character recipe (``_rho_core``) on a
+    three-block unipotent part, for a route of shape (char, top, rule):
+    what depends on the route and the unipotent tuple alone, worked out
+    once per key rather than once per member.
+
+    The big block is char ⊠ R[top], and the first block equal to it is it.
+    The two other slots are read off the canonical order, small dimension
+    first; when both have dimension one the roles are immaterial, as the
+    two readings give the same character.  Returned are the picker of the
+    slots (eta_1, eta_2, big) by position, so that a character lists the
+    parameter's own blocks, and the table of the slots' signs and flags,
+    keyed by 4 delta + 2 delta' + p for the token delta, the token delta'
+    the discrete pass ends with and the discrete product p, each +1 or -1.
+
+    With a = (dim eta_2 + 1)/2, e1 e2 = (-1)^floor(delta' a / 2), and e2 e3
+    is the route's rule (``membership._Route.e2e3``), run once per
+    entry.  The free simultaneous flip of the three signs is fixed so that
+    the product over all listed blocks is +1: with e3 = +1 that product
+    would be p e1 e2, so e3 takes that value.  A slot pair of equal blocks
+    with unequal signs flags the entry VANISHING (``PacketCharacter.
+    sign_map``'s rule on the slots).  Routes share shapes and members share
+    unipotent tuples: the members of every module at ranks 1-12 need 276
+    keys, so the answers are kept.
+    """
+    key = char, top
+    x, y, big = 0, 1, 2
+    if unipotent[0] == key:
+        x, y, big = 1, 2, 0
+    elif unipotent[1] == key:
+        y, big = 2, 1
+    eta1, eta2 = (x, y) if unipotent[x].dim == unipotent[y].dim else (y, x)
+    b1, b2, b3 = unipotent[eta1], unipotent[eta2], unipotent[big]
+    a = (b2.dim + 1) // 2
+    same = b2.char == char
+    table = {}
+    for whittaker, token, product in itertools.product((1, -1), repeat=3):
+        # e1 e2 = (-1)^floor(delta' a / 2); the token is delta'
+        e1e2 = -1 if a & 2 else 1
+        if a & 1:
+            e1e2 *= token
+        e3 = e1e2 * product
+        e2 = rule(same, a, whittaker, token) * e3
+        e1 = e1e2 * e2
+        flagged = (e1 != e2 and b1 == b2) or (e1 != e3 and b1 == b3) or (e2 != e3 and b2 == b3)
+        flags = _VANISHING_FLAGS if flagged else ()
+        table[4 * whittaker + 2 * token + product] = (e1, e2, e3), flags
+    return operator.itemgetter(eta1, eta2, big), table
 
 
 # The setters of ``PacketCharacter``'s slots, in field order, and of the

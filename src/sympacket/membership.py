@@ -418,7 +418,10 @@ def decide_pi_recursive(psi: ArthurParameter, n: int, m: int) -> bool:
 # The e2 e3 rules of the character recipe (``characters.rho_pi_general`` and
 # ``rho_sigma_general``): from whether eta_2 carries the character of the big
 # block, a = (dim eta_2 + 1)/2, delta and delta' to the product e2 e3.  The
-# sign powers are read off the parity of a or k, with no call.
+# sign powers are read off the parity of a or k, with no call.  A rule runs
+# only where the recipe's table of unipotent signs is built
+# (``characters._unipotent_signs``), once for each of its eight entries, so
+# once per table key rather than once per member or token.
 def _e2e3_exact(same: bool, a: int, delta: int, delta_prime: int) -> int:
     # delta' (-1)^(a+1)
     return 1 if same else delta_prime if a & 1 else -delta_prime
@@ -429,9 +432,14 @@ def _e2e3_shifted(same: bool, a: int, delta: int, delta_prime: int) -> int:
     return -1 if same else -delta_prime if a & 1 else delta_prime
 
 
-def _e2e3_sigma(k: int, same: bool, a: int, delta: int, delta_prime: int) -> int:
-    # delta (-1)^k
-    return -1 if same else -delta if k & 1 else delta
+def _e2e3_sigma_even(same: bool, a: int, delta: int, delta_prime: int) -> int:
+    # delta (-1)^k, for even k
+    return -1 if same else delta
+
+
+def _e2e3_sigma_odd(same: bool, a: int, delta: int, delta_prime: int) -> int:
+    # delta (-1)^k, for odd k
+    return -1 if same else -delta
 
 
 class _Route(NamedTuple):
@@ -444,7 +452,9 @@ class _Route(NamedTuple):
     determinant condition forces, and pairwise disjoint discrete segments.
     ``e2e3`` is the rule of the character recipe on a three-block unipotent
     part, whose big block is char ⊠ R[top]; None where members have one
-    unipotent block.
+    unipotent block.  ``(char, top, e2e3)`` is the route's shape: routes of
+    different modules may share it, and with it the recipe's table of
+    unipotent signs (``characters._unipotent_signs``).
     """
 
     module: Module
@@ -468,7 +478,7 @@ def _routes(module: Module) -> tuple[_Route, ...]:
     """
     family, n, m = module
     if family == "sigma":  # m is k
-        rule = functools.partial(_e2e3_sigma, m)
+        rule = _e2e3_sigma_odd if m & 1 else _e2e3_sigma_even
         return (_Route(module, _MEMBER[ROUTE_SIGMA], 2 * (n - m) + 1, m % 2, rule),)
     if m == 0:
         return (_Route(module, _MEMBER[ROUTE_TRIVIAL], 2 * n + 1, CHAR_TRIV, None),)
@@ -482,25 +492,30 @@ def _routes(module: Module) -> tuple[_Route, ...]:
     )
 
 
-def _compositions(low: int, high: int) -> list:
-    """The ways to cut the integers s..high into consecutive segments, for
-    each start s in low..high+1, at index s (below low, None): each segment
-    as the discrete block (t, a) = (l + h, h - l + 1), highest segment
-    first, as shared instances (``params._discrete_block``).
+@functools.lru_cache(maxsize=128)
+def _cuts(low: int, high: int) -> tuple[tuple[DiscreteBlock, ...], ...]:
+    """The ways to cut the integers low..high into consecutive segments, one
+    tuple of blocks per cut: each segment as the discrete block
+    (t, a) = (l + h, h - l + 1), highest segment first, as shared instances
+    (``params._discrete_block``).  Past the end (low = high + 1) the one cut
+    is empty.
 
-    Built bottom-up, each cut once: a cut of s..high is its lowest segment
-    [s, c] under a cut of c+1..high, so the cuts of every start share the
-    cuts above them.
+    A cut of low..high is its lowest segment [low, c] under a cut of
+    c+1..high, so each answer is built from the memo's answers above it,
+    and the cuts of every start below one end share one memo entry per
+    start: the routes of a round ask for a few dozen (start, end) pairs
+    between them.  An end of h holds about 2^h cut tuples over all its
+    starts; at ranks up to ``MAX_ENUMERATION_RANK`` (12) no end exceeds 11,
+    so the memo then holds at most 2^12 - 1 = 4,095 cut tuples, and each
+    end beyond that doubles it.
     """
-    by_start: list = [None] * (high + 2)
-    by_start[high + 1] = [()]
-    for s in range(high, low - 1, -1):
-        cuts = []
-        for c in range(s, high + 1):
-            lowest = (_discrete_block(s + c, c - s + 1),)
-            cuts += [rest + lowest for rest in by_start[c + 1]]
-        by_start[s] = cuts
-    return by_start
+    if low > high:
+        return ((),)
+    return tuple(
+        rest + (_discrete_block(low + c, c - low + 1),)
+        for c in range(low, high + 1)
+        for rest in _cuts(c + 1, high)
+    )
 
 
 def _route_covers(module: Module, route: _Route) -> list[tuple]:
@@ -526,41 +541,41 @@ def _route_covers(module: Module, route: _Route) -> list[tuple]:
     dimension above 1 would both hold 1), or by the one pair
     [0, j] ∪ [-j, 0], delta_j ⊠ R[j+1], with 1..j left (a pair reaching
     below 0 holds 1 twice).  The values above are cut into consecutive
-    segments, on each side of the gap (``_compositions``).  Segments above
-    the zero piece have larger t, and those above the gap larger t again,
-    so the blocks come out in canonical order.  At a top of 1, THM71_II_A1
-    at m = n, the pairs are THM71_I's covers, which that route takes
-    first, so they are left out.
+    segments, on each side of the gap: the cuts of j+1..end below it and
+    of h+1..b above it, each read as it is from the memo of cuts by (start,
+    end) (``_cuts``).  Segments above the zero piece have larger t, and
+    those above the gap larger t again, so the blocks come out in canonical
+    order.  At a top of 1, THM71_II_A1 at m = n, the pairs are THM71_I's
+    covers, which that route takes first, so they are left out.
 
     THM71_I has the one block R[1] and pairwise disjoint segments, so one
     block [-(n-m), tau], tau in n-m+1..m-1, holds the doubled 0..n-m, and
-    consecutive segments cut tau+1..m-1: 2^(2m-n-2) covers.
+    consecutive segments cut tau+1..m-1, read from the same memo:
+    2^(2m-n-2) covers.
     """
     n, v, top = module.n, module.value, route.top
     if top == 2 * n + 1:
         return [((top,), [()])]
     a, b = sorted((v - 1, n - v))
     if route.char is None:  # THM71_I
-        cuts = _compositions(n - v + 2, b)
         discretes = [
             upper + (_discrete_block(tau - (n - v), tau + (n - v) + 1),)
             for tau in range(n - v + 1, v)
-            for upper in cuts[tau + 1]
+            for upper in _cuts(tau + 1, b)
         ]
         return [((1,), discretes)]
     h = top // 2
     end = a if h > a else b  # the values left: 1..end, then h+1..b
-    below = _compositions(1, end)
-    above = _compositions(h + 1, b)[h + 1] if a < h < b else [()]
+    above = _cuts(h + 1, b) if a < h < b else ((),)
     groups = [
-        ((top, 2 * j + 1, 1), [upper + lower for upper in above for lower in below[j + 1]])
+        ((top, 2 * j + 1, 1), [upper + lower for upper in above for lower in _cuts(j + 1, end)])
         for j in range(min(h, end) + 1)
     ]
     if top > 1 and end:
         pairs = []
         for j in range(1, end + 1):
             pair = (_discrete_block(j, j + 1),)
-            pairs += [upper + lower + pair for upper in above for lower in below[j + 1]]
+            pairs += [upper + lower + pair for upper in above for lower in _cuts(j + 1, end)]
         groups.append(((top,), pairs))
     return groups
 

@@ -56,6 +56,16 @@ The half-sum oracle ``rho_vectors_by_roots`` is the library's earlier
 u ∩ k of the (p, q) pair one by one and adds them up.  The library writes
 each sum in closed form.
 
+The character-tail oracle ``unipotent_tail_by_member`` is the library's
+earlier per-member tail of ``characters._rho_core`` on a three-block
+unipotent part, as it ran once per token: the reordering of the slots, the
+e1 e2 parity, the route's e2 e3 rule (the three rules of the route table
+as they were written, the sigma rule taking k from the route's module) and
+the three comparisons of slots that flag VANISHING.  The library works this
+tail out once per route shape and unipotent tuple, for all eight (token,
+final token, product) inputs, and reads it from a table
+(``characters._unipotent_signs``).
+
 The order oracle ``parameter_order`` is the library's earlier sort key of
 the enumerators, ``params._order_key``: the dataclass ``order=True`` order
 of parameters of one rank, their unipotent tuple, then their discrete
@@ -65,12 +75,16 @@ unipotent tuple at a time (``params._params_in_order``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from operator import attrgetter
 
 from sympacket.cohomology import HalfIntVector, RhoVectors
 from sympacket.membership import (
+    ROUTE_II_A1,
+    ROUTE_II_A3,
+    ROUTE_SIGMA,
     _routes,
     decide_pi_recursive,
     decide_unipotent,
@@ -455,3 +469,59 @@ def rho_vectors_by_roots(n: int, p: int, q: int) -> RhoVectors:
     two_delta_pq = [a + b for a, b in zip(two_delta_l, two_delta_u)]
     doubled = (two_delta_l, two_delta_up, two_delta_uk, two_delta_u, two_delta_pq)
     return RhoVectors(*(HalfIntVector(tuple(v)) for v in doubled), count_uk)
+
+
+# The e2 e3 rules of the route table, as they were written: from whether
+# eta_2 carries the character of the big block, a = (dim eta_2 + 1)/2, delta
+# and delta' to the product e2 e3.
+def _e2e3_exact(same: bool, a: int, delta: int, delta_prime: int) -> int:
+    # delta' (-1)^(a+1)
+    return 1 if same else delta_prime if a & 1 else -delta_prime
+
+
+def _e2e3_shifted(same: bool, a: int, delta: int, delta_prime: int) -> int:
+    # delta' (-1)^a
+    return -1 if same else -delta_prime if a & 1 else delta_prime
+
+
+def _e2e3_sigma(k: int, same: bool, a: int, delta: int, delta_prime: int) -> int:
+    # delta (-1)^k
+    return -1 if same else -delta if k & 1 else delta
+
+
+def unipotent_tail_by_member(route, unipotent, whittaker, token, product):
+    """The slots (eta1, eta2, big), their signs (e1, e2, e3) and whether the
+    slots flag VANISHING, for a three-block unipotent part admitted by the
+    route, the token ``whittaker``, the token the discrete pass ends with
+    and the discrete product, as the recipe worked them out per member."""
+    tag = route.verdict.route
+    if tag == ROUTE_SIGMA:
+        rule = functools.partial(_e2e3_sigma, route.module.value)
+    else:
+        rule = {ROUTE_II_A1: _e2e3_exact, ROUTE_II_A3: _e2e3_shifted}[tag]
+    # the big block is char ⊠ R[top]; the first block equal to it is it
+    key = route.char, route.top
+    x, y, big = unipotent
+    if x == key:
+        x, y, big = y, big, x
+    elif y == key:
+        y, big = big, y
+    if x.dim == y.dim:
+        eta1, eta2 = x, y
+    else:
+        eta1, eta2 = y, x
+    a = (eta2.dim + 1) // 2
+    same = eta2.char == route.char
+    # e1 e2 = (-1)^floor(delta' a / 2); the token is now delta'
+    e1e2 = -1 if a & 2 else 1
+    if a & 1:
+        e1e2 *= token
+    e3 = e1e2 * product
+    e2 = rule(same, a, whittaker, token) * e3
+    e1 = e1e2 * e2
+    flagged = (
+        (e1 != e2 and eta1 == eta2)
+        or (e1 != e3 and eta1 == big)
+        or (e2 != e3 and eta2 == big)
+    )
+    return (eta1, eta2, big), (e1, e2, e3), flagged

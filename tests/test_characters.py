@@ -20,20 +20,28 @@ from sympacket.characters import (
     rho_unipotent_table,
     table_row,
     _rho_core,
+    _unipotent_signs,
 )
+from sympacket import membership
 from sympacket.membership import (
     distinguished_parameter_sigma,
     enumerate_packets_pi,
+    enumerate_packets_sigma,
+    _decide_route,
     _routes,
 )
 from sympacket.params import (
     CHAR_SGN,
     CHAR_TRIV,
+    MAX_ENUMERATION_RANK,
     ArthurParameter,
     DiscreteBlock,
     UnipotentBlock,
+    _discrete_block,
 )
 from sympacket.weights import module_of, pi_nm
+
+from oracles import unipotent_tail_by_member
 
 
 def P(n, unip, disc=()):
@@ -412,3 +420,93 @@ def test_vanishing_flag_agrees_with_sign_map(ranks_1_to_9):
         for delta in (1, -1)
     ]
     assert any(flagged) and not all(flagged)
+
+
+RHO = {"pi": rho_pi_general, "sigma": rho_sigma_general}
+ENUMERATE = {"pi": enumerate_packets_pi, "sigma": enumerate_packets_sigma}
+SIGN_INPUTS = list(itertools.product((1, -1), repeat=3))  # token, final token, product
+
+
+def members_up_to(max_n):
+    """(family, n, value, members) of every pi_n(m) and sigma_{n,k} up to
+    rank max_n, freshly enumerated."""
+    for n in range(1, max_n + 1):
+        for family, values in (("pi", range(n + 1)), ("sigma", range(1, n // 2 + 1))):
+            for value in values:
+                yield family, n, value, [psi for psi, _ in ENUMERATE[family](n, value)]
+
+
+def fresh_copy(psi):
+    """A user-built copy of psi whose blocks are new objects."""
+    return ArthurParameter(
+        psi.n,
+        tuple(UnipotentBlock(*b) for b in psi.unipotent),
+        tuple(DiscreteBlock(*b) for b in psi.discrete),
+    )
+
+
+def test_unipotent_table_is_the_per_member_rule():
+    # every (route, unipotent tuple) of a three-block member at ranks 1-12:
+    # each of the eight entries of its table is what the per-member tail
+    # gives (``oracles.unipotent_tail_by_member``), slots included, and the
+    # table's picker picks those slots, the parameter's own objects
+    keys = {}
+    for family, n, value, members in members_up_to(MAX_ENUMERATION_RANK):
+        for psi in members:
+            if len(psi.unipotent) == 3:
+                route = _decide_route(psi, family, n, value)[0]
+                keys.setdefault((route, psi.unipotent), (family, psi))
+    checked = 0
+    for (route, unipotent), (family, psi) in keys.items():
+        pick, table = _unipotent_signs(route.char, route.top, route.e2e3, unipotent)
+        assert len(table) == len(SIGN_INPUTS)
+        for whittaker, token, product in SIGN_INPUTS:
+            slots, signs, flagged = unipotent_tail_by_member(
+                route, unipotent, whittaker, token, product
+            )
+            picked = pick(unipotent)
+            assert picked == slots and all(p is q for p, q in zip(picked, slots))
+            entry = table[4 * whittaker + 2 * token + product]
+            assert entry == (signs, (VANISHING,) if flagged else ()), (route, unipotent)
+            checked += 1
+        # a character lists its parameter's own block objects: a recorded
+        # member's (asked first, so that it keeps the other token's) and a
+        # user-built copy's, whose blocks are equal but new
+        n, value = route.module.n, route.module.value
+        copy = fresh_copy(psi)
+        for p in (psi, psi, copy, copy):
+            for delta in (1, -1):
+                char = RHO[family](p, n, value, delta)
+                assert all(b is c for b, c in zip(char.blocks, p.discrete + pick(p.unipotent)))
+        assert not any(b is c for b, c in zip(copy.unipotent, psi.unipotent))
+    assert checked == 8 * len(keys) and len(keys) == 584
+
+
+def test_recipe_and_cut_memos_stay_bounded_at_the_cap(monkeypatch):
+    # both memos from empty; then every module at the enumeration cap and
+    # below is enumerated, and both characters of every member built
+    cuts = membership._cuts
+    asked = {}  # (start, end) -> cuts, each call of the memo, recursion included
+
+    def recorded(low, high):
+        asked[low, high] = found = cuts(low, high)
+        return found
+
+    _unipotent_signs.cache_clear()
+    cuts.cache_clear()
+    monkeypatch.setattr(membership, "_cuts", recorded)
+    three = 0
+    for family, n, value, members in members_up_to(MAX_ENUMERATION_RANK):
+        for psi in members:
+            for delta in (1, -1):
+                RHO[family](psi, n, value, delta)
+            three += len(psi.unipotent) == 3
+    table = _unipotent_signs.cache_info()
+    assert three == 9_762 and table.currsize == table.misses == 276
+    assert table.currsize * 3 < table.maxsize
+    memo = cuts.cache_info()
+    # nothing was dropped: the memo holds every pair asked for
+    assert memo.currsize == memo.misses == len(asked) < memo.maxsize
+    held = [cut for found in asked.values() for cut in found]
+    assert len(held) <= 4_095
+    assert all(b is _discrete_block(*b) for cut in held for b in cut)

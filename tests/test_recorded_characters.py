@@ -406,13 +406,18 @@ def profiler_events(fn, *args):
 
 def test_recorded_member_character_profiler_events():
     # one recorded member's rho_pi_general for both tokens, every call
-    # event of the profiler.  The first ask: the lookup, the recipe, its e2
-    # e3 rule once per token and the two characters it builds.  The second:
-    # the lookup, which tells that the record answered, and the kept
+    # event of the profiler.  The first ask, with the recipe's table of
+    # unipotent signs warm for the member's key: the lookup, the recipe and
+    # the two characters it builds; the two table reads make no event.  The
+    # second: the lookup, which tells that the record answered, and the kept
     # character.  Every member's characters pay each event (the sweep
     # benchmark counts them), so a new frame or C call here has to earn its
     # place.
-    psi = next(psi for psi in packets("pi", 6, 4) if psi.discrete and len(psi.unipotent) == 3)
+    def member():
+        return next(psi for psi in packets("pi", 6, 4) if psi.discrete and len(psi.unipotent) == 3)
+
+    psi = member()
+    rho_pi_general(user_copy(psi), 6, 4, 1)  # the table holds the key
     char, events = profiler_events(rho_pi_general, psi, 6, 4, 1)
     assert char == rho_pi_general(user_copy(psi), 6, 4, 1)
     assert events == [
@@ -420,8 +425,6 @@ def test_recorded_member_character_profiler_events():
         "_decide_route",
         "_rho_core",
         "len",
-        "_e2e3_exact",
-        "_e2e3_exact",
         "__new__",
         "__new__",
     ]
@@ -433,7 +436,34 @@ def test_recorded_member_character_profiler_events():
         _, events = profiler_events(rho_pi_general, user_copy(psi), 6, 4, delta)
         assert "_decide_core" in events
         recipe = events[events.index("_rho_core"):]
-        assert recipe == ["_rho_core", "len", "_e2e3_exact", "__new__"]
+        assert recipe == ["_rho_core", "len", "__new__"]
+    # with the table cleared, the first ask also builds the key's entry: the
+    # e2 e3 rule once for each of its eight (token, final token, product)
+    # entries, and no more on the second ask
+    characters._unipotent_signs.cache_clear()
+    fresh = member()
+    char, events = profiler_events(rho_pi_general, fresh, 6, 4, 1)
+    assert char == rho_pi_general(user_copy(psi), 6, 4, 1)
+    assert events == [
+        "rho_pi_general",
+        "_decide_route",
+        "_rho_core",
+        "len",
+        "_unipotent_signs",
+        "_e2e3_exact",
+        "_e2e3_exact",
+        "_e2e3_exact",
+        "_e2e3_exact",
+        "_e2e3_exact",
+        "_e2e3_exact",
+        "_e2e3_exact",
+        "_e2e3_exact",
+        "__new__",
+        "__new__",
+    ]
+    other, events = profiler_events(rho_pi_general, fresh, 6, 4, -1)
+    assert other == rho_pi_general(user_copy(psi), 6, 4, -1)
+    assert events == ["rho_pi_general", "_decide_route"]
 
 
 def kept_record(psi):

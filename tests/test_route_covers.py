@@ -9,6 +9,7 @@ canonical order.  The members come out in order with no sort of them
 (``params._params_in_order``) because no two groups of a module share
 dimensions and no group repeats a discrete tuple."""
 
+import gc
 import itertools
 import operator
 
@@ -53,36 +54,55 @@ def _thm71_i_covers(n, m):
     ]
 
 
-def test_route_covers_are_the_walks_at_ranks_1_to_16():
+def _check_module(module):
+    """Check each route's covers of the module against the oracle's walk;
+    the number of covers checked.  A function of its own, so that the
+    module's covers and walks are freed by refcount when it returns, before
+    the next module's are built, and no two modules' are alive at once."""
     checked = 0
-    for module in _modules(16):
-        entries = module.inf_char()
-        first = set()  # THM71_I's covers, which the later routes leave out
-        for route in _routes(module):
-            built = [
-                (dims, discrete)
-                for dims, discretes in _route_covers(module, route)
-                for discrete in discretes
-            ]
-            covers = set(built)
-            assert len(covers) == len(built), (module, route.verdict.route)
-            discretes = [discrete for _, discrete in built]
-            # strictly decreasing as (t, a): canonical, and no block repeats
-            assert all(all(map(operator.gt, d, d[1:])) for d in discretes), module
-            # each block one shared instance (``params._discrete_block``)
-            blocks = set(itertools.chain.from_iterable(discretes))
-            assert len(set(map(id, itertools.chain.from_iterable(discretes)))) == len(blocks)
-            assert all(type(b) is DiscreteBlock and b is _discrete_block(*b) for b in blocks)
-            if route.char is None:
-                assert route.verdict.route == ROUTE_I
-                assert covers == set(_thm71_i_covers(module.n, module.value)), module
-                assert len(built) == 2 ** (2 * module.value - module.n - 2), module
-                first = covers
-            else:
-                walked = set(topped_covers(entries, route.top))
-                walked -= first
-                assert covers == walked, (module, route.verdict.route)
-            checked += len(built)
+    entries = module.inf_char()
+    first = set()  # THM71_I's covers, which the later routes leave out
+    for route in _routes(module):
+        built = [
+            (dims, discrete)
+            for dims, discretes in _route_covers(module, route)
+            for discrete in discretes
+        ]
+        covers = set(built)
+        assert len(covers) == len(built), (module, route.verdict.route)
+        discretes = [discrete for _, discrete in built]
+        # strictly decreasing as (t, a): canonical, and no block repeats
+        assert all(all(map(operator.gt, d, d[1:])) for d in discretes), module
+        # each block one shared instance (``params._discrete_block``)
+        blocks = set(itertools.chain.from_iterable(discretes))
+        assert len(set(map(id, itertools.chain.from_iterable(discretes)))) == len(blocks)
+        assert all(type(b) is DiscreteBlock and b is _discrete_block(*b) for b in blocks)
+        if route.char is None:
+            assert route.verdict.route == ROUTE_I
+            assert covers == set(_thm71_i_covers(module.n, module.value)), module
+            assert len(built) == 2 ** (2 * module.value - module.n - 2), module
+            first = covers
+        else:
+            walked = set(topped_covers(entries, route.top))
+            walked -= first
+            assert covers == walked, (module, route.verdict.route)
+        checked += len(built)
+    return checked
+
+
+def test_route_covers_are_the_walks_at_ranks_1_to_16():
+    # The covers and walks make no reference cycle, and each module's are
+    # freed by refcount when its check returns.  The cyclic collector would
+    # only rescan the hundreds of thousands of cover tuples alive during a
+    # rank-16 walk, in about half of this test's time, so it is paused while
+    # they are built.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        checked = sum(_check_module(module) for module in _modules(16))
+    finally:
+        if enabled:
+            gc.enable()
     assert checked == 205_324
 
 
