@@ -18,10 +18,11 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Hashable
 
 from .membership import _decide_route, _Route
 from .params import (
+    MAX_ENUMERATION_RANK,
     ArthurParameter,
     DiscreteBlock,
     UnipotentBlock,
@@ -339,100 +340,105 @@ def _rho_core(
 ) -> PacketCharacter:
     """The character recipe of ``rho_pi_general`` and ``rho_sigma_general``,
     given the route that admits psi (``membership._decide_route``) and a
-    token delta, the int +1 or -1; nothing is checked again.  The route
-    gives the big block and the e2 e3 rule.
+    token delta, the int +1 or -1; nothing is checked again.
 
-    One pass over the discrete blocks carries the token, changing its sign
-    after each block with odd a, signs each block off the bits of a
-    ((-1)^floor(token a / 2) is -1 where a & 2, times the token where a is
-    odd), multiplies the signs and compares each block with its neighbour
-    (canonical order puts equal blocks next to each other).  These
-    comparisons are ``PacketCharacter.sign_map``'s rule, made inline so that
-    no dict is built per character.  A single unipotent block takes its own
-    branch: its sign is the discrete product, which makes the product over
-    all listed blocks +1.  Otherwise the unipotent half is read from the
-    table of the route's shape and the unipotent tuple
-    (``_unipotent_signs``): the order of the three slots, and the signs and
-    flags of the slots for the token, the token the discrete pass ends with
-    and the discrete product.  The slots are the parameter's own blocks,
-    picked by position.  The signs are +1 or -1 by construction, so each
-    character is built once, unchecked: ``object.__new__``, then each slot
-    written through its descriptor's setter, bound once
-    (``_SLOT_SETTERS``), past the frozen ``__setattr__``; the kept
-    character goes to psi's ``_kept_char`` slot the same way.  A flagged
-    character shares the one ``_VANISHING_FLAGS`` tuple.
-
-    With ``keep`` the same pass also signs the blocks for the token -delta,
-    and the character of -delta is kept on psi as ``_kept_char``; without
-    it those signs are not built.  floor(x/2) and floor(-x/2) differ in
-    parity exactly for odd x, so its discrete blocks with odd a change sign,
-    its pass ends with the negated token, and its product differs where the
-    token ended changed; its unipotent half is a second read of the same
-    table, and the two characters share one ``blocks`` tuple.  Equal blocks
-    have equal a, so the discrete comparisons hold for both.
+    The discrete signs are read from the table of the blocks' ``a``
+    (``_discrete_signs``), which also gives a single unipotent block's sign
+    and, for a three-block part, the index into the table of the route's
+    shape and the unipotent tuple (``_unipotent_signs``).  The discrete
+    entry names the only positions where equal neighbouring blocks can get
+    unequal signs, so the VANISHING flag compares the blocks there alone.
+    Each character is built unchecked, its slots written through their
+    setters (``_SLOT_SETTERS``).  With ``keep`` the character of -delta,
+    read from the same entries, is kept on psi as ``_kept_char``; the two
+    share one ``blocks`` tuple.
     """
-    discrete = psi.discrete
-    # the signs of delta and, with keep, of -delta, grown in place by ``+=``,
-    # which makes no call (``append`` would be one per block)
-    signs = []
-    flipped = []
-    product = 1  # of the discrete signs of delta
-    vanishing = False
-    token = delta
-    previous = last = None
-    for block in discrete:
-        a = block.a
-        # (-1)^floor(token a / 2): bit 1 of a, times the token where a is odd
-        if a & 1:
-            sign = -token if a & 2 else token
-            token = -token
-        else:
-            sign = -1 if a & 2 else 1
-        if sign != last and block == previous:
-            vanishing = True
-        signs += (sign,)
-        product *= sign
-        if keep:
-            flipped += (-sign if a & 1 else sign,)
-        previous, last = block, sign
-    unipotent = psi.unipotent
-    if len(unipotent) == 1:
-        # the product over the listed blocks is +1: the one unipotent sign is
-        # the discrete product, and the -delta product differs where an odd
-        # number of blocks has odd a, that is where the token ended changed
-        blocks = discrete + unipotent
-        signs += (product,)
-        flags = kept_flags = ()
-        if keep:
-            flipped += (product if token == delta else -product,)
+    discrete, unipotent = psi.discrete, psi.unipotent
+    # a purely unipotent parameter skips the map, which costs more than the
+    # table read: half the members of the point-queries benchmark are one
+    shape = tuple(map(_A_OF, discrete)) if discrete else ()
+    if shape[MAX_ENUMERATION_RANK:]:  # longer than any enumerated member's
+        entry = _discrete_fold(shape)
     else:
+        entry = _discrete_signs(shape)
+    if unipotent[1:]:  # three blocks
         pick, table = _unipotent_signs(route.char, route.top, route.e2e3, unipotent)
         blocks = discrete + pick(unipotent)
-        slot_signs, flags = table[4 * delta + 2 * token + product]
-        signs += slot_signs
+        slot_signs, flags = table[entry[3 * delta]]
+        signs = entry[delta] + slot_signs
         if keep:
-            # the -delta pass ends with the negated token, and its product
-            # differs where the token ended changed
-            other = product if token == delta else -product
-            slot_signs, kept_flags = table[-4 * delta - 2 * token + other]
-            flipped += slot_signs
-    if vanishing:
-        flags = kept_flags = _VANISHING_FLAGS
+            slot_signs, kept_flags = table[entry[-3 * delta]]
+            kept_signs = entry[-delta] + slot_signs
+    else:
+        blocks = discrete + unipotent
+        signs, kept_signs = entry[2 * delta], entry[-2 * delta]
+        flags = kept_flags = ()
+    for i in entry[0]:
+        if discrete[i] == discrete[i - 1]:
+            flags = kept_flags = _VANISHING_FLAGS
     new = object.__new__
     set_whittaker, set_blocks, set_signs, set_flags = _SLOT_SETTERS
     char = new(PacketCharacter)
     set_whittaker(char, delta)
     set_blocks(char, blocks)
-    set_signs(char, tuple(signs))
+    set_signs(char, signs)
     set_flags(char, flags)
     if keep:
         kept = new(PacketCharacter)
         set_whittaker(kept, -delta)
         set_blocks(kept, blocks)
-        set_signs(kept, tuple(flipped))
+        set_signs(kept, kept_signs)
         set_flags(kept, kept_flags)
         _set_kept_char(psi, kept)
     return char
+
+
+# the ``a`` of a discrete block, read in C by ``map`` for the table's key
+_A_OF = operator.attrgetter("a")
+
+
+def _discrete_fold(shape: tuple[int, ...]) -> tuple:
+    """The discrete half of the character recipe (``_rho_core``) for
+    discrete blocks with these ``a`` in canonical order.
+
+    A pass from the token delta signs each block (-1)^floor(token a / 2)
+    and negates the token after each block with odd a.  The entry is read
+    from either end by delta: item delta is the signs; item 2 delta the
+    signs followed by their product, the sign of a single unipotent block,
+    which makes the product over all listed blocks +1; item 3 delta the
+    index into the unipotent table (``_unipotent_signs``) for delta, the
+    token the pass ends with and the product.  Item 0 is the positions i
+    where a is odd and equal to the a before.  Equal blocks are neighbours
+    with equal a; an even a signs both alike and an odd one gives the
+    second the negated token, so only at those positions can equal blocks
+    get unequal signs, and there they always do.
+    """
+    entry = [None] * 7
+    for whittaker in (1, -1):
+        token, signs, product = whittaker, [], 1
+        for a in shape:
+            sign = _sign_pow((token * a) // 2)
+            signs.append(sign)
+            product *= sign
+            if a & 1:
+                token = -token
+        entry[whittaker] = tuple(signs)
+        entry[2 * whittaker] = (*signs, product)
+        entry[3 * whittaker] = 4 * whittaker + 2 * token + product
+    entry[0] = tuple(
+        i for i in range(1, len(shape)) if shape[i] & 1 and shape[i] == shape[i - 1]
+    )
+    return tuple(entry)
+
+
+@functools.lru_cache(maxsize=1 << MAX_ENUMERATION_RANK)
+def _discrete_signs(shape: tuple[int, ...]) -> tuple:
+    """``_discrete_fold`` once per shape rather than once per member, its
+    items shared with the equal items of other shapes (``_shared``).  The
+    members of every module at ranks 1-12 need 3,072 shapes; ``_rho_core``
+    asks about none of more than ``MAX_ENUMERATION_RANK`` blocks, which no
+    such member has, so that an entry is bounded in size too."""
+    return tuple(map(_shared, _discrete_fold(shape)))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -461,7 +467,8 @@ def _unipotent_signs(
     with unequal signs flags the entry VANISHING (``PacketCharacter.
     sign_map``'s rule on the slots).  Routes share shapes and members share
     unipotent tuples: the members of every module at ranks 1-12 need 276
-    keys, so the answers are kept.
+    keys, so the answers are kept, each entry one of a few shared values
+    (``_shared``).
     """
     key = char, top
     x, y, big = 0, 1, 2
@@ -475,17 +482,23 @@ def _unipotent_signs(
     same = b2.char == char
     table = {}
     for whittaker, token, product in itertools.product((1, -1), repeat=3):
-        # e1 e2 = (-1)^floor(delta' a / 2); the token is delta'
-        e1e2 = -1 if a & 2 else 1
-        if a & 1:
-            e1e2 *= token
+        e1e2 = _sign_pow((token * a) // 2)  # the token is delta'
         e3 = e1e2 * product
         e2 = rule(same, a, whittaker, token) * e3
         e1 = e1e2 * e2
         flagged = (e1 != e2 and b1 == b2) or (e1 != e3 and b1 == b3) or (e2 != e3 and b2 == b3)
         flags = _VANISHING_FLAGS if flagged else ()
-        table[4 * whittaker + 2 * token + product] = (e1, e2, e3), flags
+        table[4 * whittaker + 2 * token + product] = _shared((_shared((e1, e2, e3)), flags))
     return operator.itemgetter(eta1, eta2, big), table
+
+
+@functools.lru_cache(maxsize=1024)
+def _shared(value: Hashable) -> Hashable:
+    """The first value asked for equal to ``value``: the one object that the
+    recipe's tables (``_discrete_signs``, ``_unipotent_signs``) hold for
+    equal items, of which there are few (677 at ranks 1-12, for 3,348
+    keys).  A value dropped from this memo stays shared where it is held."""
+    return value
 
 
 # The setters of ``PacketCharacter``'s slots, in field order, and of the

@@ -66,6 +66,15 @@ tail out once per route shape and unipotent tuple, for all eight (token,
 final token, product) inputs, and reads it from a table
 (``characters._unipotent_signs``).
 
+The discrete-sign oracle ``discrete_signs_by_block`` is the library's
+earlier discrete pass of ``characters._rho_core``, as it ran once per
+member: one loop over the blocks that carries the token, signs each block
+off the bits of its ``a``, multiplies the signs, with ``keep`` also signs
+the blocks for -delta, and compares each block with its neighbour for the
+VANISHING flag.  The library works the pass out once per tuple of the
+blocks' ``a``, for both tokens, and reads it from a table
+(``characters._discrete_signs``).
+
 The order oracle ``parameter_order`` is the library's earlier sort key of
 the enumerators, ``params._order_key``: the dataclass ``order=True`` order
 of parameters of one rank, their unipotent tuple, then their discrete
@@ -525,3 +534,34 @@ def unipotent_tail_by_member(route, unipotent, whittaker, token, product):
         or (e2 != e3 and eta2 == big)
     )
     return (eta1, eta2, big), (e1, e2, e3), flagged
+
+
+def discrete_signs_by_block(discrete, delta, keep):
+    """The signs of the discrete blocks for the token delta, their product,
+    the token the pass ends with, with ``keep`` the signs for -delta (else
+    none), and whether two equal neighbours got unequal signs, as the
+    recipe worked them out per member, one block at a time."""
+    # the signs of delta and, with keep, of -delta, grown in place by ``+=``,
+    # which makes no call (``append`` would be one per block)
+    signs = []
+    flipped = []
+    product = 1  # of the discrete signs of delta
+    vanishing = False
+    token = delta
+    previous = last = None
+    for block in discrete:
+        a = block.a
+        # (-1)^floor(token a / 2): bit 1 of a, times the token where a is odd
+        if a & 1:
+            sign = -token if a & 2 else token
+            token = -token
+        else:
+            sign = -1 if a & 2 else 1
+        if sign != last and block == previous:
+            vanishing = True
+        signs += (sign,)
+        product *= sign
+        if keep:
+            flipped += (-sign if a & 1 else sign,)
+        previous, last = block, sign
+    return tuple(signs), product, token, tuple(flipped), vanishing

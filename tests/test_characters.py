@@ -19,7 +19,10 @@ from sympacket.characters import (
     rho_theta_parameter,
     rho_unipotent_table,
     table_row,
+    _discrete_fold,
+    _discrete_signs,
     _rho_core,
+    _shared,
     _unipotent_signs,
 )
 from sympacket import membership
@@ -41,7 +44,7 @@ from sympacket.params import (
 )
 from sympacket.weights import module_of, pi_nm
 
-from oracles import unipotent_tail_by_member
+from oracles import discrete_signs_by_block, unipotent_tail_by_member
 
 
 def P(n, unip, disc=()):
@@ -482,6 +485,126 @@ def test_unipotent_table_is_the_per_member_rule():
     assert checked == 8 * len(keys) and len(keys) == 584
 
 
+def recipe_by_block(psi, route, delta):
+    """The fields of psi's character for the token delta, from the per-block
+    discrete pass and the per-member unipotent tail."""
+    signs, product, token, _, vanishing = discrete_signs_by_block(psi.discrete, delta, False)
+    if len(psi.unipotent) == 1:
+        slots, tail, flagged = psi.unipotent, (product,), False
+    else:
+        slots, tail, flagged = unipotent_tail_by_member(route, psi.unipotent, delta, token, product)
+    flags = (VANISHING,) if vanishing or flagged else ()
+    return delta, psi.discrete + slots, signs + tail, flags
+
+
+def fields(char):
+    return char.whittaker, char.blocks, char.signs, char.flags
+
+
+def shapes_up_to(total):
+    """Every tuple of positive a with sum at most ``total``, () included."""
+    found = [()]
+    for shape in found:  # grows as it is read
+        found += [shape + (a,) for a in range(1, total - sum(shape) + 1)]
+    return found
+
+
+def test_discrete_table_is_the_per_block_pass():
+    # every tuple of a with sum at most 12, so of every member's discrete
+    # blocks at ranks 1-12: for both tokens the entry's signs, product and
+    # final token are those of the per-block pass, whose kept signs are the
+    # entry's for the other token; and a pair of neighbours flags exactly
+    # when it is one of the entry's positions, the two blocks equal
+    shapes = shapes_up_to(MAX_ENUMERATION_RANK)
+    assert len(shapes) == 4_096 == _discrete_signs.cache_info().maxsize
+    for shape in shapes:
+        entry = _discrete_signs(shape)
+        assert entry == _discrete_fold(shape)
+        # t of the parity a needs, one per block: no two blocks equal
+        ts = [2 * j + 1 - a % 2 for j, a in enumerate(shape)]
+        blocks = tuple(DiscreteBlock(t, a) for t, a in zip(ts, shape))
+        for delta in (1, -1):
+            signs, product, token, kept, vanishing = discrete_signs_by_block(blocks, delta, True)
+            assert entry[delta] == signs and entry[-delta] == kept, shape
+            assert entry[2 * delta] == signs + (product,)
+            assert entry[3 * delta] == 4 * delta + 2 * token + product
+            assert not vanishing
+        for i in range(1, len(shape)):
+            pair = ts[:i] + [ts[i - 1]] + ts[i + 1 :]  # block i is block i-1 where a is
+            blocks = tuple(DiscreteBlock(t, a) for t, a in zip(pair, shape))
+            for delta in (1, -1):
+                assert discrete_signs_by_block(blocks, delta, False)[4] == (i in entry[0])
+    # the held items are shared: one object per value
+    held = {}
+    for shape in shapes:
+        for item in _discrete_signs(shape):
+            assert held.setdefault(item, item) is item
+
+
+def test_recipe_is_the_per_block_pass_and_the_per_member_tail():
+    # every member at ranks 1-9, both tokens, asked with and without
+    # keeping the other token's character
+    checked = 0
+    for family, n, value, members in members_up_to(9):
+        for psi in members:
+            route = _decide_route(psi, family, n, value)[0]
+            for delta in (1, -1):
+                expected = recipe_by_block(psi, route, delta)
+                other = recipe_by_block(psi, route, -delta)
+                assert fields(_rho_core(psi, delta, route)) == expected, psi
+                assert fields(_rho_core(psi, delta, route, True)) == expected
+                assert fields(psi._kept_char) == other
+                checked += 1
+    assert checked == 2 * 1_938  # members at ranks 1-9
+
+
+def long_parameter():
+    """A parameter with 13 discrete blocks, one more than any member at the
+    enumeration cap has, two of them equal with odd a, and the THM71_I route
+    of pi_5(4), through which the recipe is run on it."""
+    disc = [(2 * j, 1) for j in range(3, 14)] + [(4, 1), (4, 1)]
+    psi = P(13, [(CHAR_TRIV, 1)], disc)
+    assert len(psi.discrete) == MAX_ENUMERATION_RANK + 1
+    return psi, _routes(module_of("pi", 5, 4))[0]
+
+
+def test_repeated_discrete_blocks_flag_only_with_odd_a():
+    # crafted parameters through the THM71_I route (one unipotent block) and
+    # through a route with a three-block unipotent part: a repeated block
+    # flags both characters where its a is odd, and not where it is even;
+    # equal odd a on unequal blocks never flags
+    module = module_of("pi", 5, 4)
+    one, exact = _routes(module)[0], _routes(module)[1]
+    three = [(exact.char, exact.top), (CHAR_TRIV, 1), (CHAR_SGN, 1)]
+    cases = [
+        ([(2, 3), (2, 3)], True),
+        ([(4, 1), (4, 1)], True),
+        ([(1, 2), (1, 2)], False),
+        ([(3, 4), (3, 4)], False),
+        ([(4, 3), (2, 3)], False),
+        ([(6, 1), (4, 1), (4, 1)], True),
+        ([(1, 2), (1, 2), (5, 2), (5, 2)], False),
+        ([(1, 2), (1, 2), (2, 1), (2, 1)], True),
+    ]
+    for (disc, flagged), (route, unip) in itertools.product(
+        cases, [(one, [(CHAR_TRIV, 1)]), (exact, three)]
+    ):
+        n = sum(a for _, a in disc) + (len(unip) - 1) * 2
+        psi = P(n, unip, disc)
+        for delta in (1, -1):
+            char = _rho_core(psi, delta, route, True)
+            assert fields(char) == recipe_by_block(psi, route, delta)
+            assert fields(psi._kept_char) == recipe_by_block(psi, route, -delta)
+            assert (VANISHING in char.flags) == (VANISHING in psi._kept_char.flags) == flagged
+    # a parameter longer than the bound: the same fold, the same answers
+    psi, route = long_parameter()
+    for delta in (1, -1):
+        char = _rho_core(psi, delta, route, True)
+        assert fields(char) == recipe_by_block(psi, route, delta)
+        assert fields(psi._kept_char) == recipe_by_block(psi, route, -delta)
+        assert char.flags == psi._kept_char.flags == (VANISHING,)
+
+
 def test_recipe_and_cut_memos_stay_bounded_at_the_cap(monkeypatch):
     # both memos from empty; then every module at the enumeration cap and
     # below is enumerated, and both characters of every member built
@@ -493,6 +616,8 @@ def test_recipe_and_cut_memos_stay_bounded_at_the_cap(monkeypatch):
         return found
 
     _unipotent_signs.cache_clear()
+    _discrete_signs.cache_clear()
+    _shared.cache_clear()
     cuts.cache_clear()
     monkeypatch.setattr(membership, "_cuts", recorded)
     three = 0
@@ -504,6 +629,15 @@ def test_recipe_and_cut_memos_stay_bounded_at_the_cap(monkeypatch):
     table = _unipotent_signs.cache_info()
     assert three == 9_762 and table.currsize == table.misses == 276
     assert table.currsize * 3 < table.maxsize
+    shapes = _discrete_signs.cache_info()
+    assert shapes.currsize == shapes.misses == 3_072 < shapes.maxsize
+    shared = _shared.cache_info()
+    assert shared.currsize == shared.misses == 677 < shared.maxsize
+    # a parameter of more discrete blocks than the bound is kept in no memo
+    psi, route = long_parameter()
+    for keep in (False, True):
+        _rho_core(psi, 1, route, keep)
+    assert _discrete_signs.cache_info() == shapes and _shared.cache_info() == shared
     memo = cuts.cache_info()
     # nothing was dropped: the memo holds every pair asked for
     assert memo.currsize == memo.misses == len(asked) < memo.maxsize

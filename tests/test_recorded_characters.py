@@ -406,25 +406,24 @@ def profiler_events(fn, *args):
 
 def test_recorded_member_character_profiler_events():
     # one recorded member's rho_pi_general for both tokens, every call
-    # event of the profiler.  The first ask, with the recipe's table of
-    # unipotent signs warm for the member's key: the lookup, the recipe and
-    # the two characters it builds; the two table reads make no event.  The
-    # second: the lookup, which tells that the record answered, and the kept
-    # character.  Every member's characters pay each event (the sweep
-    # benchmark counts them), so a new frame or C call here has to earn its
-    # place.
+    # event of the profiler.  The first ask, with the recipe's tables warm
+    # for the member's keys: the lookup, the recipe and the two characters
+    # it builds; the key of a's, its bound check, the three-block test and
+    # the table reads make no event.  The second: the lookup, which tells
+    # that the record answered, and the kept character.  Every member's
+    # characters pay each event (the sweep benchmark counts them), so a new
+    # frame or C call here has to earn its place.
     def member():
         return next(psi for psi in packets("pi", 6, 4) if psi.discrete and len(psi.unipotent) == 3)
 
     psi = member()
-    rho_pi_general(user_copy(psi), 6, 4, 1)  # the table holds the key
+    rho_pi_general(user_copy(psi), 6, 4, 1)  # the tables hold the keys
     char, events = profiler_events(rho_pi_general, psi, 6, 4, 1)
     assert char == rho_pi_general(user_copy(psi), 6, 4, 1)
     assert events == [
         "rho_pi_general",
         "_decide_route",
         "_rho_core",
-        "len",
         "__new__",
         "__new__",
     ]
@@ -436,28 +435,35 @@ def test_recorded_member_character_profiler_events():
         _, events = profiler_events(rho_pi_general, user_copy(psi), 6, 4, delta)
         assert "_decide_core" in events
         recipe = events[events.index("_rho_core"):]
-        assert recipe == ["_rho_core", "len", "__new__"]
-    # with the table cleared, the first ask also builds the key's entry: the
-    # e2 e3 rule once for each of its eight (token, final token, product)
-    # entries, and no more on the second ask
+        assert recipe == ["_rho_core", "__new__"]
+    # with the tables and their shared values cleared, the first ask also
+    # builds both entries, and no more on the second ask.  The member has one
+    # discrete block, a = 3: its fold signs it for each token, finds no
+    # position of equal odd a, and shares the entry's seven items.  The
+    # unipotent entry runs e1 e2 and the e2 e3 rule once for each of its
+    # eight (token, final token, product) inputs, and shares the first four
+    # values, each a triple of signs in a pair with its flags; the last four
+    # values equal those.
     characters._unipotent_signs.cache_clear()
+    characters._discrete_signs.cache_clear()
+    characters._shared.cache_clear()
     fresh = member()
+    assert [b.a for b in fresh.discrete] == [3]
     char, events = profiler_events(rho_pi_general, fresh, 6, 4, 1)
     assert char == rho_pi_general(user_copy(psi), 6, 4, 1)
     assert events == [
         "rho_pi_general",
         "_decide_route",
         "_rho_core",
+        "_discrete_signs",
+        "_discrete_fold",
+        *["_sign_pow", "append"] * 2,
         "len",
+        "<genexpr>",
+        *["_shared"] * 7,
         "_unipotent_signs",
-        "_e2e3_exact",
-        "_e2e3_exact",
-        "_e2e3_exact",
-        "_e2e3_exact",
-        "_e2e3_exact",
-        "_e2e3_exact",
-        "_e2e3_exact",
-        "_e2e3_exact",
+        *["_sign_pow", "_e2e3_exact", "_shared", "_shared"] * 4,
+        *["_sign_pow", "_e2e3_exact"] * 4,
         "__new__",
         "__new__",
     ]

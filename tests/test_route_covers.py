@@ -13,6 +13,7 @@ import gc
 import itertools
 import operator
 
+from sympacket import membership
 from sympacket.membership import ROUTE_I, _route_covers, _routes
 from sympacket.params import DiscreteBlock, _discrete_block
 from sympacket.weights import module_of
@@ -95,7 +96,9 @@ def test_route_covers_are_the_walks_at_ranks_1_to_16():
     # freed by refcount when its check returns.  The cyclic collector would
     # only rescan the hundreds of thousands of cover tuples alive during a
     # rank-16 walk, in about half of this test's time, so it is paused while
-    # they are built.
+    # they are built.  The memo of cuts (``membership._cuts``), bounded by
+    # its keys and not by bytes, would keep ranks 13-16's cuts for the rest
+    # of the session, so it is cleared after.
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -103,20 +106,25 @@ def test_route_covers_are_the_walks_at_ranks_1_to_16():
     finally:
         if enabled:
             gc.enable()
+        membership._cuts.cache_clear()
     assert checked == 205_324
 
 
 def test_route_cover_groups_are_distinct_at_ranks_1_to_16():
+    # the memo of cuts is cleared after, as after the walks above
     groups = 0
-    for module in _modules(16):
-        dims_seen = []
-        for route in _routes(module):
-            for dims, discretes in _route_covers(module, route):
-                assert discretes, (module, route.verdict.route, dims)
-                # no group repeats a discrete tuple
-                assert len(set(discretes)) == len(discretes), (module, dims)
-                dims_seen.append(dims)
-        # no two groups across the module's routes share dimensions
-        assert len(set(dims_seen)) == len(dims_seen), (module, dims_seen)
-        groups += len(dims_seen)
+    try:
+        for module in _modules(16):
+            dims_seen = []
+            for route in _routes(module):
+                for dims, discretes in _route_covers(module, route):
+                    assert discretes, (module, route.verdict.route, dims)
+                    # no group repeats a discrete tuple
+                    assert len(set(discretes)) == len(discretes), (module, dims)
+                    dims_seen.append(dims)
+            # no two groups across the module's routes share dimensions
+            assert len(set(dims_seen)) == len(dims_seen), (module, dims_seen)
+            groups += len(dims_seen)
+    finally:
+        membership._cuts.cache_clear()
     assert groups == 1_092  # over 208 modules
