@@ -18,7 +18,7 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from collections.abc import Callable, Hashable
+from collections.abc import Callable
 
 from .membership import _decide_route, _Route
 from .params import (
@@ -431,14 +431,11 @@ def _discrete_fold(shape: tuple[int, ...]) -> tuple:
     return tuple(entry)
 
 
-@functools.lru_cache(maxsize=1 << MAX_ENUMERATION_RANK)
-def _discrete_signs(shape: tuple[int, ...]) -> tuple:
-    """``_discrete_fold`` once per shape rather than once per member, its
-    items shared with the equal items of other shapes (``_shared``).  The
-    members of every module at ranks 1-12 need 3,072 shapes; ``_rho_core``
-    asks about none of more than ``MAX_ENUMERATION_RANK`` blocks, which no
-    such member has, so that an entry is bounded in size too."""
-    return tuple(map(_shared, _discrete_fold(shape)))
+# ``_discrete_fold`` once per shape rather than once per member.  The members
+# of every module at ranks 1-12 need 3,072 shapes; ``_rho_core`` asks about
+# none of more than ``MAX_ENUMERATION_RANK`` blocks, which no such member
+# has, so that an entry is bounded in size too.
+_discrete_signs = functools.lru_cache(maxsize=1 << MAX_ENUMERATION_RANK)(_discrete_fold)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -467,8 +464,7 @@ def _unipotent_signs(
     with unequal signs flags the entry VANISHING (``PacketCharacter.
     sign_map``'s rule on the slots).  Routes share shapes and members share
     unipotent tuples: the members of every module at ranks 1-12 need 276
-    keys, so the answers are kept, each entry one of a few shared values
-    (``_shared``).
+    keys, so the answers are kept.
     """
     key = char, top
     x, y, big = 0, 1, 2
@@ -488,17 +484,8 @@ def _unipotent_signs(
         e1 = e1e2 * e2
         flagged = (e1 != e2 and b1 == b2) or (e1 != e3 and b1 == b3) or (e2 != e3 and b2 == b3)
         flags = _VANISHING_FLAGS if flagged else ()
-        table[4 * whittaker + 2 * token + product] = _shared((_shared((e1, e2, e3)), flags))
+        table[4 * whittaker + 2 * token + product] = (e1, e2, e3), flags
     return operator.itemgetter(eta1, eta2, big), table
-
-
-@functools.lru_cache(maxsize=1024)
-def _shared(value: Hashable) -> Hashable:
-    """The first value asked for equal to ``value``: the one object that the
-    recipe's tables (``_discrete_signs``, ``_unipotent_signs``) hold for
-    equal items, of which there are few (677 at ranks 1-12, for 3,348
-    keys).  A value dropped from this memo stays shared where it is held."""
-    return value
 
 
 # The setters of ``PacketCharacter``'s slots, in field order, and of the

@@ -80,7 +80,6 @@ from .params import (
     _discrete_block,
     _params_in_order,
     _require_valid,
-    _unipotent_block,
     contains_block,
     inf_char_of_param,
     remove_discrete_block,
@@ -280,7 +279,7 @@ def _decide_core(psi: ArthurParameter, module: Module) -> _Route | None:
         if route.char is None:  # THM71_I
             if top == 1 and len(unipotent) == 1 and _segments_pairwise_disjoint(psi):
                 return route
-        elif top == route.top and _unipotent_block(route.char, top) in unipotent:
+        elif top == route.top and (route.char, top) in unipotent:  # a pair equals its block
             return route
     return None
 

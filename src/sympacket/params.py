@@ -365,10 +365,9 @@ def remove_discrete_block(psi: ArthurParameter, index: int) -> ArthurParameter:
 
 _Cover = tuple[tuple[int, ...], tuple[DiscreteBlock, ...]]
 
-# Shared block instances for trusted construction.  Blocks are immutable, and
-# the enumeration cap keeps the (char, dim) and (t, a) pairs few; sharing only
-# saves time, so the caches are bounded.
-_unipotent_block = functools.lru_cache(maxsize=1024)(UnipotentBlock)
+# Shared discrete block instances for trusted construction.  Blocks are
+# immutable, and the enumeration cap keeps the (t, a) pairs few; sharing only
+# saves time, so the cache is bounded.
 _discrete_block = functools.lru_cache(maxsize=1024)(DiscreteBlock)
 
 
@@ -413,10 +412,7 @@ def _first_steps(half: tuple[int, ...], bound: int | None) -> list:
             break
         rest[v] = left
         if bound is None or low <= bound:
-            if copies > 1:
-                steps.append((low, tuple(rest), low if low < high else None))
-            else:
-                steps.append((low, _cut(rest), None))
+            steps.append((low, _cut(rest), low if copies > 1 and low < high else None))
     return steps
 
 
@@ -529,7 +525,7 @@ def _char_assignments(
     of the discrete a, (2n+1 - sum of the dimensions) / 2.
 
     Blocks come out in canonical order: dimensions decreasing, and within a
-    dimension trivial before sign, as shared instances.  With ``top_char``,
+    dimension trivial before sign.  With ``top_char``,
     only the multisets in which some block of the largest dimension carries
     that character.  Covers share few dimension multisets (the packets of
     every module at ranks 4-9 need 127 keys), so the answers are kept.
@@ -549,8 +545,8 @@ def _char_assignments(
             continue
         blocks: list[UnipotentBlock] = []
         for (dim, count), k in zip(groups, picks):
-            blocks.extend([_unipotent_block(CHAR_TRIV, dim)] * (count - k))
-            blocks.extend([_unipotent_block(CHAR_SGN, dim)] * k)
+            blocks.extend([UnipotentBlock(CHAR_TRIV, dim)] * (count - k))
+            blocks.extend([UnipotentBlock(CHAR_SGN, dim)] * k)
         out.append(tuple(blocks))
     return tuple(out)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .weights import _record, _sign_pow
+from .weights import _echo, _record, _sign_pow
 
 __all__ = [
     "hilbert_symbol_real",
@@ -39,7 +39,7 @@ __all__ = [
 
 def hilbert_symbol_real(a: int, b: int) -> int:
     """Real Hilbert symbol on sign classes: -1 iff both arguments negative."""
-    if a not in (1, -1) or b not in (1, -1):
+    if type(a) is not int or type(b) is not int or a not in (1, -1) or b not in (1, -1):
         raise ValueError("arguments are sign classes, +1 or -1")
     return -1 if (a < 0 and b < 0) else 1
 
@@ -65,7 +65,7 @@ def hasse_normalized(p: int, q: int, delta: int) -> int:
     p - q in the odd case; the floor is the mathematical one.
     """
     _check_signature(p, q)
-    if delta not in (1, -1):
+    if type(delta) is not int or delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
     d = p - q if (p + q) % 2 == 0 else p - q - 1
     return _sign_pow((delta * d) // 4)
@@ -79,10 +79,10 @@ def hasse_from_diagonal(diag: Sequence[int], delta: int) -> int:
         eps_delta(Q) = (-delta, eta(Q)) (-1, D(Q))^(N(N-1)/2)
                        (-1,-1)^floor((floor(N/2)+1)/2) E(Q).
     """
-    if delta not in (1, -1):
+    if type(delta) is not int or delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
     entries = tuple(diag)
-    if any(x not in (1, -1) for x in entries):
+    if any(type(x) is not int or x not in (1, -1) for x in entries):
         raise ValueError("diagonal entries must be +1 or -1")
     N = len(entries)
     D = 1
@@ -108,6 +108,10 @@ def add_hyperbolic(p: int, q: int) -> tuple[int, int]:
 
 
 def _check_signature(p: int, q: int) -> None:
+    """Refuse a signature entry that is not an ``int`` (a bool or a float
+    included, as ``weights.module_of`` does) or that is negative."""
+    if type(p) is not int or type(q) is not int:
+        raise ValueError(f"signature entries must be int, got p={_echo(p)}, q={_echo(q)}")
     if p < 0 or q < 0:
         raise ValueError("signature entries must be nonnegative")
 
@@ -127,11 +131,13 @@ class OrthCharacter:
     restriction: tuple[int, int]
 
     def __post_init__(self) -> None:
-        if self.eta not in (0, 1) or self.tau not in (0, 1):
+        eta, tau, delta = self.eta, self.tau, self.delta
+        if (type(eta) is not int or type(tau) is not int
+                or eta not in (0, 1) or tau not in (0, 1)):
             raise ValueError("eta and tau must be 0 or 1")
-        if self.delta not in (1, -1):
+        if type(delta) is not int or delta not in (1, -1):
             raise ValueError("delta must be +1 or -1")
-        if any(e not in (0, 1) for e in self.restriction):
+        if any(type(e) is not int or e not in (0, 1) for e in self.restriction):
             raise ValueError("restriction exponents must be 0 or 1")
 
 
@@ -146,7 +152,7 @@ def o_characters(p: int, q: int, delta: int = 1) -> list[OrthCharacter]:
     _check_signature(p, q)
     if (p + q) % 2 != 0:
         raise ValueError("p + q must be even")
-    if delta not in (1, -1):
+    if type(delta) is not int or delta not in (1, -1):
         raise ValueError("delta must be +1 or -1")
     chars: list[OrthCharacter] = []
     for tau in (0, 1):
@@ -185,11 +191,13 @@ def howe_ktype(c: OrthCharacter, p: int, q: int, n: int) -> tuple[int, ...] | No
 
     The weight is the scalar shift (p-q)/2 plus (1^x, 0^(n-x-y), (-1)^y)
     where x = p or 0 and y = q or 0 according to the restriction exponents.
-    The rank n is nonnegative.
+    The rank n is a nonnegative int.
     """
     _check_signature(p, q)
     if (p + q) % 2 != 0:
         raise ValueError("p + q must be even")
+    if type(n) is not int:
+        raise ValueError(f"rank must be int, got n={_echo(n)}")
     if n < 0:
         raise ValueError(f"rank must be nonnegative, got {n}")
     if n < first_occurrence(c, p, q):

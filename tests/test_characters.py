@@ -22,7 +22,6 @@ from sympacket.characters import (
     _discrete_fold,
     _discrete_signs,
     _rho_core,
-    _shared,
     _unipotent_signs,
 )
 from sympacket import membership
@@ -96,6 +95,20 @@ def test_char_equivalent_wrong_support():
         char_equivalent(c1, c2)
 
 
+def test_char_equivalent_against_a_parameter_and_on_split_signs():
+    # checked against a parameter, the blocks must be its own
+    c1 = PacketCharacter(1, WORKED.unipotent, (1, 1, 1))
+    c2 = PacketCharacter(1, WORKED.unipotent[:1], (1,))
+    assert char_equivalent(c1, c1, WORKED)
+    with pytest.raises(ValueError, match="do not list the parameter's blocks"):
+        char_equivalent(c2, c2, WORKED)
+    # equal blocks with unequal signs are no character
+    b = UnipotentBlock(CHAR_TRIV, 1)
+    split = PacketCharacter(1, (b, b), (1, -1))
+    with pytest.raises(ValueError, match="not constant on equal blocks"):
+        char_equivalent(split, split)
+
+
 def test_rho_theta_examples():
     assert rho_theta(4, 2, 0, 0, 1, "O(0,2m)") == (1, -1, -1)
     for delta in (1, -1):
@@ -114,6 +127,13 @@ def test_rho_theta_product_and_preconditions():
             continue
         e1, e2, e3 = rho_theta(n, m, tp, tau, delta, side)
         assert e1 * e2 * e3 == 1
+
+
+def test_theta_tables_refuse_an_unknown_side_or_form():
+    with pytest.raises(ValueError, match="side must be"):
+        rho_theta(3, 1, 0, 0, 1, "O(2m)")
+    with pytest.raises(ValueError, match="form must be"):
+        rho_unipotent_table("third", 3, 1, "pi", 1)
 
 
 def test_theta_tables_refuse_what_is_not_an_int():
@@ -534,11 +554,6 @@ def test_discrete_table_is_the_per_block_pass():
             blocks = tuple(DiscreteBlock(t, a) for t, a in zip(pair, shape))
             for delta in (1, -1):
                 assert discrete_signs_by_block(blocks, delta, False)[4] == (i in entry[0])
-    # the held items are shared: one object per value
-    held = {}
-    for shape in shapes:
-        for item in _discrete_signs(shape):
-            assert held.setdefault(item, item) is item
 
 
 def test_recipe_is_the_per_block_pass_and_the_per_member_tail():
@@ -617,7 +632,6 @@ def test_recipe_and_cut_memos_stay_bounded_at_the_cap(monkeypatch):
 
     _unipotent_signs.cache_clear()
     _discrete_signs.cache_clear()
-    _shared.cache_clear()
     cuts.cache_clear()
     monkeypatch.setattr(membership, "_cuts", recorded)
     three = 0
@@ -631,13 +645,11 @@ def test_recipe_and_cut_memos_stay_bounded_at_the_cap(monkeypatch):
     assert table.currsize * 3 < table.maxsize
     shapes = _discrete_signs.cache_info()
     assert shapes.currsize == shapes.misses == 3_072 < shapes.maxsize
-    shared = _shared.cache_info()
-    assert shared.currsize == shared.misses == 677 < shared.maxsize
     # a parameter of more discrete blocks than the bound is kept in no memo
     psi, route = long_parameter()
     for keep in (False, True):
         _rho_core(psi, 1, route, keep)
-    assert _discrete_signs.cache_info() == shapes and _shared.cache_info() == shared
+    assert _discrete_signs.cache_info() == shapes
     memo = cuts.cache_info()
     # nothing was dropped: the memo holds every pair asked for
     assert memo.currsize == memo.misses == len(asked) < memo.maxsize

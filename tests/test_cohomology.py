@@ -194,6 +194,26 @@ def test_aq_lambda_range_checks():
         aq_lambda_regular(chi, 3)  # a_max = 2
 
 
+MU3 = HighestWeight((2, 2, 2))
+PSI52 = distinguished_parameter_sigma(5, 2)
+
+
+@pytest.mark.parametrize(
+    "fn, args, refusal",
+    [
+        (lambda_of, (3, -1, 0, 0), "need p, q >= 0"),
+        (lambda_of, (3, 2, 2, 0), "need p, q >= 0"),
+        (ktype_inequality_general, (MU3, 3, 0, -1, 0), "need p, q >= 0"),
+        (ktype_inequality_general, (MU3, 3, 3, 1, 0), "need p, q >= 0"),
+        (ktype_inequality_general, (MU3, 4, 0, 0, 0), "weight rank mismatch"),
+        (induction_weights, (PSI52, 4), "parameter rank mismatch"),
+    ],
+)
+def test_range_checks(fn, args, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        fn(*args)
+
+
 def test_halfintvector_utilities():
     v = HalfIntVector((1, -3))
     assert not v.is_integral

@@ -1,6 +1,7 @@
 import pytest
 
 from sympacket.langlands import (
+    StandardModule,
     exponent_filter,
     max_exponent,
     standard_pi,
@@ -45,6 +46,16 @@ def test_standard_sigma_values():
 
     with pytest.raises(ValueError):
         standard_sigma(3, 2)
+
+
+@pytest.mark.parametrize(
+    "exponents, refusal",
+    [(((0, 1), (1, 2)), "strictly decreasing"), (((0, 2), (0, 2)), "strictly decreasing"),
+     (((1, 1), (0, 0)), "positive")],
+)
+def test_standard_module_refuses_a_bad_exponent_string(exponents, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        StandardModule(exponents, 1)
 
 
 def test_max_exponent():

@@ -8,6 +8,7 @@ from sympacket.membership import (
     ROUTE_II_A3,
     ROUTE_SIGMA,
     ROUTE_TRIVIAL,
+    MembershipVerdict,
     decide_pi,
     decide_pi_recursive,
     decide_regular,
@@ -138,6 +139,17 @@ def test_decide_unipotent():
     assert decide_unipotent(psi, 2) == []
     with pytest.raises(ValueError):
         decide_unipotent(ROUTE_I_CASE, 2)
+
+
+def test_decide_unipotent_refuses_another_rank():
+    with pytest.raises(ValueError, match="rank does not match"):
+        decide_unipotent(WORKED, 3)
+
+
+def test_a_non_member_verdict_has_multiplicity_zero():
+    assert MembershipVerdict(False, None, 0).multiplicity == 0
+    with pytest.raises(ValueError, match="non-members have multiplicity 0"):
+        MembershipVerdict(False, None, 1)
 
 
 def test_peel_step_cases():

@@ -168,6 +168,14 @@ def test_twist_sgn():
         twist_sgn(blocks, 3)
 
 
+def test_a_psi_of_a_parameter_without_blocks():
+    # an unvalidated parameter may have no blocks, or no unipotent ones
+    with pytest.raises(ValueError, match="no blocks"):
+        a_psi(ArthurParameter(0, (), ()))
+    with pytest.raises(ValueError, match="unipotent part is empty"):
+        a_psi_u(ArthurParameter(1, (), (DiscreteBlock(1, 2),)))
+
+
 def test_hw_shape_check():
     assert hw_shape_check(WORKED)
     two_blocks = ArthurParameter(
@@ -181,6 +189,15 @@ def test_hw_shape_check():
     assert not hw_shape_check(flat)
     flat_ok = P(2, [(CHAR_TRIV, 1)], [(1, 2)])
     assert hw_shape_check(flat_ok)
+
+
+def test_hw_shape_check_refuses_flat_blocks():
+    # two flat blocks; a strictly flat block beside a unipotent block of
+    # dimension above 1
+    two_flat = ArthurParameter(4, (UnipotentBlock(0, 1),), (DiscreteBlock(1, 2),) * 2)
+    assert not hw_shape_check(two_flat)
+    strict = ArthurParameter(5, (UnipotentBlock(0, 3),), (DiscreteBlock(2, 4),))
+    assert not hw_shape_check(strict)
 
 
 def test_remove_discrete_block_twists():

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympacket.quadforms import (
+    OrthCharacter,
     add_hyperbolic,
     det_class,
     discriminant,
@@ -15,6 +16,44 @@ from sympacket.quadforms import (
     o_characters,
     tensor_det,
 )
+
+
+C22 = o_characters(2, 2, 1)[0]
+
+
+@pytest.mark.parametrize(
+    "fn, args, refusal",
+    [
+        # a bool or a float is refused, not computed with
+        (hilbert_symbol_real, (True, -1), "sign classes"),
+        (hilbert_symbol_real, (1, -1.0), "sign classes"),
+        (hilbert_symbol_real, (2, -1), "sign classes"),
+        (det_class, (1, 1.0), "must be int, got p=1, q=1.0"),
+        (discriminant, (True, 0), "must be int, got p=True, q=0"),
+        (hasse_normalized, (4.0, 0, 1), "must be int, got p=4.0, q=0"),
+        (add_hyperbolic, ("1", 1), "must be int, got p='1', q=1"),
+        (det_class, (-1, 0), "nonnegative"),
+        (hasse_normalized, (4, 0, True), "delta must be"),
+        (hasse_normalized, (4, 0, 0), "delta must be"),
+        (hasse_from_diagonal, ((1, -1), -1.0), "delta must be"),
+        (hasse_from_diagonal, ((1, True), 1), "diagonal entries"),
+        (o_characters, (2, 2, 1.0), "delta must be"),
+        (o_characters, (2, 1, 1), r"p \+ q must be even"),
+        (OrthCharacter, (True, 0, 1, (0, 0)), "eta and tau"),
+        (OrthCharacter, (0, 2, 1, (0, 0)), "eta and tau"),
+        (OrthCharacter, (0, 0, 1.0, (0, 0)), "delta must be"),
+        (OrthCharacter, (0, 0, 1, (0, 1.0)), "restriction exponents"),
+        (OrthCharacter, (0, 0, 1, (2, 0)), "restriction exponents"),
+        (first_occurrence, (C22, 2, -2), "nonnegative"),
+        (howe_ktype, (C22, 2, 2, 3.0), "rank must be int, got n=3.0"),
+        (howe_ktype, (C22, 2, 2, -1), "rank must be nonnegative"),
+        (howe_ktype, (C22, 2, 1, 3), r"p \+ q must be even"),
+        (howe_degree, ((0, 0), 2, 1), "p - q must be even"),
+    ],
+)
+def test_refusals(fn, args, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        fn(*args)
 
 
 def test_hilbert_symbol():

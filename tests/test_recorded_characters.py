@@ -436,17 +436,14 @@ def test_recorded_member_character_profiler_events():
         assert "_decide_core" in events
         recipe = events[events.index("_rho_core"):]
         assert recipe == ["_rho_core", "__new__"]
-    # with the tables and their shared values cleared, the first ask also
-    # builds both entries, and no more on the second ask.  The member has one
-    # discrete block, a = 3: its fold signs it for each token, finds no
-    # position of equal odd a, and shares the entry's seven items.  The
+    # with the tables cleared, the first ask also builds both entries, and no
+    # more on the second ask.  The member has one discrete block, a = 3: its
+    # fold (under the discrete table's ``lru_cache``, which makes no event)
+    # signs it for each token and finds no position of equal odd a.  The
     # unipotent entry runs e1 e2 and the e2 e3 rule once for each of its
-    # eight (token, final token, product) inputs, and shares the first four
-    # values, each a triple of signs in a pair with its flags; the last four
-    # values equal those.
+    # eight (token, final token, product) inputs.
     characters._unipotent_signs.cache_clear()
     characters._discrete_signs.cache_clear()
-    characters._shared.cache_clear()
     fresh = member()
     assert [b.a for b in fresh.discrete] == [3]
     char, events = profiler_events(rho_pi_general, fresh, 6, 4, 1)
@@ -455,15 +452,12 @@ def test_recorded_member_character_profiler_events():
         "rho_pi_general",
         "_decide_route",
         "_rho_core",
-        "_discrete_signs",
         "_discrete_fold",
         *["_sign_pow", "append"] * 2,
         "len",
         "<genexpr>",
-        *["_shared"] * 7,
         "_unipotent_signs",
-        *["_sign_pow", "_e2e3_exact", "_shared", "_shared"] * 4,
-        *["_sign_pow", "_e2e3_exact"] * 4,
+        *["_sign_pow", "_e2e3_exact"] * 8,
         "__new__",
         "__new__",
     ]

@@ -42,6 +42,17 @@ def test_validate_odd_balance():
     assert validate_tableau(short, 2) == ["BOX_COUNT"]
 
 
+def test_bad_rows_ranks_and_indices():
+    for rows in (((0, 1), (2, 1)), ((2, 0),)):
+        assert validate_tableau(SignedTableau(rows), 1) == ["ROW_SHAPE"]
+    assert not in_pminus_chain(SignedTableau(((2, 1),)), 2)  # BOX_COUNT
+    with pytest.raises(ValueError, match="rank must be positive"):
+        pminus_orbits(0)
+    for r in (-1, 5):
+        with pytest.raises(ValueError, match="need 0 <= r <= 4"):
+            chain_tableau(4, r)
+
+
 def test_pminus_orbits_counts():
     assert len(pminus_orbits(1)) == 2
     assert len(pminus_orbits(3)) == 4

@@ -10,6 +10,7 @@ from sympacket.weights import (
     classify_unitary,
     howe_source,
     inf_char_of_weight,
+    module_of,
     pi_nm,
     regular_a_max,
     sigma_nk,
@@ -63,6 +64,16 @@ def test_inf_char_invariants_rejected():
         InfinitesimalCharacter((1, 0, 0))  # not symmetric
     with pytest.raises(ValueError):
         InfinitesimalCharacter((1, -1))  # even length / even zero-multiplicity
+
+
+def test_inf_char_with_one_zero_must_be_symmetric():
+    with pytest.raises(ValueError, match="symmetric under negation"):
+        InfinitesimalCharacter((2, 1, 0))
+
+
+def test_module_of_refuses_a_negative_rank():
+    with pytest.raises(ValueError, match="rank must be positive"):
+        module_of("pi", -1, 0)
 
 
 def test_scalar_and_near_scalar_families():
