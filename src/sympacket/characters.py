@@ -20,7 +20,7 @@ import operator
 from collections import Counter
 from collections.abc import Callable
 
-from .membership import _decide_route, _Route
+from .membership import ROUTE_II_A1, ROUTE_SIGMA, _decide_route, _Route
 from .params import (
     MAX_ENUMERATION_RANK,
     ArthurParameter,
@@ -277,14 +277,14 @@ def rho_pi_general(
 
         e1 e2 = (-1)^floor(delta' a / 2)
 
-    and, writing s for the distinguished block's character exponent,
+    and, by the route that admits psi,
 
-        e2 e3 = 1                 if the big block is sgn^m ⊠ R[2(n-m)+1]
-                                  and eta_2 = sgn^m,
-                delta' (-1)^(a+1) in that case with eta_2 = sgn^(m+1),
-        e2 e3 = -1                if the big block is sgn^(m-1) ⊠ R[2(n-m)+3]
-                                  and eta_2 = sgn^(m-1),
-                delta' (-1)^a     in that case with eta_2 = sgn^m.
+        THM71_II_A1, big block sgn^m ⊠ R[2(n-m)+1]:
+            e2 e3 = 1                 if eta_2 = sgn^m,
+                    delta' (-1)^(a+1) if eta_2 = sgn^(m+1);
+        THM71_II_A3, big block sgn^(m-1) ⊠ R[2(n-m)+3]:
+            e2 e3 = -1                if eta_2 = sgn^(m-1),
+                    delta' (-1)^a     if eta_2 = sgn^m.
 
     The remaining free flip is resolved by the listed-product normalization.
     Blocks are listed as: discrete (canonical order), then the unipotent
@@ -309,8 +309,8 @@ def rho_sigma_general(
 ) -> PacketCharacter:
     """Sign character attached to sigma_{n,k} inside the packet of psi.
 
-    Same discrete recipe and e1 e2 relation as in the scalar case; the big
-    block is sgn^k ⊠ R[2(n-k)+1] and
+    Same discrete recipe and e1 e2 relation as in the scalar case; on the
+    route SIGMA the big block is sgn^k ⊠ R[2(n-k)+1] and
 
         e2 e3 = -1             if eta_2 = sgn^k,
                 delta (-1)^k   if eta_2 = sgn^(k+1).
@@ -344,8 +344,8 @@ def _rho_core(
 
     The discrete signs are read from the table of the blocks' ``a``
     (``_discrete_signs``), which also gives a single unipotent block's sign
-    and, for a three-block part, the index into the table of the route's
-    shape and the unipotent tuple (``_unipotent_signs``).  The discrete
+    and, for a three-block part, the index into the table of the route
+    and the unipotent tuple (``_unipotent_signs``).  The discrete
     entry names the only positions where equal neighbouring blocks can get
     unequal signs, so the VANISHING flag compares the blocks there alone.
     Each character is built unchecked, its slots written through their
@@ -362,7 +362,7 @@ def _rho_core(
     else:
         entry = _discrete_signs(shape)
     if unipotent[1:]:  # three blocks
-        pick, table = _unipotent_signs(route.char, route.top, route.e2e3, unipotent)
+        pick, table = _unipotent_signs(route.char, route.top, route.verdict.route, unipotent)
         blocks = discrete + pick(unipotent)
         slot_signs, flags = table[entry[3 * delta]]
         signs = entry[delta] + slot_signs
@@ -440,12 +440,12 @@ _discrete_signs = functools.lru_cache(maxsize=1 << MAX_ENUMERATION_RANK)(_discre
 
 @functools.lru_cache(maxsize=1024)
 def _unipotent_signs(
-    char: int, top: int, rule: Callable[..., int], unipotent: tuple[UnipotentBlock, ...]
+    char: int, top: int, tag: str, unipotent: tuple[UnipotentBlock, ...]
 ) -> tuple[Callable[[tuple], tuple], dict[int, tuple[tuple[int, ...], tuple[str, ...]]]]:
     """The unipotent half of the character recipe (``_rho_core``) on a
-    three-block unipotent part, for a route of shape (char, top, rule):
-    what depends on the route and the unipotent tuple alone, worked out
-    once per key rather than once per member.
+    three-block unipotent part, for a route's char, top and tag (a string,
+    hashed with no call): what depends on the route and the unipotent
+    tuple alone, worked out once per key rather than once per member.
 
     The big block is char ⊠ R[top], and the first block equal to it is it.
     The two other slots are read off the canonical order, small dimension
@@ -457,14 +457,14 @@ def _unipotent_signs(
     the discrete pass ends with and the discrete product p, each +1 or -1.
 
     With a = (dim eta_2 + 1)/2, e1 e2 = (-1)^floor(delta' a / 2), and e2 e3
-    is the route's rule (``membership._Route.e2e3``), run once per
-    entry.  The free simultaneous flip of the three signs is fixed so that
-    the product over all listed blocks is +1: with e3 = +1 that product
-    would be p e1 e2, so e3 takes that value.  A slot pair of equal blocks
-    with unequal signs flags the entry VANISHING (``PacketCharacter.
-    sign_map``'s rule on the slots).  Routes share shapes and members share
-    unipotent tuples: the members of every module at ranks 1-12 need 276
-    keys, so the answers are kept.
+    is the tag's rule in ``rho_pi_general`` or ``rho_sigma_general`` (char
+    is k mod 2 on SIGMA), run once per entry.  The free simultaneous flip
+    of the three signs is fixed so that the product over all listed blocks
+    is +1: with e3 = +1 that product would be p e1 e2, so e3 takes that
+    value.  A slot pair of equal blocks with unequal signs flags the entry
+    VANISHING (``PacketCharacter.sign_map``'s rule on the slots).  Routes
+    share keys and members share unipotent tuples: the members of every
+    module at ranks 1-12 need 276 keys, so the answers are kept.
     """
     key = char, top
     x, y, big = 0, 1, 2
@@ -475,12 +475,17 @@ def _unipotent_signs(
     eta1, eta2 = (x, y) if unipotent[x].dim == unipotent[y].dim else (y, x)
     b1, b2, b3 = unipotent[eta1], unipotent[eta2], unipotent[big]
     a = (b2.dim + 1) // 2
-    same = b2.char == char
     table = {}
     for whittaker, token, product in itertools.product((1, -1), repeat=3):
         e1e2 = _sign_pow((token * a) // 2)  # the token is delta'
         e3 = e1e2 * product
-        e2 = rule(same, a, whittaker, token) * e3
+        if b2.char == char:  # eta_2 carries the big block's character
+            e2e3 = 1 if tag == ROUTE_II_A1 else -1
+        elif tag == ROUTE_SIGMA:
+            e2e3 = whittaker * _sign_pow(char)
+        else:
+            e2e3 = token * _sign_pow(a + 1 if tag == ROUTE_II_A1 else a)
+        e2 = e2e3 * e3
         e1 = e1e2 * e2
         flagged = (e1 != e2 and b1 == b2) or (e1 != e3 and b1 == b3) or (e2 != e3 and b2 == b3)
         flags = _VANISHING_FLAGS if flagged else ()

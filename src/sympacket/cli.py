@@ -150,9 +150,9 @@ def param_from_json(obj: Any) -> ArthurParameter:
     """The parameter of a wire object, refused (``ValidationError``) unless
     it is well formed, valid and of rank at most ``MAX_REPORT_RANK``.
 
-    It is validated here, once: the parameter returned is marked valid
-    (``params._trusted_params``), so the deciders and characters it is
-    handed to do not validate it again.
+    It is built once, marked valid (``params._trusted_params``), and then
+    validated here, so the deciders and characters it is handed to do not
+    validate it again; an invalid one is refused before it is returned.
     """
     if not isinstance(obj, dict):
         raise ValidationError("parameter must be a JSON object", ["BLOCK_SHAPE"])
@@ -182,7 +182,7 @@ def param_from_json(obj: Any) -> ArthurParameter:
         for b, fields, kind in other:
             _strict_keys(b, fields, kind)
         where = "parameter"
-        psi = ArthurParameter(_wire_int(obj, "n"), unip, disc)
+        psi = _trusted_params(_wire_int(obj, "n"), tuple(unip), (tuple(disc),))[0]
     except ValidationError:
         raise
     except KeyError as exc:
@@ -195,7 +195,7 @@ def param_from_json(obj: Any) -> ArthurParameter:
     if violations:
         raise ValidationError(f"invalid parameter: {violations}", violations)
     _check_report_rank(psi.n)
-    return _trusted_params(psi.n, psi.unipotent, (psi.discrete,))[0]
+    return psi
 
 
 def _read_param_file(path: str) -> str:

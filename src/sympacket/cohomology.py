@@ -27,6 +27,7 @@ from .params import ArthurParameter
 from .weights import (
     HighestWeight,
     InfinitesimalCharacter,
+    _echo,
     _not_integer,
     _record,
     regular_a_max,
@@ -102,6 +103,8 @@ def rho_vectors(n: int, p: int, q: int) -> RhoVectors:
 
     and S = p(n - p) + rq.
     """
+    if type(n) is not int or type(p) is not int or type(q) is not int:
+        raise ValueError(f"n, p and q must be int, got {_echo((n, p, q))}")
     if p < 0 or q < 0 or p + q > n:
         raise ValueError("need p, q >= 0 and p + q <= n")
     r = n - p - q
@@ -123,6 +126,8 @@ def lambda_of(n: int, p: int, q: int, t: int) -> HalfIntVector:
     middle, and the negative mirror on the last q.  Integral exactly when
     t + p + q is odd, which always holds for parameter-derived data.
     """
+    if type(n) is not int or type(p) is not int or type(q) is not int or type(t) is not int:
+        raise ValueError(f"n, p, q and t must be int, got {_echo((n, p, q, t))}")
     if p < 0 or q < 0 or p + q > n:
         raise ValueError("need p, q >= 0 and p + q <= n")
     head = t + p + q - 1 - 2 * n
@@ -131,6 +136,8 @@ def lambda_of(n: int, p: int, q: int, t: int) -> HalfIntVector:
 
 def weakly_fair(t: int) -> bool:
     """Weak fairness of the induction at level t."""
+    if type(t) is not int:
+        raise ValueError(f"t must be int, got {_echo(t)}")
     return t >= 0
 
 
@@ -142,6 +149,8 @@ def ktype_inequality_scalar(m: int, p: int, q: int, t: int) -> bool:
 
     evaluated on doubled integers.
     """
+    if type(m) is not int or type(p) is not int or type(q) is not int or type(t) is not int:
+        raise ValueError(f"m, p, q and t must be int, got {_echo((m, p, q, t))}")
     return 2 * m * (q - p) >= (p + q) * (t + p + q + 1) - 4 * p * q
 
 
@@ -157,6 +166,8 @@ def ktype_inequality_general(
         sum_{j<=q} m_j - sum_{i<=p} m_{n+1-i}
             >= (p + q)(t + p + q + 1)/2 - 2 p q.
     """
+    if type(n) is not int or type(p) is not int or type(q) is not int or type(t) is not int:
+        raise ValueError(f"n, p, q and t must be int, got {_echo((n, p, q, t))}")
     if mu.n != n:
         raise ValueError("weight rank mismatch")
     if p < 0 or q < 0 or p + q > n:
@@ -186,6 +197,8 @@ def induction_weights(psi: ArthurParameter, n: int) -> list[InductionWeight]:
         lam_j         = n - sum_{k<j} a_k - (t_j - a_j + 1)/2
         lam_variant_j = n - sum_{k<j} a_k - (t_j + a_j - 1)/2
     """
+    if type(n) is not int:
+        raise ValueError(f"rank must be int, got {_echo(n)}")
     if psi.n != n:
         raise ValueError("parameter rank mismatch")
     acc = 0
@@ -227,6 +240,8 @@ def aq_lambda_regular(chi: InfinitesimalCharacter, a: int) -> AqLambda:
 
         lambda = (0^a, -m_l + n + 1, ..., -m_1 + n + 1).
     """
+    if type(a) is not int:
+        raise ValueError(f"a must be int, got {_echo(a)}")
     amax = regular_a_max(chi)
     if not 0 <= a <= amax:
         raise ValueError(f"need 0 <= a <= {amax}, got {a}")

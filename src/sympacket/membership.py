@@ -64,7 +64,6 @@ strings.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
@@ -414,53 +413,20 @@ def decide_pi_recursive(psi: ArthurParameter, n: int, m: int) -> bool:
             return False
 
 
-# The e2 e3 rules of the character recipe (``characters.rho_pi_general`` and
-# ``rho_sigma_general``): from whether eta_2 carries the character of the big
-# block, a = (dim eta_2 + 1)/2, delta and delta' to the product e2 e3.  The
-# sign powers are read off the parity of a or k, with no call.  A rule runs
-# only where the recipe's table of unipotent signs is built
-# (``characters._unipotent_signs``), once for each of its eight entries, so
-# once per table key rather than once per member or token.
-def _e2e3_exact(same: bool, a: int, delta: int, delta_prime: int) -> int:
-    # delta' (-1)^(a+1)
-    return 1 if same else delta_prime if a & 1 else -delta_prime
-
-
-def _e2e3_shifted(same: bool, a: int, delta: int, delta_prime: int) -> int:
-    # delta' (-1)^a
-    return -1 if same else -delta_prime if a & 1 else delta_prime
-
-
-def _e2e3_sigma_even(same: bool, a: int, delta: int, delta_prime: int) -> int:
-    # delta (-1)^k, for even k
-    return -1 if same else delta
-
-
-def _e2e3_sigma_odd(same: bool, a: int, delta: int, delta_prime: int) -> int:
-    # delta (-1)^k, for odd k
-    return -1 if same else -delta
-
-
 class _Route(NamedTuple):
     """One route to membership in the module's packet: the shape of its
-    members, and the verdict and character data that shape implies.
+    members, and the verdict that shape implies.
 
     Every member has largest unipotent dimension ``top`` and a block of that
     dimension with character ``char``.  ``char`` is None only on THM71_I,
     whose members have one unipotent block, R[1], with the character the
     determinant condition forces, and pairwise disjoint discrete segments.
-    ``e2e3`` is the rule of the character recipe on a three-block unipotent
-    part, whose big block is char ⊠ R[top]; None where members have one
-    unipotent block.  ``(char, top, e2e3)`` is the route's shape: routes of
-    different modules may share it, and with it the recipe's table of
-    unipotent signs (``characters._unipotent_signs``).
     """
 
     module: Module
     verdict: MembershipVerdict
     top: int
     char: int | None
-    e2e3: Callable[..., int] | None
 
 
 @functools.lru_cache(maxsize=256)
@@ -477,17 +443,16 @@ def _routes(module: Module) -> tuple[_Route, ...]:
     """
     family, n, m = module
     if family == "sigma":  # m is k
-        rule = _e2e3_sigma_odd if m & 1 else _e2e3_sigma_even
-        return (_Route(module, _MEMBER[ROUTE_SIGMA], 2 * (n - m) + 1, m % 2, rule),)
+        return (_Route(module, _MEMBER[ROUTE_SIGMA], 2 * (n - m) + 1, m % 2),)
     if m == 0:
-        return (_Route(module, _MEMBER[ROUTE_TRIVIAL], 2 * n + 1, CHAR_TRIV, None),)
-    exact = _Route(module, _MEMBER[ROUTE_II_A1], 2 * (n - m) + 1, m % 2, _e2e3_exact)
+        return (_Route(module, _MEMBER[ROUTE_TRIVIAL], 2 * n + 1, CHAR_TRIV),)
+    exact = _Route(module, _MEMBER[ROUTE_II_A1], 2 * (n - m) + 1, m % 2)
     if 2 * m <= n + 1:
         return (exact,)
     return (
-        _Route(module, _MEMBER[ROUTE_I], 1, None, None),
+        _Route(module, _MEMBER[ROUTE_I], 1, None),
         exact,
-        _Route(module, _MEMBER[ROUTE_II_A3], 2 * (n - m) + 3, (m - 1) % 2, _e2e3_shifted),
+        _Route(module, _MEMBER[ROUTE_II_A3], 2 * (n - m) + 3, (m - 1) % 2),
     )
 
 

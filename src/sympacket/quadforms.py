@@ -137,7 +137,10 @@ class OrthCharacter:
             raise ValueError("eta and tau must be 0 or 1")
         if type(delta) is not int or delta not in (1, -1):
             raise ValueError("delta must be +1 or -1")
-        if any(type(e) is not int or e not in (0, 1) for e in self.restriction):
+        if type(self.restriction) is not tuple or len(self.restriction) != 2:
+            raise ValueError(f"restriction must be a pair, got {_echo(self.restriction)}")
+        x, y = self.restriction
+        if type(x) is not int or type(y) is not int or x not in (0, 1) or y not in (0, 1):
             raise ValueError("restriction exponents must be 0 or 1")
 
 
@@ -212,6 +215,9 @@ def howe_ktype(c: OrthCharacter, p: int, q: int, n: int) -> tuple[int, ...] | No
 def howe_degree(weight: Sequence[int], p: int, q: int) -> int:
     """Degree of a U(n)-type in the oscillator grading: sum |w_i - (p-q)/2|."""
     _check_signature(p, q)
+    for w in weight:
+        if type(w) is not int:
+            raise ValueError(f"weight entries must be int, got {_echo(w)}")
     if (p - q) % 2 != 0:
         raise ValueError("p - q must be even")
     shift = (p - q) // 2

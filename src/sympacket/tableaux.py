@@ -11,7 +11,7 @@ of the scalar module pi_n(m) sits at r = min(2m, n).
 
 from __future__ import annotations
 
-from .weights import _not_integer, _record
+from .weights import _echo, _not_integer, _record
 
 __all__ = [
     "SignedTableau",
@@ -61,6 +61,8 @@ def validate_tableau(tab: SignedTableau, n: int) -> list[str]:
     ODD_BALANCE: some odd row length does not occur equally often with
     leading + and leading -.
     """
+    if type(n) is not int:
+        raise ValueError(f"rank must be int, got {_echo(n)}")
     codes: list[str] = []
     if any(length < 1 or lead not in (1, -1) for length, lead in tab.rows):
         codes.append(ROW_SHAPE)
@@ -78,6 +80,8 @@ def validate_tableau(tab: SignedTableau, n: int) -> list[str]:
 
 def chain_tableau(n: int, r: int) -> SignedTableau:
     """Chain element with r rows "+-" and n-r singletons of each sign."""
+    if type(n) is not int or type(r) is not int:
+        raise ValueError(f"n and r must be int, got {_echo((n, r))}")
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= {n}, got {r}")
     rows = ((2, 1),) * r + ((1, 1),) * (n - r) + ((1, -1),) * (n - r)
@@ -87,6 +91,8 @@ def chain_tableau(n: int, r: int) -> SignedTableau:
 def pminus_orbits(n: int) -> tuple[SignedTableau, ...]:
     """The orbit chain in increasing closure order, r = 0 (zero orbit) up to
     r = n (dense orbit)."""
+    if type(n) is not int:
+        raise ValueError(f"rank must be int, got {_echo(n)}")
     if n < 1:
         raise ValueError("rank must be positive")
     return tuple(chain_tableau(n, r) for r in range(n + 1))
@@ -95,6 +101,8 @@ def pminus_orbits(n: int) -> tuple[SignedTableau, ...]:
 def av_scalar(n: int, m: int) -> SignedTableau:
     """Associated variety of the scalar module pi_n(m): the chain element
     with r = min(2m, n)."""
+    if type(n) is not int or type(m) is not int:
+        raise ValueError(f"n and m must be int, got {_echo((n, m))}")
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
     return chain_tableau(n, min(2 * m, n))

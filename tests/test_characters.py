@@ -29,6 +29,9 @@ from sympacket.membership import (
     distinguished_parameter_sigma,
     enumerate_packets_pi,
     enumerate_packets_sigma,
+    ROUTE_II_A1,
+    ROUTE_II_A3,
+    ROUTE_SIGMA,
     _decide_route,
     _routes,
 )
@@ -40,6 +43,7 @@ from sympacket.params import (
     DiscreteBlock,
     UnipotentBlock,
     _discrete_block,
+    _unip_key,
 )
 from sympacket.weights import module_of, pi_nm
 
@@ -468,30 +472,34 @@ def fresh_copy(psi):
     )
 
 
+def assert_table_is_the_rule(route, unipotent, pick, table):
+    """Each of the eight entries of the unipotent table is what the
+    per-member tail gives (``oracles.unipotent_tail_by_member``), slots
+    included, and the table's picker picks those slots, the tuple's own
+    objects."""
+    assert len(table) == len(SIGN_INPUTS)
+    for whittaker, token, product in SIGN_INPUTS:
+        slots, signs, flagged = unipotent_tail_by_member(
+            route, unipotent, whittaker, token, product
+        )
+        picked = pick(unipotent)
+        assert picked == slots and all(p is q for p, q in zip(picked, slots))
+        entry = table[4 * whittaker + 2 * token + product]
+        assert entry == (signs, (VANISHING,) if flagged else ()), (route, unipotent)
+
+
 def test_unipotent_table_is_the_per_member_rule():
-    # every (route, unipotent tuple) of a three-block member at ranks 1-12:
-    # each of the eight entries of its table is what the per-member tail
-    # gives (``oracles.unipotent_tail_by_member``), slots included, and the
-    # table's picker picks those slots, the parameter's own objects
+    # every (route, unipotent tuple) of a three-block member at ranks 1-12
+    # has the table of the per-member rule
     keys = {}
     for family, n, value, members in members_up_to(MAX_ENUMERATION_RANK):
         for psi in members:
             if len(psi.unipotent) == 3:
                 route = _decide_route(psi, family, n, value)[0]
                 keys.setdefault((route, psi.unipotent), (family, psi))
-    checked = 0
     for (route, unipotent), (family, psi) in keys.items():
-        pick, table = _unipotent_signs(route.char, route.top, route.e2e3, unipotent)
-        assert len(table) == len(SIGN_INPUTS)
-        for whittaker, token, product in SIGN_INPUTS:
-            slots, signs, flagged = unipotent_tail_by_member(
-                route, unipotent, whittaker, token, product
-            )
-            picked = pick(unipotent)
-            assert picked == slots and all(p is q for p, q in zip(picked, slots))
-            entry = table[4 * whittaker + 2 * token + product]
-            assert entry == (signs, (VANISHING,) if flagged else ()), (route, unipotent)
-            checked += 1
+        pick, table = _unipotent_signs(route.char, route.top, route.verdict.route, unipotent)
+        assert_table_is_the_rule(route, unipotent, pick, table)
         # a character lists its parameter's own block objects: a recorded
         # member's (asked first, so that it keeps the other token's) and a
         # user-built copy's, whose blocks are equal but new
@@ -502,7 +510,30 @@ def test_unipotent_table_is_the_per_member_rule():
                 char = RHO[family](p, n, value, delta)
                 assert all(b is c for b, c in zip(char.blocks, p.discrete + pick(p.unipotent)))
         assert not any(b is c for b, c in zip(copy.unipotent, psi.unipotent))
-    assert checked == 8 * len(keys) and len(keys) == 584
+    assert len(keys) == 584
+    # beyond the cap, with nothing enumerated: every route of a three-block
+    # part at ranks 13-24, on every canonical tuple of its big block
+    # char ⊠ R[top], a block R[2j+1] with j <= top // 2 and a block R[1],
+    # through the unmemoised function, so that the memo is left as it is
+    build = _unipotent_signs.__wrapped__
+    pairs = set()
+    for n in range(MAX_ENUMERATION_RANK + 1, 2 * MAX_ENUMERATION_RANK + 1):
+        for family, values in (("pi", range(n + 1)), ("sigma", range(1, n // 2 + 1))):
+            for value in values:
+                for route in _routes(module_of(family, n, value)):
+                    tag = route.verdict.route
+                    if tag not in (ROUTE_II_A1, ROUTE_II_A3, ROUTE_SIGMA):
+                        continue
+                    big = UnipotentBlock(route.char, route.top)
+                    for j, c2, c1 in itertools.product(range(route.top // 2 + 1), *[(0, 1)] * 2):
+                        blocks = (big, UnipotentBlock(c2, 2 * j + 1), UnipotentBlock(c1, 1))
+                        unipotent = tuple(sorted(blocks, key=_unip_key))
+                        if (route, unipotent) not in pairs:
+                            pairs.add((route, unipotent))
+                            pick, table = build(route.char, route.top, tag, unipotent)
+                            assert_table_is_the_rule(route, unipotent, pick, table)
+    keys = {(route.char, route.top, route.verdict.route, u) for route, u in pairs}
+    assert len(pairs) == 17_408 and len(keys) == 4_918
 
 
 def recipe_by_block(psi, route, delta):

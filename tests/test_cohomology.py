@@ -214,6 +214,33 @@ def test_range_checks(fn, args, refusal):
         fn(*args)
 
 
+CHI3 = InfinitesimalCharacter((5, 2, 1, -5, -2, -1, 0))
+
+
+@pytest.mark.parametrize(
+    "fn, args, refusal",
+    [
+        # a bool or a float is refused, not computed with or failed on
+        (rho_vectors, (2.0, 1, 0), "must be int, got (2.0, 1, 0)"),
+        (rho_vectors, (True, 1, 0), "must be int, got (True, 1, 0)"),
+        (lambda_of, (2, 1, 0, True), "must be int, got (2, 1, 0, True)"),
+        (lambda_of, (2, 1.0, 0, 1), "must be int, got (2, 1.0, 0, 1)"),
+        (weakly_fair, (0.5,), "t must be int, got 0.5"),
+        (ktype_inequality_scalar, (1.5, 1, 0, 1), "must be int, got (1.5, 1, 0, 1)"),
+        (ktype_inequality_scalar, (1, 1, False, 1), "must be int, got (1, 1, False, 1)"),
+        (ktype_inequality_general, (MU3, 3, 1.0, 0, 1), "must be int, got (3, 1.0, 0, 1)"),
+        (ktype_inequality_general, (MU3, 3, 1, 0, 1.0), "must be int, got (3, 1, 0, 1.0)"),
+        (induction_weights, (PSI52, 5.0), "rank must be int, got 5.0"),
+        (induction_weights, (PSI52, True), "rank must be int, got True"),
+        (aq_lambda_regular, (CHI3, True), "a must be int, got True"),
+        (aq_lambda_regular, (CHI3, 1.0), "a must be int, got 1.0"),
+    ],
+)
+def test_non_int_arguments_are_refused(fn, args, refusal):
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        fn(*args)
+
+
 def test_halfintvector_utilities():
     v = HalfIntVector((1, -3))
     assert not v.is_integral

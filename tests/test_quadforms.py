@@ -49,6 +49,11 @@ C22 = o_characters(2, 2, 1)[0]
         (howe_ktype, (C22, 2, 2, -1), "rank must be nonnegative"),
         (howe_ktype, (C22, 2, 1, 3), r"p \+ q must be even"),
         (howe_degree, ((0, 0), 2, 1), "p - q must be even"),
+        (howe_degree, ((0.5, 1), 0, 0), "weight entries must be int, got 0.5"),
+        (howe_degree, ((True, 2), 2, 2), "weight entries must be int, got True"),
+        (OrthCharacter, (0, 0, 1, (0,)), r"restriction must be a pair, got \(0,\)"),
+        (OrthCharacter, (0, 0, 1, (0, 0, 0)), "restriction must be a pair"),
+        (OrthCharacter, (0, 0, 1, [0, 0]), "restriction must be a pair"),
     ],
 )
 def test_refusals(fn, args, refusal):

@@ -440,8 +440,9 @@ def test_recorded_member_character_profiler_events():
     # more on the second ask.  The member has one discrete block, a = 3: its
     # fold (under the discrete table's ``lru_cache``, which makes no event)
     # signs it for each token and finds no position of equal odd a.  The
-    # unipotent entry runs e1 e2 and the e2 e3 rule once for each of its
-    # eight (token, final token, product) inputs.
+    # unipotent entry takes the sign power of e1 e2 and, eta_2 not carrying
+    # the big block's character, that of the THM71_II_A1 rule once for each
+    # of its eight (token, final token, product) inputs.
     characters._unipotent_signs.cache_clear()
     characters._discrete_signs.cache_clear()
     fresh = member()
@@ -457,7 +458,7 @@ def test_recorded_member_character_profiler_events():
         "len",
         "<genexpr>",
         "_unipotent_signs",
-        *["_sign_pow", "_e2e3_exact"] * 8,
+        *["_sign_pow", "_sign_pow"] * 8,
         "__new__",
         "__new__",
     ]

@@ -29,10 +29,18 @@ And in every module, ``__init__.py`` included:
   ``params._require_valid``, the one trust check, and set only through its
   slot's setter: to False in ``__post_init__``, to True in
   ``_trusted_params``.
+
+And in every module and in ``README.md``, each dotted name
+``<module>.<attr>`` or ``<module>.<attr>.<attr>`` of one of the nine package
+modules resolves by ``getattr``, so that prose does not name deleted code
+(a file name such as ``params.py`` is not such a name).  ``ROADMAP.md``,
+``CHANGES.md`` and the tests name deleted code on purpose, and are left out.
 """
 
 import ast
+import importlib
 import os
+import re
 from collections import Counter
 
 import pytest
@@ -290,3 +298,27 @@ def test_validity_mark_is_read_by_require_valid_and_set_by_constructors():
         (function, ast.literal_eval(value))
         for function, _, value in _calls_naming(TREES["params.py"], "set_valid")
     ] == [("__post_init__", False), ("_trusted_params", True)]
+
+
+# the nine package modules, those not named like __init__ or __main__
+PACKAGE_MODULES = [name[:-3] for name in TREES if not name.startswith("__")]
+DOTTED = re.compile(r"\b(%s)((?:\.[A-Za-z_]\w*){1,2})" % "|".join(PACKAGE_MODULES))
+
+
+@pytest.mark.parametrize("document", [*TREES, "README.md"])
+def test_dotted_names_resolve(document):
+    path = os.path.join(ROOT, document) if document == "README.md" else os.path.join(SRC, document)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    stale = []
+    for match in DOTTED.finditer(text):
+        attrs = match.group(2)[1:].split(".")
+        if attrs[0] == "py":  # a file name
+            continue
+        target = importlib.import_module(f"sympacket.{match.group(1)}")
+        for attr in attrs:
+            if not hasattr(target, attr):
+                stale.append(match.group(0))
+                break
+            target = getattr(target, attr)
+    assert stale == [], f"{document}: names that do not resolve: {stale}"

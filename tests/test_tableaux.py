@@ -53,6 +53,25 @@ def test_bad_rows_ranks_and_indices():
             chain_tableau(4, r)
 
 
+@pytest.mark.parametrize(
+    "fn, args, refusal",
+    [
+        # a bool or a float is refused, not computed with or failed on
+        (chain_tableau, (2, 1.0), "n and r must be int, got (2, 1.0)"),
+        (chain_tableau, (True, 0), "n and r must be int, got (True, 0)"),
+        (pminus_orbits, (2.0,), "rank must be int, got 2.0"),
+        (av_scalar, (3, True), "n and m must be int, got (3, True)"),
+        (av_scalar, (3.0, 1), "n and m must be int, got (3.0, 1)"),
+        (validate_tableau, (chain_tableau(2, 1), 2.0), "rank must be int, got 2.0"),
+        (in_pminus_chain, (chain_tableau(2, 1), True), "rank must be int, got True"),
+        (chain_index, (chain_tableau(2, 1), 2.0), "rank must be int, got 2.0"),
+    ],
+)
+def test_non_int_arguments_are_refused(fn, args, refusal):
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        fn(*args)
+
+
 def test_pminus_orbits_counts():
     assert len(pminus_orbits(1)) == 2
     assert len(pminus_orbits(3)) == 4
