@@ -18,7 +18,6 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from collections.abc import Callable
 
 from .membership import ROUTE_II_A1, ROUTE_SIGMA, _decide_route, _Route
 from .params import (
@@ -345,7 +344,8 @@ def _rho_core(
     The discrete signs are read from the table of the blocks' ``a``
     (``_discrete_signs``), which also gives a single unipotent block's sign
     and, for a three-block part, the index into the table of the route
-    and the unipotent tuple (``_unipotent_signs``).  The discrete
+    and the unipotent tuple (``_unipotent_signs``), which also holds the
+    unipotent blocks in the order the character lists them.  The discrete
     entry names the only positions where equal neighbouring blocks can get
     unequal signs, so the VANISHING flag compares the blocks there alone.
     Each character is built unchecked, its slots written through their
@@ -362,8 +362,8 @@ def _rho_core(
     else:
         entry = _discrete_signs(shape)
     if unipotent[1:]:  # three blocks
-        pick, table = _unipotent_signs(route.char, route.top, route.verdict.route, unipotent)
-        blocks = discrete + pick(unipotent)
+        slots, table = _unipotent_signs(route.char, route.top, route.verdict.route, unipotent)
+        blocks = discrete + slots
         slot_signs, flags = table[entry[3 * delta]]
         signs = entry[delta] + slot_signs
         if keep:
@@ -441,7 +441,7 @@ _discrete_signs = functools.lru_cache(maxsize=1 << MAX_ENUMERATION_RANK)(_discre
 @functools.lru_cache(maxsize=1024)
 def _unipotent_signs(
     char: int, top: int, tag: str, unipotent: tuple[UnipotentBlock, ...]
-) -> tuple[Callable[[tuple], tuple], dict[int, tuple[tuple[int, ...], tuple[str, ...]]]]:
+) -> tuple[tuple[UnipotentBlock, ...], dict[int, tuple[tuple[int, ...], tuple[str, ...]]]]:
     """The unipotent half of the character recipe (``_rho_core``) on a
     three-block unipotent part, for a route's char, top and tag (a string,
     hashed with no call): what depends on the route and the unipotent
@@ -450,11 +450,12 @@ def _unipotent_signs(
     The big block is char ⊠ R[top], and the first block equal to it is it.
     The two other slots are read off the canonical order, small dimension
     first; when both have dimension one the roles are immaterial, as the
-    two readings give the same character.  Returned are the picker of the
-    slots (eta_1, eta_2, big) by position, so that a character lists the
-    parameter's own blocks, and the table of the slots' signs and flags,
-    keyed by 4 delta + 2 delta' + p for the token delta, the token delta'
-    the discrete pass ends with and the discrete product p, each +1 or -1.
+    two readings give the same character.  Returned are the slot blocks
+    (eta_1, eta_2, big), those of the tuple the key was first built from,
+    which a character lists after the discrete blocks, and the table of
+    the slots' signs and flags, keyed by 4 delta + 2 delta' + p for the
+    token delta, the token delta' the discrete pass ends with and the
+    discrete product p, each +1 or -1.
 
     With a = (dim eta_2 + 1)/2, e1 e2 = (-1)^floor(delta' a / 2), and e2 e3
     is the tag's rule in ``rho_pi_general`` or ``rho_sigma_general`` (char
@@ -490,7 +491,7 @@ def _unipotent_signs(
         flagged = (e1 != e2 and b1 == b2) or (e1 != e3 and b1 == b3) or (e2 != e3 and b2 == b3)
         flags = _VANISHING_FLAGS if flagged else ()
         table[4 * whittaker + 2 * token + product] = (e1, e2, e3), flags
-    return operator.itemgetter(eta1, eta2, big), table
+    return (b1, b2, b3), table
 
 
 # The setters of ``PacketCharacter``'s slots, in field order, and of the

@@ -147,10 +147,13 @@ def ktype_inequality_scalar(m: int, p: int, q: int, t: int) -> bool:
 
         m (q - p) >= (p + q)(t + p + q + 1)/2 - 2 p q,
 
-    evaluated on doubled integers.
+    evaluated on doubled integers.  A negative p or q is refused, as
+    ``lambda_of`` refuses it; with no rank given, p + q is not bounded.
     """
     if type(m) is not int or type(p) is not int or type(q) is not int or type(t) is not int:
         raise ValueError(f"m, p, q and t must be int, got {_echo((m, p, q, t))}")
+    if p < 0 or q < 0:
+        raise ValueError("need p, q >= 0")
     return 2 * m * (q - p) >= (p + q) * (t + p + q + 1) - 4 * p * q
 
 

@@ -31,16 +31,17 @@ The central decision procedures:
   holds 0 twice and each positive value at most once, so each route's
   covers are built directly (``_route_covers``): a piece that holds the
   zeros, and consecutive segments above it, grouped by unipotent
-  dimensions.  No cover is searched, and only the character choices
-  holding the route's block are built.  So every parameter built is a
-  member and gets its route's verdict without a decider call.  Both, and
-  the command line's ``enumerate-*``, run the one enumerator
-  ``_enumerate_packets``, a pass over the route table.  Every cover has
-  one shape, (unipotent dimensions, non-increasing; discrete blocks, in
-  canonical order), the one ``params._all_segment_covers`` gives
-  ``enumerate_params``, and both enumerators build their output in order,
-  one unipotent tuple at a time, with no sort of it
-  (``params._params_in_order``).
+  dimensions, each group read in canonical order from two memos of cuts
+  (``_cuts``, ``_zero_cuts``).  No cover is searched or sorted, and only
+  the character choices holding the route's block are built.  So every
+  parameter built is a member and gets its route's verdict without a
+  decider call.  Both, and the command line's ``enumerate-*``, run the
+  one enumerator ``_enumerate_packets``, a pass over the route table.
+  Every cover has one shape, (unipotent dimensions, non-increasing;
+  discrete blocks, in canonical order), the one
+  ``params._all_segment_covers`` gives ``enumerate_params``, and both
+  enumerators build their output in order, one unipotent tuple at a time,
+  with no sort of it (``params._params_in_order``).
 
 Both families reach one record, ``weights.Module`` from ``module_of``,
 which turns sigma_{2k,k} into pi_{2k}(k+1).  The module keys its route
@@ -459,26 +460,51 @@ def _routes(module: Module) -> tuple[_Route, ...]:
 @functools.lru_cache(maxsize=128)
 def _cuts(low: int, high: int) -> tuple[tuple[DiscreteBlock, ...], ...]:
     """The ways to cut the integers low..high into consecutive segments, one
-    tuple of blocks per cut: each segment as the discrete block
-    (t, a) = (l + h, h - l + 1), highest segment first, as shared instances
-    (``params._discrete_block``).  Past the end (low = high + 1) the one cut
-    is empty.
+    tuple of blocks per cut, in canonical (ascending) order: each segment as
+    the discrete block (t, a) = (l + h, h - l + 1), highest segment first,
+    as shared instances (``params._discrete_block``).  Past the end
+    (low = high + 1) the one cut is empty.
 
-    A cut of low..high is its lowest segment [low, c] under a cut of
-    c+1..high, so each answer is built from the memo's answers above it,
-    and the cuts of every start below one end share one memo entry per
-    start: the routes of a round ask for a few dozen (start, end) pairs
-    between them.  An end of h holds about 2^h cut tuples over all its
-    starts; at ranks up to ``MAX_ENUMERATION_RANK`` (12) no end exceeds 11,
-    so the memo then holds at most 2^12 - 1 = 4,095 cut tuples, and each
-    end beyond that doubles it.
+    A cut of low..high is its highest segment [c, high], by ascending c,
+    over a cut of low..c-1.  The block [c, high] is (c + high, high - c + 1),
+    whose t rises with c, so the cuts come out ascending when those below
+    do; and two cuts of one interval never prefix each other, so a cut of
+    one interval over the cuts of an interval below it, each list
+    ascending, is ascending too (``_route_covers``).  Each answer is built
+    from the memo's answers below it, and the cuts of every end above one
+    start share one memo entry per end.  At ranks up to
+    ``MAX_ENUMERATION_RANK`` (12) every start is at least 1 and no end
+    exceeds 11, so the memo then holds at most 2^12 - 1 = 4,095 cut
+    tuples, and each end beyond that doubles it.
     """
     if low > high:
         return ((),)
     return tuple(
-        rest + (_discrete_block(low + c, c - low + 1),)
+        (_discrete_block(c + high, high - c + 1),) + rest
         for c in range(low, high + 1)
-        for rest in _cuts(c + 1, high)
+        for rest in _cuts(low, c - 1)
+    )
+
+
+@functools.lru_cache(maxsize=128)
+def _zero_cuts(s: int, high: int) -> tuple[tuple[DiscreteBlock, ...], ...]:
+    """The cuts of -s..high, s >= 0 and high >= s + 1, into consecutive
+    segments whose lowest segment [-s, tau] has tau >= s + 1, in canonical
+    (ascending) order, as ``_cuts`` lists them: the covers of the values
+    above a piece that holds the zeros, that piece included.
+
+    The block [-s, tau] is (tau - s, tau + s + 1).  With s = 0 it is the
+    pair delta_tau ⊠ R[tau + 1]; with s = n - m it is THM71_I's block.
+    Its t is below that of any segment above it, so the piece alone on
+    -s..high comes first, then the highest segment [c, high], c >= s + 2,
+    by ascending c, over the memo's answer at c - 1.  At ranks up to
+    ``MAX_ENUMERATION_RANK`` (12), s <= 10 and high <= 11, so the memo then
+    holds at most sum over s of 2^(11-s) - 1, that is 4,083 tuples.
+    """
+    return ((_discrete_block(high - s, high + s + 1),),) + tuple(
+        (_discrete_block(c + high, high - c + 1),) + rest
+        for c in range(s + 2, high + 1)
+        for rest in _zero_cuts(s, c - 1)
     )
 
 
@@ -487,12 +513,13 @@ def _route_covers(module: Module, route: _Route) -> list[tuple]:
     whose largest unipotent dimension is the route's top (the reference is
     ``tests/oracles.py::topped_covers``, on the full walk of
     ``params._all_segment_covers``), built directly and grouped by
-    unipotent dimensions: (dimensions, non-increasing; the list of discrete
-    tuples, blocks in canonical order), each cover once, with no search and
-    no sort.  Each group has
-    its own dimensions: TRIVIAL's and THM71_I's one group, and a topped
-    route's one group per j of R[1] + R[2j+1] and one for all its pairs,
-    when it has any.
+    unipotent dimensions: (dimensions, non-increasing; the discrete tuples,
+    blocks in canonical order, the tuples ascending), each cover once, with
+    no search and no sort.  Each group has its own dimensions: TRIVIAL's
+    and THM71_I's one group, and a topped route's one group per j of
+    R[1] + R[2j+1] and one for all its pairs, when it has any.  A group
+    with no gap is a memo's own tuple of covers (``_cuts``, ``_zero_cuts``),
+    shared with every caller, and is not to be mutated.
 
     A top of 2n+1 (TRIVIAL) is the whole parameter.  Any other module's
     character holds 0 three times, each of 1..a twice and each of a+1..b
@@ -504,43 +531,38 @@ def _route_covers(module: Module, route: _Route) -> list[tuple]:
     R[1] + R[2j+1] with 2j+1 <= top and 1..j left (two centered blocks of
     dimension above 1 would both hold 1), or by the one pair
     [0, j] ∪ [-j, 0], delta_j ⊠ R[j+1], with 1..j left (a pair reaching
-    below 0 holds 1 twice).  The values above are cut into consecutive
-    segments, on each side of the gap: the cuts of j+1..end below it and
-    of h+1..b above it, each read as it is from the memo of cuts by (start,
-    end) (``_cuts``).  Segments above the zero piece have larger t, and
-    those above the gap larger t again, so the blocks come out in canonical
-    order.  At a top of 1, THM71_II_A1 at m = n, the pairs are THM71_I's
-    covers, which that route takes first, so they are left out.
+    below 0 holds 1 twice).  The values below the gap are cut into
+    consecutive segments: the cuts of j+1..end (``_cuts``), or with the
+    pair the cuts of 0..end whose lowest segment holds 0
+    (``_zero_cuts(0, end)``).  With a gap, each cut of h+1..b goes on top
+    of each of those; its segments have larger t, and the cuts of one
+    interval never prefix each other, so that keeps the blocks in canonical
+    order and the tuples ascending.  At a top of 1, THM71_II_A1 at m = n,
+    the pairs are THM71_I's covers, which that route takes first, so they
+    are left out.
 
     THM71_I has the one block R[1] and pairwise disjoint segments, so one
     block [-(n-m), tau], tau in n-m+1..m-1, holds the doubled 0..n-m, and
-    consecutive segments cut tau+1..m-1, read from the same memo:
+    consecutive segments cut tau+1..m-1: ``_zero_cuts(n-m, m-1)``,
     2^(2m-n-2) covers.
     """
     n, v, top = module.n, module.value, route.top
     if top == 2 * n + 1:
-        return [((top,), [()])]
+        return [((top,), ((),))]
+    if route.char is None:  # THM71_I: 2m > n+1, so m-1 is b
+        return [((1,), _zero_cuts(n - v, v - 1))]
     a, b = sorted((v - 1, n - v))
-    if route.char is None:  # THM71_I
-        discretes = [
-            upper + (_discrete_block(tau - (n - v), tau + (n - v) + 1),)
-            for tau in range(n - v + 1, v)
-            for upper in _cuts(tau + 1, b)
-        ]
-        return [((1,), discretes)]
     h = top // 2
     end = a if h > a else b  # the values left: 1..end, then h+1..b
-    above = _cuts(h + 1, b) if a < h < b else ((),)
-    groups = [
-        ((top, 2 * j + 1, 1), [upper + lower for upper in above for lower in _cuts(j + 1, end)])
-        for j in range(min(h, end) + 1)
-    ]
+    groups = [((top, 2 * j + 1, 1), _cuts(j + 1, end)) for j in range(min(h, end) + 1)]
     if top > 1 and end:
-        pairs = []
-        for j in range(1, end + 1):
-            pair = (_discrete_block(j, j + 1),)
-            pairs += [upper + lower + pair for upper in above for lower in _cuts(j + 1, end)]
-        groups.append(((top,), pairs))
+        groups.append(((top,), _zero_cuts(0, end)))
+    if a < h < b:  # the gap: every cut of h+1..b over every cut below it
+        above = _cuts(h + 1, b)
+        groups = [
+            (dims, [upper + lower for upper in above for lower in lowers])
+            for dims, lowers in groups
+        ]
     return groups
 
 

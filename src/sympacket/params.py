@@ -575,23 +575,23 @@ def _params_in_order(n: int, groups: Iterable[tuple]) -> list[ArthurParameter]:
     route): its parameters are every character multiset of
     ``_char_assignments(n, dims, top_char)`` on every one of its discrete
     tuples, each recording the route (``_trusted_params``, called once per
-    multiset).  The caller vouches that no two groups share dimensions and
-    that no group repeats a discrete tuple, and hands over its lists of
-    discrete tuples, which are sorted in place.
+    multiset).  The caller vouches that no two groups share dimensions,
+    that no group repeats a discrete tuple and that each group lists its
+    discrete tuples in ascending order; the tuples are read, not mutated
+    or copied, so a group may be a memo's own tuple
+    (``membership._route_covers``).
 
     Why this is the sorted order: parameters of one rank compare by their
     unipotent tuple first, then their discrete tuple.  A unipotent tuple
     fixes its dimensions, so it heads exactly one group, and the multisets
     of one group are distinct.  So the (unipotent tuple, discrete tuples)
-    pairs, sorted by the unipotent tuple alone, each with its discrete
-    tuples sorted once as plain tuples, list every parameter in order.
-    What is sorted is one entry per unipotent tuple and the covers of each
-    group, never the parameters.
+    pairs, sorted by the unipotent tuple alone, each with its sorted
+    discrete tuples, list every parameter in order.  What is sorted is one
+    entry per unipotent tuple, never a discrete tuple or a parameter.
     """
     order = []
     append = order.append
     for dims, discretes, top_char, route in groups:
-        discretes.sort()
         for unipotent in _char_assignments(n, dims, top_char):
             append((unipotent, discretes, route))
     order.sort(key=_unipotent_of)
@@ -610,7 +610,8 @@ def enumerate_params(
 ) -> list[ArthurParameter]:
     """All valid parameters of rank n with inf. character chi, canonicalized,
     each marked valid, in the dataclass order (``_params_in_order``, on the
-    covers of ``_all_segment_covers`` grouped by unipotent dimensions).
+    covers of ``_all_segment_covers`` grouped by unipotent dimensions, each
+    group sorted).
 
     The rank is capped by ``max_rank`` (default ``MAX_ENUMERATION_RANK``)
     since the cover search is combinatorial; raise the cap explicitly for
@@ -622,6 +623,7 @@ def enumerate_params(
     groups: dict[tuple[int, ...], list[tuple[DiscreteBlock, ...]]] = {}
     for unip_dims, discrete in _all_segment_covers(chi.entries):
         groups.setdefault(unip_dims, []).append(discrete)
+    # the walk's covers come out unordered, so each group is sorted here
     return _params_in_order(
-        n, [(dims, discretes, None, None) for dims, discretes in groups.items()]
+        n, [(dims, sorted(discretes), None, None) for dims, discretes in groups.items()]
     )

@@ -472,18 +472,17 @@ def fresh_copy(psi):
     )
 
 
-def assert_table_is_the_rule(route, unipotent, pick, table):
+def assert_table_is_the_rule(route, unipotent, held, table):
     """Each of the eight entries of the unipotent table is what the
-    per-member tail gives (``oracles.unipotent_tail_by_member``), slots
-    included, and the table's picker picks those slots, the tuple's own
-    objects."""
+    per-member tail gives (``oracles.unipotent_tail_by_member``), and the
+    table holds the tail's slots, as unipotent blocks."""
     assert len(table) == len(SIGN_INPUTS)
+    assert all(type(b) is UnipotentBlock for b in held)
     for whittaker, token, product in SIGN_INPUTS:
         slots, signs, flagged = unipotent_tail_by_member(
             route, unipotent, whittaker, token, product
         )
-        picked = pick(unipotent)
-        assert picked == slots and all(p is q for p, q in zip(picked, slots))
+        assert held == slots, (route, unipotent)
         entry = table[4 * whittaker + 2 * token + product]
         assert entry == (signs, (VANISHING,) if flagged else ()), (route, unipotent)
 
@@ -498,17 +497,19 @@ def test_unipotent_table_is_the_per_member_rule():
                 route = _decide_route(psi, family, n, value)[0]
                 keys.setdefault((route, psi.unipotent), (family, psi))
     for (route, unipotent), (family, psi) in keys.items():
-        pick, table = _unipotent_signs(route.char, route.top, route.verdict.route, unipotent)
-        assert_table_is_the_rule(route, unipotent, pick, table)
-        # a character lists its parameter's own block objects: a recorded
-        # member's (asked first, so that it keeps the other token's) and a
-        # user-built copy's, whose blocks are equal but new
+        held, table = _unipotent_signs(route.char, route.top, route.verdict.route, unipotent)
+        assert_table_is_the_rule(route, unipotent, held, table)
+        # a character lists its parameter's own discrete block objects and
+        # then the table's slot blocks, for a recorded member (asked first,
+        # so that it keeps the other token's) and for a user-built copy,
+        # whose blocks are equal but new
         n, value = route.module.n, route.module.value
         copy = fresh_copy(psi)
         for p in (psi, psi, copy, copy):
             for delta in (1, -1):
                 char = RHO[family](p, n, value, delta)
-                assert all(b is c for b, c in zip(char.blocks, p.discrete + pick(p.unipotent)))
+                assert char.blocks == p.discrete + held
+                assert all(b is c for b, c in zip(char.blocks, p.discrete + held))
         assert not any(b is c for b, c in zip(copy.unipotent, psi.unipotent))
     assert len(keys) == 584
     # beyond the cap, with nothing enumerated: every route of a three-block
@@ -530,8 +531,8 @@ def test_unipotent_table_is_the_per_member_rule():
                         unipotent = tuple(sorted(blocks, key=_unip_key))
                         if (route, unipotent) not in pairs:
                             pairs.add((route, unipotent))
-                            pick, table = build(route.char, route.top, tag, unipotent)
-                            assert_table_is_the_rule(route, unipotent, pick, table)
+                            held, table = build(route.char, route.top, tag, unipotent)
+                            assert_table_is_the_rule(route, unipotent, held, table)
     keys = {(route.char, route.top, route.verdict.route, u) for route, u in pairs}
     assert len(pairs) == 17_408 and len(keys) == 4_918
 
@@ -652,19 +653,24 @@ def test_repeated_discrete_blocks_flag_only_with_odd_a():
 
 
 def test_recipe_and_cut_memos_stay_bounded_at_the_cap(monkeypatch):
-    # both memos from empty; then every module at the enumeration cap and
-    # below is enumerated, and both characters of every member built
-    cuts = membership._cuts
-    asked = {}  # (start, end) -> cuts, each call of the memo, recursion included
+    # all four memos from empty; then every module at the enumeration cap
+    # and below is enumerated, and both characters of every member built
+    bounds = {"_cuts": 4_095, "_zero_cuts": 4_083}  # tuples held at most
+    memos = {name: getattr(membership, name) for name in bounds}
+    asked = {name: {} for name in bounds}  # each call, recursion included
 
-    def recorded(low, high):
-        asked[low, high] = found = cuts(low, high)
-        return found
+    def recording(name):
+        def recorded(low, high):
+            asked[name][low, high] = found = memos[name](low, high)
+            return found
+
+        return recorded
 
     _unipotent_signs.cache_clear()
     _discrete_signs.cache_clear()
-    cuts.cache_clear()
-    monkeypatch.setattr(membership, "_cuts", recorded)
+    for name, memo in memos.items():
+        memo.cache_clear()
+        monkeypatch.setattr(membership, name, recording(name))
     three = 0
     for family, n, value, members in members_up_to(MAX_ENUMERATION_RANK):
         for psi in members:
@@ -681,9 +687,10 @@ def test_recipe_and_cut_memos_stay_bounded_at_the_cap(monkeypatch):
     for keep in (False, True):
         _rho_core(psi, 1, route, keep)
     assert _discrete_signs.cache_info() == shapes
-    memo = cuts.cache_info()
-    # nothing was dropped: the memo holds every pair asked for
-    assert memo.currsize == memo.misses == len(asked) < memo.maxsize
-    held = [cut for found in asked.values() for cut in found]
-    assert len(held) <= 4_095
-    assert all(b is _discrete_block(*b) for cut in held for b in cut)
+    for name, memo in memos.items():
+        info = memo.cache_info()
+        # nothing was dropped: the memo holds every pair asked for
+        assert info.currsize == info.misses == len(asked[name]) < info.maxsize, name
+        held = [cut for found in asked[name].values() for cut in found]
+        assert len(held) <= bounds[name], name
+        assert all(b is _discrete_block(*b) for cut in held for b in cut), name

@@ -106,6 +106,12 @@ def test_scalar_inequality_examples():
         assert ktype_inequality_scalar(5, p, p, -(2 * p + 1))
 
 
+@pytest.mark.parametrize("args", [(1, -1, 0, 1), (1, -3, -2, 1), (1, 0, -1, 1)])
+def test_scalar_inequality_refuses_a_negative_p_or_q(args):
+    with pytest.raises(ValueError, match=re.escape("need p, q >= 0")):
+        ktype_inequality_scalar(*args)
+
+
 def test_scalar_inequality_blocks_positive_p():
     for n in range(1, 13):
         for m in range(1, n + 1):

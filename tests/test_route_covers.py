@@ -7,7 +7,9 @@ interval compositions of its closed form.  Every cover is built
 once, from shared block instances, with its discrete blocks already in
 canonical order.  The members come out in order with no sort of them
 (``params._params_in_order``) because no two groups of a module share
-dimensions and no group repeats a discrete tuple."""
+dimensions, no group repeats a discrete tuple and each group lists its
+discrete tuples in ascending order, as the memos of cuts
+(``membership._cuts``, ``membership._zero_cuts``) list theirs."""
 
 import gc
 import itertools
@@ -91,14 +93,20 @@ def _check_module(module):
     return checked
 
 
+def _clear_memos():
+    membership._cuts.cache_clear()
+    membership._zero_cuts.cache_clear()
+
+
 def test_route_covers_are_the_walks_at_ranks_1_to_16():
     # The covers and walks make no reference cycle, and each module's are
     # freed by refcount when its check returns.  The cyclic collector would
     # only rescan the hundreds of thousands of cover tuples alive during a
     # rank-16 walk, in about half of this test's time, so it is paused while
-    # they are built.  The memo of cuts (``membership._cuts``), bounded by
-    # its keys and not by bytes, would keep ranks 13-16's cuts for the rest
-    # of the session, so it is cleared after.
+    # they are built.  The memos of cuts (``membership._cuts``,
+    # ``membership._zero_cuts``), bounded by their keys and not by bytes,
+    # would keep ranks 13-16's cuts for the rest of the session, so they
+    # are cleared after.
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -106,12 +114,13 @@ def test_route_covers_are_the_walks_at_ranks_1_to_16():
     finally:
         if enabled:
             gc.enable()
-        membership._cuts.cache_clear()
+        _clear_memos()
     assert checked == 205_324
 
 
 def test_route_cover_groups_are_distinct_at_ranks_1_to_16():
-    # the memo of cuts is cleared after, as after the walks above
+    # distinct dimensions and discrete tuples, each group ascending; the
+    # memos of cuts are cleared after, as after the walks above
     groups = 0
     try:
         for module in _modules(16):
@@ -121,10 +130,40 @@ def test_route_cover_groups_are_distinct_at_ranks_1_to_16():
                     assert discretes, (module, route.verdict.route, dims)
                     # no group repeats a discrete tuple
                     assert len(set(discretes)) == len(discretes), (module, dims)
+                    # each group arrives in the order the members need
+                    # (``params._params_in_order`` sorts no discrete tuple)
+                    assert list(discretes) == sorted(discretes), (module, dims)
                     dims_seen.append(dims)
             # no two groups across the module's routes share dimensions
             assert len(set(dims_seen)) == len(dims_seen), (module, dims_seen)
             groups += len(dims_seen)
     finally:
-        membership._cuts.cache_clear()
+        _clear_memos()
     assert groups == 1_092  # over 208 modules
+
+
+def test_cut_memos_list_ascending():
+    # every interval of 1..13 and every zero piece reaching up to 13, from
+    # empty memos, against the reference cuts of ``_cuts`` above
+    _clear_memos()
+    try:
+        for low in range(1, 15):
+            for high in range(low - 1, 14):
+                found = membership._cuts(low, high)
+                assert list(found) == sorted(found), (low, high)
+                assert set(found) == set(_cuts(low, high, {})), (low, high)
+                assert len(found) == 2 ** max(high - low, 0), (low, high)
+        for s in range(13):
+            for high in range(s + 1, 14):
+                found = membership._zero_cuts(s, high)
+                assert list(found) == sorted(found), (s, high)
+                # the piece [-s, tau], then a cut of tau+1..high
+                reference = [
+                    upper + (DiscreteBlock(tau - s, tau + s + 1),)
+                    for tau in range(s + 1, high + 1)
+                    for upper in _cuts(tau + 1, high, {})
+                ]
+                assert set(found) == set(reference), (s, high)
+                assert len(found) == len(reference) == 2 ** (high - s - 1), (s, high)
+    finally:
+        _clear_memos()
