@@ -31,12 +31,13 @@ The central decision procedures:
   holds 0 twice and each positive value at most once, so each route's
   covers are built directly (``_route_covers``): a piece that holds the
   zeros, and consecutive segments above it, grouped by unipotent
-  dimensions, each group read in canonical order from two memos of cuts
-  (``_cuts``, ``_zero_cuts``).  No cover is searched or sorted, and only
-  the character choices holding the route's block are built.  So every
-  parameter built is a member and gets its route's verdict without a
-  decider call.  Both, and the command line's ``enumerate-*``, run the
-  one enumerator ``_enumerate_packets``, a pass over the route table.
+  dimensions, each group read in canonical order from one memo of cuts
+  (``_cuts``), whose floor on the lowest segment makes the zero piece.  No
+  cover is searched or sorted, and only the character choices holding the
+  route's block are built.  So every parameter built is a member and gets
+  its route's verdict without a decider call.  Both, and the command
+  line's ``enumerate-*``, run the one enumerator ``_enumerate_packets``, a
+  pass over the route table.
   Every cover has one shape, (unipotent dimensions, non-increasing;
   discrete blocks, in canonical order), the one
   ``params._all_segment_covers`` gives ``enumerate_params``, and both
@@ -302,8 +303,8 @@ def decide_regular(psi: ArthurParameter, a: int) -> bool:
         raise ValueError(f"ladder index must be int, got a={a!r}")
     if not 0 <= a <= amax:
         raise ValueError(f"need 0 <= a <= {amax}, got {a}")
-    if len(psi.unipotent) != 1:
-        raise AssertionError("regular character forces one unipotent block")
+    # one unipotent block: a valid parameter's unipotent dimension is odd,
+    # so it has one, each holds 0, and a regular character holds 0 once
     return psi.unipotent[0].dim == 2 * a + 1
 
 
@@ -409,9 +410,9 @@ def decide_pi_recursive(psi: ArthurParameter, n: int, m: int) -> bool:
                 and a_psi_u(psi) == n + 1
                 and contains_block(psi, UnipotentBlock((n // 2) % 2, n + 1))
             )
+        # m stays >= 0: an eligible block has bottom >= 0, so top >= a - 1,
+        # and stripping at top = m - 1 leaves m - a >= 0
         psi, n, m = step.parameter, step.n, step.m
-        if m < 0:
-            return False
 
 
 class _Route(NamedTuple):
@@ -457,54 +458,40 @@ def _routes(module: Module) -> tuple[_Route, ...]:
     )
 
 
-@functools.lru_cache(maxsize=128)
-def _cuts(low: int, high: int) -> tuple[tuple[DiscreteBlock, ...], ...]:
-    """The ways to cut the integers low..high into consecutive segments, one
-    tuple of blocks per cut, in canonical (ascending) order: each segment as
+@functools.lru_cache(maxsize=256)
+def _cuts(low: int, high: int, reach: int) -> tuple[tuple[DiscreteBlock, ...], ...]:
+    """The ways to cut the integers low..high into consecutive segments
+    whose lowest segment ends at reach or above (low <= reach), one tuple of
+    blocks per cut, in canonical (ascending) order: each segment [l, h] as
     the discrete block (t, a) = (l + h, h - l + 1), highest segment first,
     as shared instances (``params._discrete_block``).  Past the end
     (low = high + 1) the one cut is empty.
 
-    A cut of low..high is its highest segment [c, high], by ascending c,
-    over a cut of low..c-1.  The block [c, high] is (c + high, high - c + 1),
-    whose t rises with c, so the cuts come out ascending when those below
-    do; and two cuts of one interval never prefix each other, so a cut of
-    one interval over the cuts of an interval below it, each list
-    ascending, is ascending too (``_route_covers``).  Each answer is built
-    from the memo's answers below it, and the cuts of every end above one
-    start share one memo entry per end.  At ranks up to
-    ``MAX_ENUMERATION_RANK`` (12) every start is at least 1 and no end
-    exceeds 11, so the memo then holds at most 2^12 - 1 = 4,095 cut
-    tuples, and each end beyond that doubles it.
+    First comes low..high as one segment; then each highest segment
+    [c, high], by ascending c > reach, over each cut of low..c-1 from the
+    same memo.  The block [c, high] is (c + high, high - c + 1), whose t
+    rises with c, so the cuts come out ascending when those below do; and
+    two cuts of one interval never prefix each other, so a cut of one
+    interval over the cuts of an interval below it, each list ascending,
+    is ascending too (``_route_covers``).  With reach = low every cut
+    qualifies.  With low = -s <= 0 and reach = s + 1 the lowest segment
+    [-s, tau] is a piece that holds the zeros: the pair
+    delta_tau ⊠ R[tau + 1] at s = 0, THM71_I's block at s = n - m.
+
+    At ranks up to ``MAX_ENUMERATION_RANK`` (12) the plain cuts start at 1
+    or above and end at 11 or below, at most 2^12 - 1 = 4,095 tuples, and
+    the zero pieces have s <= 10 and end at 11 or below, at most the sum
+    over s of 2^(11-s) - 1, 4,083 tuples.  So the memo then holds at most
+    8,178 cut tuples, and each end beyond that doubles it.  Every module
+    at ranks 1-12 asks 83 keys, and ranks 1-16 ask 143, so the memo's 256
+    drop none of them.
     """
     if low > high:
         return ((),)
-    return tuple(
+    return ((_discrete_block(low + high, high - low + 1),),) + tuple(
         (_discrete_block(c + high, high - c + 1),) + rest
-        for c in range(low, high + 1)
-        for rest in _cuts(low, c - 1)
-    )
-
-
-@functools.lru_cache(maxsize=128)
-def _zero_cuts(s: int, high: int) -> tuple[tuple[DiscreteBlock, ...], ...]:
-    """The cuts of -s..high, s >= 0 and high >= s + 1, into consecutive
-    segments whose lowest segment [-s, tau] has tau >= s + 1, in canonical
-    (ascending) order, as ``_cuts`` lists them: the covers of the values
-    above a piece that holds the zeros, that piece included.
-
-    The block [-s, tau] is (tau - s, tau + s + 1).  With s = 0 it is the
-    pair delta_tau ⊠ R[tau + 1]; with s = n - m it is THM71_I's block.
-    Its t is below that of any segment above it, so the piece alone on
-    -s..high comes first, then the highest segment [c, high], c >= s + 2,
-    by ascending c, over the memo's answer at c - 1.  At ranks up to
-    ``MAX_ENUMERATION_RANK`` (12), s <= 10 and high <= 11, so the memo then
-    holds at most sum over s of 2^(11-s) - 1, that is 4,083 tuples.
-    """
-    return ((_discrete_block(high - s, high + s + 1),),) + tuple(
-        (_discrete_block(c + high, high - c + 1),) + rest
-        for c in range(s + 2, high + 1)
-        for rest in _zero_cuts(s, c - 1)
+        for c in range(reach + 1, high + 1)
+        for rest in _cuts(low, c - 1, reach)
     )
 
 
@@ -518,8 +505,8 @@ def _route_covers(module: Module, route: _Route) -> list[tuple]:
     no search and no sort.  Each group has its own dimensions: TRIVIAL's
     and THM71_I's one group, and a topped route's one group per j of
     R[1] + R[2j+1] and one for all its pairs, when it has any.  A group
-    with no gap is a memo's own tuple of covers (``_cuts``, ``_zero_cuts``),
-    shared with every caller, and is not to be mutated.
+    with no gap is the memo's own tuple of covers (``_cuts``), shared with
+    every caller, and is not to be mutated.
 
     A top of 2n+1 (TRIVIAL) is the whole parameter.  Any other module's
     character holds 0 three times, each of 1..a twice and each of a+1..b
@@ -532,33 +519,36 @@ def _route_covers(module: Module, route: _Route) -> list[tuple]:
     dimension above 1 would both hold 1), or by the one pair
     [0, j] ∪ [-j, 0], delta_j ⊠ R[j+1], with 1..j left (a pair reaching
     below 0 holds 1 twice).  The values below the gap are cut into
-    consecutive segments: the cuts of j+1..end (``_cuts``), or with the
-    pair the cuts of 0..end whose lowest segment holds 0
-    (``_zero_cuts(0, end)``).  With a gap, each cut of h+1..b goes on top
-    of each of those; its segments have larger t, and the cuts of one
-    interval never prefix each other, so that keeps the blocks in canonical
-    order and the tuples ascending.  At a top of 1, THM71_II_A1 at m = n,
+    consecutive segments: the cuts of j+1..end (``_cuts(j+1, end, j+1)``),
+    or with the pair the cuts of 0..end whose lowest segment [0, tau]
+    reaches 1 or above (``_cuts(0, end, 1)``).  With a gap, each cut of
+    h+1..b (``_cuts(h+1, b, h+1)``) goes on top of each of those; its
+    segments have larger t, and the cuts of one interval never prefix each
+    other, so that keeps the blocks in canonical order and the tuples
+    ascending.  At a top of 1, THM71_II_A1 at m = n,
     the pairs are THM71_I's covers, which that route takes first, so they
     are left out.
 
     THM71_I has the one block R[1] and pairwise disjoint segments, so one
     block [-(n-m), tau], tau in n-m+1..m-1, holds the doubled 0..n-m, and
-    consecutive segments cut tau+1..m-1: ``_zero_cuts(n-m, m-1)``,
+    consecutive segments cut tau+1..m-1: ``_cuts(m-n, m-1, n-m+1)``,
     2^(2m-n-2) covers.
     """
     n, v, top = module.n, module.value, route.top
     if top == 2 * n + 1:
         return [((top,), ((),))]
     if route.char is None:  # THM71_I: 2m > n+1, so m-1 is b
-        return [((1,), _zero_cuts(n - v, v - 1))]
+        return [((1,), _cuts(v - n, v - 1, n - v + 1))]
     a, b = sorted((v - 1, n - v))
     h = top // 2
     end = a if h > a else b  # the values left: 1..end, then h+1..b
-    groups = [((top, 2 * j + 1, 1), _cuts(j + 1, end)) for j in range(min(h, end) + 1)]
+    groups = [
+        ((top, 2 * j + 1, 1), _cuts(j + 1, end, j + 1)) for j in range(min(h, end) + 1)
+    ]
     if top > 1 and end:
-        groups.append(((top,), _zero_cuts(0, end)))
+        groups.append(((top,), _cuts(0, end, 1)))
     if a < h < b:  # the gap: every cut of h+1..b over every cut below it
-        above = _cuts(h + 1, b)
+        above = _cuts(h + 1, b, h + 1)
         groups = [
             (dims, [upper + lower for upper in above for lower in lowers])
             for dims, lowers in groups

@@ -428,9 +428,8 @@ def howe_source(mu: HighestWeight) -> HoweSource:
         )
         return HoweSource("d", ell, orep, alt_ell, alt)
 
+    # b = a - u >= 1, and unitarity, 2 m_n >= 2n - 2u - v, gives v >= 2b
     b = n - cls.u - last
-    if not (1 <= b and 2 * b <= cls.v):
-        raise AssertionError("unitary weight escaped the case analysis")
     ell = last
     head = n - cls.u - 2 * b
     orep = OrthRepLabel(tuple(m[i] - ell for i in range(head)) + (0,) * b, -1)

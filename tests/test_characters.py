@@ -653,24 +653,19 @@ def test_repeated_discrete_blocks_flag_only_with_odd_a():
 
 
 def test_recipe_and_cut_memos_stay_bounded_at_the_cap(monkeypatch):
-    # all four memos from empty; then every module at the enumeration cap
+    # all three memos from empty; then every module at the enumeration cap
     # and below is enumerated, and both characters of every member built
-    bounds = {"_cuts": 4_095, "_zero_cuts": 4_083}  # tuples held at most
-    memos = {name: getattr(membership, name) for name in bounds}
-    asked = {name: {} for name in bounds}  # each call, recursion included
+    memo = membership._cuts
+    asked = {}  # each call, recursion included
 
-    def recording(name):
-        def recorded(low, high):
-            asked[name][low, high] = found = memos[name](low, high)
-            return found
-
-        return recorded
+    def recorded(low, high, reach):
+        asked[low, high, reach] = found = memo(low, high, reach)
+        return found
 
     _unipotent_signs.cache_clear()
     _discrete_signs.cache_clear()
-    for name, memo in memos.items():
-        memo.cache_clear()
-        monkeypatch.setattr(membership, name, recording(name))
+    memo.cache_clear()
+    monkeypatch.setattr(membership, "_cuts", recorded)
     three = 0
     for family, n, value, members in members_up_to(MAX_ENUMERATION_RANK):
         for psi in members:
@@ -687,10 +682,9 @@ def test_recipe_and_cut_memos_stay_bounded_at_the_cap(monkeypatch):
     for keep in (False, True):
         _rho_core(psi, 1, route, keep)
     assert _discrete_signs.cache_info() == shapes
-    for name, memo in memos.items():
-        info = memo.cache_info()
-        # nothing was dropped: the memo holds every pair asked for
-        assert info.currsize == info.misses == len(asked[name]) < info.maxsize, name
-        held = [cut for found in asked[name].values() for cut in found]
-        assert len(held) <= bounds[name], name
-        assert all(b is _discrete_block(*b) for cut in held for b in cut), name
+    info = memo.cache_info()
+    # nothing was dropped: the memo holds every key asked for
+    assert info.currsize == info.misses == len(asked) < info.maxsize
+    held = [cut for found in asked.values() for cut in found]
+    assert len(held) <= 8_178  # the bound derived in ``membership._cuts``
+    assert all(b is _discrete_block(*b) for cut in held for b in cut)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -25,6 +26,7 @@ from sympacket.membership import (
 from sympacket.params import (
     CHAR_SGN,
     CHAR_TRIV,
+    MAX_ENUMERATION_RANK,
     ArthurParameter,
     DiscreteBlock,
     RankBoundError,
@@ -33,6 +35,7 @@ from sympacket.params import (
     enumerate_params,
     validate,
 )
+from sympacket.characters import _rho_core
 from sympacket.langlands import exponent_filter, standard_pi
 from sympacket.weights import (
     InfinitesimalCharacter,
@@ -44,7 +47,11 @@ from sympacket.weights import (
     sigma_nk,
 )
 
-from oracles import decide_core_by_sums, decide_sigma_recursive
+from oracles import (
+    decide_core_by_sums,
+    decide_sigma_recursive,
+    segments_pairwise_disjoint_by_pairs,
+)
 
 
 def P(n, unip, disc=()):
@@ -547,6 +554,54 @@ def test_multiplicity_one_for_members(ranks_1_to_9):
         for m in range(0, n + 1):
             for _, verdict in ranks_1_to_9["pi", n, m].members:
                 assert verdict.multiplicity == 1
+
+
+def _fitting_routes(module, psi):
+    """Every route of ``_routes(module)`` whose shape psi has: a copy of
+    ``_decide_core``'s shape test that does not stop at the first match."""
+    unipotent = psi.unipotent
+    top = unipotent[0].dim
+    return [
+        route
+        for route in _routes(module)
+        if (
+            top == 1 and len(unipotent) == 1 and segments_pairwise_disjoint_by_pairs(psi)
+            if route.char is None
+            else top == route.top and (route.char, top) in unipotent
+        )
+    ]
+
+
+def test_each_member_fits_one_route_but_the_m_equal_n_overlap(ranks_1_to_9):
+    # multiplicity one as a property of the route table, not of the constant
+    # in the verdicts: a parameter fits at most one route's shape, except at
+    # m = n, where one R[1] with disjoint segments fits THM71_I and
+    # THM71_II_A1, and both routes give it the same characters; the decider
+    # core takes the first route that fits.  Every parameter at ranks 1-9,
+    # then every member at ranks 1-12, freshly enumerated.
+    def fits(module, psi):
+        routes = _fitting_routes(module, psi)
+        assert _decide_core(psi, module) is (routes[0] if routes else None), (module, str(psi))
+        if len(routes) > 1:
+            assert module.family == "pi" and module.value == module.n, (module, str(psi))
+            assert [r.verdict.route for r in routes] == [ROUTE_I, ROUTE_II_A1], str(psi)
+            for delta in (1, -1):
+                chars = [_rho_core(psi, delta, route) for route in routes]
+                assert len({(c.blocks, c.signs, c.flags) for c in chars}) == 1, str(psi)
+        return routes
+
+    modules = list(dict.fromkeys(_modules(MAX_ENUMERATION_RANK)))
+    for module in modules:
+        if module.n <= 9:
+            for psi in ranks_1_to_9[module].params:
+                fits(module, psi)
+    counts = collections.Counter()
+    for module in modules:
+        for psi, _ in _enumerate_packets(module):
+            routes = fits(module, psi)
+            assert routes and psi._route is routes[0], (module, str(psi))
+            counts[len(routes)] += 1
+    assert counts == {1: 12_764, 2: 2_047}
 
 
 def test_small_m_members_all_fire_exact_block_route(ranks_1_to_9):

@@ -8,8 +8,10 @@ once, from shared block instances, with its discrete blocks already in
 canonical order.  The members come out in order with no sort of them
 (``params._params_in_order``) because no two groups of a module share
 dimensions, no group repeats a discrete tuple and each group lists its
-discrete tuples in ascending order, as the memos of cuts
-(``membership._cuts``, ``membership._zero_cuts``) list theirs."""
+discrete tuples in ascending order, as the one memo of cuts
+(``membership._cuts``) lists each interval's cuts, those whose lowest
+segment reaches a floor: all of them, or those whose lowest segment is a
+piece that holds the zeros."""
 
 import gc
 import itertools
@@ -95,7 +97,6 @@ def _check_module(module):
 
 def _clear_memos():
     membership._cuts.cache_clear()
-    membership._zero_cuts.cache_clear()
 
 
 def test_route_covers_are_the_walks_at_ranks_1_to_16():
@@ -103,10 +104,9 @@ def test_route_covers_are_the_walks_at_ranks_1_to_16():
     # freed by refcount when its check returns.  The cyclic collector would
     # only rescan the hundreds of thousands of cover tuples alive during a
     # rank-16 walk, in about half of this test's time, so it is paused while
-    # they are built.  The memos of cuts (``membership._cuts``,
-    # ``membership._zero_cuts``), bounded by their keys and not by bytes,
-    # would keep ranks 13-16's cuts for the rest of the session, so they
-    # are cleared after.
+    # they are built.  The memo of cuts (``membership._cuts``), bounded by
+    # its keys and not by bytes, would keep ranks 13-16's cuts for the rest
+    # of the session, so it is cleared after.
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -120,7 +120,7 @@ def test_route_covers_are_the_walks_at_ranks_1_to_16():
 
 def test_route_cover_groups_are_distinct_at_ranks_1_to_16():
     # distinct dimensions and discrete tuples, each group ascending; the
-    # memos of cuts are cleared after, as after the walks above
+    # memo of cuts is cleared after, as after the walks above
     groups = 0
     try:
         for module in _modules(16):
@@ -143,19 +143,20 @@ def test_route_cover_groups_are_distinct_at_ranks_1_to_16():
 
 
 def test_cut_memos_list_ascending():
-    # every interval of 1..13 and every zero piece reaching up to 13, from
-    # empty memos, against the reference cuts of ``_cuts`` above
+    # every interval of 1..13, with the floor at its start, and every zero
+    # piece reaching up to 13, from an empty memo, against the reference
+    # cuts of ``_cuts`` above
     _clear_memos()
     try:
         for low in range(1, 15):
             for high in range(low - 1, 14):
-                found = membership._cuts(low, high)
+                found = membership._cuts(low, high, low)
                 assert list(found) == sorted(found), (low, high)
                 assert set(found) == set(_cuts(low, high, {})), (low, high)
                 assert len(found) == 2 ** max(high - low, 0), (low, high)
         for s in range(13):
             for high in range(s + 1, 14):
-                found = membership._zero_cuts(s, high)
+                found = membership._cuts(-s, high, s + 1)
                 assert list(found) == sorted(found), (s, high)
                 # the piece [-s, tau], then a cut of tau+1..high
                 reference = [
