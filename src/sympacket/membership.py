@@ -27,6 +27,8 @@ The central decision procedures:
   containing the module, built from the route table (``_routes``).  Each
   route states the largest unipotent dimension of its members, the character
   of that block, the shape of their covers and the verdict it implies.
+  The shapes are disjoint, so the routes partition the module's members:
+  each fits exactly one route, and no answer depends on the table's order.
   Once the route's block is taken away, what is left of the character
   holds 0 twice and each positive value at most once, so each route's
   covers are built directly (``_route_covers``): a piece that holds the
@@ -90,7 +92,6 @@ from .weights import (
     _inf_char_entries,
     _record,
     module_of,
-    pi_nm,
     regular_a_max,
 )
 
@@ -156,9 +157,9 @@ def _segments_pairwise_disjoint(psi: ArthurParameter) -> bool:
 def decide_pi(psi: ArthurParameter, n: int, m: int) -> MembershipVerdict:
     """Does the packet of psi contain the scalar module pi_n(m)?
 
-    Routes fire in a fixed order (TRIVIAL, THM71_I, THM71_II_A1, THM71_II_A3)
-    so the verdict is deterministic when several clauses hold.  Membership is
-    always with multiplicity one.
+    The routes (TRIVIAL, THM71_I, THM71_II_A1, THM71_II_A3) have disjoint
+    shapes, so a member fits exactly one of them, and the verdict names it.
+    Membership is always with multiplicity one.
     """
     route = _decide_route(psi, "pi", n, m)[0]
     return _NOT_MEMBER if route is None else route.verdict
@@ -266,13 +267,17 @@ def _parameter_count(module: Module) -> int:
 
 
 def _decide_core(psi: ArthurParameter, module: Module) -> _Route | None:
-    """The first route of ``_routes(module)`` whose shape psi has, or None,
-    for a valid parameter of the module's rank and infinitesimal character;
-    nothing is checked again.
+    """The route of ``_routes(module)`` whose shape psi has, or None, for a
+    valid parameter of the module's rank and infinitesimal character;
+    nothing is checked again.  The shapes are disjoint, so at most one
+    route fits, whatever order the table lists them in.
 
     Valid means canonical, so the largest unipotent dimension is that of
     the first block, and a unipotent part of dimension 1 is one block R[1]
-    (a valid part is never empty: the discrete dimensions are even).
+    (a valid part is never empty: the discrete dimensions are even).  One
+    R[1] with discrete blocks is THM71_I's unipotent part and no topped
+    route's: at top 1 (THM71_II_A1 at m = n) a topped route holds three
+    blocks R[1], and only rank 0's TRIVIAL parameter is R[1] alone.
     """
     unipotent = psi.unipotent
     top = unipotent[0].dim
@@ -280,7 +285,11 @@ def _decide_core(psi: ArthurParameter, module: Module) -> _Route | None:
         if route.char is None:  # THM71_I
             if top == 1 and len(unipotent) == 1 and _segments_pairwise_disjoint(psi):
                 return route
-        elif top == route.top and (route.char, top) in unipotent:  # a pair equals its block
+        elif (
+            top == route.top
+            and (route.char, top) in unipotent  # a pair equals its block
+            and (top > 1 or unipotent[1:] or not psi.discrete)
+        ):
             return route
     return None
 
@@ -317,10 +326,13 @@ def decide_unipotent(psi: ArthurParameter, n: int) -> list[tuple[str, int]]:
     weight module exactly when some dimension-a block carries the character
     sgn^{(b+1)/2}; it then contains pi_n((b+1)/2) and, when b + 1 <= n, also
     sigma_{n,(b+1)/2}.  Both values of the remaining free character occur.
+    A rank that is not an int, a bool or a float included, is refused.
     """
     _require_valid(psi)
     if psi.discrete:
         raise ValueError("parameter has a discrete part")
+    if type(n) is not int:
+        raise ValueError(f"rank must be int, got n={n!r}")
     if psi.n != n:
         raise ValueError("parameter rank does not match n")
     blocks = psi.unipotent
@@ -360,8 +372,11 @@ def peel_step(
     block has top exactly m-1 it is stripped (with the sign retwist) and
     (n, m) drop by its SL(2) dimension; if its top exceeds m-1 the module
     cannot lie in the packet and "REJECT" is returned; with no eligible
-    block the reduction does not apply and None is returned.
+    block the reduction does not apply and None is returned.  A rank or m
+    that is not an int, a bool or a float included, is refused.
     """
+    if type(n) is not int or type(m) is not int:
+        raise ValueError(f"rank and m must be int, got n={n!r}, m={m!r}")
     for index, block in enumerate(psi.discrete):
         if block.top >= m - 1 and block.t - block.a + 1 >= 0:
             if block.top == m - 1:
@@ -387,8 +402,7 @@ def decide_pi_recursive(psi: ArthurParameter, n: int, m: int) -> bool:
     n = 2(m-1) with the block sgn^{n/2} ⊠ R[n+1] present.
     """
     _require_valid(psi)
-    if n != 0:
-        pi_nm(n, m)  # refuses a negative rank and m outside 0..n
+    module_of("pi", n, m)  # refuses a rank or m that is not an int, and m outside 0..n
     while True:
         if inf_char_of_param(psi).entries != _inf_char_entries((m,) * n):
             return False
@@ -433,15 +447,16 @@ class _Route(NamedTuple):
 
 @functools.lru_cache(maxsize=256)
 def _routes(module: Module) -> tuple[_Route, ...]:
-    """The routes to the module, in the order they are tried: a parameter of
-    the module's character is a member exactly when it has the shape of one
-    of them, and the first one it fits admits it (``_decide_core``).
+    """The routes to the module: a parameter of the module's character is a
+    member exactly when it has the shape of one of them, and the shapes are
+    disjoint, so the routes partition the members and that one admits it
+    (``_decide_core``), whatever order they are listed in.
 
     TRIVIAL is triv ⊠ R[2n+1] alone, THM71_I needs 2m > n+1, THM71_II_A1
     the block sgn^m ⊠ R[2(n-m)+1] on top, THM71_II_A3 2m >= n+2 and
     sgn^(m-1) ⊠ R[2(n-m)+3] on top, SIGMA sgn^k ⊠ R[2(n-k)+1] on top.  At
-    m = n the THM71_II_A1 top is 1, whose single-R[1] covers with disjoint
-    segments THM71_I takes first.
+    m = n the THM71_II_A1 top is 1, and that route holds three blocks R[1]:
+    one R[1] with discrete blocks is THM71_I's unipotent part.
     """
     family, n, m = module
     if family == "sigma":  # m is k
@@ -525,9 +540,9 @@ def _route_covers(module: Module, route: _Route) -> list[tuple]:
     h+1..b (``_cuts(h+1, b, h+1)``) goes on top of each of those; its
     segments have larger t, and the cuts of one interval never prefix each
     other, so that keeps the blocks in canonical order and the tuples
-    ascending.  At a top of 1, THM71_II_A1 at m = n,
-    the pairs are THM71_I's covers, which that route takes first, so they
-    are left out.
+    ascending.  At a top of 1, THM71_II_A1 at m = n, a pair with the one
+    block R[1] is THM71_I's shape, not this route's, so the pairs are left
+    out.
 
     THM71_I has the one block R[1] and pairwise disjoint segments, so one
     block [-(n-m), tau], tau in n-m+1..m-1, holds the doubled 0..n-m, and

@@ -476,14 +476,14 @@ def _trusted_params(
 
     The caller vouches that the blocks form valid parameters:
     ``_require_valid`` trusts the mark without validating; and that the
-    route is the first of its module's table whose shape each has: the one
-    lookup, ``membership._decide_route``, returns it without deciding.  The
-    mark and records are slots that ``==``, ``hash``, the order, ``repr``
-    and ``str`` ignore (``_record_slot``).  Each of the six slots is written
-    through its descriptor's setter, bound once (``_SLOT_SETTERS``), past
-    the frozen ``__setattr__``; a slot has no class default, so
-    ``_kept_char`` is set to None here, as ``__post_init__`` sets it for
-    any other parameter.
+    route is the one of its module's table whose shape each has (the shapes
+    are disjoint): the one lookup, ``membership._decide_route``, returns it
+    without deciding.  The mark and records are slots that ``==``, ``hash``,
+    the order, ``repr`` and ``str`` ignore (``_record_slot``).  Each of the
+    six slots is written through its descriptor's setter, bound once
+    (``_SLOT_SETTERS``), past the frozen ``__setattr__``; a slot has no
+    class default, so ``_kept_char`` is set to None here, as
+    ``__post_init__`` sets it for any other parameter.
     """
     new = object.__new__
     set_n, set_unipotent, set_discrete, set_valid, set_route, set_kept_char = _SLOT_SETTERS

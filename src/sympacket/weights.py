@@ -356,15 +356,22 @@ class OrthRepLabel:
 
     ``entries`` is the highest weight of (a constituent of) the restriction
     to the special orthogonal subgroup; ``sign`` distinguishes the two
-    extensions to the full orthogonal group and is stored verbatim.
+    extensions to the full orthogonal group and is stored verbatim.  Entries
+    that are not a tuple of ints, or a sign that is not an int, a bool or a
+    float included, are refused.
     """
 
     entries: tuple[int, ...]
     sign: int  # +1 or -1
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+        if type(self.entries) is not tuple:
+            raise ValueError(f"entries must be a tuple, got {_echo(self.entries)}")
+        for x in self.entries:
+            if type(x) is not int:
+                raise _not_integer(self.entries)
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise ValueError(f"sign must be the int +1 or -1, got {_echo(self.sign)}")
 
     @property
     def is_det_type(self) -> bool:

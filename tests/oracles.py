@@ -34,11 +34,15 @@ sigma_{n,k} of ``membership.decide_pi_recursive``: it strips discrete
 blocks whose segment ends at k-1 and decides the purely unipotent residue
 with ``decide_unipotent``.  It does not read the route table.
 
-The decider oracle ``decide_core_by_sums`` is the library's earlier reading
-of a parameter's shape in ``membership._decide_core``: the largest unipotent
-dimension as a maximum and THM71_I's one R[1] as a sum of dimensions, on
-blocks in any order.  The library reads both off the first block of a
-canonical parameter.  It tests THM71_I's disjoint segments with
+The shape oracle ``routes_fitting_by_sums`` is the tests' one reading of
+the route shapes of ``membership._decide_core``.  It lists every route of
+the module's table whose shape a parameter has, not only one, so a test can
+check that the shapes are disjoint: at most one route fits, and the
+library's decider returns that one, whatever order the table lists the
+routes in.  It reads the largest unipotent dimension as a maximum and a
+one-R[1] unipotent part as a sum of dimensions, on blocks in any order.
+The library reads both off the first block of a canonical parameter.  It
+tests THM71_I's disjoint segments with
 ``segments_pairwise_disjoint_by_pairs``, the library's earlier test, which
 compares every pair of discrete segments.  The library sorts the segments
 once and compares neighbours.
@@ -367,17 +371,25 @@ def segments_pairwise_disjoint_by_pairs(psi: ArthurParameter) -> bool:
     return True
 
 
-def decide_core_by_sums(psi: ArthurParameter, module):
-    """The first route of ``membership._routes(module)`` whose shape psi
-    has, or None, read with ``a_psi_u`` and ``dim_unipotent``."""
+def routes_fitting_by_sums(psi: ArthurParameter, module) -> list:
+    """Every route of ``membership._routes(module)`` whose shape psi has,
+    read with ``a_psi_u`` and ``dim_unipotent``: THM71_I's one R[1] and
+    pairwise disjoint segments, or another route's block on top, where a
+    unipotent part of dimension 1 fits only at rank 0 (TRIVIAL's R[1]):
+    at any other rank it is THM71_I's, and a topped route of top 1
+    (THM71_II_A1 at m = n) holds three blocks R[1]."""
     top = a_psi_u(psi)
-    for route in _routes(module):
-        if route.char is None:  # THM71_I
-            if psi.dim_unipotent == 1 and segments_pairwise_disjoint_by_pairs(psi):
-                return route
-        elif top == route.top and UnipotentBlock(route.char, top) in psi.unipotent:
-            return route
-    return None
+    return [
+        route
+        for route in _routes(module)
+        if (
+            psi.dim_unipotent == 1 and segments_pairwise_disjoint_by_pairs(psi)
+            if route.char is None  # THM71_I
+            else top == route.top
+            and UnipotentBlock(route.char, top) in psi.unipotent
+            and (psi.dim_unipotent > 1 or psi.n == 0)
+        )
+    ]
 
 
 def parameter_count_by_walk(entries: tuple[int, ...]) -> int:

@@ -31,11 +31,9 @@ from sympacket.params import (
     DiscreteBlock,
     RankBoundError,
     UnipotentBlock,
-    a_psi_u,
     enumerate_params,
     validate,
 )
-from sympacket.characters import _rho_core
 from sympacket.langlands import exponent_filter, standard_pi
 from sympacket.weights import (
     InfinitesimalCharacter,
@@ -47,11 +45,7 @@ from sympacket.weights import (
     sigma_nk,
 )
 
-from oracles import (
-    decide_core_by_sums,
-    decide_sigma_recursive,
-    segments_pairwise_disjoint_by_pairs,
-)
+from oracles import decide_sigma_recursive, routes_fitting_by_sums
 
 
 def P(n, unip, disc=()):
@@ -88,6 +82,11 @@ def test_decide_pi_trivial_representation():
         chi = inf_char_of_weight(pi_nm(n, 0))
         for psi in enumerate_params(chi, n):
             assert decide_pi(psi, n, 0).member == (psi == triv)
+    # rank 0, the trivial group's: R[1] alone is TRIVIAL's, though a topped
+    # route of top 1 holds three blocks R[1]
+    triv = P(0, [(CHAR_TRIV, 1)])
+    assert decide_pi(triv, 0, 0).route == ROUTE_TRIVIAL
+    assert decide_pi_recursive(triv, 0, 0)
 
 
 def test_decide_pi_rejects_trivial_big_block():
@@ -106,6 +105,20 @@ def test_decide_pi_input_errors():
     bad = ArthurParameter(2, (UnipotentBlock(0, 3),))
     with pytest.raises(ValueError):
         decide_pi(bad, 2, 1)
+    # the stripping oracle checks (n, m) as module_of does, at every rank:
+    # rank 0's one module is pi_0(0), and a bool or float is refused
+    triv = P(0, [(CHAR_TRIV, 1)])
+    for psi, n, m, refusal in (
+        (triv, False, 0, "rank and value must be int"),
+        (triv, 0, 0.0, "rank and value must be int"),
+        (triv, 0.0, 0, "rank and value must be int"),
+        (triv, 0, 1, "need 0 <= m <= n"),
+        (triv, -1, 0, "rank must be positive"),
+        (WORKED, 2, 3, "need 0 <= m <= n"),
+        (WORKED, 2, 1.0, "rank and value must be int"),
+    ):
+        with pytest.raises(ValueError, match=refusal):
+            decide_pi_recursive(psi, n, m)
 
 
 def test_decide_sigma_distinguished_parameter():
@@ -151,6 +164,12 @@ def test_decide_unipotent():
 def test_decide_unipotent_refuses_another_rank():
     with pytest.raises(ValueError, match="rank does not match"):
         decide_unipotent(WORKED, 3)
+    # a bool or float rank equal to the parameter's is refused, not taken
+    one = P(1, [(CHAR_SGN, 1), (CHAR_TRIV, 1), (CHAR_SGN, 1)])
+    assert decide_unipotent(one, 1) == [("pi", 1)]
+    for n in (True, 1.0):
+        with pytest.raises(ValueError, match=f"rank must be int, got n={n!r}"):
+            decide_unipotent(one, n)
 
 
 def test_a_non_member_verdict_has_multiplicity_zero():
@@ -170,6 +189,11 @@ def test_peel_step_cases():
 
     reject = P(2, [(CHAR_TRIV, 1), (CHAR_TRIV, 1), (CHAR_SGN, 1)], [(2, 1)])
     assert peel_step(reject, 2, 1) == "REJECT"
+
+    # a rank or m that is not an int is refused, not carried into the residue
+    for n, m in ((3.0, 2.0), (3, 2.0), (3.0, 2), (3, True), (True, 0)):
+        with pytest.raises(ValueError, match="rank and m must be int"):
+            peel_step(psi, n, m)
 
 
 def test_peel_consistency_on_enumeration(ranks_1_to_9):
@@ -276,7 +300,7 @@ def test_enumerate_packets_equal_public_filter(ranks_1_to_9):
         (enumerate_packets_pi, decide_pi, pi_nm, 11, 11),
         (enumerate_packets_sigma, decide_sigma, sigma_nk, 12, 6),
         (enumerate_packets_sigma, decide_sigma, sigma_nk, 11, 3),
-        # where the top-first search special-cases: top 1 shared by THM71_I
+        # where the top-first search special-cases: top 1 of both THM71_I
         # and THM71_II_A1, TRIVIAL, the THM71_II_A3 top, sigma_{2k,k}
         (enumerate_packets_pi, decide_pi, pi_nm, 10, 10),
         (enumerate_packets_pi, decide_pi, pi_nm, 12, 12),
@@ -290,18 +314,14 @@ def test_enumerate_packets_equal_public_filter(ranks_1_to_9):
         assert enumerate_packets(n, value) == [(p, v) for p, v in public if v.member]
 
 
-def _table_route(routes, psi):
-    """The first route of the table whose shape psi has, or None."""
-    for route in routes:
-        if route.char is None:  # one R[1] and pairwise disjoint segments
-            segments = sorted((b.bottom, b.top) for b in psi.discrete)
-            if [b.dim for b in psi.unipotent] == [1] and all(
-                high < low for (_, high), (low, _) in zip(segments, segments[1:])
-            ):
-                return route
-        elif a_psi_u(psi) == route.top and UnipotentBlock(route.char, route.top) in psi.unipotent:
-            return route
-    return None
+def _fitting_route(psi, module):
+    """The one route of ``_routes(module)`` whose shape psi has, by the
+    oracle, or None: at most one fits, and the decider core returns it."""
+    routes = routes_fitting_by_sums(psi, module)
+    assert len(routes) <= 1, (module, str(psi), routes)
+    route = routes[0] if routes else None
+    assert _decide_core(psi, module) is route, (module, str(psi))
+    return route
 
 
 def _modules(max_n):
@@ -315,20 +335,20 @@ def _modules(max_n):
 
 def test_route_table_pins_the_deciders(ranks_1_to_9):
     # the table both builds members and decides: on every parameter with the
-    # module's character, the decider core returns the very route object an
-    # independent reading of the table finds first, or None with it
+    # module's character, at most one row's shape fits, by an independent
+    # reading of the table, and the decider core returns that very row
+    # object, or None with it
     for module in _modules(9):
-        routes = _routes(module)
         for psi in ranks_1_to_9[module].params:
-            route = _table_route(routes, psi)
-            assert _decide_core(psi, module) is route, (module, str(psi))
+            _fitting_route(psi, module)
 
 
 def test_decide_core_reads_agree_with_the_sums(ranks_1_to_9):
-    # _decide_core reads the top off the first block and THM71_I's one R[1]
+    # _decide_core reads the top off the first block and a one-R[1] part
     # off the block count, as canonical order allows: on every enumerated
     # parameter, asked about every module of its rank with its character
-    # (pi_n(m) and pi_n(n+1-m) share one), it returns the oracle's route
+    # (pi_n(m) and pi_n(n+1-m) share one), at most one route fits by the
+    # oracle's sums, and it returns that route
     sharing = {}
     for module in _modules(9):
         sharing.setdefault((module.n, module.inf_char()), set()).add(module)
@@ -336,10 +356,7 @@ def test_decide_core_reads_agree_with_the_sums(ranks_1_to_9):
     for modules in sharing.values():
         for psi in ranks_1_to_9[min(modules)].params:
             for module in modules:
-                assert _decide_core(psi, module) is decide_core_by_sums(psi, module), (
-                    module,
-                    str(psi),
-                )
+                _fitting_route(psi, module)
                 asked += 1
     assert asked
 
@@ -400,7 +417,7 @@ def test_every_route_admits_a_member(ranks_1_to_9):
     for module in _modules(9):
         routes = _routes(module)
         assert all(route.module == module for route in routes)
-        taken = {_table_route(routes, psi) for psi in ranks_1_to_9[module].params}
+        taken = {_fitting_route(psi, module) for psi in ranks_1_to_9[module].params}
         assert taken - {None} == set(routes), module
         admitted = {psi._route for psi, _ in _enumerate_packets(module, 12)}
         assert admitted == set(routes), module
@@ -556,52 +573,56 @@ def test_multiplicity_one_for_members(ranks_1_to_9):
                 assert verdict.multiplicity == 1
 
 
-def _fitting_routes(module, psi):
-    """Every route of ``_routes(module)`` whose shape psi has: a copy of
-    ``_decide_core``'s shape test that does not stop at the first match."""
-    unipotent = psi.unipotent
-    top = unipotent[0].dim
-    return [
-        route
-        for route in _routes(module)
-        if (
-            top == 1 and len(unipotent) == 1 and segments_pairwise_disjoint_by_pairs(psi)
-            if route.char is None
-            else top == route.top and (route.char, top) in unipotent
-        )
-    ]
-
-
-def test_each_member_fits_one_route_but_the_m_equal_n_overlap(ranks_1_to_9):
+def test_each_parameter_fits_at_most_one_route(ranks_1_to_9, monkeypatch):
     # multiplicity one as a property of the route table, not of the constant
-    # in the verdicts: a parameter fits at most one route's shape, except at
-    # m = n, where one R[1] with disjoint segments fits THM71_I and
-    # THM71_II_A1, and both routes give it the same characters; the decider
-    # core takes the first route that fits.  Every parameter at ranks 1-9,
-    # then every member at ranks 1-12, freshly enumerated.
-    def fits(module, psi):
-        routes = _fitting_routes(module, psi)
-        assert _decide_core(psi, module) is (routes[0] if routes else None), (module, str(psi))
-        if len(routes) > 1:
-            assert module.family == "pi" and module.value == module.n, (module, str(psi))
-            assert [r.verdict.route for r in routes] == [ROUTE_I, ROUTE_II_A1], str(psi)
-            for delta in (1, -1):
-                chars = [_rho_core(psi, delta, route) for route in routes]
-                assert len({(c.blocks, c.signs, c.flags) for c in chars}) == 1, str(psi)
-        return routes
+    # in the verdicts: the route shapes are disjoint.  Every parameter at
+    # ranks 1-9 fits at most one route, and every member at ranks 1-12,
+    # freshly enumerated, exactly the one it records; the decider core
+    # returns that route, and the same with the table's order reversed.  At
+    # m = n one R[1] with disjoint segments is THM71_I's alone: the 2,047
+    # members of that shape, and no other parameter, would fit THM71_II_A1
+    # too had its top-1 shape kept a single R[1] beside three.
+    def dropped(module, psi):
+        return [
+            route
+            for route in _routes(module)
+            if route.char is not None
+            and route.top == 1
+            and psi.discrete
+            and psi.unipotent == (UnipotentBlock(route.char, 1),)
+        ]
 
     modules = list(dict.fromkeys(_modules(MAX_ENUMERATION_RANK)))
+    asked = []
     for module in modules:
         if module.n <= 9:
             for psi in ranks_1_to_9[module].params:
-                fits(module, psi)
+                route = _fitting_route(psi, module)
+                if dropped(module, psi):
+                    assert route is not None and route.verdict.route == ROUTE_I, str(psi)
+                asked.append((module, psi, route))
     counts = collections.Counter()
+    narrowed = 0
     for module in modules:
         for psi, _ in _enumerate_packets(module):
-            routes = fits(module, psi)
-            assert routes and psi._route is routes[0], (module, str(psi))
-            counts[len(routes)] += 1
-    assert counts == {1: 12_764, 2: 2_047}
+            fits = routes_fitting_by_sums(psi, module)
+            assert fits == [psi._route], (module, str(psi))
+            assert _decide_core(psi, module) is psi._route, (module, str(psi))
+            counts[len(fits)] += 1
+            extra = dropped(module, psi)
+            if extra:
+                assert module.family == "pi" and module.value == module.n, (module, str(psi))
+                assert psi._route.verdict.route == ROUTE_I, str(psi)
+                assert [r.verdict.route for r in extra] == [ROUTE_II_A1], str(psi)
+                narrowed += 1
+            asked.append((module, psi, psi._route))
+    assert counts == {1: 14_811}
+    assert narrowed == 2_047
+
+    table = _routes
+    monkeypatch.setattr("sympacket.membership._routes", lambda module: table(module)[::-1])
+    for module, psi, route in asked:
+        assert _decide_core(psi, module) is route, (module, str(psi))
 
 
 def test_small_m_members_all_fire_exact_block_route(ranks_1_to_9):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sympacket.weights import (
     HighestWeight,
     InfinitesimalCharacter,
+    OrthRepLabel,
     classify_unitary,
     howe_source,
     inf_char_of_weight,
@@ -38,6 +39,25 @@ def test_entries_must_be_integers(build, values, bad):
         build(values)
     # a list of ints is taken as its tuple
     assert build([int(x) for x in values]).entries == tuple(int(x) for x in values)
+
+
+@pytest.mark.parametrize(
+    "entries, sign, refusal",
+    [
+        ((0,), True, "sign must be the int +1 or -1, got True"),
+        ((0,), 1.0, "sign must be the int +1 or -1, got 1.0"),
+        ((0,), -1.0, "sign must be the int +1 or -1, got -1.0"),
+        ((0.5, "x"), 1, "entries must be integers, got 0.5"),
+        ((2, False), -1, "entries must be integers, got False"),
+        ([0, 0], -1, "entries must be a tuple, got [0, 0]"),
+    ],
+)
+def test_orth_rep_label_refuses_what_is_not_an_int(entries, sign, refusal):
+    # a bool or float sign equals +1 or -1 but is refused, as a non-int
+    # entry is, not converted
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        OrthRepLabel(entries, sign)
+    assert OrthRepLabel((2, 0), -1).sign == -1
 
 
 def test_classify_unitary_known_cases():
