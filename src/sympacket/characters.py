@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from collections import Counter
 
 from .membership import ROUTE_II_A1, ROUTE_SIGMA, _decide_route, _Route
@@ -341,26 +340,25 @@ def _rho_core(
     given the route that admits psi (``membership._decide_route``) and a
     token delta, the int +1 or -1; nothing is checked again.
 
-    The discrete signs are read from the table of the blocks' ``a``
-    (``_discrete_signs``), which also gives a single unipotent block's sign
+    The discrete signs are read from the table keyed by the discrete tuple
+    itself (``_discrete_signs``), with no key built: an enumerated member's
+    tuple is its cut's, shared with every member of the cut.  The entry
+    also gives a single unipotent block's sign, the discrete blocks' flags
     and, for a three-block part, the index into the table of the route
     and the unipotent tuple (``_unipotent_signs``), which also holds the
-    unipotent blocks in the order the character lists them.  The discrete
-    entry names the only positions where equal neighbouring blocks can get
-    unequal signs, so the VANISHING flag compares the blocks there alone.
+    unipotent blocks in the order the character lists them.  A tuple of
+    more than ``MAX_ENUMERATION_RANK`` blocks, which no enumerated member
+    has, is folded and not kept.
     Each character is built unchecked, its slots written through their
     setters (``_SLOT_SETTERS``).  With ``keep`` the character of -delta,
     read from the same entries, is kept on psi as ``_kept_char``; the two
     share one ``blocks`` tuple.
     """
     discrete, unipotent = psi.discrete, psi.unipotent
-    # a purely unipotent parameter skips the map, which costs more than the
-    # table read: half the members of the point-queries benchmark are one
-    shape = tuple(map(_A_OF, discrete)) if discrete else ()
-    if shape[MAX_ENUMERATION_RANK:]:  # longer than any enumerated member's
-        entry = _discrete_fold(shape)
+    if discrete[MAX_ENUMERATION_RANK:]:  # longer than any enumerated member's
+        entry = _discrete_fold(discrete)
     else:
-        entry = _discrete_signs(shape)
+        entry = _discrete_signs(discrete)
     if unipotent[1:]:  # three blocks
         slots, table = _unipotent_signs(route.char, route.top, route.verdict.route, unipotent)
         blocks = discrete + slots
@@ -373,9 +371,8 @@ def _rho_core(
         blocks = discrete + unipotent
         signs, kept_signs = entry[2 * delta], entry[-2 * delta]
         flags = kept_flags = ()
-    for i in entry[0]:
-        if discrete[i] == discrete[i - 1]:
-            flags = kept_flags = _VANISHING_FLAGS
+    if entry[0]:  # equal discrete blocks with unequal signs
+        flags = kept_flags = entry[0]
     new = object.__new__
     set_whittaker, set_blocks, set_signs, set_flags = _SLOT_SETTERS
     char = new(PacketCharacter)
@@ -393,13 +390,10 @@ def _rho_core(
     return char
 
 
-# the ``a`` of a discrete block, read in C by ``map`` for the table's key
-_A_OF = operator.attrgetter("a")
-
-
-def _discrete_fold(shape: tuple[int, ...]) -> tuple:
+def _discrete_fold(discrete: tuple[DiscreteBlock, ...]) -> tuple:
     """The discrete half of the character recipe (``_rho_core``) for
-    discrete blocks with these ``a`` in canonical order.
+    discrete blocks in canonical order, of which only the ``a`` and the
+    equal neighbours count.
 
     A pass from the token delta signs each block (-1)^floor(token a / 2)
     and negates the token after each block with odd a.  The entry is read
@@ -407,16 +401,18 @@ def _discrete_fold(shape: tuple[int, ...]) -> tuple:
     signs followed by their product, the sign of a single unipotent block,
     which makes the product over all listed blocks +1; item 3 delta the
     index into the unipotent table (``_unipotent_signs``) for delta, the
-    token the pass ends with and the product.  Item 0 is the positions i
-    where a is odd and equal to the a before.  Equal blocks are neighbours
-    with equal a; an even a signs both alike and an odd one gives the
-    second the negated token, so only at those positions can equal blocks
-    get unequal signs, and there they always do.
+    token the pass ends with and the product.  Item 0 is the flags of
+    both characters' discrete blocks: VANISHING where a block with odd a
+    equals the block before.  Equal blocks are neighbours with equal a; an
+    even a signs both alike and an odd one gives the second the negated
+    token, so only there can equal blocks get unequal signs, and there
+    they always do.
     """
     entry = [None] * 7
     for whittaker in (1, -1):
         token, signs, product = whittaker, [], 1
-        for a in shape:
+        for block in discrete:
+            a = block.a
             sign = _sign_pow((token * a) // 2)
             signs.append(sign)
             product *= sign
@@ -425,17 +421,20 @@ def _discrete_fold(shape: tuple[int, ...]) -> tuple:
         entry[whittaker] = tuple(signs)
         entry[2 * whittaker] = (*signs, product)
         entry[3 * whittaker] = 4 * whittaker + 2 * token + product
-    entry[0] = tuple(
-        i for i in range(1, len(shape)) if shape[i] & 1 and shape[i] == shape[i - 1]
-    )
+    odd_repeat = any(b.a & 1 and b == before for before, b in zip(discrete, discrete[1:]))
+    entry[0] = _VANISHING_FLAGS if odd_repeat else ()
     return tuple(entry)
 
 
-# ``_discrete_fold`` once per shape rather than once per member.  The members
-# of every module at ranks 1-12 need 3,072 shapes; ``_rho_core`` asks about
-# none of more than ``MAX_ENUMERATION_RANK`` blocks, which no such member
-# has, so that an entry is bounded in size too.
-_discrete_signs = functools.lru_cache(maxsize=1 << MAX_ENUMERATION_RANK)(_discrete_fold)
+# ``_discrete_fold`` once per discrete tuple rather than once per member,
+# keyed by the tuple itself.  The members of one cut share the cut memo's
+# tuple (``membership._cuts``), so a read hashes the blocks in C and finds
+# the key by identity.  The members of every module at ranks 1-12 have
+# 7,190 distinct discrete tuples, a count the tests verify and nothing
+# proves, so the table holds 8,192; ``_rho_core`` asks about none of more
+# than ``MAX_ENUMERATION_RANK`` blocks, which no such member has, so that
+# an entry is bounded in size too.
+_discrete_signs = functools.lru_cache(maxsize=1 << 13)(_discrete_fold)
 
 
 @functools.lru_cache(maxsize=1024)

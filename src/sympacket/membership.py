@@ -373,10 +373,13 @@ def peel_step(
     (n, m) drop by its SL(2) dimension; if its top exceeds m-1 the module
     cannot lie in the packet and "REJECT" is returned; with no eligible
     block the reduction does not apply and None is returned.  A rank or m
-    that is not an int, a bool or a float included, is refused.
+    that is not an int, a bool or a float included, is refused, and so is
+    a rank other than the parameter's, as ``decide_pi`` refuses it.
     """
     if type(n) is not int or type(m) is not int:
         raise ValueError(f"rank and m must be int, got n={n!r}, m={m!r}")
+    if psi.n != n:
+        raise ValueError("parameter rank does not match n")
     for index, block in enumerate(psi.discrete):
         if block.top >= m - 1 and block.t - block.a + 1 >= 0:
             if block.top == m - 1:
@@ -399,10 +402,14 @@ def decide_pi_recursive(psi: ArthurParameter, n: int, m: int) -> bool:
     one dimensional unipotent part is a member exactly when 2m > n+1, the
     segments are pairwise disjoint, and the top segment ends at m-1; in the
     remaining no-strip situation membership forces the near-scalar shape
-    n = 2(m-1) with the block sgn^{n/2} ⊠ R[n+1] present.
+    n = 2(m-1) with the block sgn^{n/2} ⊠ R[n+1] present.  Refused, as
+    ``decide_pi`` refuses them: an invalid parameter, what ``module_of``
+    refuses, a rank other than the parameter's.
     """
     _require_valid(psi)
     module_of("pi", n, m)  # refuses a rank or m that is not an int, and m outside 0..n
+    if psi.n != n:
+        raise ValueError("parameter rank does not match n")
     while True:
         if inf_char_of_param(psi).entries != _inf_char_entries((m,) * n):
             return False

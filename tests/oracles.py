@@ -75,8 +75,8 @@ earlier discrete pass of ``characters._rho_core``, as it ran once per
 member: one loop over the blocks that carries the token, signs each block
 off the bits of its ``a``, multiplies the signs, with ``keep`` also signs
 the blocks for -delta, and compares each block with its neighbour for the
-VANISHING flag.  The library works the pass out once per tuple of the
-blocks' ``a``, for both tokens, and reads it from a table
+VANISHING flag.  The library works the pass out once per discrete
+tuple, for both tokens, and reads it from a table keyed by the tuple
 (``characters._discrete_signs``).
 
 The order oracle ``parameter_order`` is the library's earlier sort key of

@@ -561,31 +561,61 @@ def shapes_up_to(total):
     return found
 
 
+def assert_entry_is_the_pass(blocks):
+    """The table's entry for a discrete tuple is its fold and, for both
+    tokens, the per-block pass: the signs, product and final token, the
+    kept signs those of the other token, and the flags VANISHING exactly
+    when two equal neighbours got unequal signs."""
+    entry = _discrete_signs(blocks)
+    assert entry == _discrete_fold(blocks)
+    for delta in (1, -1):
+        signs, product, token, kept, vanishing = discrete_signs_by_block(blocks, delta, True)
+        assert entry[delta] == signs and entry[-delta] == kept, blocks
+        assert entry[2 * delta] == signs + (product,)
+        assert entry[3 * delta] == 4 * delta + 2 * token + product
+        assert entry[0] == ((VANISHING,) if vanishing else ()), blocks
+
+
 def test_discrete_table_is_the_per_block_pass():
-    # every tuple of a with sum at most 12, so of every member's discrete
-    # blocks at ranks 1-12: for both tokens the entry's signs, product and
-    # final token are those of the per-block pass, whose kept signs are the
-    # entry's for the other token; and a pair of neighbours flags exactly
-    # when it is one of the entry's positions, the two blocks equal
+    # every tuple of a with sum at most 12, so every shape of a member's
+    # discrete blocks at ranks 1-12, read by a block tuple of that shape
+    # with no two blocks equal, and by each tuple with one block made equal
+    # to the one before where the a are equal (else only its t changes)
     shapes = shapes_up_to(MAX_ENUMERATION_RANK)
-    assert len(shapes) == 4_096 == _discrete_signs.cache_info().maxsize
+    assert len(shapes) == 4_096
     for shape in shapes:
-        entry = _discrete_signs(shape)
-        assert entry == _discrete_fold(shape)
         # t of the parity a needs, one per block: no two blocks equal
         ts = [2 * j + 1 - a % 2 for j, a in enumerate(shape)]
-        blocks = tuple(DiscreteBlock(t, a) for t, a in zip(ts, shape))
-        for delta in (1, -1):
-            signs, product, token, kept, vanishing = discrete_signs_by_block(blocks, delta, True)
-            assert entry[delta] == signs and entry[-delta] == kept, shape
-            assert entry[2 * delta] == signs + (product,)
-            assert entry[3 * delta] == 4 * delta + 2 * token + product
-            assert not vanishing
+        assert_entry_is_the_pass(tuple(DiscreteBlock(t, a) for t, a in zip(ts, shape)))
         for i in range(1, len(shape)):
             pair = ts[:i] + [ts[i - 1]] + ts[i + 1 :]  # block i is block i-1 where a is
-            blocks = tuple(DiscreteBlock(t, a) for t, a in zip(pair, shape))
+            assert_entry_is_the_pass(tuple(DiscreteBlock(t, a) for t, a in zip(pair, shape)))
+
+
+def test_members_share_discrete_entries():
+    # every member at ranks 1-12, with the table and the memo of cuts from
+    # empty: equal discrete tuples are one object, the cut's, so the members
+    # of a cut read one entry object, and a user-built copy with new, equal
+    # blocks reads that entry too; each distinct tuple misses once and every
+    # other ask hits, so the key is the tuple and no entry was dropped
+    _discrete_signs.cache_clear()
+    membership._cuts.cache_clear()
+    held = {}  # id of a member's discrete tuple: the tuple and its entry
+    asks = 0
+    for family, n, value, members in members_up_to(MAX_ENUMERATION_RANK):
+        for psi in members:
+            route = _decide_route(psi, family, n, value)[0]
             for delta in (1, -1):
-                assert discrete_signs_by_block(blocks, delta, False)[4] == (i in entry[0])
+                _rho_core(psi, delta, route)
+            entry = _discrete_signs(psi.discrete)
+            assert held.setdefault(id(psi.discrete), (psi.discrete, entry))[1] is entry
+            copied = fresh_copy(psi).discrete  # new blocks in a new tuple
+            assert copied == psi.discrete and _discrete_signs(copied) is entry
+            asks += 4
+    distinct = {discrete for discrete, _ in held.values()}
+    info = _discrete_signs.cache_info()
+    assert len(held) == len(distinct) == info.currsize == info.misses == 7_190
+    assert info.hits == asks - len(distinct)
 
 
 def test_recipe_is_the_per_block_pass_and_the_per_member_tail():
@@ -675,13 +705,13 @@ def test_recipe_and_cut_memos_stay_bounded_at_the_cap(monkeypatch):
     table = _unipotent_signs.cache_info()
     assert three == 9_762 and table.currsize == table.misses == 276
     assert table.currsize * 3 < table.maxsize
-    shapes = _discrete_signs.cache_info()
-    assert shapes.currsize == shapes.misses == 3_072 < shapes.maxsize
+    discretes = _discrete_signs.cache_info()
+    assert discretes.currsize == discretes.misses == 7_190 < discretes.maxsize
     # a parameter of more discrete blocks than the bound is kept in no memo
     psi, route = long_parameter()
     for keep in (False, True):
         _rho_core(psi, 1, route, keep)
-    assert _discrete_signs.cache_info() == shapes
+    assert _discrete_signs.cache_info() == discretes
     info = memo.cache_info()
     # nothing was dropped: the memo holds every key asked for
     assert info.currsize == info.misses == len(asked) < info.maxsize

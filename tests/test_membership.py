@@ -116,9 +116,15 @@ def test_decide_pi_input_errors():
         (triv, -1, 0, "rank must be positive"),
         (WORKED, 2, 3, "need 0 <= m <= n"),
         (WORKED, 2, 1.0, "rank and value must be int"),
+        (WORKED, 3, 1, "parameter rank does not match n"),
+        (WORKED, 1, 1, "parameter rank does not match n"),
     ):
         with pytest.raises(ValueError, match=refusal):
             decide_pi_recursive(psi, n, m)
+    # decide_pi refuses a question about another rank with the same words
+    for n in (3, 1):
+        with pytest.raises(ValueError, match="parameter rank does not match n"):
+            decide_pi(WORKED, n, 1)
 
 
 def test_decide_sigma_distinguished_parameter():
@@ -193,6 +199,10 @@ def test_peel_step_cases():
     # a rank or m that is not an int is refused, not carried into the residue
     for n, m in ((3.0, 2.0), (3, 2.0), (3.0, 2), (3, True), (True, 0)):
         with pytest.raises(ValueError, match="rank and m must be int"):
+            peel_step(psi, n, m)
+    # and so is a rank other than the parameter's, as decide_pi refuses it
+    for psi, n, m in ((WORKED, 5, 2), (WORKED, 1, 1), (psi, 4, 2), (reject, 3, 1)):
+        with pytest.raises(ValueError, match="parameter rank does not match n"):
             peel_step(psi, n, m)
 
 

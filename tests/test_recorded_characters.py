@@ -408,8 +408,9 @@ def test_recorded_member_character_profiler_events():
     # one recorded member's rho_pi_general for both tokens, every call
     # event of the profiler.  The first ask, with the recipe's tables warm
     # for the member's keys: the lookup, the recipe and the two characters
-    # it builds; the key of a's, its bound check, the three-block test and
-    # the table reads make no event.  The second: the lookup, which tells
+    # it builds; the bound check on the discrete tuple, the three-block
+    # test and the table reads, keyed by the member's own tuples, make no
+    # event.  The second: the lookup, which tells
     # that the record answered, and the kept character.  Every member's
     # characters pay each event (the sweep benchmark counts them), so a new
     # frame or C call here has to earn its place.
@@ -439,10 +440,11 @@ def test_recorded_member_character_profiler_events():
     # with the tables cleared, the first ask also builds both entries, and no
     # more on the second ask.  The member has one discrete block, a = 3: its
     # fold (under the discrete table's ``lru_cache``, which makes no event)
-    # signs it for each token and finds no position of equal odd a.  The
-    # unipotent entry takes the sign power of e1 e2 and, eta_2 not carrying
-    # the big block's character, that of the THM71_II_A1 rule once for each
-    # of its eight (token, final token, product) inputs.
+    # signs it for each token and finds no equal neighbours, in one pass of
+    # ``any`` over a generator.  The unipotent entry takes the sign power of
+    # e1 e2 and, eta_2 not carrying the big block's character, that of the
+    # THM71_II_A1 rule once for each of its eight (token, final token,
+    # product) inputs.
     characters._unipotent_signs.cache_clear()
     characters._discrete_signs.cache_clear()
     fresh = member()
@@ -455,7 +457,7 @@ def test_recorded_member_character_profiler_events():
         "_rho_core",
         "_discrete_fold",
         *["_sign_pow", "append"] * 2,
-        "len",
+        "any",
         "<genexpr>",
         "_unipotent_signs",
         *["_sign_pow", "_sign_pow"] * 8,
